@@ -8,7 +8,7 @@ Recognized keys (units in parentheses):
 
     case        A or B                          (kernel family)
     nu          power-law exponent in (0, 1]    (case A only)
-    a0          particle distance (body radii)
+    a0          particle distance (body radii), at least 1.5
     omega0      rotation speed (rad per time unit)
     profile     rigid:<w> | linear:<slope>,<offset> | csv:<path>
     N           mode truncation, integer >= 8
@@ -23,13 +23,14 @@ Recognized keys (units in parentheses):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .errors import ConfigError
 from .kernel import (VorticityProfile, linear_preset, profile_from_csv,
                      rigid_preset, zero_preset)
-from .potential import InteractionCase, case_a, case_b
+from .potential import _A0_MIN, InteractionCase, case_a, case_b
 
 _KNOWN_KEYS = {
     "case", "nu", "a0", "omega0", "profile", "N", "n_radial", "n_angular",
@@ -55,6 +56,14 @@ class RunConfig:
     def __post_init__(self):
         if (self.a0 is None) == (self.omega0 is None):
             raise ConfigError("exactly one of a0 / omega0 must be given")
+        reals = [("a0", self.a0), ("omega0", self.omega0), ("tol", self.tol),
+                 ("m_cap", self.m_cap)] + [("m", m) for m in self.m_list]
+        for key, value in reals:
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"key {key!r}: must be finite, got {value!r}")
+        if self.a0 is not None and self.a0 < _A0_MIN:
+            raise ConfigError(f"a0 must be at least {_A0_MIN} (particle "
+                              f"clear of the body), got {self.a0!r}")
         if self.N < 8:
             raise ConfigError(f"N must be at least 8, got {self.N}")
         if self.tol <= 0:

@@ -19,18 +19,17 @@ particle, evaluated by smooth disk quadrature.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .coeffs import ModeTable, build_mode_table
 from .errors import ResonanceError
-from .potential import BaseState, u0_d2
+from .potential import BaseState, particle_potential_at, u0_d2
+# eval_h_at is not called here; perfbench/tracing.py wraps it under this name
 from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, boundary_grid,
-                       eval_h_at)
+                       disk_rule, eval_h_at, eval_h_polar)
 
 _RESONANCE_TOL = 1e-8
 
@@ -102,10 +101,6 @@ def nonresonance_scan(op: LinearizedOperator, margin_factor: float = 1.0,
     }
 
 
-def scan_to_json(report: dict, **kw) -> str:
-    return json.dumps(report, **kw)
-
-
 # --------------------------------------------------------------------------
 # shape derivative of the particle force
 # --------------------------------------------------------------------------
@@ -123,14 +118,8 @@ def w_shape_derivative(op: LinearizedOperator, g: ShapeCoeffs) -> float:
     converges spectrally.
     """
     a0 = op.base.a0
-    xg, wg = leggauss(_WQ_RADIAL)
-    r = 0.5 * (xg + 1.0)
-    wr = 0.5 * wg
-    phi = boundary_grid(_WQ_ANGULAR)
-    wphi = 2.0 * np.pi / _WQ_ANGULAR
-
-    y = r[:, None] * np.exp(1j * phi[None, :])
-    gv, dgv = eval_h_at(g, y)
+    r, y, wt = disk_rule(_WQ_RADIAL, _WQ_ANGULAR)
+    gv, dgv = eval_h_polar(g, r, _WQ_ANGULAR)
     ay = a0 - y
     q = np.abs(ay) ** 2
     re_ay = ay.real
@@ -148,7 +137,7 @@ def w_shape_derivative(op: LinearizedOperator, g: ShapeCoeffs) -> float:
             + nu * (nu + 2.0) * (ay * np.conj(gv)).real * re_ay \
             * q ** (-(nu + 4.0) / 2.0)
 
-    return float(np.sum(f * r[:, None] * wr[:, None]) * wphi)
+    return float(np.sum(f * wt))
 
 
 # --------------------------------------------------------------------------
@@ -202,19 +191,10 @@ def apply_forward(op: LinearizedOperator, g: ShapeCoeffs, b: float, mu: float):
 # first-order response in the mass parameter
 # --------------------------------------------------------------------------
 
-def particle_potential_on_boundary(op: LinearizedOperator, M_grid: int) -> np.ndarray:
-    """Samples of the particle's potential on the unit circle."""
-    a0 = op.base.a0
-    z = np.exp(1j * boundary_grid(M_grid))
-    d = np.abs(z - a0)
-    if op.base.case.is_log:
-        return np.log(d)
-    return -d ** (-op.base.case.nu)
-
-
 def particle_source_spectrum(op: LinearizedOperator) -> BoundarySpectrum:
     M_grid = max(4 * op.N + 4, 256)
-    return analyze(particle_potential_on_boundary(op, M_grid), N=op.N)
+    z = np.exp(1j * boundary_grid(M_grid))
+    return analyze(particle_potential_at(op.base.case, op.base.a0, z), N=op.N)
 
 
 def first_order_response(op: LinearizedOperator, m: float):

@@ -249,6 +249,15 @@ def a0_from_omega(case: InteractionCase, omega0: float, tol: float = 1e-12) -> f
     return float(a0)
 
 
+def particle_potential_at(case: InteractionCase, a: float,
+                          pts: np.ndarray) -> np.ndarray:
+    """Potential of the unit point mass at (a, 0), evaluated at pts."""
+    d = np.abs(pts - a)
+    if case.is_log:
+        return np.log(d)
+    return -d ** (-case.nu)
+
+
 # --------------------------------------------------------------------------
 # base state
 # --------------------------------------------------------------------------

@@ -10,14 +10,20 @@ distance, Bernoulli constant.  The residual has three components:
 3. volume constraint, |f(D)| - pi.
 
 The stream function phi_h on the disk solves Delta phi_h = |f'|^2 G(phi_h)
-with zero boundary values; it is computed by a damped Picard iteration with
-per-Fourier-mode Chebyshev solves on a half-diameter grid (even number of
-nodes on the full diameter, so the coordinate singularity at r = 0 is never
-touched).
+with zero boundary values; it is computed by a damped Picard iteration on a
+half-diameter Chebyshev grid (even number of nodes on the full diameter, so
+the coordinate singularity at r = 0 is never touched) times a uniform angle
+grid.  The angle is handled by rfft: the M/2 + 1 Fourier modes each have a
+radial operator of the parity of n, built from two cached parity matrices.
+The inverses of these operators are formed once per damping value, so a
+Picard step is one batched matmul over all modes.  residual_F starts the
+iteration from the base-state field phi0(r), which roughly halves the number
+of steps.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -30,10 +36,12 @@ from .chebyshev import HalfDiameterGrid
 from .errors import DivergenceError, TidaldiskError
 from .kernel import VorticityProfile
 from .linop import LinearizedOperator, first_order_response, solve_linearized
-from .potential import BaseState, graded_panels, panel_rule
-from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
-                       boundary_grid, eval_boundary, eval_h_at,
-                       injectivity_margin)
+from .potential import (_A0_MIN, BaseState, graded_panels, panel_rule,
+                        particle_potential_at)
+# eval_h_at is not called here; perfbench/tracing.py wraps it under this name
+from .spectral import (BoundarySpectrum, ShapeCoeffs, _h_coeffs, analyze,
+                       area, boundary_grid, disk_rule, eval_boundary,
+                       eval_h_at, eval_h_polar, injectivity_margin)
 
 DEFAULT_RADIAL = 64    # half-diameter nodes; 2x this on the full diameter
 DEFAULT_ANGULAR = 256
@@ -42,6 +50,47 @@ DEFAULT_ANGULAR = 256
 # --------------------------------------------------------------------------
 # stream function on the disk
 # --------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=4)
+def _radial_basis(n_radial: int):
+    """The half-diameter grid and, for parity p = 0, 1, the matrix
+    d_rr + (1/r) d_r of the modes n = p (mod 2), before the -n^2/r^2 term.
+
+    Shared between calls, so the arrays are read-only.
+    """
+    grid = HalfDiameterGrid(n_radial)
+    inv_r = np.diag(1.0 / grid.r)
+    basis = tuple(grid.d2(p) + inv_r @ grid.d1(p) for p in (0, 1))
+    for arr in (grid.r, *basis):
+        arr.setflags(write=False)
+    return grid, basis
+
+
+def _mode_operator(n_radial: int, n: int, lam: float = 0.0) -> np.ndarray:
+    """Radial operator d_rr + (1/r) d_r - n^2/r^2 - lam of angular mode n;
+    equal to HalfDiameterGrid.laplacian_mode(n) at lam = 0."""
+    grid, basis = _radial_basis(n_radial)
+    return basis[n % 2] - np.diag(n * n / grid.r**2 + lam)
+
+
+def _mode_inverses(n_radial: int, lam: float, out: np.ndarray) -> None:
+    """Write into out[n] the inverse of mode n's damped operator with the
+    Dirichlet row at r = 1, for the rfft modes n = 0..len(out)-1."""
+    eye = np.eye(n_radial)
+    for n in range(len(out)):
+        A = _mode_operator(n_radial, n, lam)
+        A[0, :] = 0.0
+        A[0, 0] = 1.0  # Dirichlet at r = 1
+        out[n] = lu_solve(lu_factor(A), eye)
+
+
+def _parity_fold(mats, vh: np.ndarray) -> np.ndarray:
+    """Apply mats[n % 2] to column n of the rfft coefficients vh."""
+    out = np.empty((mats[0].shape[0], vh.shape[1]), dtype=complex)
+    for p in (0, 1):
+        out[:, p::2] = mats[p] @ vh[:, p::2]
+    return out
+
 
 @dataclass
 class DiskField:
@@ -58,71 +107,62 @@ class DiskField:
     def boundary_normal_deriv(self) -> np.ndarray:
         """Radial derivative at r = 1, mode by mode with the correct parity
         fold of the half-diameter discretization."""
-        vh = np.fft.fft(self.values, axis=1)
-        M = self.values.shape[1]
-        out = np.empty_like(vh)
-        row_even = self.grid.d1(0)[0, :]
-        row_odd = self.grid.d1(1)[0, :]
-        for k in range(M):
-            n = min(k, M - k)
-            row = row_even if n % 2 == 0 else row_odd
-            out[0, k] = row @ vh[:, k]
-        return np.real(np.fft.ifft(out[0, :]))
+        rows = [self.grid.d1(p)[:1] for p in (0, 1)]
+        vh = np.fft.rfft(self.values, axis=1)
+        return np.fft.irfft(_parity_fold(rows, vh)[0], n=len(self.phi))
 
 
-def conformal_factor_grid(h: ShapeCoeffs, r: np.ndarray, phi: np.ndarray):
-    """|f'|^2 on the polar grid."""
-    z = r[:, None] * np.exp(1j * phi[None, :])
-    _, dh = eval_h_at(h, z)
+def conformal_factor_grid(h: ShapeCoeffs, r: np.ndarray, M: int):
+    """|f'|^2 on the polar grid r_i exp(2 pi i j / M)."""
+    _, dh = eval_h_polar(h, r, M)
     return np.abs(1.0 + dh) ** 2
 
 
 def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
                 n_radial: int = DEFAULT_RADIAL,
                 n_angular: int = DEFAULT_ANGULAR,
-                tol: float = 1e-12, max_iter: int = 200) -> DiskField:
+                tol: float = 1e-12, max_iter: int = 200,
+                u_init=None) -> DiskField:
     """Damped Picard solution of Delta u = |f'|^2 G(u), u = 0 on the circle.
 
     Each step solves (Delta - L) u_next = |f'|^2 G(u) - L u with a constant
     damping L >= sup(|f'|^2 G'), which makes the iteration a contraction for
-    non-decreasing G.
+    non-decreasing G.  The step runs on the rfft modes n = 0..M/2 of the
+    angle: whenever L is set, the inverse of each mode's radial operator is
+    formed once, and every step is then one batched matmul.  The iteration
+    starts from u_init (broadcast to the grid), or from zero.
     """
     if injectivity_margin(h) <= 0:
         raise TidaldiskError("shape is not certified injective; refusing "
                              "to solve on a possibly folded domain")
-    grid = HalfDiameterGrid(n_radial)
+    grid, _ = _radial_basis(n_radial)
     r = grid.r
-    phi = boundary_grid(n_angular)
-    w = conformal_factor_grid(h, r, phi)
+    w = conformal_factor_grid(h, r, n_angular)
+    shape = (n_radial, n_angular)
+    if u_init is None:
+        u = np.zeros(shape)
+    else:
+        u = np.array(np.broadcast_to(u_init, shape), dtype=float)
 
-    u = np.zeros((n_radial, n_angular))
+    n_modes = n_angular // 2 + 1
+    inverses = np.empty((n_modes, n_radial, n_radial))
     lam = 0.0
-    factors = None
-
-    def build_factors(lam_val):
-        fac = {}
-        for n in range(n_angular // 2 + 1):
-            A = grid.laplacian_mode(n) - lam_val * np.eye(n_radial)
-            A[0, :] = 0.0
-            A[0, 0] = 1.0  # Dirichlet at r = 1
-            fac[n] = lu_factor(A)
-        return fac
 
     for it in range(max_iter):
         g1max = float(np.max(profile.d1(u)))
         lam_needed = float(np.max(w)) * max(g1max, 0.0)
-        if factors is None or lam_needed > lam:
+        if it == 0 or lam_needed > lam:
             lam = 1.5 * lam_needed if lam_needed > 0 else 0.0
-            factors = build_factors(lam)
+            _mode_inverses(n_radial, lam, inverses)
 
         rhs = w * np.asarray(profile.eval(u), dtype=float) - lam * u
-        rhs_hat = np.fft.fft(rhs, axis=1)
-        rhs_hat[0, :] = 0.0  # boundary row
-        u_hat = np.empty_like(rhs_hat)
-        for k in range(n_angular):
-            n = min(k, n_angular - k)
-            u_hat[:, k] = lu_solve(factors[n], rhs_hat[:, k])
-        u_new = np.real(np.fft.ifft(u_hat, axis=1))
+        rhs[0, :] = 0.0  # boundary row
+        rhs_hat = np.fft.rfft(rhs, axis=1)
+        # real and imaginary parts as two right-hand sides per mode
+        stacked = np.ascontiguousarray(rhs_hat.T).view(float)
+        stacked = stacked.reshape(n_modes, n_radial, 2)
+        u_hat = np.matmul(inverses, stacked).view(complex)[..., 0].T
+        u_new = np.fft.irfft(u_hat, n=n_angular, axis=1)
         delta = float(np.max(np.abs(u_new - u)))
         u = u_new
         if delta < tol:
@@ -131,22 +171,21 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
         raise DivergenceError(
             f"stream-function iteration did not converge (last step {delta:.2e})")
 
-    return DiskField(r=r, phi=phi, values=u, grid=grid)
+    return DiskField(r=r, phi=boundary_grid(n_angular), values=u, grid=grid)
 
 
 def field_equation_residual(fieldv: DiskField, h: ShapeCoeffs,
                             profile: VorticityProfile) -> float:
     """Sup norm of Delta u - |f'|^2 G(u) at the interior collocation nodes."""
-    grid = fieldv.grid
-    w = conformal_factor_grid(h, fieldv.r, fieldv.phi)
-    vh = np.fft.fft(fieldv.values, axis=1)
+    r = fieldv.r
     M = len(fieldv.phi)
-    lap = np.empty_like(vh)
-    for k in range(M):
-        n = min(k, M - k)
-        lap[:, k] = grid.laplacian_mode(n) @ vh[:, k]
-    lap_real = np.real(np.fft.ifft(lap, axis=1))
-    res = lap_real - w * np.asarray(profile.eval(fieldv.values), dtype=float)
+    w = conformal_factor_grid(h, r, M)
+    _, basis = _radial_basis(len(r))
+    vh = np.fft.rfft(fieldv.values, axis=1)
+    n = np.arange(vh.shape[1])
+    lap_hat = _parity_fold(basis, vh) - (n * n)[None, :] / (r * r)[:, None] * vh
+    lap = np.fft.irfft(lap_hat, n=M, axis=1)
+    res = lap - w * np.asarray(profile.eval(fieldv.values), dtype=float)
     return float(np.max(np.abs(res[1:, :])))
 
 
@@ -226,12 +265,9 @@ def boundary_potential(h: ShapeCoeffs, case, M: int = 0) -> np.ndarray:
     nu = case.nu
     offs, wq = _POWER_OFFSETS
     # evaluate the curve at phi_i + off for every i by coefficient twisting
-    ch = np.zeros(h.N + 2, dtype=complex)
-    ch[1] = 1.0 + h.g0
-    ch[2:] = h.gn
-    cdh = np.zeros(h.N + 1, dtype=complex)
-    cdh[0] = 1.0 + h.g0
-    cdh[1:] = (np.arange(1, h.N + 1) + 1) * h.gn
+    ch, cdh = _h_coeffs(h)  # power series of h and h'; add the identity
+    ch[1] += 1.0
+    cdh[0] += 1.0
     k1 = np.arange(h.N + 2)
     k2 = np.arange(h.N + 1)
     out = np.zeros(M)
@@ -262,14 +298,12 @@ _PF_RADIAL = 64
 _PF_ANGULAR = 128
 
 
-def _disk_tensor_grid(n_r=_PF_RADIAL, n_phi=_PF_ANGULAR):
-    xg, wg = leggauss(n_r)
-    r = 0.5 * (xg + 1.0)
-    wr = 0.5 * wg
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    y = r[:, None] * np.exp(1j * phi[None, :])
-    wt = (r * wr)[:, None] * (2.0 * np.pi / n_phi)
-    return y, wt
+def _body_rule(h: ShapeCoeffs):
+    """The disk rule carried onto the body f(D): nodes f(y) and weights
+    |f'(y)|^2 dA(y)."""
+    r, y, wt = disk_rule(_PF_RADIAL, _PF_ANGULAR)
+    fv, dfv = eval_h_polar(h, r, _PF_ANGULAR)
+    return y + fv, np.abs(1.0 + dfv) ** 2 * wt
 
 
 def particle_force(h: ShapeCoeffs, case, a: float,
@@ -277,42 +311,28 @@ def particle_force(h: ShapeCoeffs, case, a: float,
     """Derivative of the body's attraction potential at the particle site
     (a, 0); component 0 is d/dx1, component 1 is d/dx2."""
     a = float(a)
-    if a < 1.5:
-        raise ValueError("particle distance must be at least 1.5")
-    y, wt = _disk_tensor_grid()
-    fv, dfv = eval_h_at(h, y)
-    f = y + fv
+    if a < _A0_MIN:
+        raise ValueError(f"particle distance must be at least {_A0_MIN}")
+    f, wf = _body_rule(h)
     if float(np.max(np.abs(f))) > a - 0.3:
         raise TidaldiskError(
             "shape reaches too close to the particle for smooth quadrature")
     af = a - f  # the vector X - f(y) with X = (a, 0)
-    w2 = np.abs(1.0 + dfv) ** 2
     num = af.real if component == 0 else af.imag
     if case.is_log:
-        vals = num / np.abs(af) ** 2 * w2
+        vals = num / np.abs(af) ** 2
     else:
         nu = case.nu
-        vals = nu * num * np.abs(af) ** (-(nu + 2.0)) * w2
-    return float(np.sum(vals * wt))
+        vals = nu * num * np.abs(af) ** (-(nu + 2.0))
+    return float(np.sum(vals * wf))
 
 
 def center_of_mass(h: ShapeCoeffs, m: float, a: float):
     """(integral of x over the body + m X) / (pi + m), as a 2-vector."""
-    y, wt = _disk_tensor_grid()
-    fv, dfv = eval_h_at(h, y)
-    f = y + fv
-    w2 = np.abs(1.0 + dfv) ** 2
-    mom = np.sum(f * w2 * wt)
+    f, wf = _body_rule(h)
+    mom = np.sum(f * wf)
     total = mom + m * a
     return np.array([total.real, total.imag]) / (np.pi + m)
-
-
-def particle_potential_at(case, a: float, pts: np.ndarray) -> np.ndarray:
-    """Potential of the unit point mass at (a, 0), evaluated at pts."""
-    d = np.abs(pts - a)
-    if case.is_log:
-        return np.log(d)
-    return -d ** (-case.nu)
 
 
 # --------------------------------------------------------------------------
@@ -330,8 +350,10 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
     Bernoulli mismatch, r2 the particle-balance residual and r3 the volume
     residual; with return_field=True the stream-function field is appended.
     """
+    r = _radial_basis(n_radial)[0].r
+    phi0 = base.phi0(r) - base.phi0(1.0)  # base-state field, Dirichlet exact
     fieldv = solve_phi_h(h, base.profile, n_radial=n_radial,
-                         n_angular=n_angular)
+                         n_angular=n_angular, u_init=phi0[:, None])
     dn = fieldv.boundary_normal_deriv()
 
     M = n_angular
@@ -418,7 +440,9 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
     """Frozen-derivative fixed point x_{k+1} = x_k - DF(base)^{-1} F(x_k).
 
     Starts from the first-order response; reports divergence after three
-    consecutive residual increases.  The default mass cap is a heuristic
+    consecutive residual increases, or when an iterate leaves the
+    admissible set (particle distance below the a0 minimum, or a shape not
+    certified injective).  The default mass cap is a heuristic
     tied to the distance to resonance.
     """
     base = op.base
@@ -447,6 +471,13 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
     history = []
     bad_streak = 0
     for it in range(1, max_iter + 1):
+        if a < _A0_MIN:
+            raise DivergenceError(
+                f"iterate moved the particle to a={a:.6g}, inside the "
+                f"admissible distance {_A0_MIN}", history=history)
+        if injectivity_margin(h) <= 0:
+            raise DivergenceError("iterate lost certified injectivity",
+                                  history=history)
         S, r2, r3 = residual_F(h, a, lam, m, base, n_radial, n_angular)
         rn = residual_norm(S, r2, r3)
         history.append(rn)
@@ -461,20 +492,10 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
                     history=history)
         else:
             bad_streak = 0
-        g, b, mu = solve_linearized(op, S, r2, r3)
-        if g.N != h.N:
-            gg = np.zeros(max(g.N, h.N), dtype=complex)
-            gg[:g.N] = g.gn
-            hh = np.zeros_like(gg)
-            hh[:h.N] = h.gn
-            h = ShapeCoeffs(h.g0 - g.g0, hh - gg)
-        else:
-            h = ShapeCoeffs(h.g0 - g.g0, h.gn - g.gn)
+        g, b, mu = solve_linearized(op, S, r2, r3)  # g.N == op.N == h.N
+        h = ShapeCoeffs(h.g0 - g.g0, h.gn - g.gn)
         a -= b
         lam -= mu
-        if injectivity_margin(h) <= 0:
-            raise DivergenceError("iterate lost certified injectivity",
-                                  history=history)
 
     raise DivergenceError(
         f"no convergence after {max_iter} iterations "

@@ -13,10 +13,10 @@ transform pair used to move between boundary samples and mode coefficients.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 
 # --------------------------------------------------------------------------
@@ -98,30 +98,63 @@ def xi_coeffs(h: ShapeCoeffs) -> np.ndarray:
 # boundary evaluation
 # --------------------------------------------------------------------------
 
-def _poly_on_grid(coeffs: np.ndarray, M: int) -> np.ndarray:
-    """Values of sum_k coeffs[k] z^k at z = exp(2 pi i j / M), j = 0..M-1."""
-    if len(coeffs) > M:
-        raise ValueError("grid too coarse for the coefficient degree")
-    padded = np.zeros(M, dtype=complex)
-    padded[: len(coeffs)] = coeffs
-    return M * np.fft.ifft(padded)
-
-
 def boundary_grid(M: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(M) / M
 
 
-def eval_h_boundary(h: ShapeCoeffs, M: int):
-    """Samples of h and h' on the uniform boundary grid."""
-    if M < 2 * h.N + 2:
-        raise ValueError(f"grid M={M} must be at least 2N+2={2*h.N+2}")
+def _h_coeffs(h: ShapeCoeffs):
+    """Power-series coefficients of h and of h' (index k holds z^k)."""
     ch = np.zeros(h.N + 2, dtype=complex)
     ch[1] = h.g0
     ch[2:] = h.gn
     cdh = np.zeros(h.N + 1, dtype=complex)
     cdh[0] = h.g0
     cdh[1:] = (np.arange(1, h.N + 1) + 1) * h.gn
-    return _poly_on_grid(ch, M), _poly_on_grid(cdh, M)
+    return ch, cdh
+
+
+def _polar_sum(coeffs: np.ndarray, r: np.ndarray, M: int) -> np.ndarray:
+    """Values of sum_k coeffs[k] z^k at z = r_i exp(2 pi i j / M).
+
+    Row i scales coefficient k by r_i^k and one inverse FFT along the angle
+    axis sums the powers.  On the uniform M-grid exp(i k phi_j) equals
+    exp(i (k mod M) phi_j), so powers k >= M are folded onto k mod M; the
+    fold is exact at these points.
+    """
+    k = np.arange(len(coeffs))
+    scaled = coeffs[None, :] * r[:, None] ** k[None, :]
+    folded = np.zeros((len(r), M), dtype=complex)
+    np.add.at(folded, (slice(None), k % M), scaled)
+    return M * np.fft.ifft(folded, axis=1)
+
+
+def eval_h_polar(h: ShapeCoeffs, r, M: int):
+    """h and h' on the polar grid r_i exp(2 pi i j / M), j = 0..M-1, as
+    arrays of shape (len(r), M)."""
+    r = np.asarray(r, dtype=float)
+    ch, cdh = _h_coeffs(h)
+    return _polar_sum(ch, r, M), _polar_sum(cdh, r, M)
+
+
+def disk_rule(n_r: int, n_phi: int):
+    """Gauss-Legendre (radial) x uniform (angular) rule on the unit disk.
+
+    Returns the radii r (n_r,), the nodes r_i exp(i phi_j) (n_r, n_phi) and
+    the weights (n_r, 1), which include the area element r dr dphi.
+    """
+    xg, wg = leggauss(n_r)
+    r = 0.5 * (xg + 1.0)
+    z = r[:, None] * np.exp(1j * boundary_grid(n_phi))[None, :]
+    wt = (r * 0.5 * wg)[:, None] * (2.0 * np.pi / n_phi)
+    return r, z, wt
+
+
+def eval_h_boundary(h: ShapeCoeffs, M: int):
+    """Samples of h and h' on the uniform boundary grid."""
+    if M < 2 * h.N + 2:
+        raise ValueError(f"grid M={M} must be at least 2N+2={2*h.N+2}")
+    hv, dhv = eval_h_polar(h, np.ones(1), M)
+    return hv[0], dhv[0]
 
 
 def eval_boundary(h: ShapeCoeffs, M: int):
@@ -132,7 +165,9 @@ def eval_boundary(h: ShapeCoeffs, M: int):
 
 
 def eval_h_at(h: ShapeCoeffs, z: np.ndarray):
-    """h and h' at arbitrary points of the closed disk (direct summation)."""
+    """h and h' at arbitrary points of the closed disk (direct summation).
+
+    On polar grids use eval_h_polar, which does the same with one FFT."""
     z = np.asarray(z, dtype=complex)
     hv = h.g0 * z
     dhv = np.full_like(z, h.g0)
@@ -189,17 +224,9 @@ def area(h: ShapeCoeffs) -> float:
 
 def area_quadrature(h: ShapeCoeffs, n_r: int = 128, n_phi: int = 256) -> float:
     """Validation path: tensor quadrature of |f'|^2 over the disk."""
-    from numpy.polynomial.legendre import leggauss
-
-    xg, wg = leggauss(n_r)
-    r = 0.5 * (xg + 1.0)
-    wr = 0.5 * wg
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    wphi = 2.0 * np.pi / n_phi
-    z = r[:, None] * np.exp(1j * phi[None, :])
-    _, dh = eval_h_at(h, z)
-    integrand = np.abs(1.0 + dh) ** 2 * r[:, None]
-    return float(np.sum(integrand * wr[:, None]) * wphi)
+    r, _, wt = disk_rule(n_r, n_phi)
+    _, dh = eval_h_polar(h, r, n_phi)
+    return float(np.sum(np.abs(1.0 + dh) ** 2 * wt))
 
 
 # --------------------------------------------------------------------------

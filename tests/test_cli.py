@@ -136,6 +136,17 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_iterate_inside_admissible_set_exit_code(tmp_path, capsys):
+    # at the a0 minimum the first-order step moves the particle inside it
+    cfg = _write_cfg(tmp_path, "case = B\nprofile = linear:1,-2\na0 = 1.5\n"
+                     "N = 32\nn_radial = 32\nn_angular = 128\nm = 1e-4\n")
+    code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = main(["base", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "o")])

@@ -46,6 +46,12 @@ def test_parse_case_a_defaults():
     ("case=B\nprofile=rigid:nope\na0=2\n", "profile"),
     ("garbage line\n", "key = value"),
     ("case=B\nprofile=rigid:1\na0=not_a_number\n", "number"),
+    ("case=B\nprofile=rigid:1\na0=1.2\n", "a0 must be at least 1.5"),
+    ("case=B\nprofile=rigid:1\na0=nan\n", "'a0': must be finite"),
+    ("case=B\nprofile=rigid:1\nomega0=inf\n", "'omega0': must be finite"),
+    ("case=B\nprofile=rigid:1\na0=2\ntol=nan\n", "'tol': must be finite"),
+    ("case=B\nprofile=rigid:1\na0=2\nm=1e-5, nan\n", "'m': must be finite"),
+    ("case=B\nprofile=rigid:1\na0=2\nm_cap=nan\n", "'m_cap': must be finite"),
 ])
 def test_parse_errors(text, frag):
     with pytest.raises(ConfigError, match=frag):

@@ -1,16 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
+from tidaldisk.chebyshev import HalfDiameterGrid
 from tidaldisk.errors import DivergenceError, TidaldiskError
-from tidaldisk.kernel import rigid_preset
+from tidaldisk.kernel import linear_preset, rigid_preset
 from tidaldisk.linop import apply_forward, make_operator
 from tidaldisk.potential import case_a, case_b, make_base_state, u0, u0_d1
-from tidaldisk.residual import (boundary_potential, center_of_mass,
+from tidaldisk.residual import (_mode_inverses, _mode_operator,
+                                boundary_potential, center_of_mass,
                                 field_equation_residual, particle_force,
                                 particle_potential_at, pressure_on_boundary,
                                 quasi_newton_solve, residual_F, residual_norm,
                                 solve_phi_h, vorticity_primitive)
-from tidaldisk.spectral import ShapeCoeffs
+from tidaldisk.spectral import ShapeCoeffs, boundary_grid, eval_h_at
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +53,91 @@ def test_stream_function_field_residual(base):
     h = _small_shape()
     fld = solve_phi_h(h, base.profile, n_radial=32, n_angular=64)
     assert field_equation_residual(fld, h, base.profile) < 1e-10
+
+
+def test_mode_operators_match_laplacian_mode():
+    # both parities, every rfft mode of a 32-angle grid
+    grid = HalfDiameterGrid(16)
+    for n in range(32 // 2 + 1):
+        assert np.array_equal(_mode_operator(16, n), grid.laplacian_mode(n))
+    lam = 0.7
+    inverses = np.empty((17, 16, 16))
+    _mode_inverses(16, lam, inverses)
+    for n in range(17):
+        A = grid.laplacian_mode(n) - lam * np.eye(16)
+        A[0, :] = 0.0
+        A[0, 0] = 1.0
+        assert np.max(np.abs(inverses[n] @ A - np.eye(16))) < 1e-10
+
+
+def _seed_solve_phi_h(h, profile, n_radial, n_angular, tol=1e-12):
+    """The per-column Picard loop that solve_phi_h replaced: one lu_solve
+    per angular column, modes k and M - k solved separately."""
+    grid = HalfDiameterGrid(n_radial)
+    phi = boundary_grid(n_angular)
+    _, dh = eval_h_at(h, grid.r[:, None] * np.exp(1j * phi[None, :]))
+    w = np.abs(1.0 + dh) ** 2
+    u = np.zeros((n_radial, n_angular))
+    lam, factors = 0.0, None
+    for _ in range(200):
+        lam_needed = float(np.max(w)) * max(float(np.max(profile.d1(u))), 0.0)
+        if factors is None or lam_needed > lam:
+            lam = 1.5 * lam_needed if lam_needed > 0 else 0.0
+            factors = {}
+            for n in range(n_angular // 2 + 1):
+                A = grid.laplacian_mode(n) - lam * np.eye(n_radial)
+                A[0, :] = 0.0
+                A[0, 0] = 1.0
+                factors[n] = lu_factor(A)
+        rhs_hat = np.fft.fft(w * profile.eval(u) - lam * u, axis=1)
+        rhs_hat[0, :] = 0.0
+        u_hat = np.empty_like(rhs_hat)
+        for k in range(n_angular):
+            u_hat[:, k] = lu_solve(factors[min(k, n_angular - k)],
+                                   rhs_hat[:, k])
+        u_new = np.real(np.fft.ifft(u_hat, axis=1))
+        delta = float(np.max(np.abs(u_new - u)))
+        u = u_new
+        if delta < tol:
+            return u
+    raise AssertionError("reference loop did not converge")
+
+
+@pytest.fixture(scope="module")
+def base_linear():
+    return make_base_state(case_b(), 2.0, linear_preset(1.0, -2.0))
+
+
+def _counting_d1(profile):
+    """Copy of profile whose d1, called once per Picard step, is counted."""
+    calls = []
+
+    def d1(u):
+        calls.append(1)
+        return profile.d1(u)
+
+    return dataclasses.replace(profile, d1=d1), calls
+
+
+def test_stream_function_matches_per_column_loop(base_linear):
+    h = _small_shape()
+    fld = solve_phi_h(h, base_linear.profile, n_radial=16, n_angular=32)
+    ref = _seed_solve_phi_h(h, base_linear.profile, 16, 32)
+    assert np.max(np.abs(fld.values - ref)) < 1e-13
+
+
+def test_stream_function_warm_start(base_linear):
+    h = _small_shape()
+    fld = solve_phi_h(h, base_linear.profile, n_radial=32, n_angular=64)
+    cold, cold_calls = _counting_d1(base_linear.profile)
+    warm, warm_calls = _counting_d1(base_linear.profile)
+    cold_fld = solve_phi_h(h, cold, n_radial=32, n_angular=64)
+    phi0 = base_linear.phi0(fld.r) - base_linear.phi0(1.0)
+    warm_fld = solve_phi_h(h, warm, n_radial=32, n_angular=64,
+                           u_init=phi0[:, None])
+    assert np.max(np.abs(warm_fld.values - cold_fld.values)) < 1e-11
+    assert np.array_equal(cold_fld.values, fld.values)
+    assert len(warm_calls) < len(cold_calls)
 
 
 def test_stream_function_rejects_folded_shape(base):

@@ -3,7 +3,7 @@ import pytest
 
 from tidaldisk.spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
                                 area_quadrature, boundary_grid, eval_boundary,
-                                eval_h_at, eval_h_boundary,
+                                eval_h_at, eval_h_boundary, eval_h_polar,
                                 injectivity_margin, self_intersection_oracle,
                                 synthesize, xi_coeffs)
 
@@ -61,6 +61,25 @@ def test_eval_consistency():
     assert np.max(np.abs(f - (z + hv))) < 1e-15
     with pytest.raises(ValueError):
         eval_h_boundary(h, 4)
+
+
+@pytest.mark.parametrize("N, M", [
+    (10, 32),    # M >= N + 2: every power has its own angular mode
+    (10, 8),     # M < N + 2: powers k >= M fold onto k mod M
+    (128, 128),  # the particle-side quadrature grids, degree N + 1 = 129
+])
+def test_eval_h_polar_matches_direct_summation(N, M):
+    rng = np.random.default_rng(N + M)
+    decay = 0.05 / np.arange(1, N + 1) ** 2
+    h = ShapeCoeffs(0.03, decay * (rng.standard_normal(N)
+                                  + 1j * rng.standard_normal(N)))
+    r = np.array([1.0, 0.97, 0.5, 0.01])
+    hv, dhv = eval_h_polar(h, r, M)
+    z = r[:, None] * np.exp(1j * boundary_grid(M))[None, :]
+    hv2, dhv2 = eval_h_at(h, z)
+    assert hv.shape == (len(r), M)
+    assert np.max(np.abs(hv - hv2)) < 1e-14
+    assert np.max(np.abs(dhv - dhv2)) < 1e-14
 
 
 def test_interior_bounded_by_boundary():
