@@ -30,7 +30,8 @@ from typing import List, Optional
 from .errors import ConfigError
 from .kernel import (VorticityProfile, linear_preset, profile_from_csv,
                      rigid_preset, zero_preset)
-from .potential import _A0_MIN, InteractionCase, case_a, case_b
+from .potential import (_A0_MIN, InteractionCase, case_a, case_b,
+                        check_omega0)
 
 _KNOWN_KEYS = {
     "case", "nu", "a0", "omega0", "profile", "N", "n_radial", "n_angular",
@@ -64,6 +65,11 @@ class RunConfig:
         if self.a0 is not None and self.a0 < _A0_MIN:
             raise ConfigError(f"a0 must be at least {_A0_MIN} (particle "
                               f"clear of the body), got {self.a0!r}")
+        if self.omega0 is not None:
+            try:
+                check_omega0(self.case, self.omega0)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if self.N < 8:
             raise ConfigError(f"N must be at least 8, got {self.N}")
         if self.tol <= 0:

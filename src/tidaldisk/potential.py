@@ -223,15 +223,11 @@ _A0_MIN = 1.5
 _A0_MAX = 1e6
 
 
-def a0_from_omega(case: InteractionCase, omega0: float, tol: float = 1e-12) -> float:
-    """Invert the omega(a0) relation by bisection on [2, 1e6].
-
-    The map is strictly decreasing, so the inverse is well defined; requests
-    outside the admissible range are rejected with the range reported.
+def check_omega0(case: InteractionCase, omega0: float) -> None:
+    """Raise ValueError, with the range reported, unless omega0 lies in the
+    image (omega(1e6), omega(1.5)] of the admissible particle distances.
     The lower end a0 = 1.5 keeps the particle at a positive distance from
-    the fluid body.
-    """
-    omega0 = float(omega0)
+    the fluid body."""
     hi_omega = omega_from_a0(case, _A0_MIN)
     lo_omega = omega_from_a0(case, _A0_MAX)
     if not (lo_omega < omega0 <= hi_omega):
@@ -239,6 +235,16 @@ def a0_from_omega(case: InteractionCase, omega0: float, tol: float = 1e-12) -> f
             f"omega0={omega0:g} outside the admissible interval "
             f"({lo_omega:.3e}, {hi_omega:.6f}] for case {case.label()}"
         )
+
+
+def a0_from_omega(case: InteractionCase, omega0: float, tol: float = 1e-12) -> float:
+    """Invert the omega(a0) relation by Brent's method on [1.5, 1e6].
+
+    The map is strictly decreasing, so the inverse is well defined; requests
+    outside the admissible range are rejected by check_omega0.
+    """
+    omega0 = float(omega0)
+    check_omega0(case, omega0)
 
     def f(a):
         return omega_from_a0(case, a) - omega0

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import lu_factor, lu_solve
 
@@ -193,15 +194,18 @@ def field_equation_residual(fieldv: DiskField, h: ShapeCoeffs,
 # boundary value of the self-attraction
 # --------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=4)
 def _kress_log_weights(M: int) -> np.ndarray:
     """Circulant quadrature weights for int F(t) ln(4 sin^2((t - t_i)/2)) dt
     on the uniform M-grid; exact for trigonometric polynomials of degree
-    below M/2."""
+    below M/2.  Cached per M (an O(M^2) sum), so the array is read-only."""
     j = np.arange(M)
     t = 2.0 * np.pi * j / M
     m = np.arange(1, M // 2)
     w = np.cos(np.outer(t, m)) @ (1.0 / m) + np.cos(M * t / 2.0) / M
-    return -(4.0 * np.pi / M) * w
+    w = -(4.0 * np.pi / M) * w
+    w.setflags(write=False)
+    return w
 
 
 def _angular_offsets(levels: int = 40, n_gauss: int = 10):
@@ -216,6 +220,12 @@ def _angular_offsets(levels: int = 40, n_gauss: int = 10):
 
 _POWER_OFFSETS = _angular_offsets()
 
+# Complex elements per offset block of the power kernel, 2^14 // M offsets at
+# a time: a block's temporaries (about 1.5 MB) stay below the per-call
+# mode-inverse array of solve_phi_h (5.5 MB at 64 x 256), so batching the
+# offsets adds little to the peak memory.
+_OFFSET_BLOCK_ELEMS = 2**14
+
 
 def boundary_potential(h: ShapeCoeffs, case, M: int = 0) -> np.ndarray:
     """Samples of (U_h o f)(e^{i phi_j}) on the uniform M-grid.
@@ -227,9 +237,22 @@ def boundary_potential(h: ShapeCoeffs, case, M: int = 0) -> np.ndarray:
 
     where w = (1/2) ln rho - 1/4 for the log kernel and
     w = -rho^(-nu) / (2 - nu) for the power kernel.  The dot product
-    (y - x) . n dS becomes Re[(y(t) - x) i conj(y'(t))] dt on the curve
+    (y - x) . n dS becomes P = Re[(y(t) - x) i conj(y'(t))] dt on the curve
     y(t) = f(e^{it}), which vanishes quadratically at t -> angle of x, so
     the integrand is integrable with the singular point on the curve.
+
+    Log kernel: the arrays are indexed by target i and offset k, with source
+    j = i + k (mod M), as sliding windows over [f, f].  The trapezoid rule
+    on P [(1/2) ln(rho / |2 sin(pi k / M)|) - 1/4] and Kress's circulant
+    product rule on P (1/4) ln(4 sin^2(pi k / M)) then have weights that
+    depend on k only, and U is one weighted row sum over k = 1..M-1 (P
+    vanishes at k = 0).
+
+    Power kernel: the curve y and its derivative y' at phi_j + off are the
+    inverse FFTs of their Fourier coefficients twisted by e^{i k off}.  The
+    graded offsets go in blocks of _OFFSET_BLOCK_ELEMS // M, one batched FFT
+    per block, reduced by the offset weights as one matrix-vector product;
+    the block size bounds the memory, which would otherwise grow as 820 M.
     """
     if M <= 0:
         M = max(256, 4 * h.N + 8)
@@ -239,55 +262,40 @@ def boundary_potential(h: ShapeCoeffs, case, M: int = 0) -> np.ndarray:
         raise TidaldiskError("shape is not certified injective")
 
     f, fp = eval_boundary(h, M)
-    z = np.exp(1j * boundary_grid(M))
-    yp = 1j * z * fp  # d/dt f(e^{it})
 
     if case.is_log:
-        # smooth part: P(t) * [ (1/2) ln(rho / (2|sin((t-s)/2)|)) - 1/4 ]
-        # by the trapezoid rule, log part by the circulant product rule.
-        diff = f[None, :] - f[:, None]          # [target i, source j]
-        P = (diff * (1j * np.conj(yp))[None, :]).real
-        rho = np.abs(diff)
-        idx = np.arange(M)
-        dphi = boundary_grid(M)[None, :] - boundary_grid(M)[:, None]
-        s2 = np.abs(2.0 * np.sin(dphi / 2.0))
-        ratio = np.where(s2 > 0, rho / np.where(s2 > 0, s2, 1.0), 1.0)
-        smooth = P * (0.5 * np.log(ratio) - 0.25)
-        smooth[idx, idx] = 0.0  # P vanishes quadratically at the diagonal
-        vals = smooth.sum(axis=1) * (2.0 * np.pi / M)
-        wlog = _kress_log_weights(M)
-        # 0.5 * ln(2|sin|) = 0.25 * ln(4 sin^2)
-        logpart = np.empty(M)
-        for i in range(M):
-            logpart[i] = 0.25 * np.sum(np.roll(wlog, i) * P[i, :])
-        return vals + logpart
+        yp = 1j * np.exp(1j * boundary_grid(M)) * fp  # d/dt f(e^{it})
+        s2 = 4.0 * np.sin(np.pi * np.arange(1, M) / M) ** 2
+        # [i, k - 1] holds the source j = i + k (mod M), k = 1..M-1
+        src = sliding_window_view(np.concatenate([f, f])[1:], M - 1)[:M]
+        ysrc = sliding_window_view(np.concatenate([yp, yp])[1:], M - 1)[:M]
+        diff = src - f[:, None]
+        P = diff.real * ysrc.imag - diff.imag * ysrc.real
+        # ln(rho^2 / s2) stays small on a near-circle, so it is formed as
+        # one log of the ratio rather than as a difference of two logs
+        log_ratio = np.log((diff.real**2 + diff.imag**2) / s2)
+        wts = (np.pi / (2.0 * M)) * (log_ratio - 1.0)
+        return np.einsum("ik,ik->i", P, wts + 0.25 * _kress_log_weights(M)[1:])
 
     nu = case.nu
     offs, wq = _POWER_OFFSETS
-    # evaluate the curve at phi_i + off for every i by coefficient twisting
-    ch, cdh = _h_coeffs(h)  # power series of h and h'; add the identity
+    ch, _ = _h_coeffs(h)  # y(t) = f(e^{it}) = sum_k ch[k] e^{ikt}
     ch[1] += 1.0
-    cdh[0] += 1.0
-    k1 = np.arange(h.N + 2)
-    k2 = np.arange(h.N + 1)
+    k = np.arange(len(ch))
+    cyp = 1j * k * ch  # y'(t) = sum_k i k ch[k] e^{ikt}
+    block = max(1, _OFFSET_BLOCK_ELEMS // M)
     out = np.zeros(M)
-    pad = np.zeros(M, dtype=complex)
-    for off, wgt in zip(offs, wq):
-        tw1 = ch * np.exp(1j * k1 * off)
-        tw2 = cdh * np.exp(1j * k2 * off)
-        pad[:] = 0.0
-        pad[: len(tw1)] = tw1
-        y_off = M * np.fft.ifft(pad)
-        pad[:] = 0.0
-        pad[: len(tw2)] = tw2
-        fp_off = M * np.fft.ifft(pad)
-        # y'(t) at t = phi + off: i e^{it} f'(e^{it})
-        yp_off = 1j * np.exp(1j * (boundary_grid(M) + off)) * fp_off
-        diffv = y_off - f
-        P = (diffv * 1j * np.conj(yp_off)).real
-        rho = np.abs(diffv)
-        out += wgt * P * (-(rho ** (-nu)) / (2.0 - nu))
-    return out
+    for lo in range(0, len(offs), block):
+        off = offs[lo:lo + block]
+        twist = np.exp(1j * np.outer(off, k))
+        # row b holds the curve and its derivative at t = phi_j + off_b
+        y_off = M * np.fft.ifft(ch * twist, n=M, axis=-1)
+        yp_off = M * np.fft.ifft(cyp * twist, n=M, axis=-1)
+        diff = y_off - f
+        P = diff.real * yp_off.imag - diff.imag * yp_off.real
+        rho_nu = (diff.real**2 + diff.imag**2) ** (-0.5 * nu)
+        out += wq[lo:lo + block] @ (P * rho_nu)
+    return -out / (2.0 - nu)
 
 
 # --------------------------------------------------------------------------
@@ -296,6 +304,9 @@ def boundary_potential(h: ShapeCoeffs, case, M: int = 0) -> np.ndarray:
 
 _PF_RADIAL = 64
 _PF_ANGULAR = 128
+# Least distance from the body to the particle for particle_force: closer,
+# the integrand's near-singularity is no longer resolved by the 64 x 128 rule.
+_PF_CLEARANCE = 0.3
 
 
 def _body_rule(h: ShapeCoeffs):
@@ -314,7 +325,7 @@ def particle_force(h: ShapeCoeffs, case, a: float,
     if a < _A0_MIN:
         raise ValueError(f"particle distance must be at least {_A0_MIN}")
     f, wf = _body_rule(h)
-    if float(np.max(np.abs(f))) > a - 0.3:
+    if float(np.max(np.abs(f))) > a - _PF_CLEARANCE:
         raise TidaldiskError(
             "shape reaches too close to the particle for smooth quadrature")
     af = a - f  # the vector X - f(y) with X = (a, 0)

@@ -147,6 +147,15 @@ def test_iterate_inside_admissible_set_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_omega0_out_of_range_exit_code(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "case = B\nprofile = rigid:1.0\nomega0 = 5\n")
+    code = main(["base", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "admissible interval" in err
+    assert "Traceback" not in err
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = main(["base", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "o")])

@@ -49,6 +49,7 @@ def test_parse_case_a_defaults():
     ("case=B\nprofile=rigid:1\na0=1.2\n", "a0 must be at least 1.5"),
     ("case=B\nprofile=rigid:1\na0=nan\n", "'a0': must be finite"),
     ("case=B\nprofile=rigid:1\nomega0=inf\n", "'omega0': must be finite"),
+    ("case=B\nprofile=rigid:1\nomega0=5\n", "admissible interval"),
     ("case=B\nprofile=rigid:1\na0=2\ntol=nan\n", "'tol': must be finite"),
     ("case=B\nprofile=rigid:1\na0=2\nm=1e-5, nan\n", "'m': must be finite"),
     ("case=B\nprofile=rigid:1\na0=2\nm_cap=nan\n", "'m_cap': must be finite"),
