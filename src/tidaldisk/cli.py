@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -63,21 +64,13 @@ def _write_json(path: str, obj):
 
 
 def _write_csv(path: str, header, rows):
-    d = os.path.dirname(path) or "."
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow([repr(float(v)) if isinstance(v, float) else v
-                            for v in row])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([repr(float(v)) if isinstance(v, float) else v
+                    for v in row])
+    _atomic_write(path, buf.getvalue())
 
 
 def _mass_tag(m: float) -> str:

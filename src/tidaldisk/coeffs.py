@@ -18,17 +18,17 @@ growth of c_n at nu = 1, and assembles the per-mode multiplier table.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.integrate import quad, quad_vec
+from scipy.special import gamma, gammaln, poch
 
 from .errors import QuadratureError
 from .potential import (InteractionCase, BaseState, graded_panels, panel_rule)
-from .radial_ode import solve_An
+# solve_An is not called here; perfbench/tracing.py wraps it under this name
+from .radial_ode import mode_derivatives, solve_An
 
 DEFAULT_N_MODES = 256
 _DIRECT_QUAD_MAX_N = 64
@@ -38,10 +38,11 @@ _DIRECT_QUAD_MAX_N = 64
 # closed form, log kernel
 # --------------------------------------------------------------------------
 
-def c_n_closed_log(n: int) -> float:
-    if n == 0:
-        return np.pi / 2.0
-    return np.pi / 2.0 * (1.0 - 1.0 / n)
+def c_n_closed_log(n):
+    """c_0 = pi/2 and c_n = (pi/2)(1 - 1/n); n may be an integer array."""
+    n = np.asarray(n, dtype=float)
+    c = np.pi / 2.0 * (1.0 - 1.0 / np.where(n == 0, np.inf, n))
+    return c if c.ndim else float(c)
 
 
 # --------------------------------------------------------------------------
@@ -110,34 +111,40 @@ def kernel_moments(nu: float, n_max: int, series_terms: int = 20000) -> np.ndarr
     Expanding |1-y|^(-nu) as a product of binomial series in y and conj(y)
     and integrating term by term over the disk leaves a single sum,
     m_k = pi * sum_p a_p a_{p+k} / (2p + 2k + 2),
-    whose smooth tail is summed by Euler-Maclaurin.
+    whose smooth tail is summed by Euler-Maclaurin.  The tail integrals of
+    all k are one vector-valued quadrature.
     """
     P = series_terms
     a = _binomial_coeffs(nu, P + n_max + 2)
-    lg_nu = gammaln(nu / 2.0)
 
     p = np.arange(P, dtype=float)
-    out = np.empty(n_max + 1)
-    for k in range(n_max + 1):
-        head = np.pi * np.sum(a[:P] * a[k:k + P] / (2.0 * p + 2.0 * k + 2.0))
+    head = np.array([
+        np.pi * np.sum(a[:P] * a[k:k + P] / (2.0 * p + 2.0 * k + 2.0))
+        for k in range(n_max + 1)])
 
-        def t(x, k=k):
-            la = gammaln(x + nu / 2.0) - lg_nu - gammaln(x + 1.0)
-            lb = gammaln(x + k + nu / 2.0) - lg_nu - gammaln(x + k + 1.0)
-            return np.pi * np.exp(la + lb) / (2.0 * x + 2.0 * k + 2.0)
+    k = np.arange(n_max + 1, dtype=float)
+    scale = np.pi / gamma(nu / 2.0) ** 2
 
-        tail, _ = quad(t, P, np.inf, epsabs=1e-13, epsrel=1e-12, limit=200)
-        h = 1e-3 * P
-        tprime = (t(P + h) - t(P - h)) / (2.0 * h)
-        out[k] = head + tail + 0.5 * t(P) - tprime / 12.0
-    return out
+    def t(x):
+        # a_x = poch(x + 1, nu/2 - 1) / Gamma(nu/2).  The same ratio as a
+        # difference of two gammaln values is off by 2e-8 at x = 1e7 and by
+        # 10% at x = 1e13; for nu near 1 quad_vec, which does not
+        # extrapolate toward the infinite end, refines into that noise and
+        # returns a wrong tail.  poch keeps full precision at large x.
+        return (scale * poch(x + 1.0, nu / 2.0 - 1.0)
+                * poch(x + k + 1.0, nu / 2.0 - 1.0) / (2.0 * x + 2.0 * k + 2.0))
+
+    tail, _ = quad_vec(t, P, np.inf, epsabs=1e-13, epsrel=1e-12, norm="max")
+    h = 1e-3 * P
+    tprime = (t(P + h) - t(P - h)) / (2.0 * h)
+    return head + tail + 0.5 * t(P) - tprime / 12.0
 
 
 def c_n_from_moments(case: InteractionCase, n_max: int,
                      moments: Optional[np.ndarray] = None) -> np.ndarray:
     """All c_0..c_{n_max} of the power-law case from the moment route."""
     if case.is_log:
-        return np.array([c_n_closed_log(n) for n in range(n_max + 1)])
+        return c_n_closed_log(np.arange(n_max + 1))
     m = kernel_moments(case.nu, n_max) if moments is None else moments
     n = np.arange(n_max + 1, dtype=float)
     return case.nu * np.cumsum(m) - 2.0 * (n + 1.0) * m
@@ -163,14 +170,9 @@ def c_n(case: InteractionCase, n: int) -> float:
 # asymptotic constant gamma0
 # --------------------------------------------------------------------------
 
-def gamma0(nu: float = 1.0, n_periods: int = 80, tol: float = 1e-10) -> float:
-    """Improper double integral
-    nu * int_0^inf int_0^inf exp(-r) zeta sin(zeta) (r^2+zeta^2)^(-(2+nu)/2)
-    summed period-by-period in zeta with alternating-series acceleration.
-    """
-    if not (0.0 < nu <= 1.0):
-        raise ValueError("nu must lie in (0, 1]")
-
+def _gamma0_partial_sums(nu: float, n_periods: int) -> np.ndarray:
+    """Partial sums over the zeta-periods [j pi, (j+1) pi], j < n_periods, of
+    int_0^inf int_0^inf exp(-r) zeta sin(zeta) (r^2+zeta^2)^(-(2+nu)/2)."""
     def radial(zeta):
         val, _ = quad(lambda r: np.exp(-r) * (r * r + zeta * zeta) ** (-(2.0 + nu) / 2.0),
                       0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=200)
@@ -179,12 +181,19 @@ def gamma0(nu: float = 1.0, n_periods: int = 80, tol: float = 1e-10) -> float:
     def outer(zeta):
         return zeta * np.sin(zeta) * radial(zeta)
 
-    pieces = []
-    for j in range(n_periods):
-        lo, hi = j * np.pi, (j + 1) * np.pi
-        val, _ = quad(outer, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=200)
-        pieces.append(val)
-    partial = np.cumsum(pieces)
+    pieces = [quad(outer, j * np.pi, (j + 1) * np.pi, epsabs=1e-12,
+                   epsrel=1e-11, limit=200)[0] for j in range(n_periods)]
+    return np.cumsum(pieces)
+
+
+def gamma0(nu: float = 1.0, n_periods: int = 80, tol: float = 1e-10) -> float:
+    """Improper double integral
+    nu * int_0^inf int_0^inf exp(-r) zeta sin(zeta) (r^2+zeta^2)^(-(2+nu)/2)
+    summed period-by-period in zeta with alternating-series acceleration.
+    """
+    if not (0.0 < nu <= 1.0):
+        raise ValueError("nu must lie in (0, 1]")
+    partial = _gamma0_partial_sums(nu, n_periods)
 
     # iterated averaging of the alternating partial sums
     s = partial.astype(float)
@@ -206,20 +215,7 @@ def gamma0(nu: float = 1.0, n_periods: int = 80, tol: float = 1e-10) -> float:
 def gamma0_bracket(nu: float = 1.0, n_periods: int = 40):
     """Lower/upper bracket from the alternating partial sums (the pieces
     alternate in sign and shrink, so consecutive partial sums bracket)."""
-    def radial(zeta):
-        val, _ = quad(lambda r: np.exp(-r) * (r * r + zeta * zeta) ** (-(2.0 + nu) / 2.0),
-                      0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=200)
-        return val
-
-    partial = []
-    acc = 0.0
-    for j in range(n_periods):
-        val, _ = quad(lambda z: z * np.sin(z) * radial(z),
-                      j * np.pi, (j + 1) * np.pi, epsabs=1e-12, epsrel=1e-11,
-                      limit=200)
-        acc += val
-        partial.append(acc)
-    tail = nu * np.array(partial[-2:])
+    tail = nu * _gamma0_partial_sums(nu, n_periods)[-2:]
     return float(min(tail)), float(max(tail))
 
 
@@ -259,9 +255,11 @@ class ModeTable:
         }
 
 
-def multiplier(base: BaseState, n: int, a_deriv_n: float, c_abs_n: float) -> float:
+def multiplier(base: BaseState, n, a_deriv_n, c_abs_n):
     """Fourier multiplier of mode n of the linearized boundary condition:
     -(1/2) phi0'(1)^2 (|n|+1) + phi0'(1) A_n'(1) (|n|+1) - (1/2) omega0^2 + c_n.
+
+    Scalars or equal-length arrays over n.
     """
     n = abs(n)
     dp = base.dphi0_at_1
@@ -273,27 +271,16 @@ def build_mode_table(base: BaseState, N: int = DEFAULT_N_MODES,
                      n_nodes: int = 64, workers: int = 1) -> ModeTable:
     """Assemble A_n'(1), c_n and omega_n for n = 0..N.
 
-    Power-law c_n come from the moment route, which is uniformly accurate in
-    n (the direct quadrature is used for spot validation in the test-suite).
+    The mode derivatives share one Chebyshev grid and one set of G(phi0)
+    tables.  Power-law c_n come from the moment route, which is uniformly
+    accurate in n (the direct quadrature is used for spot validation in the
+    test-suite).  ``workers`` is accepted and has no effect: the table is
+    built in one thread, which measured faster than a thread pool.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-
-    def deriv(n):
-        return solve_An(n, base, n_nodes=n_nodes)[1]
-
-    ns = list(range(0, N + 1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            derivs = list(pool.map(deriv, ns))
-    else:
-        derivs = [deriv(n) for n in ns]
-    a0_deriv = derivs[0]
-    a_deriv = np.array(derivs[1:])
-
+    derivs = mode_derivatives(base, N, n_nodes=n_nodes)
     c = c_n_from_moments(base.case, N)
-    omega = np.empty(N + 1)
-    omega[0] = multiplier(base, 0, a0_deriv, c[0])
-    for n in range(1, N + 1):
-        omega[n] = multiplier(base, n, a_deriv[n - 1], c[n])
-    return ModeTable(N=N, a_deriv=a_deriv, c=c, omega=omega, a0_deriv=a0_deriv)
+    omega = multiplier(base, np.arange(N + 1), derivs, c)
+    return ModeTable(N=N, a_deriv=derivs[1:], c=c, omega=omega,
+                     a0_deriv=float(derivs[0]))

@@ -17,7 +17,7 @@ Recognized keys (units in parentheses):
     tol         quasi-Newton residual target
     m           mass parameter, or comma-separated sweep
     m_cap       override of the heuristic mass cap
-    workers     worker pool size for per-mode solves
+    workers     accepted for compatibility, has no effect (integer >= 1)
     seed        seed for randomized verification suites
 """
 

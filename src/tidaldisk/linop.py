@@ -49,6 +49,9 @@ class LinearizedOperator:
 
 def make_operator(base: BaseState, table: Optional[ModeTable] = None,
                   N: int = 256, workers: int = 1) -> LinearizedOperator:
+    """Frozen linearization at ``base``, building the N-mode table unless one
+    is given; ``workers`` is passed on to ``build_mode_table``, where it has
+    no effect."""
     if table is None:
         table = build_mode_table(base, N=N, workers=workers)
     # The b-equation divides by the second radial derivative of the

@@ -156,10 +156,14 @@ def solve_phi0(profile: VorticityProfile, n_nodes: int = DEFAULT_NODES + 1,
 # linear modes by collocation
 # --------------------------------------------------------------------------
 
-def _mode_tables(base, r: np.ndarray):
-    g0 = np.asarray(base.profile.eval(base.phi0(r)), dtype=float)
-    g1 = np.asarray(base.profile.d1(base.phi0(r)), dtype=float)
-    return g0, g1
+def _mode_grid(base, n_nodes: int):
+    """Chebyshev grid (r, D, D2) and the tables G(phi0), G'(phi0) on it,
+    shared by every mode of one table."""
+    r, D, D2 = unit_interval_grid(n_nodes + 1)
+    phi = base.phi0(r)
+    g0 = np.asarray(base.profile.eval(phi), dtype=float)
+    g1 = np.asarray(base.profile.d1(phi), dtype=float)
+    return r, D, D2, g0, g1
 
 
 def _solve_mode_substituted(n: int, g0, g1, r, D, D2):
@@ -202,6 +206,30 @@ def _solve_mode_direct(n: int, g0, g1, r, D, D2):
     return a_vals, float((D @ a_vals)[i1])
 
 
+def _solve_mode(n: int, grid, force_direct: bool = False,
+                force_substituted: bool = False):
+    """Values of A_n on the grid and A_n'(1), by the substituted form for
+    n >= _SUBSTITUTION_MIN_N and the direct form below."""
+    r, D, D2, g0, g1 = grid
+    use_sub = force_substituted or (n >= _SUBSTITUTION_MIN_N and not force_direct)
+    if use_sub:
+        alpha, d1 = _solve_mode_substituted(n, g0, g1, r, D, D2)
+        values = np.where(r > 0, r, 0.0) ** n * alpha if n > 0 else alpha
+    else:
+        values, d1 = _solve_mode_direct(n, g0, g1, r, D, D2)
+    return values, d1
+
+
+def mode_derivatives(base, N: int, n_nodes: int = DEFAULT_NODES) -> np.ndarray:
+    """A_n'(1) for n = 0..N, all on one grid with one set of G tables.
+
+    Equal bit for bit to ``solve_An(n, base, n_nodes)[1]``; no profile is
+    built.
+    """
+    grid = _mode_grid(base, n_nodes)
+    return np.array([_solve_mode(n, grid)[1] for n in range(N + 1)])
+
+
 def solve_An(n: int, base, n_nodes: int = DEFAULT_NODES,
              force_direct: bool = False, force_substituted: bool = False):
     """Mode profile A_n and its boundary derivative A_n'(1).
@@ -211,14 +239,9 @@ def solve_An(n: int, base, n_nodes: int = DEFAULT_NODES,
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    r, D, D2 = unit_interval_grid(n_nodes + 1)
-    g0, g1 = _mode_tables(base, r)
-    use_sub = force_substituted or (n >= _SUBSTITUTION_MIN_N and not force_direct)
-    if use_sub:
-        alpha, d1 = _solve_mode_substituted(n, g0, g1, r, D, D2)
-        values = np.where(r > 0, r, 0.0) ** n * alpha if n > 0 else alpha
-    else:
-        values, d1 = _solve_mode_direct(n, g0, g1, r, D, D2)
+    grid = _mode_grid(base, n_nodes)
+    values, d1 = _solve_mode(n, grid, force_direct, force_substituted)
+    r = grid[0]
     order = np.argsort(r)
     prof = RadialProfile(nodes=r[order], values=values[order], deriv_at_1=d1)
     return prof, d1

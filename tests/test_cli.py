@@ -168,3 +168,13 @@ def test_degenerate_profile_exit(tmp_path, capsys):
     code = main(["base", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_write_csv_bytes(tmp_path):
+    from tidaldisk.cli import _write_csv
+    path = tmp_path / "sub" / "t.csv"
+    _write_csv(str(path), ("n", "x"),
+               [(0, 0.1), (1, np.float64(1.0) / 3.0), (2, "a,b")])
+    assert path.read_bytes() == (
+        b'n,x\r\n0,0.1\r\n1,0.3333333333333333\r\n2,"a,b"\r\n')
+    assert [p.name for p in path.parent.iterdir()] == ["t.csv"]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import gammaln
 
 from tidaldisk.coeffs import (ModeTable, build_mode_table, c_n,
                               c_n_closed_log, c_n_disk_quadrature,
@@ -15,6 +17,8 @@ def test_closed_log_values():
     assert c_n_closed_log(1) == 0.0
     assert abs(c_n_closed_log(2) - np.pi / 4) < 1e-15
     assert abs(c_n_closed_log(4) - 3 * np.pi / 8) < 1e-15
+    n = np.arange(40)
+    assert np.array_equal(c_n_closed_log(n), [c_n_closed_log(int(k)) for k in n])
 
 
 def test_log_quadrature_matches_closed_form():
@@ -27,6 +31,47 @@ def test_power_moments_closed_values():
     m = kernel_moments(1.0, 1)
     assert abs(m[0] - 2.0) < 1e-10
     assert abs(m[1] - 2.0 / 3.0) < 1e-10
+
+
+def _kernel_moments_per_k(nu, n_max, series_terms=20000):
+    """Reference: the Euler-Maclaurin tail by one scalar quad per k."""
+    P = series_terms
+    p = np.arange(P + n_max + 3, dtype=float)
+    a = np.exp(gammaln(p + nu / 2.0) - gammaln(nu / 2.0) - gammaln(p + 1.0))
+    lg_nu = gammaln(nu / 2.0)
+    p = p[:P]
+    out = np.empty(n_max + 1)
+    for k in range(n_max + 1):
+        head = np.pi * np.sum(a[:P] * a[k:k + P] / (2.0 * p + 2.0 * k + 2.0))
+
+        def t(x, k=k):
+            la = gammaln(x + nu / 2.0) - lg_nu - gammaln(x + 1.0)
+            lb = gammaln(x + k + nu / 2.0) - lg_nu - gammaln(x + k + 1.0)
+            return np.pi * np.exp(la + lb) / (2.0 * x + 2.0 * k + 2.0)
+
+        tail, _ = quad(t, P, np.inf, epsabs=1e-13, epsrel=1e-12, limit=200)
+        h = 1e-3 * P
+        tprime = (t(P + h) - t(P - h)) / (2.0 * h)
+        out[k] = head + tail + 0.5 * t(P) - tprime / 12.0
+    return out
+
+
+@pytest.mark.parametrize("nu", [0.3, 0.5, 1.0])
+def test_kernel_moments_match_per_k_quad(nu):
+    ref = _kernel_moments_per_k(nu, 256)
+    m = kernel_moments(nu, 256)
+    assert np.max(np.abs(m - ref) / np.abs(ref)) <= 1e-11
+
+
+@pytest.mark.parametrize("nu", [0.88, 0.92, 0.96])
+def test_kernel_moments_near_nu_1(nu):
+    # Below nu = 1 the tail in the quadrature's own variable decays slowly,
+    # and an integrand that is rounding noise far out sends the vector
+    # quadrature there (a tail of 4.2 for 8.9e-6 at nu = 0.92).  The
+    # reference loop is only good to its absolute tolerance here: its
+    # gammaln integrand is off by up to 3e-14, 1e-11 of m_256.
+    ref = _kernel_moments_per_k(nu, 256)
+    assert np.max(np.abs(kernel_moments(nu, 256) - ref)) <= 1e-13
 
 
 def test_power_coefficient_closed_values():

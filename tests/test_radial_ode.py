@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from tidaldisk.errors import TidaldiskError
-from tidaldisk.kernel import rigid_preset, zero_preset
-from tidaldisk.potential import case_b, make_base_state
-from tidaldisk.radial_ode import RadialProfile, solve_An, solve_phi0
+from tidaldisk.kernel import linear_preset, rigid_preset, zero_preset
+from tidaldisk.potential import case_a, case_b, make_base_state
+from tidaldisk.radial_ode import (RadialProfile, mode_derivatives, solve_An,
+                                  solve_phi0)
 
 
 def test_profile_validation():
@@ -75,3 +76,12 @@ def test_mode_n0_regular(rigid_base):
 def test_mode_rejects_negative_n(rigid_base):
     with pytest.raises(ValueError):
         solve_An(-1, rigid_base)
+
+
+@pytest.mark.parametrize("case", [case_a(0.5), case_b()], ids=["A", "B"])
+def test_mode_derivatives_match_solve_An(case):
+    # a linear profile, so that both G(phi0) and G'(phi0) enter
+    base = make_base_state(case, 2.0, linear_preset(1.0, -2.0))
+    d = mode_derivatives(base, 64)
+    assert d.shape == (65,)
+    assert np.array_equal(d, [solve_An(n, base)[1] for n in range(65)])
