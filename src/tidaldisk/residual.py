@@ -14,11 +14,12 @@ with zero boundary values; it is computed by a damped Picard iteration on a
 half-diameter Chebyshev grid (even number of nodes on the full diameter, so
 the coordinate singularity at r = 0 is never touched) times a uniform angle
 grid.  The angle is handled by rfft: the M/2 + 1 Fourier modes each have a
-radial operator of the parity of n, built from two cached parity matrices.
-The inverses of these operators are formed once per damping value, so a
-Picard step is one batched matmul over all modes.  residual_F starts the
-iteration from the base-state field phi0(r), which roughly halves the number
-of steps.
+radial operator of the parity of n.  Multiplied by r^2, the operator of mode
+n is a parity block minus n^2, so the modes of one parity share one
+eigenbasis (fast diagonalization).  The two eigen-decompositions are formed
+once per damping value and cached, so a Picard step is two matmuls per
+parity over all modes.  residual_F starts the iteration from the base-state
+field phi0(r), which roughly halves the number of steps.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
+# lu_factor and lu_solve are not called here; perfbench/tracing.py counts
+# calls under these names
 from scipy.linalg import lu_factor, lu_solve
 
 from .chebyshev import HalfDiameterGrid
@@ -67,22 +70,39 @@ def _radial_basis(n_radial: int):
     return grid, basis
 
 
-def _mode_operator(n_radial: int, n: int, lam: float = 0.0) -> np.ndarray:
-    """Radial operator d_rr + (1/r) d_r - n^2/r^2 - lam of angular mode n;
-    equal to HalfDiameterGrid.laplacian_mode(n) at lam = 0."""
+@functools.lru_cache(maxsize=4)
+def _mode_eigs(n_radial: int, lam: float):
+    """For parity p = 0, 1, the eigen-decomposition (Lambda_p, V_p, V_p^-1)
+    of the interior block r^2 (basis[p] - lam I)[1:, 1:].
+
+    Dropping row and column 0 imposes u(1) = 0.  Times r^2, the operator of
+    mode n is this block minus n^2 I, so all modes of one parity share V_p
+    (fast diagonalization).  Shared between calls, so the arrays are
+    read-only; a profile with G' = 0 always has lam = 0 and hits the cache.
+    """
     grid, basis = _radial_basis(n_radial)
-    return basis[n % 2] - np.diag(n * n / grid.r**2 + lam)
+    r2 = grid.r[1:, None] ** 2
+    eye = np.eye(n_radial - 1)
+    out = []
+    for B in basis:
+        ev, V = np.linalg.eig(r2 * (B[1:, 1:] - lam * eye))
+        Vinv = np.linalg.inv(V)
+        for arr in (ev, V, Vinv):
+            arr.setflags(write=False)
+        out.append((ev, V, Vinv))
+    return tuple(out)
 
 
-def _mode_inverses(n_radial: int, lam: float, out: np.ndarray) -> None:
-    """Write into out[n] the inverse of mode n's damped operator with the
-    Dirichlet row at r = 1, for the rfft modes n = 0..len(out)-1."""
-    eye = np.eye(n_radial)
-    for n in range(len(out)):
-        A = _mode_operator(n_radial, n, lam)
-        A[0, :] = 0.0
-        A[0, 0] = 1.0  # Dirichlet at r = 1
-        out[n] = lu_solve(lu_factor(A), eye)
+def _solve_modes(n_radial: int, lam: float, rhs_hat: np.ndarray) -> np.ndarray:
+    """Solve (d_rr + (1/r) d_r - n^2/r^2 - lam) u = rhs with u(1) = 0 for
+    every rfft column n of rhs_hat; row 0 of rhs_hat is not used."""
+    r2 = _radial_basis(n_radial)[0].r[1:, None] ** 2
+    n2 = np.arange(rhs_hat.shape[1]) ** 2
+    u_hat = np.zeros(rhs_hat.shape, dtype=complex)
+    for p, (ev, V, Vinv) in enumerate(_mode_eigs(n_radial, lam)):
+        coef = Vinv @ (r2 * rhs_hat[1:, p::2])
+        u_hat[1:, p::2] = V @ (coef / (ev[:, None] - n2[None, p::2]))
+    return u_hat
 
 
 def _parity_fold(mats, vh: np.ndarray) -> np.ndarray:
@@ -129,9 +149,11 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
     Each step solves (Delta - L) u_next = |f'|^2 G(u) - L u with a constant
     damping L >= sup(|f'|^2 G'), which makes the iteration a contraction for
     non-decreasing G.  The step runs on the rfft modes n = 0..M/2 of the
-    angle: whenever L is set, the inverse of each mode's radial operator is
-    formed once, and every step is then one batched matmul.  The iteration
-    starts from u_init (broadcast to the grid), or from zero.
+    angle, by fast diagonalization: times r^2, mode n's operator is a
+    parity block minus n^2, so one eigenbasis per parity and damping value
+    (_mode_eigs, cached) serves every mode, and a step is two matmuls per
+    parity.  The iteration starts from u_init (broadcast to the grid), or
+    from zero.
     """
     if injectivity_margin(h) <= 0:
         raise TidaldiskError("shape is not certified injective; refusing "
@@ -145,24 +167,15 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
     else:
         u = np.array(np.broadcast_to(u_init, shape), dtype=float)
 
-    n_modes = n_angular // 2 + 1
-    inverses = np.empty((n_modes, n_radial, n_radial))
     lam = 0.0
-
     for it in range(max_iter):
         g1max = float(np.max(profile.d1(u)))
         lam_needed = float(np.max(w)) * max(g1max, 0.0)
         if it == 0 or lam_needed > lam:
             lam = 1.5 * lam_needed if lam_needed > 0 else 0.0
-            _mode_inverses(n_radial, lam, inverses)
 
         rhs = w * np.asarray(profile.eval(u), dtype=float) - lam * u
-        rhs[0, :] = 0.0  # boundary row
-        rhs_hat = np.fft.rfft(rhs, axis=1)
-        # real and imaginary parts as two right-hand sides per mode
-        stacked = np.ascontiguousarray(rhs_hat.T).view(float)
-        stacked = stacked.reshape(n_modes, n_radial, 2)
-        u_hat = np.matmul(inverses, stacked).view(complex)[..., 0].T
+        u_hat = _solve_modes(n_radial, lam, np.fft.rfft(rhs, axis=1))
         u_new = np.fft.irfft(u_hat, n=n_angular, axis=1)
         delta = float(np.max(np.abs(u_new - u)))
         u = u_new
@@ -220,11 +233,20 @@ def _angular_offsets(levels: int = 40, n_gauss: int = 10):
 
 _POWER_OFFSETS = _angular_offsets()
 
-# Complex elements per offset block of the power kernel, 2^14 // M offsets at
-# a time: a block's temporaries (about 1.5 MB) stay below the per-call
-# mode-inverse array of solve_phi_h (5.5 MB at 64 x 256), so batching the
-# offsets adds little to the peak memory.
+# Elements per (target, offset) block of either kernel: 2^14 // M offsets of
+# the power kernel, or 2^14 // M targets of the log kernel, at a time.  A
+# call's temporaries then peak at about 1.2-1.5 MB whatever M is, where
+# unblocked arrays grow as 820 M (power) or M^2 (log: 12 MB at M = 512).
 _OFFSET_BLOCK_ELEMS = 2**14
+
+
+@functools.lru_cache(maxsize=4)
+def _twist_table(n_coeffs: int) -> np.ndarray:
+    """e^{i k off} for all power-kernel offsets and powers k < n_coeffs.
+    Cached per truncation (0.87 MB at N = 64), so the array is read-only."""
+    twist = np.exp(1j * np.outer(_POWER_OFFSETS[0], np.arange(n_coeffs)))
+    twist.setflags(write=False)
+    return twist
 
 
 def boundary_potential(h: ShapeCoeffs, case, M: int = 0) -> np.ndarray:
@@ -245,14 +267,17 @@ def boundary_potential(h: ShapeCoeffs, case, M: int = 0) -> np.ndarray:
     j = i + k (mod M), as sliding windows over [f, f].  The trapezoid rule
     on P [(1/2) ln(rho / |2 sin(pi k / M)|) - 1/4] and Kress's circulant
     product rule on P (1/4) ln(4 sin^2(pi k / M)) then have weights that
-    depend on k only, and U is one weighted row sum over k = 1..M-1 (P
-    vanishes at k = 0).
+    depend on k only, and U_i is one weighted row sum over k = 1..M-1 (P
+    vanishes at k = 0).  The targets go in blocks of
+    _OFFSET_BLOCK_ELEMS // M rows, which bounds the memory of the M x (M-1)
+    temporaries.
 
     Power kernel: the curve y and its derivative y' at phi_j + off are the
-    inverse FFTs of their Fourier coefficients twisted by e^{i k off}.  The
-    graded offsets go in blocks of _OFFSET_BLOCK_ELEMS // M, one batched FFT
-    per block, reduced by the offset weights as one matrix-vector product;
-    the block size bounds the memory, which would otherwise grow as 820 M.
+    inverse FFTs of their Fourier coefficients twisted by e^{i k off} (a
+    cached table).  The graded offsets go in blocks of
+    _OFFSET_BLOCK_ELEMS // M, one batched FFT per block, reduced by the
+    offset weights as one matrix-vector product; the block size bounds the
+    memory, which would otherwise grow as 820 M.
     """
     if M <= 0:
         M = max(256, 4 * h.N + 8)
@@ -262,32 +287,37 @@ def boundary_potential(h: ShapeCoeffs, case, M: int = 0) -> np.ndarray:
         raise TidaldiskError("shape is not certified injective")
 
     f, fp = eval_boundary(h, M)
+    block = max(1, _OFFSET_BLOCK_ELEMS // M)
 
     if case.is_log:
         yp = 1j * np.exp(1j * boundary_grid(M)) * fp  # d/dt f(e^{it})
         s2 = 4.0 * np.sin(np.pi * np.arange(1, M) / M) ** 2
+        kress = 0.25 * _kress_log_weights(M)[1:]
         # [i, k - 1] holds the source j = i + k (mod M), k = 1..M-1
         src = sliding_window_view(np.concatenate([f, f])[1:], M - 1)[:M]
         ysrc = sliding_window_view(np.concatenate([yp, yp])[1:], M - 1)[:M]
-        diff = src - f[:, None]
-        P = diff.real * ysrc.imag - diff.imag * ysrc.real
-        # ln(rho^2 / s2) stays small on a near-circle, so it is formed as
-        # one log of the ratio rather than as a difference of two logs
-        log_ratio = np.log((diff.real**2 + diff.imag**2) / s2)
-        wts = (np.pi / (2.0 * M)) * (log_ratio - 1.0)
-        return np.einsum("ik,ik->i", P, wts + 0.25 * _kress_log_weights(M)[1:])
+        out = np.empty(M)
+        for lo in range(0, M, block):
+            rows = slice(lo, lo + block)
+            diff = src[rows] - f[rows, None]
+            y = ysrc[rows]
+            P = diff.real * y.imag - diff.imag * y.real
+            # ln(rho^2 / s2) stays small on a near-circle, so it is formed
+            # as one log of the ratio rather than as a difference of two logs
+            log_ratio = np.log((diff.real**2 + diff.imag**2) / s2)
+            wts = (np.pi / (2.0 * M)) * (log_ratio - 1.0)
+            out[rows] = np.einsum("ik,ik->i", P, wts + kress)
+        return out
 
     nu = case.nu
-    offs, wq = _POWER_OFFSETS
+    wq = _POWER_OFFSETS[1]
     ch, _ = _h_coeffs(h)  # y(t) = f(e^{it}) = sum_k ch[k] e^{ikt}
     ch[1] += 1.0
-    k = np.arange(len(ch))
-    cyp = 1j * k * ch  # y'(t) = sum_k i k ch[k] e^{ikt}
-    block = max(1, _OFFSET_BLOCK_ELEMS // M)
+    cyp = 1j * np.arange(len(ch)) * ch  # y'(t) = sum_k i k ch[k] e^{ikt}
+    twists = _twist_table(len(ch))
     out = np.zeros(M)
-    for lo in range(0, len(offs), block):
-        off = offs[lo:lo + block]
-        twist = np.exp(1j * np.outer(off, k))
+    for lo in range(0, len(wq), block):
+        twist = twists[lo:lo + block]
         # row b holds the curve and its derivative at t = phi_j + off_b
         y_off = M * np.fft.ifft(ch * twist, n=M, axis=-1)
         yp_off = M * np.fft.ifft(cyp * twist, n=M, axis=-1)

@@ -12,6 +12,7 @@ transform pair used to move between boundary samples and mode coefficients.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -136,16 +137,20 @@ def eval_h_polar(h: ShapeCoeffs, r, M: int):
     return _polar_sum(ch, r, M), _polar_sum(cdh, r, M)
 
 
+@functools.lru_cache(maxsize=4)
 def disk_rule(n_r: int, n_phi: int):
     """Gauss-Legendre (radial) x uniform (angular) rule on the unit disk.
 
     Returns the radii r (n_r,), the nodes r_i exp(i phi_j) (n_r, n_phi) and
-    the weights (n_r, 1), which include the area element r dr dphi.
+    the weights (n_r, 1), which include the area element r dr dphi.  Cached
+    per (n_r, n_phi), so the arrays are read-only.
     """
     xg, wg = leggauss(n_r)
     r = 0.5 * (xg + 1.0)
     z = r[:, None] * np.exp(1j * boundary_grid(n_phi))[None, :]
     wt = (r * 0.5 * wg)[:, None] * (2.0 * np.pi / n_phi)
+    for arr in (r, z, wt):
+        arr.setflags(write=False)
     return r, z, wt
 
 

@@ -8,10 +8,10 @@ from tidaldisk.chebyshev import HalfDiameterGrid
 from tidaldisk.errors import DivergenceError, TidaldiskError
 from tidaldisk.kernel import linear_preset, rigid_preset
 from tidaldisk.linop import apply_forward, make_operator
+from tidaldisk import residual
 from tidaldisk.potential import case_a, case_b, make_base_state, u0, u0_d1
 from tidaldisk.residual import (_POWER_OFFSETS, _kress_log_weights,
-                                _mode_inverses, _mode_operator,
-                                boundary_potential, center_of_mass,
+                                _mode_eigs, _solve_modes, boundary_potential, center_of_mass,
                                 field_equation_residual, particle_force,
                                 particle_potential_at, pressure_on_boundary,
                                 quasi_newton_solve, residual_F, residual_norm,
@@ -58,18 +58,49 @@ def test_stream_function_field_residual(base):
 
 
 def test_mode_operators_match_laplacian_mode():
-    # both parities, every rfft mode of a 32-angle grid
-    grid = HalfDiameterGrid(16)
-    for n in range(32 // 2 + 1):
-        assert np.array_equal(_mode_operator(16, n), grid.laplacian_mode(n))
-    lam = 0.7
-    inverses = np.empty((17, 16, 16))
-    _mode_inverses(16, lam, inverses)
-    for n in range(17):
-        A = grid.laplacian_mode(n) - lam * np.eye(16)
-        A[0, :] = 0.0
-        A[0, 0] = 1.0
-        assert np.max(np.abs(inverses[n] @ A - np.eye(16))) < 1e-10
+    # the fast-diagonalization solve against each mode's operator with the
+    # Dirichlet row: normwise backward error, every rfft mode of both
+    # parities
+    rng = np.random.default_rng(5)
+    for n_radial, M in ((16, 32), (64, 256)):
+        grid = HalfDiameterGrid(n_radial)
+        n_modes = M // 2 + 1
+        rhs = (rng.standard_normal((n_radial, n_modes))
+               + 1j * rng.standard_normal((n_radial, n_modes)))
+        rhs[0, :] = 0.0
+        for lam in (0.0, 0.7, 30.0):
+            u = _solve_modes(n_radial, lam, rhs)
+            for n in range(n_modes):
+                A = grid.laplacian_mode(n) - lam * np.eye(n_radial)
+                A[0, :] = 0.0
+                A[0, 0] = 1.0  # Dirichlet at r = 1
+                x, b = u[:, n], rhs[:, n]
+                err = np.linalg.norm(A @ x - b, np.inf) / (
+                    np.linalg.norm(A, np.inf) * np.linalg.norm(x, np.inf)
+                    + np.linalg.norm(b, np.inf))
+                assert err <= 1e-14, (n_radial, lam, n, err)
+
+
+def test_mode_solve_complex_eigenbasis(monkeypatch):
+    # eig does not promise a real basis: rescaling each eigenvector by a
+    # complex phase gives another valid decomposition, and the solve must
+    # return the same modes with it
+    rng = np.random.default_rng(6)
+    rhs = rng.standard_normal((16, 17)) + 1j * rng.standard_normal((16, 17))
+    ref = _solve_modes(16, 0.7, rhs)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 15))
+    rotated = tuple((ev, V * phases, Vinv / phases[:, None])
+                    for ev, V, Vinv in _mode_eigs(16, 0.7))
+    monkeypatch.setattr(residual, "_mode_eigs", lambda n, lam: rotated)
+    got = _solve_modes(16, 0.7, rhs)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_mode_eigenvalues_real_negative():
+    # then Lambda_p - n^2 never vanishes, so every mode's solve is defined
+    for n_radial in range(8, 129):
+        for ev, _, _ in _mode_eigs(n_radial, 0.0):
+            assert np.all(np.isreal(ev)) and np.max(ev.real) < 0.0, n_radial
 
 
 def _seed_solve_phi_h(h, profile, n_radial, n_angular, tol=1e-12):
@@ -218,12 +249,13 @@ def _loop_boundary_potential(h, case, M):
 
 
 @pytest.mark.parametrize("nu, M", [
-    (None, 64), (None, 65), (None, 512),
+    (None, 64), (None, 65), (None, 512), (None, 600), (None, 1000),
     (0.5, 64), (0.5, 256), (1.0, 64), (1.0, 256),
 ])
 def test_boundary_potential_matches_reference_loop(nu, M):
-    # nu = None is the log kernel; at M = 256 the last block of power-kernel
-    # offsets is partial.  The log-kernel U is a sum of O(1) terms that
+    # nu = None is the log kernel; at M = 600 and 1000 its last block of
+    # targets is partial, and at M = 256 the last block of power-kernel
+    # offsets is.  The log-kernel U is a sum of O(1) terms that
     # cancels to 0 on the disk, so its rounding error does not shrink with
     # the shape: the perturbation is 0.1, where max|U| is about 0.06.
     case = case_b() if nu is None else case_a(nu)

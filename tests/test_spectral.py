@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from tidaldisk.spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
-                                area_quadrature, boundary_grid, eval_boundary,
+                                area_quadrature, boundary_grid, disk_rule,
+                                eval_boundary,
                                 eval_h_at, eval_h_boundary, eval_h_polar,
                                 injectivity_margin, self_intersection_oracle,
                                 synthesize, xi_coeffs)
@@ -118,6 +120,24 @@ def test_area_closed_form_and_quadrature():
     h2 = _shape(0.07, 0.03 - 0.02j, 0.01j)
     assert abs(area(h2) - area_quadrature(h2)) < 1e-8
     assert area(ShapeCoeffs.zero(2)) == np.pi
+
+
+def test_disk_rule_cached_read_only():
+    # the cached rule is shared by every caller: it must equal a fresh build
+    # and refuse writes
+    n_r, n_phi = 16, 24
+    r, z, wt = disk_rule(n_r, n_phi)
+    xg, wg = leggauss(n_r)
+    r_ref = 0.5 * (xg + 1.0)
+    assert np.array_equal(r, r_ref)
+    assert np.array_equal(z, r_ref[:, None]
+                          * np.exp(1j * boundary_grid(n_phi))[None, :])
+    assert np.array_equal(wt, (r_ref * 0.5 * wg)[:, None]
+                          * (2.0 * np.pi / n_phi))
+    assert disk_rule(n_r, n_phi)[0] is r
+    for arr in (r, z, wt):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_analyze_convention():
