@@ -35,17 +35,17 @@ from numpy.polynomial.legendre import leggauss
 # lu_factor and lu_solve are not called here; perfbench/tracing.py counts
 # calls under these names
 from scipy.linalg import lu_factor, lu_solve
+from scipy.special import gamma
 
 from .chebyshev import HalfDiameterGrid
 from .errors import DivergenceError, TidaldiskError
 from .kernel import VorticityProfile
 from .linop import LinearizedOperator, first_order_response, solve_linearized
-from .potential import (_A0_MIN, BaseState, graded_panels, panel_rule,
-                        particle_potential_at)
+from .potential import _A0_MIN, BaseState, particle_potential_at
 # eval_h_at is not called here; perfbench/tracing.py wraps it under this name
-from .spectral import (BoundarySpectrum, ShapeCoeffs, _h_coeffs, analyze,
-                       area, boundary_grid, disk_rule, eval_boundary,
-                       eval_h_at, eval_h_polar, injectivity_margin)
+from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
+                       boundary_grid, disk_rule, eval_boundary, eval_h_at,
+                       eval_h_polar, injectivity_margin)
 
 DEFAULT_RADIAL = 64    # half-diameter nodes; 2x this on the full diameter
 DEFAULT_ANGULAR = 256
@@ -207,77 +207,56 @@ def field_equation_residual(fieldv: DiskField, h: ShapeCoeffs,
 # boundary value of the self-attraction
 # --------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=4)
-def _kress_log_weights(M: int) -> np.ndarray:
-    """Circulant quadrature weights for int F(t) ln(4 sin^2((t - t_i)/2)) dt
-    on the uniform M-grid; exact for trigonometric polynomials of degree
-    below M/2.  Cached per M (an O(M^2) sum), so the array is read-only."""
-    j = np.arange(M)
-    t = 2.0 * np.pi * j / M
-    m = np.arange(1, M // 2)
-    w = np.cos(np.outer(t, m)) @ (1.0 / m) + np.cos(M * t / 2.0) / M
-    w = -(4.0 * np.pi / M) * w
+@functools.lru_cache(maxsize=8)
+def _product_weights(M: int, nu: Optional[float] = None) -> np.ndarray:
+    """Circulant weights W with int F(t) K(t - t_i) dt ~ sum_k W_k F(t_k + t_i)
+    on the uniform M-grid, exact for trigonometric F of degree below M/2.
+    K is ln(4 sin^2(t/2)) for nu None, else |2 sin(t/2)|^s with s = 2 - nu,
+    and W is 2 pi irfft of its Fourier coefficients c_0..c_{M//2}: 0, -1/k
+    (log) or (-1)^k Gamma(s+1) / (Gamma(s/2+k+1) Gamma(s/2-k+1)) by their
+    ratio recurrence, since gamma overflows past k ~ 170.  Cached, so
+    read-only."""
+    k = np.arange(M // 2 + 1, dtype=float)
+    if nu is None:
+        c = np.concatenate([[0.0], -1.0 / k[1:]])
+    else:
+        hs = 1.0 - 0.5 * nu  # s/2
+        c = np.cumprod(np.concatenate([[gamma(2.0 * hs + 1.0) / gamma(hs + 1.0) ** 2],
+                                       (k[:-1] - hs) / (hs + k[:-1] + 1.0)]))
+    w = 2.0 * np.pi * np.fft.irfft(c, n=M)
     w.setflags(write=False)
     return w
 
 
-def _angular_offsets(levels: int = 40, n_gauss: int = 10):
-    """Symmetric graded offsets on (-pi, pi) refined toward 0, for the
-    power-law boundary kernel."""
-    half = graded_panels(0.0, np.pi, levels, toward_a=True)
-    nodes, wts = panel_rule(half, n_gauss)
-    offs = np.concatenate([-nodes[::-1], nodes])
-    w = np.concatenate([wts[::-1], wts])
-    return offs, w
-
-
-_POWER_OFFSETS = _angular_offsets()
-
-# Elements per (target, offset) block of either kernel: 2^14 // M offsets of
-# the power kernel, or 2^14 // M targets of the log kernel, at a time.  A
-# call's temporaries then peak at about 1.2-1.5 MB whatever M is, where
-# unblocked arrays grow as 820 M (power) or M^2 (log: 12 MB at M = 512).
+# Elements per (target, offset) block: 2^14 // M targets at a time, so a
+# call's temporaries peak at about 1.2 MB whatever M is, where unblocked
+# M x M arrays take 12 MB at M = 512.
 _OFFSET_BLOCK_ELEMS = 2**14
-
-
-@functools.lru_cache(maxsize=4)
-def _twist_table(n_coeffs: int) -> np.ndarray:
-    """e^{i k off} for all power-kernel offsets and powers k < n_coeffs.
-    Cached per truncation (0.87 MB at N = 64), so the array is read-only."""
-    twist = np.exp(1j * np.outer(_POWER_OFFSETS[0], np.arange(n_coeffs)))
-    twist.setflags(write=False)
-    return twist
 
 
 def boundary_potential(h: ShapeCoeffs, case, M: int = 0) -> np.ndarray:
     """Samples of (U_h o f)(e^{i phi_j}) on the uniform M-grid.
 
-    The area integral is reduced to a boundary integral: with w chosen so
-    that div[(y - x) w(|y - x|)] equals the interaction kernel,
+    With w chosen so that div[(y - x) w(|y - x|)] is the interaction kernel,
+    w = (1/2) ln rho - 1/4 (log) or -rho^(-nu) / (2 - nu) (power), the area
+    integral becomes U_h(x) = int_bdry w(|y - x|) (y - x) . n dS(y).  On the
+    curve y(t) = f(e^{it}), (y - x) . n dS = P dt with
+    P = Re[(y(t) - x) i conj(y'(t))], which vanishes quadratically at the
+    target, so the integrand is integrable.
 
-        U_h(x) = int_bdry w(|y - x|) (y - x) . n dS(y),
+    One loop serves both kernels: arrays indexed by target i and offset k
+    (source i + k mod M) are sliding windows over [f, f], taken in blocks
+    of _OFFSET_BLOCK_ELEMS // M targets to bound the memory.  With
+    s2 = 4 sin^2(pi k / M), the integrand is a smooth factor of P and
+    rho^2 / s2 times a singular factor of s2:
 
-    where w = (1/2) ln rho - 1/4 for the log kernel and
-    w = -rho^(-nu) / (2 - nu) for the power kernel.  The dot product
-    (y - x) . n dS becomes P = Re[(y(t) - x) i conj(y'(t))] dt on the curve
-    y(t) = f(e^{it}), which vanishes quadratically at t -> angle of x, so
-    the integrand is integrable with the singular point on the curve.
+    - log: P [(1/4) ln(rho^2 / s2) - 1/4] + P (1/4) ln s2,
+    - power: [P / s2] [rho^2 / s2]^(-nu/2) s2^(1 - nu/2).
 
-    Log kernel: the arrays are indexed by target i and offset k, with source
-    j = i + k (mod M), as sliding windows over [f, f].  The trapezoid rule
-    on P [(1/2) ln(rho / |2 sin(pi k / M)|) - 1/4] and Kress's circulant
-    product rule on P (1/4) ln(4 sin^2(pi k / M)) then have weights that
-    depend on k only, and U_i is one weighted row sum over k = 1..M-1 (P
-    vanishes at k = 0).  The targets go in blocks of
-    _OFFSET_BLOCK_ELEMS // M rows, which bounds the memory of the M x (M-1)
-    temporaries.
-
-    Power kernel: the curve y and its derivative y' at phi_j + off are the
-    inverse FFTs of their Fourier coefficients twisted by e^{i k off} (a
-    cached table).  The graded offsets go in blocks of
-    _OFFSET_BLOCK_ELEMS // M, one batched FFT per block, reduced by the
-    offset weights as one matrix-vector product; the block size bounds the
-    memory, which would otherwise grow as 820 M.
+    The singular factor takes the circulant weights of _product_weights
+    (Kress's product rule; the log's first term, the trapezoid rule), so U_i
+    is one weighted row sum over k.  The power kernel's smooth factor has
+    the limit (1/2) Im(y'' conj y') |y'|^(-nu) at k = 0, weighted by W_0.
     """
     if M <= 0:
         M = max(256, 4 * h.N + 8)
@@ -287,45 +266,36 @@ def boundary_potential(h: ShapeCoeffs, case, M: int = 0) -> np.ndarray:
         raise TidaldiskError("shape is not certified injective")
 
     f, fp = eval_boundary(h, M)
-    block = max(1, _OFFSET_BLOCK_ELEMS // M)
-
+    yp = 1j * np.exp(1j * boundary_grid(M)) * fp  # d/dt f(e^{it})
+    s2 = 4.0 * np.sin(np.pi * np.arange(1, M) / M) ** 2
     if case.is_log:
-        yp = 1j * np.exp(1j * boundary_grid(M)) * fp  # d/dt f(e^{it})
-        s2 = 4.0 * np.sin(np.pi * np.arange(1, M) / M) ** 2
-        kress = 0.25 * _kress_log_weights(M)[1:]
-        # [i, k - 1] holds the source j = i + k (mod M), k = 1..M-1
-        src = sliding_window_view(np.concatenate([f, f])[1:], M - 1)[:M]
-        ysrc = sliding_window_view(np.concatenate([yp, yp])[1:], M - 1)[:M]
-        out = np.empty(M)
-        for lo in range(0, M, block):
-            rows = slice(lo, lo + block)
-            diff = src[rows] - f[rows, None]
-            y = ysrc[rows]
-            P = diff.real * y.imag - diff.imag * y.real
-            # ln(rho^2 / s2) stays small on a near-circle, so it is formed
-            # as one log of the ratio rather than as a difference of two logs
-            log_ratio = np.log((diff.real**2 + diff.imag**2) / s2)
-            wts = (np.pi / (2.0 * M)) * (log_ratio - 1.0)
-            out[rows] = np.einsum("ik,ik->i", P, wts + kress)
+        trap = np.pi / (2.0 * M)
+        wk = 0.25 * _product_weights(M)[1:] - trap
+    else:
+        wts = _product_weights(M, case.nu)
+        wk = wts[1:] / s2
+    # [i, k - 1] holds the source j = i + k (mod M), k = 1..M-1
+    src = sliding_window_view(np.concatenate([f, f])[1:], M - 1)[:M]
+    ysrc = sliding_window_view(np.concatenate([yp, yp])[1:], M - 1)[:M]
+    block = max(1, _OFFSET_BLOCK_ELEMS // M)
+    out = np.empty(M)
+    for lo in range(0, M, block):
+        rows = slice(lo, lo + block)
+        diff = src[rows] - f[rows, None]
+        y = ysrc[rows]
+        P = diff.real * y.imag - diff.imag * y.real
+        # rho^2 / s2 stays near |y'|^2, so a kernel of it is smooth; the log
+        # takes one log of the ratio rather than a difference of two logs
+        ratio = (diff.real**2 + diff.imag**2) / s2
+        factor = (trap * np.log(ratio) + wk if case.is_log
+                  else ratio ** (-0.5 * case.nu) * wk)
+        out[rows] = np.einsum("ik,ik->i", P, factor)
+    if case.is_log:
         return out
-
-    nu = case.nu
-    wq = _POWER_OFFSETS[1]
-    ch, _ = _h_coeffs(h)  # y(t) = f(e^{it}) = sum_k ch[k] e^{ikt}
-    ch[1] += 1.0
-    cyp = 1j * np.arange(len(ch)) * ch  # y'(t) = sum_k i k ch[k] e^{ikt}
-    twists = _twist_table(len(ch))
-    out = np.zeros(M)
-    for lo in range(0, len(wq), block):
-        twist = twists[lo:lo + block]
-        # row b holds the curve and its derivative at t = phi_j + off_b
-        y_off = M * np.fft.ifft(ch * twist, n=M, axis=-1)
-        yp_off = M * np.fft.ifft(cyp * twist, n=M, axis=-1)
-        diff = y_off - f
-        P = diff.real * yp_off.imag - diff.imag * yp_off.real
-        rho_nu = (diff.real**2 + diff.imag**2) ** (-0.5 * nu)
-        out += wq[lo:lo + block] @ (P * rho_nu)
-    return -out / (2.0 - nu)
+    # y' holds the powers 1..N+1 < M of e^{it} only, so one FFT gives y''
+    ypp = np.fft.ifft(1j * np.arange(M) * np.fft.fft(yp))
+    diag = 0.5 * (ypp * yp.conj()).imag * np.abs(yp) ** (-case.nu)
+    return -(out + wts[0] * diag) / (2.0 - case.nu)
 
 
 # --------------------------------------------------------------------------

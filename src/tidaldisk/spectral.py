@@ -119,14 +119,16 @@ def _polar_sum(coeffs: np.ndarray, r: np.ndarray, M: int) -> np.ndarray:
 
     Row i scales coefficient k by r_i^k and one inverse FFT along the angle
     axis sums the powers.  On the uniform M-grid exp(i k phi_j) equals
-    exp(i (k mod M) phi_j), so powers k >= M are folded onto k mod M; the
-    fold is exact at these points.
+    exp(i (k mod M) phi_j), so powers k >= M, if any, are folded onto
+    k mod M; the fold is exact at these points.
     """
     k = np.arange(len(coeffs))
     scaled = coeffs[None, :] * r[:, None] ** k[None, :]
-    folded = np.zeros((len(r), M), dtype=complex)
-    np.add.at(folded, (slice(None), k % M), scaled)
-    return M * np.fft.ifft(folded, axis=1)
+    if len(coeffs) > M:
+        folded = np.zeros((len(r), M), dtype=complex)
+        np.add.at(folded, (slice(None), k % M), scaled)
+        scaled = folded
+    return M * np.fft.ifft(scaled, n=M, axis=1)
 
 
 def eval_h_polar(h: ShapeCoeffs, r, M: int):

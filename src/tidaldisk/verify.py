@@ -17,9 +17,11 @@ from .linop import (apply_forward, first_order_response, make_operator,
 from .potential import (case_a, case_b, make_base_state, u0, u0_d1, u0_d2,
                         u0_series, u0_series_calibration)
 from .radial_ode import mode_derivatives, solve_An
-from .residual import quasi_newton_solve, residual_F, residual_norm
-from .spectral import (BoundarySpectrum, ShapeCoeffs, eval_h_boundary,
-                       injectivity_margin, self_intersection_oracle)
+from .residual import (boundary_potential, quasi_newton_solve, residual_F,
+                       residual_norm)
+from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze,
+                       eval_h_boundary, injectivity_margin,
+                       self_intersection_oracle)
 
 _SQRT_PI = float(np.sqrt(np.pi))
 
@@ -246,6 +248,31 @@ def criterion_10_conformal_certification(seed=0):
     }
 
 
+def criterion_11_linear_response():
+    """The boundary potential answers h = e_n z^(n+1), n <= N/2, with
+    2 c_n e_n cos(n phi), c_n from the mode table.  All modes go in one
+    central difference: their responses land in distinct Fourier modes and
+    the second-order terms cancel."""
+    N, M, eps = 64, 256, 1e-6
+    n = np.arange(N // 2 + 1)
+    e = eps / (n + 1)  # the same slope |h'| from every mode
+    h = ShapeCoeffs(e[0], np.pad(e[1:], (0, N - N // 2)))
+    worst = {}
+    for case in (case_b(), case_a(0.5), case_a(1.0)):
+        base = make_base_state(case, 2.0, rigid_preset(1.0))
+        c2 = 2.0 * build_mode_table(base, N=N).c[n]
+        du = boundary_potential(h, case, M) - boundary_potential(h.scaled(-1.0), case, M)
+        S = analyze(0.5 * du, N=M // 2 - 1).coeffs
+        err = max(np.max(np.abs(np.where(n == 0, 1.0, 2.0) * S[n] / e - c2)),
+                  2.0 * np.max(np.abs(S[N // 2 + 1:])) / eps)
+        worst[case.label()] = float(err / np.max(np.abs(c2)))
+    return {
+        "name": "boundary-potential linear response equals 2 c_n",
+        "passed": bool(max(worst.values()) < 1e-6),
+        "details": {"max_rel_error": worst},
+    }
+
+
 ALL_CRITERIA = [
     criterion_1_closed_forms,
     criterion_2_rigid_mode_derivatives,
@@ -257,6 +284,7 @@ ALL_CRITERIA = [
     criterion_8_continuation_quality,
     criterion_9_potential_properties,
     criterion_10_conformal_certification,
+    criterion_11_linear_response,
 ]
 
 

@@ -2,7 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import lu_factor, lu_solve
+from scipy.special import gamma, rgamma
 
 from tidaldisk.chebyshev import HalfDiameterGrid
 from tidaldisk.errors import DivergenceError, TidaldiskError
@@ -10,8 +12,8 @@ from tidaldisk.kernel import linear_preset, rigid_preset
 from tidaldisk.linop import apply_forward, make_operator
 from tidaldisk import residual
 from tidaldisk.potential import case_a, case_b, make_base_state, u0, u0_d1
-from tidaldisk.residual import (_POWER_OFFSETS, _kress_log_weights,
-                                _mode_eigs, _solve_modes, boundary_potential, center_of_mass,
+from tidaldisk.residual import (_mode_eigs, _product_weights, _solve_modes,
+                                boundary_potential, center_of_mass,
                                 field_equation_residual, particle_force,
                                 particle_potential_at, pressure_on_boundary,
                                 quasi_newton_solve, residual_F, residual_norm,
@@ -202,71 +204,98 @@ def test_boundary_potential_self_convergence(base):
         assert np.max(np.abs(fine[::2] - coarse)) < 1e-10
 
 
-def _loop_boundary_potential(h, case, M):
-    """The per-target (log) and per-offset (power) loops that
-    boundary_potential replaced, kept as a reference."""
+def _loop_log_potential(h, M):
+    """The per-target loop that the log kernel of boundary_potential
+    replaced, kept as a reference."""
     f, fp = eval_boundary(h, M)
     z = np.exp(1j * boundary_grid(M))
     yp = 1j * z * fp
-    if case.is_log:
-        diff = f[None, :] - f[:, None]
-        P = (diff * (1j * np.conj(yp))[None, :]).real
-        rho = np.abs(diff)
-        idx = np.arange(M)
-        dphi = boundary_grid(M)[None, :] - boundary_grid(M)[:, None]
-        s2 = np.abs(2.0 * np.sin(dphi / 2.0))
-        ratio = np.where(s2 > 0, rho / np.where(s2 > 0, s2, 1.0), 1.0)
-        smooth = P * (0.5 * np.log(ratio) - 0.25)
-        smooth[idx, idx] = 0.0
-        vals = smooth.sum(axis=1) * (2.0 * np.pi / M)
-        wlog = _kress_log_weights(M)
-        logpart = np.empty(M)
-        for i in range(M):
-            logpart[i] = 0.25 * np.sum(np.roll(wlog, i) * P[i, :])
-        return vals + logpart
-
-    nu = case.nu
-    offs, wq = _POWER_OFFSETS
-    ch, cdh = _h_coeffs(h)
-    ch[1] += 1.0
-    cdh[0] += 1.0
-    k1 = np.arange(h.N + 2)
-    k2 = np.arange(h.N + 1)
-    out = np.zeros(M)
-    pad = np.zeros(M, dtype=complex)
-    for off, wgt in zip(offs, wq):
-        pad[:] = 0.0
-        pad[: len(k1)] = ch * np.exp(1j * k1 * off)
-        y_off = M * np.fft.ifft(pad)
-        pad[:] = 0.0
-        pad[: len(k2)] = cdh * np.exp(1j * k2 * off)
-        fp_off = M * np.fft.ifft(pad)
-        yp_off = 1j * np.exp(1j * (boundary_grid(M) + off)) * fp_off
-        diffv = y_off - f
-        P = (diffv * 1j * np.conj(yp_off)).real
-        out += wgt * P * (-(np.abs(diffv) ** (-nu)) / (2.0 - nu))
-    return out
+    diff = f[None, :] - f[:, None]
+    P = (diff * (1j * np.conj(yp))[None, :]).real
+    rho = np.abs(diff)
+    idx = np.arange(M)
+    dphi = boundary_grid(M)[None, :] - boundary_grid(M)[:, None]
+    s2 = np.abs(2.0 * np.sin(dphi / 2.0))
+    ratio = np.where(s2 > 0, rho / np.where(s2 > 0, s2, 1.0), 1.0)
+    smooth = P * (0.5 * np.log(ratio) - 0.25)
+    smooth[idx, idx] = 0.0
+    vals = smooth.sum(axis=1) * (2.0 * np.pi / M)
+    wlog = _product_weights(M)
+    logpart = np.empty(M)
+    for i in range(M):
+        logpart[i] = 0.25 * np.sum(np.roll(wlog, i) * P[i, :])
+    return vals + logpart
 
 
 @pytest.mark.parametrize("nu, M", [
     (None, 64), (None, 65), (None, 512), (None, 600), (None, 1000),
-    (0.5, 64), (0.5, 256), (1.0, 64), (1.0, 256),
 ])
 def test_boundary_potential_matches_reference_loop(nu, M):
-    # nu = None is the log kernel; at M = 600 and 1000 its last block of
-    # targets is partial, and at M = 256 the last block of power-kernel
-    # offsets is.  The log-kernel U is a sum of O(1) terms that
+    # nu = None is the log kernel (the power kernel is checked against quad
+    # below); at M = 600 and 1000 the last block of targets is partial.  The log-kernel U is a sum of O(1) terms that
     # cancels to 0 on the disk, so its rounding error does not shrink with
     # the shape: the perturbation is 0.1, where max|U| is about 0.06.
-    case = case_b() if nu is None else case_a(nu)
     rng = np.random.default_rng(7)
     N = 12
     gn = 0.1 * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
     gn /= np.arange(1, N + 1) ** 2
     h = ShapeCoeffs(0.01 * rng.standard_normal(), gn)
-    new = boundary_potential(h, case, M)
-    ref = _loop_boundary_potential(h, case, M)
+    new = boundary_potential(h, case_b(), M)
+    ref = _loop_log_potential(h, M)
     assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _quad_power_potential(h, nu, t0):
+    """-1/(2 - nu) int P |y - x|^(-nu) dt at x = y(t0), by adaptive quad on
+    either side of the singular point, with y(t) = f(e^{it}) summed
+    directly from its coefficients."""
+    ch, _ = _h_coeffs(h)
+    ch[1] += 1.0
+    k = np.arange(len(ch))
+    x = np.sum(ch * np.exp(1j * k * t0))
+
+    def integrand(t):
+        e = ch * np.exp(1j * k * t)
+        d = np.sum(e) - x
+        yp = np.sum(1j * k * e)
+        P = d.real * yp.imag - d.imag * yp.real
+        return -P * abs(d) ** (-nu) / (2.0 - nu)
+
+    return sum(quad(integrand, lo, lo + np.pi, epsabs=1e-14, epsrel=1e-13,
+                    limit=1000)[0] for lo in (t0 - np.pi, t0))
+
+
+@pytest.mark.parametrize("nu, M", [(0.5, 256), (0.5, 512), (1.0, 256), (1.0, 512)])
+def test_boundary_potential_power_matches_quad(nu, M):
+    # N = 64 with |gn| ~ 0.01/n: the modes near n = 64 move U by about
+    # 1e-3, which the graded 820-offset rule this replaced missed by 3e-2
+    rng = np.random.default_rng(3)
+    N = 64
+    gn = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / np.arange(1, N + 1)
+    h = ShapeCoeffs(0.003, 0.01 * gn / np.max(np.abs(gn)))
+    U = boundary_potential(h, case_a(nu), M)
+    for i in (0, M // 5, M // 2 + 3):
+        ref = _quad_power_potential(h, nu, 2.0 * np.pi * i / M)
+        assert abs(U[i] - ref) < 1e-9
+
+
+@pytest.mark.parametrize("M", [64, 65, 256, 257])
+def test_product_weights_exact_on_cosines(M):
+    # int cos(k t) K(t - t_i) dt = 2 pi c_k cos(k t_i) holds on the grid for
+    # k <= M // 2 (k < M/2 for even M), with c_k = -1/k for the log kernel
+    t = boundary_grid(M)
+    circ = (np.arange(M)[None, :] - np.arange(M)[:, None]) % M
+    k = np.arange((M + 1) // 2)
+    cos = np.cos(np.outer(k, t))
+    for nu in (None, 0.3, 0.5, 1.0):
+        if nu is None:
+            ck = np.concatenate([[0.0], -1.0 / k[1:]])
+        else:
+            s = 2.0 - nu
+            ck = ((-1.0) ** k * gamma(s + 1.0) * rgamma(s / 2.0 + k + 1.0)
+                  * rgamma(s / 2.0 - k + 1.0))
+        W = _product_weights(M, nu)[circ]
+        assert np.max(np.abs(cos @ W.T - 2.0 * np.pi * ck[:, None] * cos)) < 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -381,6 +410,19 @@ def test_solve_mass_cap(op):
 def test_solve_large_mass_fails(op):
     with pytest.raises(TidaldiskError):
         quasi_newton_solve(op, 0.5, m_cap=1.0, max_iter=10)
+
+
+@pytest.mark.parametrize("nu, frac", [(0.5, 0.9), (1.0, 0.1), (1.0, 0.9)])
+def test_solve_near_body_power_kernel(nu, frac):
+    # At a0 = 1.6 the particle excites shape modes up to n ~ 64 enough that
+    # a boundary potential wrong there (the graded rule this replaced)
+    # made these solves diverge.
+    base = make_base_state(case_a(nu), 1.6, rigid_preset(1.0))
+    op64 = make_operator(base, N=64)
+    m_cap = 1e-3 * float(np.min(np.abs(op64.table.omega[1:])))
+    sol = quasi_newton_solve(op64, frac * m_cap, tol=1e-10, n_angular=256)
+    assert sol.residual_norm < 1e-10
+    assert sol.iterations <= 3
 
 
 def test_solution_serialization(op):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from tidaldisk.spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
+from tidaldisk.spectral import (BoundarySpectrum, ShapeCoeffs, _polar_sum,
+                                analyze, area,
                                 area_quadrature, boundary_grid, disk_rule,
                                 eval_boundary,
                                 eval_h_at, eval_h_boundary, eval_h_polar,
@@ -68,6 +69,7 @@ def test_eval_consistency():
 @pytest.mark.parametrize("N, M", [
     (10, 32),    # M >= N + 2: every power has its own angular mode
     (10, 8),     # M < N + 2: powers k >= M fold onto k mod M
+    (30, 8),     # powers fold onto k mod M up to three times
     (128, 128),  # the particle-side quadrature grids, degree N + 1 = 129
 ])
 def test_eval_h_polar_matches_direct_summation(N, M):
@@ -82,6 +84,18 @@ def test_eval_h_polar_matches_direct_summation(N, M):
     assert hv.shape == (len(r), M)
     assert np.max(np.abs(hv - hv2)) < 1e-14
     assert np.max(np.abs(dhv - dhv2)) < 1e-14
+
+
+@pytest.mark.parametrize("L, M", [(12, 32), (66, 256), (12, 8)])
+def test_polar_sum_matches_always_folded(L, M):
+    # the fold is skipped when no power reaches M; the sums are bit-equal
+    rng = np.random.default_rng(L + M)
+    c = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+    r = np.array([1.0, 0.9, 0.3])
+    k = np.arange(L)
+    folded = np.zeros((len(r), M), dtype=complex)
+    np.add.at(folded, (slice(None), k % M), c * r[:, None] ** k)
+    assert np.array_equal(_polar_sum(c, r, M), M * np.fft.ifft(folded, axis=1))
 
 
 def test_interior_bounded_by_boundary():
