@@ -2,15 +2,16 @@
 
 The boundary perturbation of the self-attraction enters the linearized
 free-boundary operator through one real coefficient c_n per Fourier mode.
-In the logarithmic case these are closed-form; in the power-law case they
-are disk integrals with an integrable singularity at the boundary point
-y = 1, evaluated here by two independent routes:
+The case object holds them in closed form (InteractionCase.coefficients):
+pi/2 (1 - 1/n) for the logarithmic kernel, and for the power kernel a
+combination of the Fourier coefficients of |2 sin(t/2)|^-nu.  This module
+adds the checks they are held against:
 
 * direct graded quadrature of the defining disk integral (moderate n),
-* a moment decomposition c_n = nu * sum_{k<=n} m_k - 2(n+1) m_n, where the
-  moments m_k = (1/2) int_D y^k |1-y|^(-nu) dy are computed from a binomial
-  double-series reduction with an Euler-Maclaurin tail.  This route stays
-  accurate for large n, where the direct integrand oscillates.
+  used by verify criterion 1 and the tests,
+* the kernel moments m_k = (1/2) int_D y^k |1-y|^(-nu) dy from a binomial
+  double-series reduction with an Euler-Maclaurin tail, from which
+  c_n = nu * sum_{k<=n} m_k - 2(n+1) m_n; the tests use it for large n.
 
 The module also evaluates the constant gamma0 governing the logarithmic
 growth of c_n at nu = 1, and assembles the per-mode multiplier table.
@@ -19,30 +20,19 @@ growth of c_n at nu = 1, and assembles the per-mode multiplier table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad, quad_vec
 from scipy.special import gamma, gammaln, poch
 
 from .errors import QuadratureError
-from .potential import (InteractionCase, BaseState, graded_panels, panel_rule)
+# c_n_closed_log is defined with the case object and kept importable here
+from .potential import (InteractionCase, BaseState, c_n_closed_log,
+                        graded_panels, panel_rule)
 # solve_An is not called here; perfbench/tracing.py wraps it under this name
 from .radial_ode import mode_derivatives, solve_An
 
 DEFAULT_N_MODES = 256
-_DIRECT_QUAD_MAX_N = 64
-
-
-# --------------------------------------------------------------------------
-# closed form, log kernel
-# --------------------------------------------------------------------------
-
-def c_n_closed_log(n):
-    """c_0 = pi/2 and c_n = (pi/2)(1 - 1/n); n may be an integer array."""
-    n = np.asarray(n, dtype=float)
-    c = np.pi / 2.0 * (1.0 - 1.0 / np.where(n == 0, np.inf, n))
-    return c if c.ndim else float(c)
 
 
 # --------------------------------------------------------------------------
@@ -140,30 +130,11 @@ def kernel_moments(nu: float, n_max: int, series_terms: int = 20000) -> np.ndarr
     return head + tail + 0.5 * t(P) - tprime / 12.0
 
 
-def c_n_from_moments(case: InteractionCase, n_max: int,
-                     moments: Optional[np.ndarray] = None) -> np.ndarray:
-    """All c_0..c_{n_max} of the power-law case from the moment route."""
-    if case.is_log:
-        return c_n_closed_log(np.arange(n_max + 1))
-    m = kernel_moments(case.nu, n_max) if moments is None else moments
-    n = np.arange(n_max + 1, dtype=float)
-    return case.nu * np.cumsum(m) - 2.0 * (n + 1.0) * m
-
-
 def c_n(case: InteractionCase, n: int) -> float:
-    """Single linearization coefficient.
-
-    Log case: closed form.  Power-law case: direct graded quadrature up to
-    n = 64, moment decomposition beyond (the direct integrand oscillates
-    with n and loses accuracy there).
-    """
+    """Single linearization coefficient, from the case's closed form."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if case.is_log:
-        return c_n_closed_log(n)
-    if n <= _DIRECT_QUAD_MAX_N:
-        return c_n_disk_quadrature(case, n)
-    return float(c_n_from_moments(case, n)[n])
+    return float(case.coefficients(n)[n])
 
 
 # --------------------------------------------------------------------------
@@ -272,15 +243,15 @@ def build_mode_table(base: BaseState, N: int = DEFAULT_N_MODES,
     """Assemble A_n'(1), c_n and omega_n for n = 0..N.
 
     The mode derivatives share one Chebyshev grid and one set of G(phi0)
-    tables.  Power-law c_n come from the moment route, which is uniformly
-    accurate in n (the direct quadrature is used for spot validation in the
-    test-suite).  ``workers`` is accepted and has no effect: the table is
-    built in one thread, which measured faster than a thread pool.
+    tables.  The c_n are the case's closed form (InteractionCase.coefficients);
+    the direct quadrature and the moment route check them in the tests.
+    ``workers`` is accepted and has no effect: the table is built in one
+    thread, which measured faster than a thread pool.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
     derivs = mode_derivatives(base, N, n_nodes=n_nodes)
-    c = c_n_from_moments(base.case, N)
+    c = base.case.coefficients(N)
     omega = multiplier(base, np.arange(N + 1), derivs, c)
     return ModeTable(N=N, a_deriv=derivs[1:], c=c, omega=omega,
                      a0_deriv=float(derivs[0]))

@@ -127,18 +127,16 @@ def w_shape_derivative(op: LinearizedOperator, g: ShapeCoeffs) -> float:
     q = np.abs(ay) ** 2
     re_ay = ay.real
 
-    # The second contribution comes from varying |a - f|^(-p): the squared
-    # distance decreases by 2 Re[(a-y) conj(g)] eps, so the term enters with
-    # a positive sign (checked against finite differences and the closed
+    # With K'(d) = strength d^-(p+1), the force integrand is
+    # strength Re(a-y) |a-y|^-(p+2).  The second contribution comes from
+    # varying |a - f|^-(p+2): the squared distance decreases by
+    # 2 Re[(a-y) conj(g)] eps, so the term enters with a positive sign
+    # (checked against finite differences and the closed
     # dilation/translation responses).
-    if op.base.case.is_log:
-        f = (-gv.real + 2.0 * dgv.real * re_ay) / q \
-            + 2.0 * ((ay * np.conj(gv)).real * re_ay) / q**2
-    else:
-        nu = op.base.case.nu
-        f = nu * (-gv.real + 2.0 * dgv.real * re_ay) * q ** (-(nu + 2.0) / 2.0) \
-            + nu * (nu + 2.0) * (ay * np.conj(gv)).real * re_ay \
-            * q ** (-(nu + 4.0) / 2.0)
+    strength, p = op.base.case.force_law
+    f = strength * ((-gv.real + 2.0 * dgv.real * re_ay) * q ** (-(p + 2.0) / 2.0)
+                    + (p + 2.0) * (ay * np.conj(gv)).real * re_ay
+                    * q ** (-(p + 4.0) / 2.0))
 
     return float(np.sum(f * wt))
 

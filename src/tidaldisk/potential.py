@@ -5,8 +5,10 @@ Two families of attractive interactions are supported:
 * case A: power-law kernel -1/|x-y|^nu with nu in (0, 1],
 * case B: logarithmic kernel ln|x-y| (the 2D Newtonian potential).
 
-For case B everything is in closed form.  For case A the radial potential of
-the unit disk and its derivatives are evaluated by adaptive quadrature of the
+The frozen :class:`InteractionCase` is the one kernel object: it holds what
+the rest of the package needs of the kernel in closed form.  For case B the
+disk potential is in closed form everywhere.  For case A its value and
+derivatives away from r = 1 are evaluated by adaptive quadrature of the
 defining double integral, with a graded Gauss-Legendre rule in the angular
 variable to absorb the integrable kernel singularity.
 """
@@ -21,6 +23,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import gamma
 
 from .errors import DegenerateBaseError, QuadratureError
 from .kernel import VorticityProfile
@@ -30,11 +33,51 @@ from .kernel import VorticityProfile
 # interaction cases
 # --------------------------------------------------------------------------
 
+def sine_power_coeffs(s: float, k_max: int):
+    """Fourier coefficients a_k of |2 sin(t/2)|^s, k = 0..k_max, for
+    s > -2, as a_0 and the differences d_k = a_k - a_0.
+
+    a_0 = Gamma(s+1) / Gamma(s/2+1)^2 and a_{k+1} / a_k =
+    (k - s/2) / (k + 1 + s/2), so d_0 = 0 and
+    d_{k+1} = d_k a_{k+1} / a_k - G / (k + 1 + s/2) with
+    G = (s+1) a_0 = Gamma(s+2) / Gamma(s/2+1)^2.  The d_k stay finite at
+    s = -1, where a_0 is infinite, and no Gamma function of k is formed (it
+    overflows past k ~ 170).
+    """
+    hs = 0.5 * s
+    k = np.arange(k_max, dtype=float)
+    ratio = (k - hs) / (k + 1.0 + hs)
+    step = gamma(s + 2.0) / gamma(hs + 1.0) ** 2 / (k + 1.0 + hs)
+    d = np.zeros(k_max + 1)
+    for j in range(k_max):
+        d[j + 1] = d[j] * ratio[j] - step[j]
+    return float(gamma(s + 1.0) / gamma(hs + 1.0) ** 2), d
+
+
+def c_n_closed_log(n):
+    """c_0 = pi/2 and c_n = (pi/2)(1 - 1/n); n may be an integer array."""
+    n = np.asarray(n, dtype=float)
+    c = np.pi / 2.0 * (1.0 - 1.0 / np.where(n == 0, np.inf, n))
+    return c if c.ndim else float(c)
+
+
 @dataclass(frozen=True)
 class InteractionCase:
-    """Which attraction kernel is in force.
+    """Which attraction kernel K is in force, and what follows from it in
+    closed form.
 
-    kind 'A' uses -|x-y|^(-nu) with nu in (0, 1]; kind 'B' the log kernel.
+    kind 'A' uses K(d) = -d^(-nu) with nu in (0, 1]; kind 'B' uses
+    K(d) = ln d.  The case holds:
+
+    - ``force_law``: (strength, p) with K'(d) = strength * d^-(p+1), that
+      is (1, 0) for the log and (nu, nu) for the power kernel;
+    - ``u0_at_1``: the disk potential on the unit circle, 0 for the log and
+      -pi Gamma(3-nu) / ((2-nu) Gamma(2-nu/2)^2) for the power kernel;
+    - ``coefficients(n_max)``: the linearization coefficients c_0..c_n_max.
+
+    The power kernel's c_n and the boundary product rule
+    (``residual._product_weights``) both take the Fourier coefficients of
+    |2 sin(t/2)|^s from :func:`sine_power_coeffs`.
     """
 
     kind: str
@@ -52,6 +95,42 @@ class InteractionCase:
 
     def label(self) -> str:
         return "B" if self.is_log else f"A(nu={self.nu:g})"
+
+    @property
+    def force_law(self) -> tuple:
+        """(strength, p) with K'(d) = strength * d^-(p+1)."""
+        return (1.0, 0.0) if self.is_log else (self.nu, self.nu)
+
+    @property
+    def u0_at_1(self) -> float:
+        """Interaction potential of the unit disk on the unit circle."""
+        if self.is_log:
+            return 0.0
+        nu = self.nu
+        return float(-np.pi * gamma(3.0 - nu)
+                     / ((2.0 - nu) * gamma(2.0 - 0.5 * nu) ** 2))
+
+    def coefficients(self, n_max: int) -> np.ndarray:
+        """Linearization coefficients c_0..c_n_max in closed form.
+
+        Log: c_n_closed_log.  Power: c_0 = (2-nu) u0(1) / 2 and, for n >= 1,
+        with d_m the differences of the Fourier coefficients of
+        |2 sin(t/2)|^-nu (sine_power_coeffs at s = -nu),
+        c_n = -pi/(2-nu) [(d_n - d_1) + (n+1)(d_n - d_{n+1})
+                          - (nu/2)(d_n - d_1 - d_{n+1})].
+        """
+        n = np.arange(n_max + 1)
+        if self.is_log:
+            return c_n_closed_log(n)
+        nu = self.nu
+        _, d = sine_power_coeffs(-nu, n_max + 1)
+        dn, dn1 = d[1:-1], d[2:]
+        c = np.empty(n_max + 1)
+        c[0] = 0.5 * (2.0 - nu) * self.u0_at_1
+        c[1:] = -np.pi / (2.0 - nu) * (
+            (dn - d[1]) + (n[1:] + 1.0) * (dn - dn1)
+            - 0.5 * nu * (dn - d[1] - dn1))
+        return c
 
 
 def case_a(nu: float = 1.0) -> InteractionCase:
@@ -324,7 +403,7 @@ def make_base_state(case: InteractionCase, a0: float, profile: VorticityProfile)
         raise DegenerateBaseError(
             f"phi0'(1) = {dphi1:.3e} vanishes; the stream profile is degenerate"
         )
-    u0_at_1 = u0(case, 1.0)
+    u0_at_1 = case.u0_at_1
     lambda0 = 0.5 * dphi1 * dphi1 - 0.5 * omega0 * omega0 + u0_at_1
     return BaseState(
         case=case,

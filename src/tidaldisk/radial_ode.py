@@ -8,9 +8,8 @@ Two solvers live here:
 
 * the linear mode profiles A_n driven by the boundary perturbation,
   (1/r)(r A_n')' - n^2/r^2 A_n - G'(phi0) A_n = r^n G(phi0), A_n(1) = 0,
-  solved by Chebyshev collocation.  For large n the direct form is badly
-  conditioned near the origin, so the solver switches to A_n = r^n alpha_n,
-  which removes the indicial behavior.
+  solved by Chebyshev collocation in the substituted form A_n = r^n alpha_n,
+  which removes the indicial behavior at the origin for every n.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .kernel import VorticityProfile
 # well below this; pushing it higher only grows roundoff in the dense
 # differentiation matrices.
 DEFAULT_NODES = 64
-_SUBSTITUTION_MIN_N = 8
 
 
 @dataclass
@@ -166,14 +164,14 @@ def _mode_grid(base, n_nodes: int):
     return r, D, D2, g0, g1
 
 
-def _solve_mode_substituted(n: int, g0, g1, r, D, D2):
-    """Solve for alpha with A = r^n alpha:
-    alpha'' + ((2n+1)/r) alpha' - G1 alpha = G0, alpha(1)=0, alpha'(0)=0."""
-    k = len(r)
-    A = D2 + np.diag(np.where(r > 0, (2 * n + 1) / np.where(r > 0, r, 1.0), 0.0)) @ D \
-        - np.diag(g1)
+def _solve_mode(n: int, grid):
+    """alpha = A_n / r^n on the grid and A_n'(1) = alpha'(1), from
+    alpha'' + ((2n+1)/r) alpha' - G1 alpha = G0, alpha(1) = 0,
+    alpha'(0) = 0."""
+    r, D, D2, g0, g1 = grid
+    coef = np.where(r > 0, (2 * n + 1) / np.where(r > 0, r, 1.0), 0.0)
+    A = D2 + coef[:, None] * D - np.diag(g1)
     rhs = g0.copy()
-    # boundary rows: Dirichlet at r=1 (index 0 of the descending grid is r=1?)
     i1 = int(np.argmax(r))          # r = 1
     i0 = int(np.argmin(r))          # r = 0
     A[i1, :] = 0.0
@@ -182,42 +180,7 @@ def _solve_mode_substituted(n: int, g0, g1, r, D, D2):
     A[i0, :] = D[i0, :]             # regularity: alpha'(0) = 0
     rhs[i0] = 0.0
     alpha = np.linalg.solve(A, rhs)
-    d_alpha = D @ alpha
-    return alpha, float(d_alpha[i1])
-
-
-def _solve_mode_direct(n: int, g0, g1, r, D, D2):
-    """Direct collocation in A_n; adequate for small n only."""
-    i1 = int(np.argmax(r))
-    i0 = int(np.argmin(r))
-    rsafe = np.where(r > 0, r, 1.0)
-    A = D2 + np.diag(1.0 / rsafe) @ D - np.diag(n * n / rsafe**2) - np.diag(g1)
-    rhs = g0 * r ** n
-    A[i1, :] = 0.0
-    A[i1, i1] = 1.0
-    rhs[i1] = 0.0
-    if n == 0:
-        A[i0, :] = D[i0, :]         # A'(0) = 0
-    else:
-        A[i0, :] = 0.0
-        A[i0, i0] = 1.0             # A(0) = 0
-    rhs[i0] = 0.0
-    a_vals = np.linalg.solve(A, rhs)
-    return a_vals, float((D @ a_vals)[i1])
-
-
-def _solve_mode(n: int, grid, force_direct: bool = False,
-                force_substituted: bool = False):
-    """Values of A_n on the grid and A_n'(1), by the substituted form for
-    n >= _SUBSTITUTION_MIN_N and the direct form below."""
-    r, D, D2, g0, g1 = grid
-    use_sub = force_substituted or (n >= _SUBSTITUTION_MIN_N and not force_direct)
-    if use_sub:
-        alpha, d1 = _solve_mode_substituted(n, g0, g1, r, D, D2)
-        values = np.where(r > 0, r, 0.0) ** n * alpha if n > 0 else alpha
-    else:
-        values, d1 = _solve_mode_direct(n, g0, g1, r, D, D2)
-    return values, d1
+    return alpha, float(D[i1] @ alpha)
 
 
 def mode_derivatives(base, N: int, n_nodes: int = DEFAULT_NODES) -> np.ndarray:
@@ -230,8 +193,7 @@ def mode_derivatives(base, N: int, n_nodes: int = DEFAULT_NODES) -> np.ndarray:
     return np.array([_solve_mode(n, grid)[1] for n in range(N + 1)])
 
 
-def solve_An(n: int, base, n_nodes: int = DEFAULT_NODES,
-             force_direct: bool = False, force_substituted: bool = False):
+def solve_An(n: int, base, n_nodes: int = DEFAULT_NODES):
     """Mode profile A_n and its boundary derivative A_n'(1).
 
     Returns (RadialProfile, deriv_at_1).  Only n >= 0 is computed; negative
@@ -240,8 +202,9 @@ def solve_An(n: int, base, n_nodes: int = DEFAULT_NODES,
     if n < 0:
         raise ValueError("n must be non-negative")
     grid = _mode_grid(base, n_nodes)
-    values, d1 = _solve_mode(n, grid, force_direct, force_substituted)
+    alpha, d1 = _solve_mode(n, grid)
     r = grid[0]
     order = np.argsort(r)
-    prof = RadialProfile(nodes=r[order], values=values[order], deriv_at_1=d1)
+    prof = RadialProfile(nodes=r[order], values=(r ** n * alpha)[order],
+                         deriv_at_1=d1)
     return prof, d1

@@ -35,13 +35,13 @@ from numpy.polynomial.legendre import leggauss
 # lu_factor and lu_solve are not called here; perfbench/tracing.py counts
 # calls under these names
 from scipy.linalg import lu_factor, lu_solve
-from scipy.special import gamma
 
 from .chebyshev import HalfDiameterGrid
 from .errors import DivergenceError, TidaldiskError
 from .kernel import VorticityProfile
 from .linop import LinearizedOperator, first_order_response, solve_linearized
-from .potential import _A0_MIN, BaseState, particle_potential_at
+from .potential import (_A0_MIN, BaseState, particle_potential_at,
+                        sine_power_coeffs)
 # eval_h_at is not called here; perfbench/tracing.py wraps it under this name
 from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
                        boundary_grid, disk_rule, eval_boundary, eval_h_at,
@@ -213,16 +213,13 @@ def _product_weights(M: int, nu: Optional[float] = None) -> np.ndarray:
     on the uniform M-grid, exact for trigonometric F of degree below M/2.
     K is ln(4 sin^2(t/2)) for nu None, else |2 sin(t/2)|^s with s = 2 - nu,
     and W is 2 pi irfft of its Fourier coefficients c_0..c_{M//2}: 0, -1/k
-    (log) or (-1)^k Gamma(s+1) / (Gamma(s/2+k+1) Gamma(s/2-k+1)) by their
-    ratio recurrence, since gamma overflows past k ~ 170.  Cached, so
-    read-only."""
+    (log) or those of sine_power_coeffs (power).  Cached, so read-only."""
     k = np.arange(M // 2 + 1, dtype=float)
     if nu is None:
         c = np.concatenate([[0.0], -1.0 / k[1:]])
     else:
-        hs = 1.0 - 0.5 * nu  # s/2
-        c = np.cumprod(np.concatenate([[gamma(2.0 * hs + 1.0) / gamma(hs + 1.0) ** 2],
-                                       (k[:-1] - hs) / (hs + k[:-1] + 1.0)]))
+        a0, d = sine_power_coeffs(2.0 - nu, M // 2)
+        c = a0 + d
     w = 2.0 * np.pi * np.fft.irfft(c, n=M)
     w.setflags(write=False)
     return w
@@ -330,11 +327,9 @@ def particle_force(h: ShapeCoeffs, case, a: float,
             "shape reaches too close to the particle for smooth quadrature")
     af = a - f  # the vector X - f(y) with X = (a, 0)
     num = af.real if component == 0 else af.imag
-    if case.is_log:
-        vals = num / np.abs(af) ** 2
-    else:
-        nu = case.nu
-        vals = nu * num * np.abs(af) ** (-(nu + 2.0))
+    # K'(|af|) times the direction cosine num / |af|
+    strength, p = case.force_law
+    vals = strength * num * np.abs(af) ** (-(p + 2.0))
     return float(np.sum(vals * wf))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coeffs import (build_mode_table, c_n_closed_log, c_n_disk_quadrature,
-                     c_n_from_moments, gamma0)
+                     gamma0)
 from .kernel import linear_preset, rigid_preset
 from .linop import (apply_forward, first_order_response, make_operator,
                     solve_linearized)
@@ -94,7 +94,7 @@ def criterion_3_mode_derivative_asymptotics():
 def criterion_4_coefficient_asymptotics():
     case = case_a(1.0)
     g0 = gamma0(1.0)
-    c = c_n_from_moments(case, 512)
+    c = case.coefficients(512)
     ns = np.array([64, 128, 256, 512])
     ratios = c[ns] / np.log(ns)
     increasing = bool(np.all(np.diff(ratios) > 0))

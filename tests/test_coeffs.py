@@ -4,12 +4,11 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from tidaldisk.coeffs import (ModeTable, build_mode_table, c_n,
-                              c_n_closed_log, c_n_disk_quadrature,
-                              c_n_from_moments, gamma0, gamma0_bracket,
-                              kernel_moments, multiplier)
+                              c_n_closed_log, c_n_disk_quadrature, gamma0,
+                              gamma0_bracket, kernel_moments, multiplier)
 from tidaldisk.errors import QuadratureError
 from tidaldisk.kernel import rigid_preset
-from tidaldisk.potential import case_a, case_b, make_base_state
+from tidaldisk.potential import case_a, case_b, make_base_state, u0
 
 
 def test_closed_log_values():
@@ -75,7 +74,7 @@ def test_kernel_moments_near_nu_1(nu):
 
 
 def test_power_coefficient_closed_values():
-    c = c_n_from_moments(case_a(1.0), 2)
+    c = case_a(1.0).coefficients(2)
     assert abs(c[0] + 2.0) < 1e-10
     assert abs(c[1]) < 1e-10
     assert abs(c[2] - 2.0 / 3.0) < 1e-10
@@ -84,18 +83,69 @@ def test_power_coefficient_closed_values():
 def test_power_routes_cross_validate():
     for nu in (0.5, 1.0):
         case = case_a(nu)
-        cm = c_n_from_moments(case, 32)
+        c = case.coefficients(32)
         for n in (1, 8, 16, 32):
-            assert abs(c_n_disk_quadrature(case, n) - cm[n]) < 1e-9
+            assert abs(c_n_disk_quadrature(case, n) - c[n]) < 1e-9
 
 
 def test_c_n_dispatch():
     assert c_n(case_b(), 3) == c_n_closed_log(3)
     assert abs(c_n(case_a(1.0), 1)) < 1e-9
-    # beyond the direct-quadrature range the moment route takes over
-    assert abs(c_n(case_a(1.0), 100) - c_n_from_moments(case_a(1.0), 100)[100]) == 0.0
+    # every n takes the closed form of the case
+    assert c_n(case_a(1.0), 100) == case_a(1.0).coefficients(100)[100]
     with pytest.raises(ValueError):
         c_n(case_b(), -1)
+
+
+# --------------------------------------------------------------------------
+# closed forms of the case object against the independent routes
+# --------------------------------------------------------------------------
+
+_NUS = [0.3, 0.5, 0.92, 0.999999, 1.0]
+
+
+def _c_from_moments(nu, n_max):
+    """c_n = nu * sum_{k<=n} m_k - 2(n+1) m_n from the kernel moments."""
+    m = kernel_moments(nu, n_max)
+    return nu * np.cumsum(m) - 2.0 * (np.arange(n_max + 1) + 1.0) * m
+
+
+@pytest.mark.parametrize("nu", _NUS)
+def test_closed_form_matches_moments(nu):
+    c = case_a(nu).coefficients(512)
+    assert c.shape == (513,)
+    assert np.max(np.abs(c - _c_from_moments(nu, 512))) <= 1e-11
+
+
+@pytest.mark.parametrize("nu", _NUS)
+def test_closed_form_matches_disk_quadrature(nu):
+    case = case_a(nu)
+    c = case.coefficients(64)
+    for n in (1, 8, 32, 64):
+        assert abs(c_n_disk_quadrature(case, n) - c[n]) <= 1e-9
+
+
+@pytest.mark.parametrize("nu", _NUS)
+def test_closed_form_u0_at_1(nu):
+    case = case_a(nu)
+    assert abs(case.u0_at_1 - u0(case, 1.0)) <= 1e-10
+
+
+def test_closed_form_exact_at_nu_1():
+    case = case_a(1.0)
+    c = case.coefficients(2)
+    assert abs(c[0] + 2.0) <= 1e-15
+    assert abs(c[1]) <= 1e-15
+    assert abs(c[2] - 2.0 / 3.0) <= 1e-15
+    assert abs(case.u0_at_1 + 4.0) <= 1e-14
+
+
+def test_log_case_object():
+    case = case_b()
+    assert case.u0_at_1 == u0(case, 1.0) == 0.0
+    assert np.array_equal(case.coefficients(16), c_n_closed_log(np.arange(17)))
+    assert case.force_law == (1.0, 0.0)
+    assert case_a(0.7).force_law == (0.7, 0.7)
 
 
 def test_quadrature_imag_residue_guard():
@@ -114,8 +164,7 @@ def test_gamma0_value_and_bracket():
 
 def test_log_growth_constant():
     # c_n / log n approaches gamma0 from below at nu = 1
-    case = case_a(1.0)
-    c = c_n_from_moments(case, 512)
+    c = case_a(1.0).coefficients(512)
     r256 = c[256] / np.log(256.0)
     r512 = c[512] / np.log(512.0)
     assert r256 < r512 < 1.0

@@ -59,13 +59,6 @@ def test_mode_closed_form_large_n(rigid_base):
         assert abs(d1 + 1.0 / (n + 1)) < 1e-10
 
 
-def test_mode_branches_agree(rigid_base):
-    for n in (3, 8, 12):
-        _, d_direct = solve_An(n, rigid_base, force_direct=True)
-        _, d_sub = solve_An(n, rigid_base, force_substituted=True)
-        assert abs(d_direct - d_sub) < 1e-8
-
-
 def test_mode_n0_regular(rigid_base):
     prof, d1 = solve_An(0, rigid_base)
     # A_0 = -(r^2 - 1)/2 for G = -2: A_0'(1) = -1
