@@ -58,31 +58,43 @@ def _disk_rule(n: int, radial_levels=36, angular_levels=36, n_gauss=12):
     return rn, rw, pn, pw
 
 
-def c_n_disk_quadrature(case: InteractionCase, n: int,
-                        imag_tol: float = 1e-9) -> float:
+def c_n_disk_quadrature(case: InteractionCase, n,
+                        imag_tol: float = 1e-9):
     """Graded quadrature of the defining disk integral for c_n.
 
-    Returns the real part; a non-negligible imaginary residue indicates a
-    quadrature failure and is reported as such.
+    n is one integer or an array of them; all share the rule of the largest.
+    With y = r e^{i phi} and K = ln|1 - y| (log) or |1 - y|^-nu (power),
+    the integrand is (n + 1) y^n K + (1/2) sum_{k<=n} y^k (log) or
+    (1/2) [nu sum_{k<=n} y^k - 2 (n + 1) y^n] K (power), so every c_n is a
+    combination of the moments sum w K y^k and sum w y^k, k <= max n.  y^k
+    splits into r^k times e^{ik phi}, and each set of moments is one matrix
+    product over the rule; the sums over k <= n are cumulative sums.
+
+    Returns the real part (a float for scalar n); a non-negligible imaginary
+    residue at any n indicates a quadrature failure and is reported as such.
     """
-    rn, rw, pn, pw = _disk_rule(n)
-    y = rn[:, None] * np.exp(1j * pn[None, :])
-    one_my = 1.0 - y
-    geo = (1.0 - y ** (n + 1)) / one_my          # sum_{k<=n} y^k
+    ns = np.asarray(n)
+    k = np.arange(int(np.max(ns)) + 1)
+    rn, rw, pn, pw = _disk_rule(int(k[-1]))
+    # |1 - y| on the rule, then the kernel, each formed once for every n
+    dist = np.hypot(1.0 - rn[:, None] * np.cos(pn), rn[:, None] * np.sin(pn))
+    kern = np.log(dist) if case.is_log else dist ** -case.nu
+    radial = (rn * rw)[:, None] * rn[:, None] ** k        # r dr r^k
+    angle = pw[:, None] * np.exp(1j * np.outer(pn, k))    # dphi e^{ik phi}
+    mom = np.sum(radial * (kern @ angle), axis=0)
     if case.is_log:
-        integrand = (n + 1) * y**n * np.log(np.abs(one_my)) + 0.5 * geo
+        plain = np.sum(radial, axis=0) * np.sum(angle, axis=0)
+        vals = (k + 1) * mom + 0.5 * np.cumsum(plain)
     else:
-        nu = case.nu
-        integrand = 0.5 * (nu * geo - 2.0 * (n + 1) * y**n) \
-            * np.abs(one_my) ** (-nu)
-    w = (rn * rw)[:, None] * pw[None, :]
-    val = np.sum(integrand * w)
-    if abs(val.imag) > imag_tol:
+        vals = 0.5 * case.nu * np.cumsum(mom) - (k + 1) * mom
+    vals = vals[ns]
+    residue = float(np.max(np.abs(vals.imag)))
+    if residue > imag_tol:
         raise QuadratureError(
-            f"c_n quadrature imaginary residue {val.imag:.2e} exceeds {imag_tol:g}",
-            achieved=abs(val.imag),
+            f"c_n quadrature imaginary residue {residue:.2e} exceeds {imag_tol:g}",
+            achieved=residue,
         )
-    return float(val.real)
+    return vals.real if ns.ndim else float(vals.real)
 
 
 # --------------------------------------------------------------------------

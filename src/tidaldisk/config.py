@@ -16,7 +16,7 @@ Recognized keys (units in parentheses):
     n_angular   angular grid size
     tol         quasi-Newton residual target
     m           mass parameter, or comma-separated sweep
-    m_cap       override of the heuristic mass cap
+    m_cap       override of the heuristic mass cap, positive
     workers     accepted for compatibility, has no effect (integer >= 1)
     seed        seed for randomized verification suites
 """
@@ -62,6 +62,8 @@ class RunConfig:
         for key, value in reals:
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"key {key!r}: must be finite, got {value!r}")
+        if self.m_cap is not None and self.m_cap <= 0:
+            raise ConfigError(f"key 'm_cap': must be positive, got {self.m_cap!r}")
         if self.a0 is not None and self.a0 < _A0_MIN:
             raise ConfigError(f"a0 must be at least {_A0_MIN} (particle "
                               f"clear of the body), got {self.a0!r}")

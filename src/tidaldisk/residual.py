@@ -18,8 +18,12 @@ radial operator of the parity of n.  Multiplied by r^2, the operator of mode
 n is a parity block minus n^2, so the modes of one parity share one
 eigenbasis (fast diagonalization).  The two eigen-decompositions are formed
 once per damping value and cached, so a Picard step is two matmuls per
-parity over all modes.  residual_F starts the iteration from the base-state
-field phi0(r), which roughly halves the number of steps.
+parity over all modes.  The damping is the midpoint of the range of
+|f'|^2 G' on a fixed grid of values, so that nearby shapes share one cached
+eigenbasis, and the iteration stops on an a-posteriori bound of its error
+(solve_phi_h).  residual_F starts the iteration from a given field: the
+quasi-Newton solve passes the previous iterate's, and the default is the
+base-state field phi0(r).
 """
 
 from __future__ import annotations
@@ -50,6 +54,11 @@ from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
 DEFAULT_RADIAL = 64    # half-diameter nodes; 2x this on the full diameter
 DEFAULT_ANGULAR = 256
 
+# j_{0,1}^2: the Dirichlet Laplacian of the unit disk lies at or below -_J01_SQ
+_J01_SQ = 5.783185962946784
+# grid of the Picard damping, so that nearby shapes share one _mode_eigs entry
+_LAM_STEP = 1.0 / 16.0
+
 
 # --------------------------------------------------------------------------
 # stream function on the disk
@@ -78,7 +87,9 @@ def _mode_eigs(n_radial: int, lam: float):
     Dropping row and column 0 imposes u(1) = 0.  Times r^2, the operator of
     mode n is this block minus n^2 I, so all modes of one parity share V_p
     (fast diagonalization).  Shared between calls, so the arrays are
-    read-only; a profile with G' = 0 always has lam = 0 and hits the cache.
+    read-only.  solve_phi_h takes lam from a grid of multiples of _LAM_STEP,
+    so the shapes of a solve share an entry; a profile with G' = 0 always
+    has lam = 0.
     """
     grid, basis = _radial_basis(n_radial)
     r2 = grid.r[1:, None] ** 2
@@ -121,6 +132,8 @@ class DiskField:
     phi: np.ndarray            # uniform angular grid
     values: np.ndarray         # shape (len(r), len(phi))
     grid: HalfDiameterGrid = field(repr=False, default=None)
+    picard_steps: int = 0      # steps of the solve that made the field
+    damping: float = 0.0       # its final Picard damping lam
 
     def boundary_trace(self) -> np.ndarray:
         return self.values[0, :].copy()
@@ -146,14 +159,24 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
                 u_init=None) -> DiskField:
     """Damped Picard solution of Delta u = |f'|^2 G(u), u = 0 on the circle.
 
-    Each step solves (Delta - L) u_next = |f'|^2 G(u) - L u with a constant
-    damping L >= sup(|f'|^2 G'), which makes the iteration a contraction for
-    non-decreasing G.  The step runs on the rfft modes n = 0..M/2 of the
-    angle, by fast diagonalization: times r^2, mode n's operator is a
-    parity block minus n^2, so one eigenbasis per parity and damping value
-    (_mode_eigs, cached) serves every mode, and a step is two matmuls per
-    parity.  The iteration starts from u_init (broadcast to the grid), or
-    from zero.
+    Each step solves (Delta - lam) u_next = w G(u) - lam u with w = |f'|^2.
+    Its error operator is (Delta - lam)^-1 (w G' - lam); the Dirichlet
+    Laplacian of the disk lies at or below -j01^2, so with lam the midpoint
+    of [min wG', max wG'] the step contracts for any wG' >= 0.  lam is
+    rounded to multiples of _LAM_STEP (at least 0), so that nearby shapes
+    share one cached eigenbasis, and set at step 0; a later step resets it
+    only when max|wG' - lam| exceeds (lam + j01^2) / 2.  A profile with
+    G' = 0 keeps lam = 0.
+
+    Stop rule: by the maximum principle, ||(Delta - lam)^-1|| <= 1/max(4, lam)
+    in the sup norm, so q = max|wG' - lam| / max(4, lam) bounds the
+    contraction.  When q < 1/2 the iteration stops once the a-posteriori
+    error bound delta q / (1 - q) of the last step delta is below tol, and
+    otherwise once delta < tol.  With G' = 0, q = 0 and one step is exact.
+
+    The step runs on the rfft modes n = 0..M/2 of the angle, by fast
+    diagonalization (_solve_modes), and evaluates G' once.  The iteration
+    starts from u_init (broadcast to the grid), or from zero.
     """
     if injectivity_margin(h) <= 0:
         raise TidaldiskError("shape is not certified injective; refusing "
@@ -167,25 +190,27 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
     else:
         u = np.array(np.broadcast_to(u_init, shape), dtype=float)
 
-    lam = 0.0
-    for it in range(max_iter):
-        g1max = float(np.max(profile.d1(u)))
-        lam_needed = float(np.max(w)) * max(g1max, 0.0)
-        if it == 0 or lam_needed > lam:
-            lam = 1.5 * lam_needed if lam_needed > 0 else 0.0
+    lam = None
+    for steps in range(1, max_iter + 1):
+        wg1 = w * profile.d1(u)
+        lo, hi = float(np.min(wg1)), float(np.max(wg1))
+        if lam is None or max(hi - lam, lam - lo) > 0.5 * (lam + _J01_SQ):
+            lam = max(round(0.5 * (lo + hi) / _LAM_STEP) * _LAM_STEP, 0.0)
+        q = max(hi - lam, lam - lo) / max(4.0, lam)
 
         rhs = w * np.asarray(profile.eval(u), dtype=float) - lam * u
         u_hat = _solve_modes(n_radial, lam, np.fft.rfft(rhs, axis=1))
         u_new = np.fft.irfft(u_hat, n=n_angular, axis=1)
         delta = float(np.max(np.abs(u_new - u)))
         u = u_new
-        if delta < tol:
+        if (delta * q / (1.0 - q) if q < 0.5 else delta) < tol:
             break
     else:
         raise DivergenceError(
             f"stream-function iteration did not converge (last step {delta:.2e})")
 
-    return DiskField(r=r, phi=boundary_grid(n_angular), values=u, grid=grid)
+    return DiskField(r=r, phi=boundary_grid(n_angular), values=u, grid=grid,
+                     picard_steps=steps, damping=lam)
 
 
 def field_equation_residual(fieldv: DiskField, h: ShapeCoeffs,
@@ -349,17 +374,21 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
                base: BaseState,
                n_radial: int = DEFAULT_RADIAL,
                n_angular: int = DEFAULT_ANGULAR,
-               return_field: bool = False):
+               return_field: bool = False, u_init=None):
     """The three components of the reduced system at state (h, a, lam).
 
     Returns (S_res, r2, r3) where S_res is the boundary spectrum of the
     Bernoulli mismatch, r2 the particle-balance residual and r3 the volume
     residual; with return_field=True the stream-function field is appended.
+    The stream-function solve starts from u_init, by default from the
+    base-state field phi0(r).
     """
-    r = _radial_basis(n_radial)[0].r
-    phi0 = base.phi0(r) - base.phi0(1.0)  # base-state field, Dirichlet exact
+    if u_init is None:
+        r = _radial_basis(n_radial)[0].r
+        # base-state field, Dirichlet exact
+        u_init = (base.phi0(r) - base.phi0(1.0))[:, None]
     fieldv = solve_phi_h(h, base.profile, n_radial=n_radial,
-                         n_angular=n_angular, u_init=phi0[:, None])
+                         n_angular=n_angular, u_init=u_init)
     dn = fieldv.boundary_normal_deriv()
 
     M = n_angular
@@ -421,7 +450,8 @@ class EquilibriumSolution:
 
 
 def _diagnostics(h: ShapeCoeffs, a: float, lam: float, m: float,
-                 base: BaseState, S: BoundarySpectrum) -> dict:
+                 base: BaseState, S: BoundarySpectrum,
+                 picard_steps: list) -> dict:
     com = center_of_mass(h, m, a)
     # Pressure continuity on the free boundary: the interior pressure at the
     # boundary is -(1/2)|grad psi|^2 + (Omega0^2/2)|x|^2 + lambda (the
@@ -435,6 +465,8 @@ def _diagnostics(h: ShapeCoeffs, a: float, lam: float, m: float,
         "symmetry_defect": h.symmetry_defect(),
         "injectivity_margin": injectivity_margin(h),
         "pressure_jump_sup": jump_sup,
+        # stream-function Picard steps of each residual_F call
+        "picard_steps": picard_steps,
     }
 
 
@@ -461,13 +493,14 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
 
     if m == 0.0:
         h = ShapeCoeffs.zero(op.N)
-        S, r2, r3 = residual_F(h, base.a0, base.lambda0, 0.0, base,
-                               n_radial, n_angular)
+        S, r2, r3, fieldv = residual_F(h, base.a0, base.lambda0, 0.0, base,
+                                       n_radial, n_angular, return_field=True)
         rn = residual_norm(S, r2, r3)
         return EquilibriumSolution(h, base.a0, base.lambda0, 0.0, rn, 0,
                                    [rn], _diagnostics(h, base.a0,
                                                       base.lambda0, 0.0,
-                                                      base, S))
+                                                      base, S,
+                                                      [fieldv.picard_steps]))
 
     h1, a1, l1 = first_order_response(op, m)
     h = h1
@@ -475,6 +508,8 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
     lam = base.lambda0 + l1
 
     history = []
+    picard_steps = []
+    u_prev = None  # each stream-function solve starts from the last field
     bad_streak = 0
     for it in range(1, max_iter + 1):
         if a < _A0_MIN:
@@ -484,12 +519,17 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
         if injectivity_margin(h) <= 0:
             raise DivergenceError("iterate lost certified injectivity",
                                   history=history)
-        S, r2, r3 = residual_F(h, a, lam, m, base, n_radial, n_angular)
+        S, r2, r3, fieldv = residual_F(h, a, lam, m, base, n_radial,
+                                       n_angular, return_field=True,
+                                       u_init=u_prev)
+        u_prev = fieldv.values
+        picard_steps.append(fieldv.picard_steps)
         rn = residual_norm(S, r2, r3)
         history.append(rn)
         if rn < tol:
             return EquilibriumSolution(h, a, lam, m, rn, it, history,
-                                       _diagnostics(h, a, lam, m, base, S))
+                                       _diagnostics(h, a, lam, m, base, S,
+                                                    picard_steps))
         if len(history) > 1 and rn > history[-2]:
             bad_streak += 1
             if bad_streak >= 3:

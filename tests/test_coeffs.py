@@ -148,6 +148,21 @@ def test_log_case_object():
     assert case_a(0.7).force_law == (0.7, 0.7)
 
 
+def test_disk_quadrature_array_of_n():
+    # one rule for every n: the array call matches the closed forms and,
+    # entry by entry, the scalar calls on their own (coarser) rules
+    n = np.array([0, 1, 2, 7, 16, 33, 64])
+    for case in (case_b(), case_a(0.5), case_a(1.0)):
+        got = c_n_disk_quadrature(case, n)
+        assert got.shape == n.shape
+        assert np.max(np.abs(got - case.coefficients(64)[n])) <= 1e-9
+        single = [c_n_disk_quadrature(case, int(k)) for k in n[:3]]
+        assert np.max(np.abs(got[:3] - single)) <= 1e-9
+    assert isinstance(c_n_disk_quadrature(case_b(), 3), float)
+    with pytest.raises(QuadratureError):
+        c_n_disk_quadrature(case_b(), n, imag_tol=1e-30)
+
+
 def test_quadrature_imag_residue_guard():
     with pytest.raises(QuadratureError):
         c_n_disk_quadrature(case_b(), 4, imag_tol=1e-30)

@@ -53,6 +53,8 @@ def test_parse_case_a_defaults():
     ("case=B\nprofile=rigid:1\na0=2\ntol=nan\n", "'tol': must be finite"),
     ("case=B\nprofile=rigid:1\na0=2\nm=1e-5, nan\n", "'m': must be finite"),
     ("case=B\nprofile=rigid:1\na0=2\nm_cap=nan\n", "'m_cap': must be finite"),
+    ("case=B\nprofile=rigid:1\na0=2\nm_cap=0\n", "'m_cap': must be positive"),
+    ("case=B\nprofile=rigid:1\na0=2\nm_cap=-1\n", "'m_cap': must be positive"),
 ])
 def test_parse_errors(text, frag):
     with pytest.raises(ConfigError, match=frag):
