@@ -9,8 +9,8 @@ adds the checks they are held against:
 
 * direct graded quadrature of the defining disk integral (moderate n),
   used by verify criterion 1 and the tests,
-* the kernel moments m_k = (1/2) int_D y^k |1-y|^(-nu) dy from a binomial
-  double-series reduction with an Euler-Maclaurin tail, from which
+* the kernel moments m_k = (1/2) int_D y^k |1-y|^(-nu) dy, a ratio of
+  Gamma functions by Gauss's sum of their binomial series, from which
   c_n = nu * sum_{k<=n} m_k - 2(n+1) m_n; the tests use it for large n.
 
 The module also evaluates the constant gamma0 governing the logarithmic
@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
-from scipy.special import gamma, gammaln, poch
+from scipy.integrate import quad
+from scipy.special import gamma
 
 from .errors import QuadratureError
 # c_n_closed_log is defined with the case object and kept importable here
@@ -101,45 +101,25 @@ def c_n_disk_quadrature(case: InteractionCase, n,
 # moment decomposition (power-law case)
 # --------------------------------------------------------------------------
 
-def _binomial_coeffs(nu: float, pmax: int) -> np.ndarray:
-    """Taylor coefficients of (1-y)^(-nu/2): a_p = Gamma(p+nu/2)/(Gamma(nu/2) p!)."""
-    p = np.arange(pmax + 1, dtype=float)
-    return np.exp(gammaln(p + nu / 2.0) - gammaln(nu / 2.0) - gammaln(p + 1.0))
-
-
-def kernel_moments(nu: float, n_max: int, series_terms: int = 20000) -> np.ndarray:
+def kernel_moments(nu: float, n_max: int) -> np.ndarray:
     """Moments m_k = (1/2) int_D y^k |1-y|^(-nu) dy for k = 0..n_max.
 
     Expanding |1-y|^(-nu) as a product of binomial series in y and conj(y)
-    and integrating term by term over the disk leaves a single sum,
-    m_k = pi * sum_p a_p a_{p+k} / (2p + 2k + 2),
-    whose smooth tail is summed by Euler-Maclaurin.  The tail integrals of
-    all k are one vector-valued quadrature.
+    and integrating term by term over the disk leaves
+    m_k = pi sum_p a_p a_{p+k} / (2p + 2k + 2), a_p = (nu/2)_p / p!, a
+    Gauss hypergeometric series at 1 (DLMF 15.4.20).  With a = nu/2 it sums
+    to m_k = (pi/2) Gamma(2-nu) / (Gamma(a) Gamma(2-a))
+    * Gamma(k+a) / Gamma(k+2-a), so m_0 = (pi/2) Gamma(2-nu) / Gamma(2-a)^2
+    = -u0(1)/2 and m_{k+1} / m_k = (k+a) / (k+2-a).  The product of the
+    ratios is accurate to 3e-14 for k <= 512; scipy's poch for the Gamma
+    ratio is off by up to 1e-12 there.
     """
-    P = series_terms
-    a = _binomial_coeffs(nu, P + n_max + 2)
-
-    p = np.arange(P, dtype=float)
-    head = np.array([
-        np.pi * np.sum(a[:P] * a[k:k + P] / (2.0 * p + 2.0 * k + 2.0))
-        for k in range(n_max + 1)])
-
-    k = np.arange(n_max + 1, dtype=float)
-    scale = np.pi / gamma(nu / 2.0) ** 2
-
-    def t(x):
-        # a_x = poch(x + 1, nu/2 - 1) / Gamma(nu/2).  The same ratio as a
-        # difference of two gammaln values is off by 2e-8 at x = 1e7 and by
-        # 10% at x = 1e13; for nu near 1 quad_vec, which does not
-        # extrapolate toward the infinite end, refines into that noise and
-        # returns a wrong tail.  poch keeps full precision at large x.
-        return (scale * poch(x + 1.0, nu / 2.0 - 1.0)
-                * poch(x + k + 1.0, nu / 2.0 - 1.0) / (2.0 * x + 2.0 * k + 2.0))
-
-    tail, _ = quad_vec(t, P, np.inf, epsabs=1e-13, epsrel=1e-12, norm="max")
-    h = 1e-3 * P
-    tprime = (t(P + h) - t(P - h)) / (2.0 * h)
-    return head + tail + 0.5 * t(P) - tprime / 12.0
+    a = 0.5 * nu
+    k = np.arange(n_max, dtype=float)
+    factors = np.empty(n_max + 1)
+    factors[0] = 0.5 * np.pi * gamma(2.0 - nu) / gamma(2.0 - a) ** 2
+    factors[1:] = (k + a) / (k + 2.0 - a)
+    return np.cumprod(factors)
 
 
 def c_n(case: InteractionCase, n: int) -> float:

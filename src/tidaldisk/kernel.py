@@ -2,8 +2,8 @@
 
 The velocity field inside the fluid body is generated by a stream function
 whose Laplacian is a user-supplied non-decreasing function G of the stream
-function itself.  This module represents G together with its first three
-derivatives, either as built-in presets or as a monotone interpolant of a
+function itself.  This module represents G together with its first
+derivative, either as built-in presets or as a monotone interpolant of a
 tabulated profile.
 """
 
@@ -19,7 +19,7 @@ from scipy.interpolate import PchipInterpolator
 
 @dataclass(frozen=True)
 class VorticityProfile:
-    """Non-decreasing vorticity function G with derivatives up to third order.
+    """Non-decreasing vorticity function G and its derivative G'.
 
     Instances are immutable; the evaluators are plain vectorized callables
     and safe to share across workers.
@@ -27,8 +27,6 @@ class VorticityProfile:
 
     eval: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
-    d3: Callable[[np.ndarray], np.ndarray]
     monotone_certified: bool = False
     name: str = "custom"
     sup_bound: float = field(default=np.inf)  # bound for |G| used by shooting
@@ -51,8 +49,8 @@ def _constant_profile(value: float, name: str) -> VorticityProfile:
         return np.zeros_like(np.asarray(u, dtype=float))
 
     return VorticityProfile(
-        eval=ev, d1=zero, d2=zero, d3=zero,
-        monotone_certified=True, name=name, sup_bound=abs(value),
+        eval=ev, d1=zero, monotone_certified=True, name=name,
+        sup_bound=abs(value),
     )
 
 
@@ -62,8 +60,8 @@ def rigid_preset(omega0: float) -> VorticityProfile:
     In the co-rotating frame the fluid is then at rest, the full vorticity
     being supplied by the frame rotation.
     """
-    if not omega0 > 0:
-        raise ValueError(f"omega0 must be positive, got {omega0}")
+    if not (omega0 > 0 and np.isfinite(omega0)):
+        raise ValueError(f"omega0 must be positive and finite, got {omega0}")
     return _constant_profile(-2.0 * float(omega0), name=f"rigid(omega0={omega0:g})")
 
 
@@ -75,6 +73,8 @@ def zero_preset() -> VorticityProfile:
 
 def linear_preset(slope: float = 1.0, offset: float = 0.0) -> VorticityProfile:
     """G(u) = slope*u + offset with slope >= 0."""
+    if not (np.isfinite(slope) and np.isfinite(offset)):
+        raise ValueError(f"slope and offset must be finite, got {slope}, {offset}")
     if slope < 0:
         raise ValueError("slope must be non-negative for a non-decreasing G")
 
@@ -84,12 +84,8 @@ def linear_preset(slope: float = 1.0, offset: float = 0.0) -> VorticityProfile:
     def d1(u):
         return np.full_like(np.asarray(u, dtype=float), slope)
 
-    def zero(u):
-        return np.zeros_like(np.asarray(u, dtype=float))
-
     return VorticityProfile(
-        eval=ev, d1=d1, d2=zero, d3=zero,
-        monotone_certified=True,
+        eval=ev, d1=d1, monotone_certified=True,
         name=f"linear({slope:g},{offset:g})",
         # |G| on the relevant range is not known a priori; the shooting
         # bracket uses this as a scale only.
@@ -129,24 +125,14 @@ def profile_from_table(u: np.ndarray, g: np.ndarray) -> VorticityProfile:
         out = np.where(x > hi, g[-1] + slope_hi * (x - hi), out)
         return out
 
-    def make_deriv(k):
-        dk = base.derivative(k)
-
-        def deriv(x):
-            x = np.asarray(x, dtype=float)
-            out = np.asarray(dk(np.clip(x, lo, hi)), dtype=float)
-            if k == 1:
-                out = np.where(x < lo, slope_lo, out)
-                out = np.where(x > hi, slope_hi, out)
-            else:
-                out = np.where((x < lo) | (x > hi), 0.0, out)
-            return out
-
-        return deriv
+    def d1(x):
+        x = np.asarray(x, dtype=float)
+        out = np.asarray(db(np.clip(x, lo, hi)), dtype=float)
+        out = np.where(x < lo, slope_lo, out)
+        return np.where(x > hi, slope_hi, out)
 
     prof = VorticityProfile(
-        eval=ev, d1=make_deriv(1), d2=make_deriv(2), d3=make_deriv(3),
-        monotone_certified=True, name="table",
+        eval=ev, d1=d1, monotone_certified=True, name="table",
         sup_bound=float(np.max(np.abs(g))) + abs(slope_lo) + abs(slope_hi),
     )
     if not prof.check_monotone(lo, hi):
@@ -169,13 +155,12 @@ def profile_from_csv(path: str) -> VorticityProfile:
     return profile_from_table(np.array(us), np.array(gs))
 
 
-def smooth_profile(fn, d1, d2, d3, name="callable", sup_bound=np.inf,
+def smooth_profile(fn, d1, name="callable", sup_bound=np.inf,
                    certify_range=None) -> VorticityProfile:
-    """Wrap explicit callables as a profile, optionally spot-checking
-    monotonicity on ``certify_range = (lo, hi)``."""
-    prof = VorticityProfile(eval=fn, d1=d1, d2=d2, d3=d3,
-                            monotone_certified=False, name=name,
-                            sup_bound=sup_bound)
+    """Wrap explicit callables G and G' as a profile, optionally
+    spot-checking monotonicity on ``certify_range = (lo, hi)``."""
+    prof = VorticityProfile(eval=fn, d1=d1, monotone_certified=False,
+                            name=name, sup_bound=sup_bound)
     if certify_range is not None:
         if not prof.check_monotone(*certify_range):
             raise ValueError("profile failed the monotonicity check")

@@ -7,23 +7,26 @@ Two families of attractive interactions are supported:
 
 The frozen :class:`InteractionCase` is the one kernel object: it holds what
 the rest of the package needs of the kernel in closed form.  For case B the
-disk potential is in closed form everywhere.  For case A its value and
-derivatives away from r = 1 are evaluated by adaptive quadrature of the
-defining double integral, with a graded Gauss-Legendre rule in the angular
-variable to absorb the integrable kernel singularity.
+disk potential is in closed form everywhere.  For case A it is in closed
+form outside the disk: expanding |x-y|^-nu in binomial series of y/r and
+conj(y)/r and integrating term by term over the disk leaves a Gauss
+hypergeometric series in r^-2 (u0, u0_d1, u0_d2).  Inside the disk its
+value is evaluated by adaptive quadrature of the defining double integral,
+with a graded Gauss-Legendre rule in the angular variable to absorb the
+integrable kernel singularity; the same quadrature is the independent check
+of the closed form (verify criterion 9).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import gamma
+from scipy.special import gamma, hyp2f1
 
 from .errors import DegenerateBaseError, QuadratureError
 from .kernel import VorticityProfile
@@ -176,33 +179,22 @@ _phi_nodes, _phi_weights = panel_rule(
 )
 
 
-def _ring_kernel(r: float, s: np.ndarray, nu: float, d_order: int = 0) -> np.ndarray:
-    """Angular integral over a ring of radius s of the power kernel and its
-    radial derivatives: 2 * int_0^pi ((r-s)^2 + 4 r s sin^2(phi/2))^(-nu/2) dphi
-    (d_order = 0), and d/dr, d2/dr2 of the same for d_order = 1, 2."""
+def _ring_kernel(r: float, s: np.ndarray, nu: float) -> np.ndarray:
+    """Angular integral over a ring of radius s of the power kernel,
+    2 * int_0^pi ((r-s)^2 + 4 r s sin^2(phi/2))^(-nu/2) dphi."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     c = np.cos(_phi_nodes)
     q = r * r + s[:, None] ** 2 - 2.0 * r * s[:, None] * c[None, :]
     q = np.maximum(q, 1e-300)
-    if d_order == 0:
-        f = q ** (-nu / 2.0)
-    elif d_order == 1:
-        f = -nu * (r - s[:, None] * c[None, :]) * q ** (-(nu + 2.0) / 2.0)
-    elif d_order == 2:
-        rc = r - s[:, None] * c[None, :]
-        f = -nu * q ** (-(nu + 2.0) / 2.0) \
-            + nu * (nu + 2.0) * rc * rc * q ** (-(nu + 4.0) / 2.0)
-    else:
-        raise ValueError("d_order must be 0, 1 or 2")
-    return 2.0 * f @ _phi_weights
+    return 2.0 * q ** (-nu / 2.0) @ _phi_weights
 
 
-def _u0_case_a(r: float, nu: float, d_order: int = 0, tol: float = 1e-10) -> float:
-    """-(d/dr)^k of int_D |x-y|^(-nu) dy for |x| = r, by radial adaptive
-    quadrature of the ring contributions."""
+def _u0_case_a(r: float, nu: float, tol: float = 1e-10) -> float:
+    """-int_D |x-y|^(-nu) dy for |x| = r, by radial adaptive quadrature of
+    the ring contributions."""
 
     def integrand(s):
-        return float(s * _ring_kernel(r, s, nu, d_order)[0])
+        return float(s * _ring_kernel(r, s, nu)[0])
 
     points = [r] if 0.0 < r < 1.0 else None
     val, err = quad(integrand, 0.0, 1.0, epsabs=tol, epsrel=tol,
@@ -216,7 +208,16 @@ def _u0_case_a(r: float, nu: float, d_order: int = 0, tol: float = 1e-10) -> flo
 
 
 def u0(case: InteractionCase, r: float) -> float:
-    """Interaction potential of the unit disk at distance r from its center."""
+    """Interaction potential of the unit disk at distance r from its center.
+
+    Power kernel, r >= 1: with a = nu/2 and x = r^-2,
+    u0 = -pi r^-nu 2F1(a, a; 2; x) (DLMF 15.2.1), and its r-derivatives
+    follow from d/dx 2F1 (DLMF 15.5.1):
+    u0' = pi nu r^-(nu+1) 2F1(a, a+1; 2; x),
+    u0'' = -pi nu [(nu+1) r^-(nu+2) 2F1(a, a+1; 2; x)
+                   + a(a+1) r^-(nu+4) 2F1(a+1, a+2; 3; x)].
+    At r = 1 the first is Gauss's sum (DLMF 15.4.20), case.u0_at_1.
+    """
     r = float(r)
     if r < 0:
         raise ValueError("r must be non-negative")
@@ -224,7 +225,10 @@ def u0(case: InteractionCase, r: float) -> float:
         if r <= 1.0:
             return -np.pi / 2.0 * (1.0 - r * r)
         return np.pi * np.log(r)
-    return _u0_case_a(r, case.nu, d_order=0)
+    if r < 1.0:
+        return _u0_case_a(r, case.nu)
+    a = 0.5 * case.nu
+    return float(-np.pi * r ** -case.nu * hyp2f1(a, a, 2.0, r ** -2))
 
 
 def u0_d1(case: InteractionCase, r: float) -> float:
@@ -234,7 +238,8 @@ def u0_d1(case: InteractionCase, r: float) -> float:
         raise ValueError(f"u0_d1 is defined for r > 1, got r={r}")
     if case.is_log:
         return np.pi / r
-    return _u0_case_a(r, case.nu, d_order=1)
+    nu, a = case.nu, 0.5 * case.nu
+    return float(np.pi * nu * r ** -(nu + 1.0) * hyp2f1(a, a + 1.0, 2.0, r ** -2))
 
 
 def u0_d2(case: InteractionCase, r: float) -> float:
@@ -244,45 +249,11 @@ def u0_d2(case: InteractionCase, r: float) -> float:
         raise ValueError(f"u0_d2 is defined for r > 1, got r={r}")
     if case.is_log:
         return -np.pi / (r * r)
-    return _u0_case_a(r, case.nu, d_order=2)
-
-
-# --------------------------------------------------------------------------
-# series representation (validation path, case A with nu = 1)
-# --------------------------------------------------------------------------
-
-def u0_series_raw(r: float, n_terms: int = 4000) -> float:
-    """Wallis-coefficient series for the disk potential at nu = 1, as an
-    uncalibrated shape: the overall constant is fixed against the quadrature
-    path by :func:`u0_series_calibration`."""
-    k = np.arange(n_terms, dtype=float)
-    # W_{2k} = pi/2 * (2k-1)!!/(2k)!!, computed stably via a running product
-    w = np.empty(n_terms)
-    w[0] = np.pi / 2.0
-    if n_terms > 1:
-        ratio = (2.0 * k[1:] - 1.0) / (2.0 * k[1:])
-        w[1:] = np.pi / 2.0 * np.cumprod(ratio)
-    w2 = w * w
-    r = float(r)
-    if r >= 1.0:
-        terms = w2 / (2.0 * k + 2.0) * r ** (-(2.0 * k + 1.0))
-        return -4.0 / np.pi**2 * terms.sum()
-    denom = 2.0 * k - 1.0
-    terms = w2 * (r / (2.0 * k + 2.0) + r / denom - r ** (2.0 * k) / denom)
-    return -4.0 / np.pi**2 * terms.sum()
-
-
-def u0_series_calibration(r_ref: float = 2.0) -> float:
-    """Constant relating the raw series to the quadrature value of the
-    nu = 1 disk potential (resolved numerically rather than trusted)."""
-    return u0(case_a(1.0), r_ref) / u0_series_raw(r_ref)
-
-
-def u0_series(r: float, factor: Optional[float] = None) -> float:
-    """Calibrated series evaluation of the nu = 1 disk potential."""
-    if factor is None:
-        factor = u0_series_calibration()
-    return factor * u0_series_raw(r)
+    nu, a = case.nu, 0.5 * case.nu
+    x = r ** -2
+    return float(-np.pi * nu * r ** -(nu + 2.0) * (
+        (nu + 1.0) * hyp2f1(a, a + 1.0, 2.0, x)
+        + a * (a + 1.0) * x * hyp2f1(a + 1.0, a + 2.0, 3.0, x)))
 
 
 # --------------------------------------------------------------------------

@@ -169,13 +169,17 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
     G' = 0 keeps lam = 0.
 
     Stop rule: by the maximum principle, ||(Delta - lam)^-1|| <= 1/max(4, lam)
-    in the sup norm, so q = max|wG' - lam| / max(4, lam) bounds the
-    contraction.  When q < 1/2 the iteration stops once the a-posteriori
-    error bound delta q / (1 - q) of the last step delta is below tol, and
-    otherwise once delta < tol.  With G' = 0, q = 0 and one step is exact.
+    in the sup norm, so q = max|wG' - lam| / max(4, lam), taken over the
+    iterates before and after the step, bounds the contraction.  (At the
+    first iterate alone wG' can be uniform and equal to lam, so q = 0 there
+    whatever G' does further on.)  When q < 1/2 the iteration stops once
+    the a-posteriori error bound delta q / (1 - q) of the last step delta is
+    below tol, and otherwise once delta < tol.  With G' = 0, q = 0 and one
+    step is exact.
 
     The step runs on the rfft modes n = 0..M/2 of the angle, by fast
-    diagonalization (_solve_modes), and evaluates G' once.  The iteration
+    diagonalization (_solve_modes), and evaluates G' once, at the new
+    iterate; a solve of k steps evaluates it k + 1 times.  The iteration
     starts from u_init (broadcast to the grid), or from zero.
     """
     if injectivity_margin(h) <= 0:
@@ -190,19 +194,21 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
     else:
         u = np.array(np.broadcast_to(u_init, shape), dtype=float)
 
+    wg1 = w * profile.d1(u)
     lam = None
     for steps in range(1, max_iter + 1):
-        wg1 = w * profile.d1(u)
         lo, hi = float(np.min(wg1)), float(np.max(wg1))
         if lam is None or max(hi - lam, lam - lo) > 0.5 * (lam + _J01_SQ):
             lam = max(round(0.5 * (lo + hi) / _LAM_STEP) * _LAM_STEP, 0.0)
-        q = max(hi - lam, lam - lo) / max(4.0, lam)
 
         rhs = w * np.asarray(profile.eval(u), dtype=float) - lam * u
         u_hat = _solve_modes(n_radial, lam, np.fft.rfft(rhs, axis=1))
         u_new = np.fft.irfft(u_hat, n=n_angular, axis=1)
         delta = float(np.max(np.abs(u_new - u)))
         u = u_new
+        wg1 = w * profile.d1(u)
+        lo, hi = min(lo, float(np.min(wg1))), max(hi, float(np.max(wg1)))
+        q = max(hi - lam, lam - lo) / max(4.0, lam)
         if (delta * q / (1.0 - q) if q < 0.5 else delta) < tol:
             break
     else:

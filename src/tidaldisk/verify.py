@@ -14,8 +14,8 @@ from .coeffs import (build_mode_table, c_n_closed_log, c_n_disk_quadrature,
 from .kernel import linear_preset, rigid_preset
 from .linop import (apply_forward, first_order_response, make_operator,
                     solve_linearized)
-from .potential import (case_a, case_b, make_base_state, u0, u0_d1, u0_d2,
-                        u0_series, u0_series_calibration)
+from .potential import (_u0_case_a, case_a, case_b, make_base_state, u0,
+                        u0_d1, u0_d2)
 from .radial_ode import mode_derivatives, solve_An
 from .residual import (boundary_potential, quasi_newton_solve, residual_F,
                        residual_norm)
@@ -200,17 +200,16 @@ def criterion_9_potential_properties():
                                    and np.all(np.diff(ratio) < 0))
     center = u0(case_a(1.0), 0.0)
     center_ok = abs(center + 2.0 * np.pi) < 1e-8
-    factor = u0_series_calibration()
-    series_worst = 0.0
-    for r in np.linspace(1.5, 5.0, 8):
-        series_worst = max(series_worst,
-                           abs(u0_series(r, factor) - u0(case_a(1.0), r)))
+    closed_worst = 0.0
+    for nu in (0.5, 1.0):
+        for r in np.linspace(1.0, 5.0, 9):
+            closed_worst = max(closed_worst,
+                               abs(u0(case_a(nu), r) - _u0_case_a(r, nu)))
     return {
-        "name": "disk potential monotonicity, center value and series",
-        "passed": bool(mono_ok and center_ok and series_worst < 1e-4),
+        "name": "disk potential monotonicity, center value and closed form",
+        "passed": bool(mono_ok and center_ok and closed_worst < 1e-9),
         "details": {"monotone": mono_ok, "u0_at_0": center,
-                    "series_max_dev": series_worst,
-                    "series_factor": factor},
+                    "closed_form_max_dev": closed_worst},
     }
 
 

@@ -66,6 +66,19 @@ def test_omega0_route_matches_a0_route(tmp_path):
     assert abs(ba["a0"] - bo["a0"]) < 1e-9
 
 
+def test_omega0_route_matches_a0_route_power_kernel(tmp_path):
+    from tidaldisk.potential import case_a, omega_from_a0
+    head = "case = A\nnu = 0.5\nprofile = rigid:1.0\nN = 16\n"
+    cfg_a = _write_cfg(tmp_path, head + "a0 = 2.0\n", "a.cfg")
+    om = omega_from_a0(case_a(0.5), 2.0)
+    cfg_o = _write_cfg(tmp_path, head + f"omega0 = {om!r}\n", "o.cfg")
+    out_a, out_o = tmp_path / "oa", tmp_path / "oo"
+    assert main(["base", "--config", cfg_a, "--out", str(out_a)]) == 0
+    assert main(["base", "--config", cfg_o, "--out", str(out_o)]) == 0
+    ba, bo = _read_json(out_a / "base.json"), _read_json(out_o / "base.json")
+    assert abs(ba["a0"] - bo["a0"]) < 1e-9
+
+
 def test_scan_outputs(tmp_path):
     cfg = _write_cfg(tmp_path, BASE_CFG)
     out = tmp_path / "out"
@@ -153,6 +166,17 @@ def test_omega0_out_of_range_exit_code(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "admissible interval" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["linear:nan,-2", "linear:1,nan",
+                                  "linear:inf,-2", "rigid:inf"])
+def test_non_finite_profile_exit_code(tmp_path, capsys, spec):
+    cfg = _write_cfg(tmp_path, f"case = B\nprofile = {spec}\na0 = 2.0\n")
+    code = main(["base", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
     assert "Traceback" not in err
 
 

@@ -64,13 +64,24 @@ def test_kernel_moments_match_per_k_quad(nu):
 
 @pytest.mark.parametrize("nu", [0.88, 0.92, 0.96])
 def test_kernel_moments_near_nu_1(nu):
-    # Below nu = 1 the tail in the quadrature's own variable decays slowly,
-    # and an integrand that is rounding noise far out sends the vector
-    # quadrature there (a tail of 4.2 for 8.9e-6 at nu = 0.92).  The
+    # Near nu = 1 the binomial series converges slowest.  The
     # reference loop is only good to its absolute tolerance here: its
     # gammaln integrand is off by up to 3e-14, 1e-11 of m_256.
     ref = _kernel_moments_per_k(nu, 256)
     assert np.max(np.abs(kernel_moments(nu, 256) - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.5, 0.92, 0.999999, 1.0])
+def test_kernel_moments_gamma_ratio_precision(nu):
+    # the closed form m_k = (pi/2) Gamma(2-nu) Gamma(k+a)
+    # / (Gamma(a) Gamma(2-a) Gamma(k+2-a)), a = nu/2, in 30 digits
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        a = mp.mpf(nu) / 2
+        pre = mp.pi / 2 * mp.gamma(2 - 2 * a) / (mp.gamma(a) * mp.gamma(2 - a))
+        ref = np.array([float(pre * mp.gamma(k + a) / mp.gamma(k + 2 - a))
+                        for k in range(513)])
+    assert np.max(np.abs(kernel_moments(nu, 512) / ref - 1.0)) <= 1e-13
 
 
 def test_power_coefficient_closed_values():

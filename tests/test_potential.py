@@ -3,10 +3,9 @@ import pytest
 
 from tidaldisk.errors import DegenerateBaseError
 from tidaldisk.kernel import rigid_preset, zero_preset
-from tidaldisk.potential import (InteractionCase, a0_from_omega, case_a,
-                                 case_b, make_base_state, omega_from_a0, u0,
-                                 u0_d1, u0_d2, u0_series,
-                                 u0_series_calibration, u0_series_raw)
+from tidaldisk.potential import (InteractionCase, _u0_case_a, a0_from_omega,
+                                 case_a, case_b, make_base_state,
+                                 omega_from_a0, u0, u0_d1, u0_d2)
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -71,19 +70,13 @@ def test_power_case_derivative_consistency():
         assert abs(fd2 - u0_d2(case, r)) < 1e-6
 
 
-def test_series_calibration_and_match():
-    factor = u0_series_calibration()
-    # the raw series is off by exactly this constant; fixed numerically
-    assert abs(factor - 2.0 * np.pi) < 1e-8
-    case = case_a(1.0)
-    for r in (1.5, 2.5, 4.0):
-        assert abs(u0_series(r, factor) - u0(case, r)) < 1e-6
-    # interior branch of the series as well
-    assert abs(u0_series(0.0, factor) - u0(case, 0.0)) < 1e-4
-
-
-def test_series_raw_continuity_at_1():
-    assert abs(u0_series_raw(1.0 - 1e-9) - u0_series_raw(1.0)) < 1e-4
+@pytest.mark.parametrize("nu", [0.1, 0.5, 0.92, 0.999999, 1.0])
+def test_closed_form_matches_quadrature(nu):
+    case = case_a(nu)
+    for r in (1.0, 1.05, 1.5, 2.0, 10.0):
+        assert abs(u0(case, r) - _u0_case_a(r, nu)) < 1e-10, r
+    # Gauss's sum at r = 1 is the case's closed-form u0(1)
+    assert abs(u0(case, 1.0) - case.u0_at_1) < 1e-14
 
 
 def test_omega_a0_relation_and_inverse():
@@ -91,10 +84,12 @@ def test_omega_a0_relation_and_inverse():
     assert abs(omega_from_a0(case, 2.0) - SQRT_PI / 2.0) < 1e-14
     a0 = a0_from_omega(case, SQRT_PI / 2.0)
     assert abs(a0 - 2.0) < 1e-10
-    # power case round trip
-    caseA = case_a(1.0)
-    om = omega_from_a0(caseA, 3.0)
-    assert abs(a0_from_omega(caseA, om) - 3.0) < 1e-8
+    # power case round trips
+    for nu in (0.1, 0.5, 0.92, 1.0):
+        caseA = case_a(nu)
+        for a0 in (1.6, 3.0, 40.0):
+            om = omega_from_a0(caseA, a0)
+            assert abs(a0_from_omega(caseA, om) - a0) < 1e-12
 
 
 def test_omega_out_of_range_reports_interval():

@@ -8,7 +8,8 @@ from scipy.special import gamma, rgamma
 
 from tidaldisk.chebyshev import HalfDiameterGrid
 from tidaldisk.errors import DivergenceError, TidaldiskError
-from tidaldisk.kernel import linear_preset, profile_from_table, rigid_preset
+from tidaldisk.kernel import (linear_preset, profile_from_table, rigid_preset,
+                              smooth_profile)
 from tidaldisk.linop import apply_forward, make_operator
 from tidaldisk import residual
 from tidaldisk.potential import case_a, case_b, make_base_state, u0, u0_d1
@@ -144,7 +145,8 @@ def base_linear():
 
 
 def _counting_d1(profile):
-    """Copy of profile whose d1, called once per Picard step, is counted."""
+    """Copy of profile whose d1, called once per Picard step and once at
+    the start, is counted."""
     calls = []
 
     def d1(u):
@@ -171,8 +173,9 @@ def test_stream_function_warm_start(base_linear):
                            u_init=phi0)
     assert np.max(np.abs(warm_fld.values - cold_fld.values)) < 1e-11
     assert np.array_equal(cold_fld.values, fld.values)
-    # G' is evaluated once per step; the benchmark counts steps that way
-    assert len(cold_calls) == cold_fld.picard_steps
+    # G' is evaluated at the start and once per step; the benchmark's
+    # picard_iters counter counts these calls
+    assert len(cold_calls) == cold_fld.picard_steps + 1
     # At _small_shape() itself both starts take 5 steps under the
     # a-posteriori stop; on the smaller shapes of actual solves the phi0
     # start saves a step
@@ -183,6 +186,19 @@ def test_stream_function_warm_start(base_linear):
         warm_steps = solve_phi_h(hs, base_linear.profile, n_radial=32,
                                  n_angular=64, u_init=phi0).picard_steps
         assert warm_steps < cold_steps, (scale, warm_steps, cold_steps)
+
+
+@pytest.mark.parametrize("n", [0, 8])
+def test_stream_function_stop_rule_uniform_start(n):
+    # From u = 0 on the unit disk, wG' = G'(0) = 1 is uniform and on the
+    # damping grid, so the contraction bound at the start iterate alone is
+    # 0 and would stop the solve after one step.
+    profile = smooth_profile(lambda u: -2.0 + u + 4.0 * np.asarray(u) ** 3,
+                             lambda u: 1.0 + 12.0 * np.asarray(u) ** 2)
+    h = ShapeCoeffs.zero(n)
+    fld = solve_phi_h(h, profile)
+    assert fld.picard_steps > 1
+    assert field_equation_residual(fld, h, profile) < 1e-10
 
 
 def _table_profile():
