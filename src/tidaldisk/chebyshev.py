@@ -1,14 +1,19 @@
 """Chebyshev collocation utilities.
 
-Differentiation matrices on Chebyshev-Lobatto points, plus the folded
-("half diameter") variant used by the polar Poisson solver, where the radial
-coordinate runs over (0, 1] and parity in r couples the two halves of the
-diameter.
+Differentiation matrices on Chebyshev-Lobatto points, and the package's
+one radial grid: the folded ("half diameter") grid on (0, 1], where parity
+in r couples the two halves of the diameter (Trefethen, Spectral Methods in
+MATLAB, ch. 11).  The stream-function and mode solvers share _radial_basis.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+from scipy.interpolate import BarycentricInterpolator
+
+DEFAULT_RADIAL = 64  # half-diameter nodes; 2x this on the full diameter
 
 
 def lobatto_points(n: int) -> np.ndarray:
@@ -33,15 +38,6 @@ def diff_matrix(x: np.ndarray) -> np.ndarray:
     D = np.outer(c, 1.0 / c) / (X + np.eye(n))
     D -= np.diag(D.sum(axis=1))
     return D
-
-
-def unit_interval_grid(n: int):
-    """Lobatto grid mapped to [0, 1] (descending, r[0]=1) with its
-    first and second differentiation matrices."""
-    x = lobatto_points(n)
-    r = (x + 1.0) / 2.0
-    D = 2.0 * diff_matrix(x)
-    return r, D, D @ D
 
 
 class HalfDiameterGrid:
@@ -84,3 +80,28 @@ class HalfDiameterGrid:
         L = self.d2(n) + np.diag(1.0 / self.r) @ self.d1(n)
         L -= np.diag(n * n / self.r**2)
         return L
+
+    def even_interpolant(self, values: np.ndarray) -> BarycentricInterpolator:
+        """Chebyshev interpolant of the even extension over the diameter of
+        ``values`` at the nodes r.  With wi given, scipy does not permute
+        the nodes at random, which moves results by an ulp between runs."""
+        wi = (-1.0) ** np.arange(2 * self.n_half)
+        wi[[0, -1]] *= 0.5
+        return BarycentricInterpolator(lobatto_points(2 * self.n_half),
+                                       np.concatenate([values, values[::-1]]),
+                                       wi=wi)
+
+
+@functools.lru_cache(maxsize=4)
+def _radial_basis(n_radial: int):
+    """The half-diameter grid and, for parity p = 0, 1, the matrix
+    d_rr + (1/r) d_r of the modes n = p (mod 2), before the -n^2/r^2 term.
+
+    Shared between calls, so the arrays are read-only.
+    """
+    grid = HalfDiameterGrid(n_radial)
+    inv_r = np.diag(1.0 / grid.r)
+    basis = tuple(grid.d2(p) + inv_r @ grid.d1(p) for p in (0, 1))
+    for arr in (grid.r, *basis):
+        arr.setflags(write=False)
+    return grid, basis

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma
 
+from .chebyshev import DEFAULT_RADIAL
 from .errors import QuadratureError
 # c_n_closed_log is defined with the case object and kept importable here
 from .potential import (InteractionCase, BaseState, c_n_closed_log,
@@ -231,12 +232,13 @@ def multiplier(base: BaseState, n, a_deriv_n, c_abs_n):
 
 
 def build_mode_table(base: BaseState, N: int = DEFAULT_N_MODES,
-                     n_nodes: int = 64, workers: int = 1) -> ModeTable:
+                     n_nodes: int = DEFAULT_RADIAL, workers: int = 1) -> ModeTable:
     """Assemble A_n'(1), c_n and omega_n for n = 0..N.
 
-    The mode derivatives share one Chebyshev grid and one set of G(phi0)
-    tables.  The c_n are the case's closed form (InteractionCase.coefficients);
-    the direct quadrature and the moment route check them in the tests.
+    The mode derivatives share one half-diameter grid of n_nodes radii and
+    one set of G(phi0) tables.  The c_n are the case's closed form
+    (InteractionCase.coefficients); the direct quadrature and the moment
+    route check them in the tests.
     ``workers`` is accepted and has no effect: the table is built in one
     thread, which measured faster than a thread pool.
     """

@@ -18,7 +18,7 @@ Recognized keys (units in parentheses):
     m           mass parameter, or comma-separated sweep
     m_cap       override of the heuristic mass cap, positive
     workers     accepted for compatibility, has no effect (integer >= 1)
-    seed        seed for randomized verification suites
+    seed        seed for randomized verification suites, integer >= 0
 """
 
 from __future__ import annotations
@@ -80,6 +80,8 @@ class RunConfig:
             raise ConfigError("grid too small for the requested truncation")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def _parse_profile(text: str) -> VorticityProfile:

@@ -8,13 +8,11 @@ Bernoulli constant mu.  Inversion follows the explicit recipe:
     g0_hat = M / (2 pi),
     mu     = 2 omega_0 g0_hat - S_0,
     gn_hat = S_n / omega_n        (n >= 1),
-    b      = (Z + W[g]) / particle_diag,
+    b      = (Z + W[g]) / particle_diag.
 
-where 2 pi is the derivative of the area pi (1 + g0)^2 + ... in the g0
-direction at the disk,
-
-where W[g] is the shape derivative of the attraction force on the
-particle, evaluated by smooth disk quadrature.
+Here 2 pi is the derivative of the area pi (1 + g0)^2 + ... in the g0
+direction at the disk, and W[g] is the shape derivative of the attraction
+force on the particle, evaluated by smooth disk quadrature.
 """
 
 from __future__ import annotations
@@ -108,6 +106,7 @@ def nonresonance_scan(op: LinearizedOperator, margin_factor: float = 1.0,
 # shape derivative of the particle force
 # --------------------------------------------------------------------------
 
+# disk rule of W[g] here and of the force itself (residual.particle_force)
 _WQ_RADIAL = 64
 _WQ_ANGULAR = 128
 

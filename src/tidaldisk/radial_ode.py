@@ -8,45 +8,39 @@ Two solvers live here:
 
 * the linear mode profiles A_n driven by the boundary perturbation,
   (1/r)(r A_n')' - n^2/r^2 A_n - G'(phi0) A_n = r^n G(phi0), A_n(1) = 0,
-  solved by Chebyshev collocation in the substituted form A_n = r^n alpha_n,
-  which removes the indicial behavior at the origin for every n.
+  solved in the substituted form A_n = r^n alpha_n, which removes the
+  indicial behavior at the origin for every n.  alpha_n is even, so it is
+  collocated on the even block of the half-diameter grid (no node at r = 0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .chebyshev import unit_interval_grid
+from .chebyshev import DEFAULT_RADIAL, _radial_basis, lobatto_points
 from .errors import TidaldiskError
 from .kernel import VorticityProfile
-
-# Chebyshev resolution of the mode solves.  Smooth profiles are resolved
-# well below this; pushing it higher only grows roundoff in the dense
-# differentiation matrices.
-DEFAULT_NODES = 64
 
 
 @dataclass
 class RadialProfile:
-    """Sampled radial function on [0, 1] with a cubic interpolant.
+    """Sampled radial function on [0, 1] with the evaluator of its solver.
 
-    ``deriv_at_1`` is the one-sided derivative at the boundary, extracted
-    from the solver rather than the interpolant.  ``residual`` records the
-    boundary-condition mismatch of the solve that produced the profile.
+    ``deriv_at_1`` is the derivative at the boundary, extracted from the
+    solver.  ``residual`` records the boundary-condition mismatch of the
+    solve that produced the profile.
     """
 
     nodes: np.ndarray
     values: np.ndarray
     deriv_at_1: float
+    evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     residual: float = 0.0
-    _dense: Optional[Callable[[np.ndarray], np.ndarray]] = field(
-        default=None, repr=False)
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -55,12 +49,9 @@ class RadialProfile:
             raise ValueError("nodes must be strictly increasing")
         if not np.isclose(self.nodes[-1], 1.0):
             raise ValueError("grid must include the boundary point r = 1")
-        self._spline = CubicSpline(self.nodes, self.values)
 
     def __call__(self, r):
-        if self._dense is not None:
-            return self._dense(r)
-        return self._spline(r)
+        return self.evaluate(r)
 
     @property
     def value_at_1(self) -> float:
@@ -98,7 +89,7 @@ def _integrate_from_center(c: float, profile: VorticityProfile,
     return sol
 
 
-def solve_phi0(profile: VorticityProfile, n_nodes: int = DEFAULT_NODES + 1,
+def solve_phi0(profile: VorticityProfile, n_nodes: int = DEFAULT_RADIAL + 1,
                bracket_scale: float = 10.0) -> RadialProfile:
     """Shoot on the center value so that the profile vanishes at r = 1.
 
@@ -131,7 +122,7 @@ def solve_phi0(profile: VorticityProfile, n_nodes: int = DEFAULT_NODES + 1,
     c_star = brentq(shoot, cs[idx], cs[idx + 1], xtol=1e-14, rtol=8.9e-16)
 
     sol = _integrate_from_center(c_star, profile, dense=True)
-    nodes = 0.5 * (1.0 - np.cos(np.pi * np.arange(n_nodes) / (n_nodes - 1)))
+    nodes = 0.5 * (1.0 - lobatto_points(n_nodes))
     dense_sol = sol.sol
 
     def dense(r):
@@ -147,7 +138,7 @@ def solve_phi0(profile: VorticityProfile, n_nodes: int = DEFAULT_NODES + 1,
     deriv_at_1 = float(sol.y[1][-1])
     residual = abs(float(sol.y[0][-1]))
     return RadialProfile(nodes=nodes, values=values, deriv_at_1=deriv_at_1,
-                         residual=residual, _dense=dense)
+                         evaluate=dense, residual=residual)
 
 
 # --------------------------------------------------------------------------
@@ -155,35 +146,31 @@ def solve_phi0(profile: VorticityProfile, n_nodes: int = DEFAULT_NODES + 1,
 # --------------------------------------------------------------------------
 
 def _mode_grid(base, n_nodes: int):
-    """Chebyshev grid (r, D, D2) and the tables G(phi0), G'(phi0) on it,
-    shared by every mode of one table."""
-    r, D, D2 = unit_interval_grid(n_nodes + 1)
+    """(grid, L, C, row, g0), shared by every mode of one table: on the
+    interior nodes (dropping r = 1 imposes alpha(1) = 0) of the even block,
+    L = d_rr + (1/r) d_r - G'(phi0), C = (1/r) d_r and g0 = G(phi0); row is
+    the r = 1 row of d_r."""
+    grid, basis = _radial_basis(n_nodes)
+    r = grid.r
     phi = base.phi0(r)
     g0 = np.asarray(base.profile.eval(phi), dtype=float)
     g1 = np.asarray(base.profile.d1(phi), dtype=float)
-    return r, D, D2, g0, g1
+    d1 = grid.d1(0)
+    L = basis[0][1:, 1:] - np.diag(g1[1:])
+    C = d1[1:, 1:] / r[1:, None]
+    return grid, L, C, d1[0, 1:], g0[1:]
 
 
 def _solve_mode(n: int, grid):
-    """alpha = A_n / r^n on the grid and A_n'(1) = alpha'(1), from
-    alpha'' + ((2n+1)/r) alpha' - G1 alpha = G0, alpha(1) = 0,
-    alpha'(0) = 0."""
-    r, D, D2, g0, g1 = grid
-    coef = np.where(r > 0, (2 * n + 1) / np.where(r > 0, r, 1.0), 0.0)
-    A = D2 + coef[:, None] * D - np.diag(g1)
-    rhs = g0.copy()
-    i1 = int(np.argmax(r))          # r = 1
-    i0 = int(np.argmin(r))          # r = 0
-    A[i1, :] = 0.0
-    A[i1, i1] = 1.0
-    rhs[i1] = 0.0
-    A[i0, :] = D[i0, :]             # regularity: alpha'(0) = 0
-    rhs[i0] = 0.0
-    alpha = np.linalg.solve(A, rhs)
-    return alpha, float(D[i1] @ alpha)
+    """alpha = A_n / r^n at the interior nodes and A_n'(1) = alpha'(1), from
+    alpha'' + ((2n+1)/r) alpha' - G1 alpha = G0, alpha(1) = 0, i.e.
+    (L + 2n C) alpha = g0."""
+    _, L, C, row, g0 = grid
+    alpha = np.linalg.solve(L + 2 * n * C, g0)
+    return alpha, float(row @ alpha)
 
 
-def mode_derivatives(base, N: int, n_nodes: int = DEFAULT_NODES) -> np.ndarray:
+def mode_derivatives(base, N: int, n_nodes: int = DEFAULT_RADIAL) -> np.ndarray:
     """A_n'(1) for n = 0..N, all on one grid with one set of G tables.
 
     Equal bit for bit to ``solve_An(n, base, n_nodes)[1]``; no profile is
@@ -193,18 +180,21 @@ def mode_derivatives(base, N: int, n_nodes: int = DEFAULT_NODES) -> np.ndarray:
     return np.array([_solve_mode(n, grid)[1] for n in range(N + 1)])
 
 
-def solve_An(n: int, base, n_nodes: int = DEFAULT_NODES):
+def solve_An(n: int, base, n_nodes: int = DEFAULT_RADIAL):
     """Mode profile A_n and its boundary derivative A_n'(1).
 
-    Returns (RadialProfile, deriv_at_1).  Only n >= 0 is computed; negative
-    modes coincide with their mirror by symmetry of the equation in n.
+    Returns (RadialProfile, deriv_at_1).  The profile evaluates r^n times
+    the Chebyshev interpolant of the even extension of alpha over the
+    diameter.  Only n >= 0 is computed; negative modes coincide with their
+    mirror by symmetry of the equation in n.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     grid = _mode_grid(base, n_nodes)
     alpha, d1 = _solve_mode(n, grid)
-    r = grid[0]
-    order = np.argsort(r)
-    prof = RadialProfile(nodes=r[order], values=(r ** n * alpha)[order],
-                         deriv_at_1=d1)
+    alpha = np.concatenate([[0.0], alpha])  # alpha(1) = 0
+    r, even = grid[0].r, grid[0].even_interpolant(alpha)
+    prof = RadialProfile(nodes=r[::-1], values=(r**n * alpha)[::-1],
+                         deriv_at_1=d1,
+                         evaluate=lambda x: np.power(x, n) * even(x))
     return prof, d1

@@ -40,10 +40,12 @@ from numpy.polynomial.legendre import leggauss
 # calls under these names
 from scipy.linalg import lu_factor, lu_solve
 
-from .chebyshev import HalfDiameterGrid
+# HalfDiameterGrid types DiskField.grid; perfbench/tracing.py wraps the name
+from .chebyshev import DEFAULT_RADIAL, HalfDiameterGrid, _radial_basis
 from .errors import DivergenceError, TidaldiskError
 from .kernel import VorticityProfile
-from .linop import LinearizedOperator, first_order_response, solve_linearized
+from .linop import (_WQ_ANGULAR, _WQ_RADIAL, LinearizedOperator,
+                    first_order_response, solve_linearized)
 from .potential import (_A0_MIN, BaseState, particle_potential_at,
                         sine_power_coeffs)
 # eval_h_at is not called here; perfbench/tracing.py wraps it under this name
@@ -51,7 +53,6 @@ from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
                        boundary_grid, disk_rule, eval_boundary, eval_h_at,
                        eval_h_polar, injectivity_margin)
 
-DEFAULT_RADIAL = 64    # half-diameter nodes; 2x this on the full diameter
 DEFAULT_ANGULAR = 256
 
 # j_{0,1}^2: the Dirichlet Laplacian of the unit disk lies at or below -_J01_SQ
@@ -63,21 +64,6 @@ _LAM_STEP = 1.0 / 16.0
 # --------------------------------------------------------------------------
 # stream function on the disk
 # --------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=4)
-def _radial_basis(n_radial: int):
-    """The half-diameter grid and, for parity p = 0, 1, the matrix
-    d_rr + (1/r) d_r of the modes n = p (mod 2), before the -n^2/r^2 term.
-
-    Shared between calls, so the arrays are read-only.
-    """
-    grid = HalfDiameterGrid(n_radial)
-    inv_r = np.diag(1.0 / grid.r)
-    basis = tuple(grid.d2(p) + inv_r @ grid.d1(p) for p in (0, 1))
-    for arr in (grid.r, *basis):
-        arr.setflags(write=False)
-    return grid, basis
-
 
 @functools.lru_cache(maxsize=4)
 def _mode_eigs(n_radial: int, lam: float):
@@ -330,8 +316,6 @@ def boundary_potential(h: ShapeCoeffs, case, M: int = 0) -> np.ndarray:
 # particle-side quantities
 # --------------------------------------------------------------------------
 
-_PF_RADIAL = 64
-_PF_ANGULAR = 128
 # Least distance from the body to the particle for particle_force: closer,
 # the integrand's near-singularity is no longer resolved by the 64 x 128 rule.
 _PF_CLEARANCE = 0.3
@@ -340,8 +324,8 @@ _PF_CLEARANCE = 0.3
 def _body_rule(h: ShapeCoeffs):
     """The disk rule carried onto the body f(D): nodes f(y) and weights
     |f'(y)|^2 dA(y)."""
-    r, y, wt = disk_rule(_PF_RADIAL, _PF_ANGULAR)
-    fv, dfv = eval_h_polar(h, r, _PF_ANGULAR)
+    r, y, wt = disk_rule(_WQ_RADIAL, _WQ_ANGULAR)
+    fv, dfv = eval_h_polar(h, r, _WQ_ANGULAR)
     return y + fv, np.abs(1.0 + dfv) ** 2 * wt
 
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from tidaldisk.chebyshev import (HalfDiameterGrid, diff_matrix,
-                                 lobatto_points, unit_interval_grid)
+from tidaldisk.chebyshev import HalfDiameterGrid, diff_matrix, lobatto_points
 
 
 def test_lobatto_points_endpoints():
@@ -20,12 +19,15 @@ def test_diff_matrix_exact_on_polynomials():
     assert np.max(np.abs(D @ np.ones_like(x))) < 1e-12
 
 
-def test_unit_interval_grid():
-    r, D, D2 = unit_interval_grid(16)
-    assert r[0] == 1.0 and abs(r[-1]) < 1e-15
-    f = r**3 - 2 * r
-    assert np.max(np.abs(D @ f - (3 * r**2 - 2))) < 1e-10
-    assert np.max(np.abs(D2 @ f - 6 * r)) < 1e-9
+def test_even_interpolant_exact_on_even_polynomials():
+    # an even polynomial of degree below the diameter's node count is
+    # reproduced everywhere on [0, 1], r = 0 included
+    grid = HalfDiameterGrid(12)
+    f = lambda r: 1.0 - 3.0 * r**2 + 0.5 * r**8
+    interp = grid.even_interpolant(f(grid.r))
+    r = np.linspace(0.0, 1.0, 41)
+    assert np.max(np.abs(interp(r) - f(r))) < 1e-13
+    assert np.array_equal(interp(grid.r), f(grid.r))
 
 
 def test_half_diameter_laplacian_harmonics():

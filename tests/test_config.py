@@ -55,6 +55,7 @@ def test_parse_case_a_defaults():
     ("case=B\nprofile=rigid:1\na0=2\nm_cap=nan\n", "'m_cap': must be finite"),
     ("case=B\nprofile=rigid:1\na0=2\nm_cap=0\n", "'m_cap': must be positive"),
     ("case=B\nprofile=rigid:1\na0=2\nm_cap=-1\n", "'m_cap': must be positive"),
+    ("case=B\nprofile=rigid:1\na0=2\nseed=-1\n", "seed must be non-negative"),
 ])
 def test_parse_errors(text, frag):
     with pytest.raises(ConfigError, match=frag):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from tidaldisk.errors import TidaldiskError
-from tidaldisk.kernel import linear_preset, rigid_preset, zero_preset
+from tidaldisk.kernel import (linear_preset, profile_from_table, rigid_preset,
+                              zero_preset)
 from tidaldisk.potential import case_a, case_b, make_base_state
 from tidaldisk.radial_ode import (RadialProfile, mode_derivatives, solve_An,
                                   solve_phi0)
@@ -10,9 +11,11 @@ from tidaldisk.radial_ode import (RadialProfile, mode_derivatives, solve_An,
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        RadialProfile(np.array([0.0, 0.5, 0.4, 1.0]), np.zeros(4), 0.0)
+        RadialProfile(np.array([0.0, 0.5, 0.4, 1.0]), np.zeros(4), 0.0,
+                      evaluate=np.zeros_like)
     with pytest.raises(ValueError):
-        RadialProfile(np.array([0.0, 0.5, 0.9]), np.zeros(3), 0.0)
+        RadialProfile(np.array([0.0, 0.5, 0.9]), np.zeros(3), 0.0,
+                      evaluate=np.zeros_like)
 
 
 def test_phi0_rigid_closed_form():
@@ -49,14 +52,39 @@ def test_mode_closed_form_small_n(rigid_base):
         assert abs(d1 + 1.0 / (n + 1)) < 1e-9
         r = np.linspace(0, 1, 41)
         exact = -(r ** (n + 2) - r**n) / (2 * n + 2)
-        # values go through a cubic interpolant, hence the looser bound
-        assert np.max(np.abs(prof(r) - exact)) < 1e-7
+        assert np.max(np.abs(prof(r) - exact)) < 1e-12
 
 
 def test_mode_closed_form_large_n(rigid_base):
     for n in (16, 64, 200):
         _, d1 = solve_An(n, rigid_base)
         assert abs(d1 + 1.0 / (n + 1)) < 1e-10
+
+
+def test_mode_derivatives_rigid_closed_form(rigid_base):
+    n = np.arange(257)
+    d = mode_derivatives(rigid_base, 256)
+    assert np.max(np.abs(d * (n + 1) + 1.0)) < 1e-12
+
+
+def _table_profile():
+    """PCHIP profile of G(u) = -2 + u + 4 u^3, as in test_residual.py."""
+    u = np.linspace(-1.0, 1.0, 21)
+    return profile_from_table(u, -2.0 + u + 4.0 * u**3)
+
+
+# A PCHIP G is only C^1: G(phi0(r)) has jumps in its second derivative at
+# the radii where phi0 crosses a knot, and the collocation converges
+# algebraically there (64 and 128 nodes differ by 4e-6, 128 and 256 by 5e-7).
+@pytest.mark.parametrize("profile, tol", [(linear_preset(1.0, -2.0), 1e-12),
+                                          (_table_profile(), 1e-5)],
+                         ids=["linear", "pchip"])
+def test_mode_derivatives_resolved(profile, tol):
+    # doubling the radial nodes moves no A_n'(1) beyond tol
+    base = make_base_state(case_b(), 2.0, profile)
+    coarse = mode_derivatives(base, 256, n_nodes=64)
+    fine = mode_derivatives(base, 256, n_nodes=128)
+    assert np.max(np.abs(coarse - fine) / np.abs(fine)) < tol
 
 
 def test_mode_n0_regular(rigid_base):
