@@ -88,6 +88,14 @@ def _resolve_base(cfg: RunConfig):
     return make_base_state(cfg.case, a0, cfg.profile)
 
 
+def _operator(cfg: RunConfig):
+    """Frozen linearization with the mode table on the run's radial grid,
+    the one residual_F solves on."""
+    base = _resolve_base(cfg)
+    table = build_mode_table(base, N=cfg.N, n_nodes=cfg.n_radial)
+    return make_operator(base, table=table)
+
+
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
@@ -101,9 +109,8 @@ def cmd_base(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_scan(cfg: RunConfig, out: str) -> int:
-    base = _resolve_base(cfg)
-    table = build_mode_table(base, N=cfg.N, workers=cfg.workers)
-    op = make_operator(base, table=table)
+    op = _operator(cfg)
+    table = op.table
     report = nonresonance_scan(op)
     _write_csv(os.path.join(out, "modes.csv"),
                ("n", "a_deriv", "c", "omega"), table.to_csv_rows())
@@ -115,8 +122,7 @@ def cmd_scan(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_perturb(cfg: RunConfig, out: str) -> int:
-    base = _resolve_base(cfg)
-    op = make_operator(base, N=cfg.N, workers=cfg.workers)
+    op = _operator(cfg)
     for m in cfg.m_list:
         h1, a1, l1 = first_order_response(op, m)
         tag = _mass_tag(m)
@@ -136,8 +142,7 @@ def cmd_perturb(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_solve(cfg: RunConfig, out: str) -> int:
-    base = _resolve_base(cfg)
-    op = make_operator(base, N=cfg.N, workers=cfg.workers)
+    op = _operator(cfg)
     for m in cfg.m_list:
         sol = quasi_newton_solve(op, m, tol=cfg.tol,
                                  n_radial=cfg.n_radial,

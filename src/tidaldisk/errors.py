@@ -52,7 +52,8 @@ class QuadratureError(TidaldiskError):
 
 
 class DegenerateBaseError(TidaldiskError):
-    """The unperturbed stream profile has a vanishing boundary derivative,
-    which makes the linearization degenerate."""
+    """The unperturbed state makes the linearization degenerate: a
+    vanishing boundary derivative of the stream profile, or a particle
+    diagonal omega0^2 - U0''(a0) that is not positive."""
 
     exit_code = 1

@@ -12,7 +12,9 @@ Bernoulli constant mu.  Inversion follows the explicit recipe:
 
 Here 2 pi is the derivative of the area pi (1 + g0)^2 + ... in the g0
 direction at the disk, and W[g] is the shape derivative of the attraction
-force on the particle, evaluated by smooth disk quadrature.
+force on the particle.  By Hadamard's formula it is a boundary integral at
+the disk, and so a fixed linear functional of the shape coefficients whose
+weights one FFT gives when the operator is made.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from typing import Optional
 import numpy as np
 
 from .coeffs import ModeTable, build_mode_table
-from .errors import ResonanceError
+from .errors import DegenerateBaseError, ResonanceError
 from .potential import BaseState, particle_potential_at, u0_d2
 # eval_h_at is not called here; perfbench/tracing.py wraps it under this name
 from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, boundary_grid,
-                       disk_rule, eval_h_at, eval_h_polar)
+                       eval_h_at)
 
 _RESONANCE_TOL = 1e-8
 
@@ -39,6 +41,7 @@ class LinearizedOperator:
     base: BaseState
     table: ModeTable
     particle_diag: float  # omega0^2 - U0''(a0), the radial Hessian entry
+    w_weights: np.ndarray  # W[g] = w_0 g0 + sum_n w_n Re g_n, n = 1..N
 
     @property
     def N(self) -> int:
@@ -57,8 +60,10 @@ def make_operator(base: BaseState, table: Optional[ModeTable] = None,
     # the body, so this is positive.
     diag = base.omega0**2 - u0_d2(base.case, base.a0)
     if diag <= 0:
-        raise ValueError("particle diagonal must be positive")
-    return LinearizedOperator(base=base, table=table, particle_diag=diag)
+        raise DegenerateBaseError(
+            f"particle diagonal omega0^2 - U0''(a0) = {diag:.3e} is not positive")
+    return LinearizedOperator(base=base, table=table, particle_diag=diag,
+                              w_weights=_w_weights(base, table.N))
 
 
 # --------------------------------------------------------------------------
@@ -106,38 +111,34 @@ def nonresonance_scan(op: LinearizedOperator, margin_factor: float = 1.0,
 # shape derivative of the particle force
 # --------------------------------------------------------------------------
 
-# disk rule of W[g] here and of the force itself (residual.particle_force)
-_WQ_RADIAL = 64
-_WQ_ANGULAR = 128
+def _w_weights(base: BaseState, N: int) -> np.ndarray:
+    """Weights w_0..w_N of W[g] at the disk, by one FFT.
+
+    Hadamard's formula moves the boundary with normal speed
+    Re(g(e^{it}) e^{-it}) = g0 + Re sum_n g_n e^{int}, so
+    W[g] = int k(t) Re(g(e^{it}) e^{-it}) dt with k the x1-derivative of the
+    attraction at the particle, strength (a0 - cos t) |a0 - e^{it}|^-(p+2).
+    k is even, so W[g] = w_0 g0 + sum_n w_n Re g_n with w_n = int k cos(nt)
+    dt, here 2 pi Re rfft(k)_n / M on M = max(256, 4N + 8) points.
+    """
+    M = max(256, 4 * N + 8)
+    z = np.exp(1j * boundary_grid(M))
+    strength, p = base.case.force_law
+    k = strength * (base.a0 - z.real) * np.abs(base.a0 - z) ** (-(p + 2.0))
+    w = 2.0 * np.pi / M * np.fft.rfft(k)[:N + 1].real
+    w.setflags(write=False)
+    return w
 
 
 def w_shape_derivative(op: LinearizedOperator, g: ShapeCoeffs) -> float:
     """W[g]: derivative of d/dx1 of the attraction potential at the particle
-    with respect to the shape, at the disk, by tensor quadrature.
-
-    The particle sits at distance a0 >= 1.5 from the body, so the integrand
-    is smooth and a plain Gauss-Legendre (radial) x uniform (angular) rule
-    converges spectrally.
-    """
-    a0 = op.base.a0
-    r, y, wt = disk_rule(_WQ_RADIAL, _WQ_ANGULAR)
-    gv, dgv = eval_h_polar(g, r, _WQ_ANGULAR)
-    ay = a0 - y
-    q = np.abs(ay) ** 2
-    re_ay = ay.real
-
-    # With K'(d) = strength d^-(p+1), the force integrand is
-    # strength Re(a-y) |a-y|^-(p+2).  The second contribution comes from
-    # varying |a - f|^-(p+2): the squared distance decreases by
-    # 2 Re[(a-y) conj(g)] eps, so the term enters with a positive sign
-    # (checked against finite differences and the closed
-    # dilation/translation responses).
-    strength, p = op.base.case.force_law
-    f = strength * ((-gv.real + 2.0 * dgv.real * re_ay) * q ** (-(p + 2.0) / 2.0)
-                    + (p + 2.0) * (ay * np.conj(gv)).real * re_ay
-                    * q ** (-(p + 4.0) / 2.0))
-
-    return float(np.sum(f * wt))
+    with respect to the shape, at the disk; one dot product with the
+    weights of _w_weights.  Shapes beyond the table truncation are
+    rejected."""
+    if g.N > op.N:
+        raise ValueError("shape truncation exceeds the operator table")
+    w = op.w_weights
+    return float(w[0] * g.g0 + w[1:g.N + 1] @ g.gn.real)
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from tidaldisk import cli
 from tidaldisk.cli import main
+from tidaldisk.coeffs import build_mode_table
 
 BASE_CFG = """
 case = B
@@ -116,6 +118,25 @@ def test_perturb_outputs(tmp_path):
     header, rows = _read_csv(out / "boundary_perturb_1e-05.csv")
     assert header == ["phi", "x1", "x2"]
     assert len(rows) >= 512
+
+
+def test_operator_on_configured_radial_grid(tmp_path, monkeypatch):
+    # the frozen linearization's mode table sits on the n_radial grid that
+    # the residual uses, not on the default 64 radii
+    ops = []
+    make_operator = cli.make_operator
+
+    def spy(*args, **kwargs):
+        ops.append(make_operator(*args, **kwargs))
+        return ops[-1]
+
+    monkeypatch.setattr(cli, "make_operator", spy)
+    cfg = _write_cfg(tmp_path, BASE_CFG + "n_radial = 48\nm = 1e-5\n")
+    assert main(["perturb", "--config", cfg, "--out", str(tmp_path)]) == 0
+    base = ops[0].base
+    want = build_mode_table(base, N=16, n_nodes=48).a_deriv
+    assert np.array_equal(ops[0].table.a_deriv, want)
+    assert not np.array_equal(build_mode_table(base, N=16).a_deriv, want)
 
 
 def test_solve_sweep_and_linearity(tmp_path):

@@ -1,15 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tidaldisk.coeffs import build_mode_table
 from tidaldisk.errors import ResonanceError
 from tidaldisk.kernel import rigid_preset
-from tidaldisk.linop import (LinearizedOperator, apply_forward,
-                             first_order_response, make_operator,
-                             nonresonance_scan, particle_source_spectrum,
-                             solve_linearized, w_shape_derivative)
+from tidaldisk.linop import (apply_forward, first_order_response,
+                             make_operator, nonresonance_scan,
+                             particle_source_spectrum, solve_linearized,
+                             w_shape_derivative)
 from tidaldisk.potential import case_a, case_b, make_base_state
-from tidaldisk.spectral import BoundarySpectrum, ShapeCoeffs
+from tidaldisk.residual import particle_force
+from tidaldisk.spectral import (BoundarySpectrum, ShapeCoeffs, disk_rule,
+                                eval_h_polar)
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +43,7 @@ def test_scan_flags_planted_resonance(op):
     omega[3] = 0.0
     t2 = type(t)(N=t.N, a_deriv=t.a_deriv, c=t.c, omega=omega,
                  a0_deriv=t.a0_deriv)
-    op2 = LinearizedOperator(base=op.base, table=t2,
-                             particle_diag=op.particle_diag)
+    op2 = dataclasses.replace(op, table=t2)
     report = nonresonance_scan(op2)
     assert report["resonances"] == [3]
     with pytest.raises(ResonanceError) as exc:
@@ -87,6 +90,42 @@ def test_w_power_case_finite_difference():
     eps = 1e-5
     fd = (force(eps) - force(-eps)) / (2 * eps)
     assert abs(fd - w_shape_derivative(opA, g)) < 1e-6
+
+
+@pytest.mark.parametrize("case", [case_b(), case_a(1.0)], ids=["log", "nu1"])
+def test_w_matches_body_integral(case):
+    # the shape derivative of the body integral of the force, on a disk rule
+    # with more angles than the shape has coefficients
+    rng = np.random.default_rng(5)
+    N = 128
+    n = np.arange(1, N + 1)
+    g = ShapeCoeffs(1e-3 * rng.standard_normal(),
+                    1e-3 * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
+                    / n)
+    r, y, wt = disk_rule(128, 1024)
+    gv, dgv = eval_h_polar(g, r, 1024)
+    strength, p = case.force_law
+    for a0 in (1.6, 2.0, 4.0):
+        op = make_operator(make_base_state(case, a0, rigid_preset(1.0)), N=N)
+        ay = a0 - y
+        q = np.abs(ay) ** 2
+        # variation of the area element |f'|^2 and of the distance |a - f|
+        dens = strength * ((-gv.real + 2.0 * dgv.real * ay.real)
+                           * q ** (-(p + 2.0) / 2.0)
+                           + (p + 2.0) * (ay * np.conj(gv)).real * ay.real
+                           * q ** (-(p + 4.0) / 2.0))
+        assert abs(w_shape_derivative(op, g) - np.sum(dens * wt)) < 1e-14
+
+
+@pytest.mark.parametrize("case", [case_b(), case_a(1.0)], ids=["log", "nu1"])
+@pytest.mark.parametrize("a0", [1.6, 2.0, 4.0])
+def test_w_central_difference_of_force(case, a0):
+    op = make_operator(make_base_state(case, a0, rigid_preset(1.0)), N=8)
+    g = ShapeCoeffs(0.3, np.array([0.2 + 0.1j, -0.1, 0.05 - 0.02j, 0.02j]))
+    eps = 1e-5
+    fd = (particle_force(g.scaled(eps), case, a0)
+          - particle_force(g.scaled(-eps), case, a0)) / (2.0 * eps)
+    assert abs(fd - w_shape_derivative(op, g)) < 1e-10
 
 
 def test_inversion_round_trip(op):

@@ -7,11 +7,12 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gamma, rgamma
 
 from tidaldisk.chebyshev import HalfDiameterGrid
-from tidaldisk.errors import DivergenceError, TidaldiskError
+from tidaldisk.errors import (ConfigError, DegenerateBaseError, DivergenceError,
+                              TidaldiskError)
 from tidaldisk.kernel import (linear_preset, profile_from_table, rigid_preset,
                               smooth_profile)
 from tidaldisk.linop import apply_forward, make_operator
-from tidaldisk import residual
+from tidaldisk import linop, residual
 from tidaldisk.potential import case_a, case_b, make_base_state, u0, u0_d1
 from tidaldisk.residual import (_mode_eigs, _product_weights, _solve_modes,
                                 boundary_potential, center_of_mass,
@@ -20,7 +21,8 @@ from tidaldisk.residual import (_mode_eigs, _product_weights, _solve_modes,
                                 quasi_newton_solve, residual_F, residual_norm,
                                 solve_phi_h, vorticity_primitive)
 from tidaldisk.spectral import (ShapeCoeffs, _h_coeffs, boundary_grid,
-                               eval_boundary, eval_h_at)
+                               disk_rule, eval_boundary, eval_h_at,
+                               eval_h_polar)
 
 
 @pytest.fixture(scope="module")
@@ -395,11 +397,61 @@ def test_particle_force_disk(base):
 
 
 def test_particle_force_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         particle_force(ShapeCoeffs.zero(1), case_b(), 1.2)
     with pytest.raises(TidaldiskError):
         particle_force(ShapeCoeffs(0.4, np.zeros(0, dtype=complex)),
                        case_b(), 1.6)
+
+
+def test_particle_side_error_classes(op, monkeypatch):
+    # grid and base-state failures leave as TidaldiskError subclasses with
+    # their exit codes, not as ValueError
+    with pytest.raises(ConfigError):
+        boundary_potential(ShapeCoeffs.zero(16), case_b(), M=16)
+    monkeypatch.setattr(linop, "u0_d2", lambda case, a: 10.0)
+    with pytest.raises(DegenerateBaseError):
+        make_operator(op.base, table=op.table)
+
+
+def _decaying_shape(N, power, scale, seed):
+    """Random shape with |g_n| ~ scale / n^power."""
+    rng = np.random.default_rng(seed)
+    n = np.arange(1, N + 1)
+    gn = scale * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    return ShapeCoeffs(scale * rng.standard_normal(), gn / n**power)
+
+
+def _body_rule(h, n_r, n_phi):
+    """Nodes f(y) and weights |f'(y)|^2 dA(y) of a disk rule carried onto
+    the body: the reference for the boundary-integral forms."""
+    r, y, wt = disk_rule(n_r, n_phi)
+    fv, dfv = eval_h_polar(h, r, n_phi)
+    return y + fv, np.abs(1.0 + dfv) ** 2 * wt
+
+
+@pytest.mark.parametrize("case", [case_b(), case_a(0.5), case_a(1.0)],
+                         ids=["log", "nu0.5", "nu1"])
+def test_particle_force_matches_body_integral(case):
+    # at N = 128 a 128-angle disk rule aliases h's 130 coefficients; the
+    # 512-angle one does not
+    h = _decaying_shape(128, 2, 1e-3, seed=3)
+    f, wf = _body_rule(h, 128, 512)
+    strength, p = case.force_law
+    for a in (1.6, 2.0, 4.0):
+        af = a - f
+        ref = np.sum(strength * af * np.abs(af) ** (-(p + 2.0)) * wf)
+        assert abs(particle_force(h, case, a) - ref.real) < 1e-13
+        assert abs(particle_force(h, case, a, component=1) - ref.imag) < 1e-13
+
+
+def test_center_of_mass_matches_body_integral():
+    h = _decaying_shape(80, 1, 0.02, seed=7)
+    f, wf = _body_rule(h, 128, 512)
+    ref = np.sum(f * wf) / np.pi
+    com = center_of_mass(h, 0.0, 2.0)
+    assert abs(ref.imag) > 1e-3  # asymmetric
+    assert abs(com[0] - ref.real) < 1e-13 and abs(com[1] - ref.imag) < 1e-13
 
 
 def test_center_of_mass_disk():

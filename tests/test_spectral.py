@@ -70,7 +70,7 @@ def test_eval_consistency():
     (10, 32),    # M >= N + 2: every power has its own angular mode
     (10, 8),     # M < N + 2: powers k >= M fold onto k mod M
     (30, 8),     # powers fold onto k mod M up to three times
-    (128, 128),  # the particle-side quadrature grids, degree N + 1 = 129
+    (128, 128),  # degree N + 1 = 129: one power folds
 ])
 def test_eval_h_polar_matches_direct_summation(N, M):
     rng = np.random.default_rng(N + M)
