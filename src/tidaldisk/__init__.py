@@ -10,8 +10,7 @@ from .potential import (BaseState, InteractionCase, a0_from_omega, case_a,
                         case_b, make_base_state, omega_from_a0, u0, u0_d1,
                         u0_d2)
 from .radial_ode import RadialProfile, solve_An, solve_phi0
-from .coeffs import (ModeTable, build_mode_table, c_n, c_n_closed_log,
-                     gamma0)
+from .coeffs import ModeTable, build_mode_table, c_n, c_n_closed_log
 from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
                        eval_boundary, injectivity_margin, synthesize,
                        xi_coeffs)
@@ -30,7 +29,7 @@ __all__ = [
     "RadialProfile", "ResonanceError", "ShapeCoeffs", "TidaldiskError",
     "VorticityProfile", "a0_from_omega", "analyze", "apply_forward", "area",
     "boundary_potential", "build_mode_table", "c_n", "c_n_closed_log",
-    "case_a", "case_b", "eval_boundary", "first_order_response", "gamma0",
+    "case_a", "case_b", "eval_boundary", "first_order_response",
     "injectivity_margin", "linear_preset", "make_base_state",
     "make_operator", "nonresonance_scan", "omega_from_a0", "particle_force",
     "profile_from_csv", "profile_from_table", "quasi_newton_solve",

@@ -11,10 +11,11 @@ adds the checks they are held against:
   used by verify criterion 1 and the tests,
 * the kernel moments m_k = (1/2) int_D y^k |1-y|^(-nu) dy, a ratio of
   Gamma functions by Gauss's sum of their binomial series, from which
-  c_n = nu * sum_{k<=n} m_k - 2(n+1) m_n; the tests use it for large n.
+  c_n = nu * sum_{k<=n} m_k - 2(n+1) m_n; the tests use it for large n,
+* the digamma form of c_n at nu = 1, where c_n grows like ln n (verify
+  criterion 4).
 
-The module also evaluates the constant gamma0 governing the logarithmic
-growth of c_n at nu = 1, and assembles the per-mode multiplier table.
+The module also assembles the per-mode multiplier table.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma
+from scipy.special import digamma, gamma
 
 from .chebyshev import DEFAULT_RADIAL
 from .errors import QuadratureError
@@ -123,64 +123,25 @@ def kernel_moments(nu: float, n_max: int) -> np.ndarray:
     return np.cumprod(factors)
 
 
+def c_n_digamma_nu1(n):
+    """c_n at nu = 1 by digamma functions; n may be an integer array.
+
+    There the d_k of |2 sin(t/2)|^-1 are -(psi(k+1/2) - psi(1/2))/pi, and
+    c_n = (psi(n+1/2) + psi(n+3/2))/2 + gamma + 2 ln 2 - 1 - (n+1)/(n+1/2),
+    c_0 = -2 included.  So c_n - ln n tends to gamma + 2 ln 2 - 2, and
+    c_n / ln n to 1.
+    """
+    n = np.asarray(n, dtype=float)
+    c = (0.5 * (digamma(n + 0.5) + digamma(n + 1.5)) + np.euler_gamma
+         + 2.0 * np.log(2.0) - 1.0 - (n + 1.0) / (n + 0.5))
+    return c if c.ndim else float(c)
+
+
 def c_n(case: InteractionCase, n: int) -> float:
     """Single linearization coefficient, from the case's closed form."""
     if n < 0:
         raise ValueError("n must be non-negative")
     return float(case.coefficients(n)[n])
-
-
-# --------------------------------------------------------------------------
-# asymptotic constant gamma0
-# --------------------------------------------------------------------------
-
-def _gamma0_partial_sums(nu: float, n_periods: int) -> np.ndarray:
-    """Partial sums over the zeta-periods [j pi, (j+1) pi], j < n_periods, of
-    int_0^inf int_0^inf exp(-r) zeta sin(zeta) (r^2+zeta^2)^(-(2+nu)/2)."""
-    def radial(zeta):
-        val, _ = quad(lambda r: np.exp(-r) * (r * r + zeta * zeta) ** (-(2.0 + nu) / 2.0),
-                      0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=200)
-        return val
-
-    def outer(zeta):
-        return zeta * np.sin(zeta) * radial(zeta)
-
-    pieces = [quad(outer, j * np.pi, (j + 1) * np.pi, epsabs=1e-12,
-                   epsrel=1e-11, limit=200)[0] for j in range(n_periods)]
-    return np.cumsum(pieces)
-
-
-def gamma0(nu: float = 1.0, n_periods: int = 80, tol: float = 1e-10) -> float:
-    """Improper double integral
-    nu * int_0^inf int_0^inf exp(-r) zeta sin(zeta) (r^2+zeta^2)^(-(2+nu)/2)
-    summed period-by-period in zeta with alternating-series acceleration.
-    """
-    if not (0.0 < nu <= 1.0):
-        raise ValueError("nu must lie in (0, 1]")
-    partial = _gamma0_partial_sums(nu, n_periods)
-
-    # iterated averaging of the alternating partial sums
-    s = partial.astype(float)
-    last_span = np.inf
-    while len(s) > 2:
-        s = 0.5 * (s[:-1] + s[1:])
-        span = abs(s[-1] - s[-2])
-        if span < tol:
-            return float(nu * s[-1])
-        if span > last_span * 4:
-            break
-        last_span = span
-    if abs(s[-1] - s[-2]) > 1e-6:
-        raise QuadratureError("gamma0 acceleration failed to settle",
-                              achieved=abs(float(s[-1] - s[-2])))
-    return float(nu * s[-1])
-
-
-def gamma0_bracket(nu: float = 1.0, n_periods: int = 40):
-    """Lower/upper bracket from the alternating partial sums (the pieces
-    alternate in sign and shrink, so consecutive partial sums bracket)."""
-    tail = nu * _gamma0_partial_sums(nu, n_periods)[-2:]
-    return float(min(tail)), float(max(tail))
 
 
 # --------------------------------------------------------------------------

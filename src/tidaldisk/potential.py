@@ -7,14 +7,13 @@ Two families of attractive interactions are supported:
 
 The frozen :class:`InteractionCase` is the one kernel object: it holds what
 the rest of the package needs of the kernel in closed form.  For case B the
-disk potential is in closed form everywhere.  For case A it is in closed
-form outside the disk: expanding |x-y|^-nu in binomial series of y/r and
-conj(y)/r and integrating term by term over the disk leaves a Gauss
-hypergeometric series in r^-2 (u0, u0_d1, u0_d2).  Inside the disk its
-value is evaluated by adaptive quadrature of the defining double integral,
-with a graded Gauss-Legendre rule in the angular variable to absorb the
-integrable kernel singularity; the same quadrature is the independent check
-of the closed form (verify criterion 9).
+disk potential is in closed form everywhere.  For case A it is a Gauss
+hypergeometric function too: of r^-2 outside the disk (expanding
+|x-y|^-nu in binomial series of y/r and conj(y)/r and integrating term by
+term over the disk; u0, u0_d1, u0_d2) and of r^2 inside it (u0).  Adaptive
+quadrature of the defining double integral, with a graded Gauss-Legendre
+rule in the angular variable to absorb the integrable kernel singularity,
+is kept only as the independent check of both (verify criterion 9).
 """
 
 from __future__ import annotations
@@ -191,7 +190,8 @@ def _ring_kernel(r: float, s: np.ndarray, nu: float) -> np.ndarray:
 
 def _u0_case_a(r: float, nu: float, tol: float = 1e-10) -> float:
     """-int_D |x-y|^(-nu) dy for |x| = r, by radial adaptive quadrature of
-    the ring contributions."""
+    the ring contributions.  A reference for u0's closed forms only (verify
+    criterion 9, tests); it stalls just inside r = 1 for nu near 1."""
 
     def integrand(s):
         return float(s * _ring_kernel(r, s, nu)[0])
@@ -210,13 +210,15 @@ def _u0_case_a(r: float, nu: float, tol: float = 1e-10) -> float:
 def u0(case: InteractionCase, r: float) -> float:
     """Interaction potential of the unit disk at distance r from its center.
 
-    Power kernel, r >= 1: with a = nu/2 and x = r^-2,
+    Power kernel, r > 1: with a = nu/2 and x = r^-2,
     u0 = -pi r^-nu 2F1(a, a; 2; x) (DLMF 15.2.1), and its r-derivatives
     follow from d/dx 2F1 (DLMF 15.5.1):
     u0' = pi nu r^-(nu+1) 2F1(a, a+1; 2; x),
     u0'' = -pi nu [(nu+1) r^-(nu+2) 2F1(a, a+1; 2; x)
                    + a(a+1) r^-(nu+4) 2F1(a+1, a+2; 3; x)].
-    At r = 1 the first is Gauss's sum (DLMF 15.4.20), case.u0_at_1.
+    Power kernel, r <= 1: u0 = -(2 pi/(2-nu)) 2F1(a, a-1; 1; r^2), the
+    Riesz potential of the disk.  At r = 1 both forms are Gauss's sum
+    (DLMF 15.4.20), case.u0_at_1.
     """
     r = float(r)
     if r < 0:
@@ -225,10 +227,10 @@ def u0(case: InteractionCase, r: float) -> float:
         if r <= 1.0:
             return -np.pi / 2.0 * (1.0 - r * r)
         return np.pi * np.log(r)
-    if r < 1.0:
-        return _u0_case_a(r, case.nu)
-    a = 0.5 * case.nu
-    return float(-np.pi * r ** -case.nu * hyp2f1(a, a, 2.0, r ** -2))
+    nu, a = case.nu, 0.5 * case.nu
+    if r <= 1.0:
+        return float(-2.0 * np.pi / (2.0 - nu) * hyp2f1(a, a - 1.0, 1.0, r * r))
+    return float(-np.pi * r ** -nu * hyp2f1(a, a, 2.0, r ** -2))
 
 
 def u0_d1(case: InteractionCase, r: float) -> float:

@@ -35,7 +35,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.legendre import leggauss
 # lu_factor and lu_solve are not called here; perfbench/tracing.py counts
 # calls under these names
 from scipy.linalg import lu_factor, lu_solve
@@ -547,35 +546,3 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
     raise DivergenceError(
         f"no convergence after {max_iter} iterations "
         f"(last residual {history[-1]:.2e})", history=history)
-
-
-# --------------------------------------------------------------------------
-# pressure reconstruction
-# --------------------------------------------------------------------------
-
-def vorticity_primitive(profile: VorticityProfile, omega0: float,
-                        n_gauss: int = 64):
-    """Primitive F with F' = G + 2 omega0, F(0) = 0, as a callable."""
-    xg, wg = leggauss(n_gauss)
-
-    def F(u):
-        u = np.asarray(u, dtype=float)
-        s = 0.5 * (xg[None, :] + 1.0) * u[..., None]
-        vals = np.asarray(profile.eval(s), dtype=float) + 2.0 * omega0
-        return 0.5 * u * np.sum(vals * wg[None, :], axis=-1)
-
-    return F
-
-
-def pressure_on_boundary(fieldv: DiskField, h: ShapeCoeffs, lam: float,
-                         base: BaseState) -> np.ndarray:
-    """Interior pressure evaluated on the free boundary via the Bernoulli
-    reconstruction P = F(psi) - (1/2)|grad psi|^2 + (Omega0^2/2)|x|^2 + lam;
-    on the boundary psi = 0 and F(0) = 0."""
-    dn = fieldv.boundary_normal_deriv()
-    M = len(fieldv.phi)
-    f, fp = eval_boundary(h, M)
-    grad2 = dn ** 2 / np.abs(fp) ** 2
-    Fprim = vorticity_primitive(base.profile, base.omega0)
-    return (Fprim(np.zeros(M)) - 0.5 * grad2
-            + 0.5 * base.omega0**2 * np.abs(f) ** 2 + lam)

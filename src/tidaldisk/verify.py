@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coeffs import (build_mode_table, c_n_closed_log, c_n_disk_quadrature,
-                     gamma0)
+from .coeffs import (build_mode_table, c_n_closed_log, c_n_digamma_nu1,
+                     c_n_disk_quadrature)
 from .kernel import linear_preset, rigid_preset
 from .linop import (apply_forward, first_order_response, make_operator,
                     solve_linearized)
@@ -93,23 +93,18 @@ def criterion_3_mode_derivative_asymptotics():
 
 
 def criterion_4_coefficient_asymptotics():
-    case = case_a(1.0)
-    g0 = gamma0(1.0)
-    c = case.coefficients(512)
-    ns = np.array([64, 128, 256, 512])
-    ratios = c[ns] / np.log(ns)
-    increasing = bool(np.all(np.diff(ratios) > 0))
-    rel512 = abs(ratios[-1] - g0) / abs(g0)
-    # linear extrapolation in 1/ln(n) through the last two points
-    x = 1.0 / np.log(ns[-2:])
-    slope = (ratios[-1] - ratios[-2]) / (x[-1] - x[-2])
-    extrap = ratios[-1] - slope * x[-1]
-    rel_extrap = abs(extrap - g0) / abs(g0)
+    """At nu = 1, c_n matches its digamma form, and c_n - ln n reaches
+    gamma + 2 ln 2 - 2: c_n grows like ln n with constant 1."""
+    n = np.arange(4097)
+    c = case_a(1.0).coefficients(4096)
+    worst = float(np.max(np.abs(c - c_n_digamma_nu1(n))))
+    limit = float(np.euler_gamma + 2.0 * np.log(2.0) - 2.0)
+    gap = float(abs(c[-1] - np.log(4096.0) - limit))
     return {
-        "name": "power-kernel coefficient asymptotics c_n / ln n",
-        "passed": bool(increasing and rel512 < 0.15 and rel_extrap < 0.05),
-        "details": {"gamma0": g0, "ratios": ratios.tolist(),
-                    "rel_at_512": rel512, "rel_extrapolated": rel_extrap},
+        "name": "power-kernel coefficients at nu = 1: digamma form and ln n growth",
+        "passed": bool(worst < 1e-10 and gap < 1e-8),
+        "details": {"max_digamma_error": worst, "limit": limit,
+                    "gap_at_4096": gap},
     }
 
 
@@ -202,7 +197,7 @@ def criterion_9_potential_properties():
     center_ok = abs(center + 2.0 * np.pi) < 1e-8
     closed_worst = 0.0
     for nu in (0.5, 1.0):
-        for r in np.linspace(1.0, 5.0, 9):
+        for r in (0.0, 0.3, 0.6, 0.9, *np.linspace(1.0, 5.0, 9)):
             closed_worst = max(closed_worst,
                                abs(u0(case_a(nu), r) - _u0_case_a(r, nu)))
     return {

@@ -4,8 +4,8 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from tidaldisk.coeffs import (ModeTable, build_mode_table, c_n,
-                              c_n_closed_log, c_n_disk_quadrature, gamma0,
-                              gamma0_bracket, kernel_moments, multiplier)
+                              c_n_closed_log, c_n_digamma_nu1,
+                              c_n_disk_quadrature, kernel_moments, multiplier)
 from tidaldisk.errors import QuadratureError
 from tidaldisk.kernel import rigid_preset
 from tidaldisk.potential import case_a, case_b, make_base_state, u0
@@ -179,17 +179,20 @@ def test_quadrature_imag_residue_guard():
         c_n_disk_quadrature(case_b(), 4, imag_tol=1e-30)
 
 
-def test_gamma0_value_and_bracket():
-    g = gamma0(1.0)
-    assert abs(g - 1.0) < 1e-8
-    lo, hi = gamma0_bracket(1.0)
-    assert lo <= g <= hi
-    with pytest.raises(ValueError):
-        gamma0(1.5)
+def test_digamma_form_at_nu_1():
+    n = np.arange(4097)
+    c = case_a(1.0).coefficients(4096)
+    assert np.max(np.abs(c - c_n_digamma_nu1(n))) < 1e-10
+    assert c_n_digamma_nu1(0) == -2.0
+    # c_n - ln n -> gamma + 2 ln 2 - 2, approached from above like 1/n^2
+    limit = np.euler_gamma + 2.0 * np.log(2.0) - 2.0
+    gaps = c[[512, 4096]] - np.log([512.0, 4096.0]) - limit
+    assert 0.0 < gaps[1] < gaps[0] < 2e-7
+    assert gaps[1] < 1e-8
 
 
 def test_log_growth_constant():
-    # c_n / log n approaches gamma0 from below at nu = 1
+    # c_n / log n approaches 1 from below at nu = 1
     c = case_a(1.0).coefficients(512)
     r256 = c[256] / np.log(256.0)
     r512 = c[512] / np.log(512.0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -75,8 +77,23 @@ def test_closed_form_matches_quadrature(nu):
     case = case_a(nu)
     for r in (1.0, 1.05, 1.5, 2.0, 10.0):
         assert abs(u0(case, r) - _u0_case_a(r, nu)) < 1e-10, r
-    # Gauss's sum at r = 1 is the case's closed-form u0(1)
+    # inside the body the quadrature is good to its own tolerance, ~2e-10
+    for r in np.linspace(0.0, 0.9, 10):
+        assert abs(u0(case, r) - _u0_case_a(r, nu)) < 1e-9, r
+    # Gauss's sum at r = 1 is the case's closed-form u0(1), and the inner
+    # and outer 2F1 meet there
     assert abs(u0(case, 1.0) - case.u0_at_1) < 1e-14
+    assert abs(u0(case, np.nextafter(1.0, 2.0)) - case.u0_at_1) < 1e-13
+
+
+@pytest.mark.parametrize("nu, r", [(0.92, 0.99), (1.0, 0.99), (1.0, 0.999)])
+def test_u0_just_inside_the_body(nu, r):
+    # the adaptive quadrature stalls here; the closed form does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = u0(case_a(nu), r)
+    assert np.isfinite(val)
+    assert u0(case_a(nu), 0.0) < val < case_a(nu).u0_at_1
 
 
 def test_omega_a0_relation_and_inverse():

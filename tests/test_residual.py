@@ -17,9 +17,8 @@ from tidaldisk.potential import case_a, case_b, make_base_state, u0, u0_d1
 from tidaldisk.residual import (_mode_eigs, _product_weights, _solve_modes,
                                 boundary_potential, center_of_mass,
                                 field_equation_residual, particle_force,
-                                particle_potential_at, pressure_on_boundary,
-                                quasi_newton_solve, residual_F, residual_norm,
-                                solve_phi_h, vorticity_primitive)
+                                particle_potential_at, quasi_newton_solve,
+                                residual_F, residual_norm, solve_phi_h)
 from tidaldisk.spectral import (ShapeCoeffs, _h_coeffs, boundary_grid,
                                disk_rule, eval_boundary, eval_h_at,
                                eval_h_polar)
@@ -568,22 +567,3 @@ def test_solution_serialization(op):
     assert d["m"] == 5e-5
     rows = list(sol.boundary_csv_rows())
     assert len(rows) == 512
-
-
-# --------------------------------------------------------------------------
-# pressure
-# --------------------------------------------------------------------------
-
-def test_vorticity_primitive_rigid(base):
-    F = vorticity_primitive(base.profile, base.omega0)
-    u = np.linspace(-1, 1, 11)
-    expect = (-2.0 + 2.0 * base.omega0) * u
-    assert np.max(np.abs(F(u) - expect)) < 1e-13
-    assert F(np.array([0.0]))[0] == 0.0
-
-
-def test_pressure_vanishes_on_base_boundary(base):
-    h = ShapeCoeffs.zero(4)
-    fld = solve_phi_h(h, base.profile, n_radial=32, n_angular=64)
-    p = pressure_on_boundary(fld, h, base.lambda0, base)
-    assert np.max(np.abs(p)) < 1e-10
