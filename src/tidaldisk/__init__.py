@@ -12,7 +12,7 @@ from .potential import (BaseState, InteractionCase, a0_from_omega, case_a,
 from .radial_ode import RadialProfile, solve_An, solve_phi0
 from .coeffs import ModeTable, build_mode_table, c_n, c_n_closed_log
 from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
-                       eval_boundary, injectivity_margin, synthesize,
+                       boundary_curve, injectivity_margin, synthesize,
                        xi_coeffs)
 from .linop import (LinearizedOperator, apply_forward, first_order_response,
                     make_operator, nonresonance_scan, solve_linearized)
@@ -28,8 +28,8 @@ __all__ = [
     "InteractionCase", "LinearizedOperator", "ModeTable", "QuadratureError",
     "RadialProfile", "ResonanceError", "ShapeCoeffs", "TidaldiskError",
     "VorticityProfile", "a0_from_omega", "analyze", "apply_forward", "area",
-    "boundary_potential", "build_mode_table", "c_n", "c_n_closed_log",
-    "case_a", "case_b", "eval_boundary", "first_order_response",
+    "boundary_curve", "boundary_potential", "build_mode_table", "c_n",
+    "c_n_closed_log", "case_a", "case_b", "first_order_response",
     "injectivity_margin", "linear_preset", "make_base_state",
     "make_operator", "nonresonance_scan", "omega_from_a0", "particle_force",
     "profile_from_csv", "profile_from_table", "quasi_newton_solve",

@@ -37,7 +37,7 @@ from .errors import ConfigError, ResonanceError, TidaldiskError
 from .linop import (first_order_response, make_operator, nonresonance_scan)
 from .potential import a0_from_omega, make_base_state
 from .residual import quasi_newton_solve
-from .spectral import boundary_grid, eval_boundary
+from .spectral import boundary_rows
 from .verify import run_all
 
 
@@ -133,11 +133,8 @@ def cmd_perturb(cfg: RunConfig, out: str) -> int:
             "lambda_offset": l1,
             "shape": h1.to_json_dict(),
         })
-        M = max(512, 2 * cfg.N + 2)
-        f, _ = eval_boundary(h1, M)
         _write_csv(os.path.join(out, f"boundary_perturb_{tag}.csv"),
-                   ("phi", "x1", "x2"),
-                   zip(boundary_grid(M), f.real, f.imag))
+                   ("phi", "x1", "x2"), boundary_rows(h1))
     return 0
 
 

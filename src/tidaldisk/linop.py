@@ -29,7 +29,7 @@ from .errors import DegenerateBaseError, ResonanceError
 from .potential import BaseState, particle_potential_at, u0_d2
 # eval_h_at is not called here; perfbench/tracing.py wraps it under this name
 from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, boundary_grid,
-                       eval_h_at)
+                       boundary_points, eval_h_at)
 
 _RESONANCE_TOL = 1e-8
 
@@ -91,11 +91,9 @@ def nonresonance_scan(op: LinearizedOperator, margin_factor: float = 1.0,
             + np.abs(dp * t.a_deriv) * (n_arr + 1)
             + np.abs(t.c[1:]))
     dominated = lead > margin_factor * rest
-    tail_from = None
-    for i in range(t.N):
-        if np.all(dominated[i:]):
-            tail_from = int(n_arr[i])
-            break
+    # the tail starts after the last mode that is not dominated
+    run = int(np.cumprod(dominated[::-1]).sum())
+    tail_from = t.N - run + 1 if run else None
 
     return {
         "schema_version": 1,
@@ -119,9 +117,9 @@ def _w_weights(base: BaseState, N: int) -> np.ndarray:
     W[g] = int k(t) Re(g(e^{it}) e^{-it}) dt with k the x1-derivative of the
     attraction at the particle, strength (a0 - cos t) |a0 - e^{it}|^-(p+2).
     k is even, so W[g] = w_0 g0 + sum_n w_n Re g_n with w_n = int k cos(nt)
-    dt, here 2 pi Re rfft(k)_n / M on M = max(256, 4N + 8) points.
+    dt, here 2 pi Re rfft(k)_n / M on M = boundary_points(N) points.
     """
-    M = max(256, 4 * N + 8)
+    M = boundary_points(N)
     z = np.exp(1j * boundary_grid(M))
     strength, p = base.case.force_law
     k = strength * (base.a0 - z.real) * np.abs(base.a0 - z) ** (-(p + 2.0))
@@ -193,8 +191,7 @@ def apply_forward(op: LinearizedOperator, g: ShapeCoeffs, b: float, mu: float):
 # --------------------------------------------------------------------------
 
 def particle_source_spectrum(op: LinearizedOperator) -> BoundarySpectrum:
-    M_grid = max(4 * op.N + 4, 256)
-    z = np.exp(1j * boundary_grid(M_grid))
+    z = np.exp(1j * boundary_grid(boundary_points(op.N)))
     return analyze(particle_potential_at(op.base.case, op.base.a0, z), N=op.N)
 
 

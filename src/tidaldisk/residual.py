@@ -48,7 +48,8 @@ from .potential import (_A0_MIN, BaseState, particle_potential_at,
                         sine_power_coeffs)
 # eval_h_at is not called here; perfbench/tracing.py wraps it under this name
 from .spectral import (BoundarySpectrum, ShapeCoeffs, _h_coeffs, _polar_sum,
-                       analyze, area, boundary_grid, eval_boundary, eval_h_at,
+                       analyze, area, boundary_curve, boundary_grid,
+                       boundary_points, boundary_rows, eval_h_at,
                        injectivity_margin)
 
 DEFAULT_ANGULAR = 256
@@ -247,8 +248,10 @@ def _product_weights(M: int, nu: Optional[float] = None) -> np.ndarray:
 _OFFSET_BLOCK_ELEMS = 2**14
 
 
-def boundary_potential(h: ShapeCoeffs, case, M: int = 0) -> np.ndarray:
-    """Samples of (U_h o f)(e^{i phi_j}) on the uniform M-grid.
+def boundary_potential(f: np.ndarray, yp: np.ndarray, case) -> np.ndarray:
+    """Samples of (U_h o f)(e^{i phi_j}) on the uniform M-grid, from the
+    curve f and its tangent yp there (spectral.boundary_curve).  residual_F
+    passes its n_angular sample, of a shape that solve_phi_h has certified.
 
     With w chosen so that div[(y - x) w(|y - x|)] is the interaction kernel,
     w = (1/2) ln rho - 1/4 (log) or -rho^(-nu) / (2 - nu) (power), the area
@@ -271,16 +274,7 @@ def boundary_potential(h: ShapeCoeffs, case, M: int = 0) -> np.ndarray:
     is one weighted row sum over k.  The power kernel's smooth factor has
     the limit (1/2) Im(y'' conj y') |y'|^(-nu) at k = 0, weighted by W_0.
     """
-    if M <= 0:
-        M = max(256, 4 * h.N + 8)
-    if M < 2 * h.N + 2:
-        raise ConfigError(f"boundary grid M={M} too coarse for the shape "
-                          f"(need at least 2N+2={2 * h.N + 2})")
-    if injectivity_margin(h) <= 0:
-        raise TidaldiskError("shape is not certified injective")
-
-    f, fp = eval_boundary(h, M)
-    yp = 1j * np.exp(1j * boundary_grid(M)) * fp  # d/dt f(e^{it})
+    M = len(f)
     s2 = 4.0 * np.sin(np.pi * np.arange(1, M) / M) ** 2
     if case.is_log:
         trap = np.pi / (2.0 * M)
@@ -321,46 +315,36 @@ def boundary_potential(h: ShapeCoeffs, case, M: int = 0) -> np.ndarray:
 _PF_CLEARANCE = 0.3
 
 
-def _particle_grid(h: ShapeCoeffs, M: int):
-    """f and y' = d/dt f(e^{it}) on the uniform boundary grid of
-    max(M, 256, 4N) points."""
-    M = max(M, 256, 4 * h.N)
-    f, fp = eval_boundary(h, M)
-    return f, 1j * np.exp(1j * boundary_grid(M)) * fp
-
-
-def particle_force(h: ShapeCoeffs, case, a: float,
-                   component: int = 0, M: int = 0) -> float:
-    """Derivative of the body's attraction potential at the particle site
-    (a, 0); component 0 is d/dx1, component 1 is d/dx2.
+def particle_force(h: ShapeCoeffs, case, a: float) -> complex:
+    """Gradient of the body's attraction potential at the particle site
+    (a, 0), as the complex number d/dx1 + i d/dx2.
 
     By the divergence theorem grad U_h(X) = -int_bdry K(|X - y|) n dS(y),
     and on y(t) = f(e^{it}) the outward n dS is -i y'(t) dt, so in complex
     form the force is int K(|X - f|) i y' dt.  The integrand is smooth and
-    periodic, and the trapezoid rule on the boundary grid of
-    max(M, 256, 4N) points converges geometrically.  The floors are
-    measured: at the disk the error falls like a^-M, 1.5^-M near the
-    closest particle; at N = 128 with |g_n| ~ 1e-3/n, 2N + 2 points leave
-    errors up to 6e-9 and 4N points 4e-16.
+    periodic, and the trapezoid rule on boundary_points(N) points converges
+    geometrically, whatever grid the residual uses.  The rule is measured:
+    at the disk the error falls like a^-M, 1.5^-M near the closest
+    particle; at N = 128 with |g_n| ~ 1e-3/n, 2N + 2 points leave errors up
+    to 6e-9 and 4N points 4e-16.
     """
     a = float(a)
     if a < _A0_MIN:
         raise ConfigError(f"particle distance must be at least {_A0_MIN}")
-    f, yp = _particle_grid(h, M)
+    f, yp = boundary_curve(h, boundary_points(h.N))
     if float(np.max(np.abs(f))) > a - _PF_CLEARANCE:
         raise TidaldiskError(
             "shape reaches too close to the particle for smooth quadrature")
-    force = np.mean(particle_potential_at(case, a, f) * 1j * yp) * 2.0 * np.pi
-    return float(force.real if component == 0 else force.imag)
+    return np.mean(particle_potential_at(case, a, f) * 1j * yp) * 2.0 * np.pi
 
 
 def center_of_mass(h: ShapeCoeffs, m: float, a: float):
     """(integral of x over the body + m X) / (pi + m), as a 2-vector.
 
-    The body integral of z is (1/2i) int_bdry |z|^2 dz; on the boundary
-    grid of particle_force, |f|^2 y' is a trigonometric polynomial of
-    degrees -N + 1..2N + 1, so the trapezoid rule is exact."""
-    f, yp = _particle_grid(h, 0)
+    The body integral of z is (1/2i) int_bdry |z|^2 dz; |f|^2 y' is a
+    trigonometric polynomial of degrees -N + 1..2N + 1, so the trapezoid
+    rule on boundary_points(N) >= 4N points is exact."""
+    f, yp = boundary_curve(h, boundary_points(h.N))
     mom = np.mean(np.abs(f) ** 2 * yp) * np.pi / 1j
     total = mom + m * a
     return np.array([total.real, total.imag]) / (np.pi + m)
@@ -381,8 +365,12 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
     Bernoulli mismatch, r2 the particle-balance residual and r3 the volume
     residual; with return_field=True the stream-function field is appended.
     The stream-function solve starts from u_init, by default from the
-    base-state field phi0(r).
+    base-state field phi0(r).  The curve is sampled once, on the n_angular
+    grid, which must hold at least 2N + 2 points.
     """
+    if n_angular < 2 * h.N + 2:
+        raise ConfigError(f"angular grid n_angular={n_angular} is below "
+                          f"2N+2={2 * h.N + 2}")
     if u_init is None:
         r = _radial_basis(n_radial)[0].r
         # base-state field, Dirichlet exact
@@ -391,18 +379,17 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
                          n_angular=n_angular, u_init=u_init)
     dn = fieldv.boundary_normal_deriv()
 
-    M = n_angular
-    f, fp = eval_boundary(h, M)
-    grad2 = dn ** 2 / np.abs(fp) ** 2  # tangential part vanishes (Dirichlet)
+    f, yp = boundary_curve(h, n_angular)
+    grad2 = dn ** 2 / np.abs(yp) ** 2  # tangential part vanishes (Dirichlet)
 
-    u_self = boundary_potential(h, base.case, M)
+    u_self = boundary_potential(f, yp, base.case)
     u_part = particle_potential_at(base.case, a, f)
 
     samples = (0.5 * grad2 - 0.5 * base.omega0**2 * np.abs(f) ** 2
                + u_self + m * u_part - lam)
-    S_res = analyze(samples, N=min(h.N, M // 2 - 1))
+    S_res = analyze(samples, N=h.N)
 
-    r2 = base.omega0**2 * a - particle_force(h, base.case, a, M=M)
+    r2 = base.omega0**2 * a - particle_force(h, base.case, a).real
     r3 = area(h) - np.pi
     if return_field:
         return S_res, float(r2), float(r3), fieldv
@@ -444,9 +431,8 @@ class EquilibriumSolution:
     def to_json(self, **kw) -> str:
         return json.dumps(self.to_json_dict(), **kw)
 
-    def boundary_csv_rows(self, M: int = 512):
-        f, _ = eval_boundary(self.h, M)
-        return zip(boundary_grid(M), f.real, f.imag)
+    def boundary_csv_rows(self):
+        return boundary_rows(self.h)
 
 
 def _diagnostics(h: ShapeCoeffs, a: float, lam: float, m: float,

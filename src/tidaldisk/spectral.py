@@ -5,7 +5,7 @@ The fluid domain is the image of the unit disk under f(z) = z + h(z) with
     h(z) = g0 * z + sum_{n>=1} gn[n] * z^(n+1),
 
 g0 real, so that h(0) = 0 and h'(0) is real.  This module holds the
-coefficient container, boundary evaluation of f and f', the injectivity
+coefficient container, the boundary curve and its grid rule, the injectivity
 margin certificate, the closed-form area, and the discrete Fourier
 transform pair used to move between boundary samples and mode coefficients.
 """
@@ -103,6 +103,12 @@ def boundary_grid(M: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(M) / M
 
 
+def boundary_points(N: int) -> int:
+    """max(256, 4N), the boundary grid of an N-mode shape wherever its size
+    is free: twice the 2N + 2 floor, as particle_force measured."""
+    return max(256, 4 * N)
+
+
 def _h_coeffs(h: ShapeCoeffs):
     """Power-series coefficients of h and of h' (index k holds z^k)."""
     ch = np.zeros(h.N + 2, dtype=complex)
@@ -164,11 +170,20 @@ def eval_h_boundary(h: ShapeCoeffs, M: int):
     return hv[0], dhv[0]
 
 
-def eval_boundary(h: ShapeCoeffs, M: int):
-    """Samples of f = id + h and f' on the uniform boundary grid."""
+def boundary_curve(h: ShapeCoeffs, M: int):
+    """The curve y(t) = f(e^{it}) and its tangent y'(t) = i e^{it} f'(e^{it})
+    on the uniform M-grid; |y'| = |f'|."""
     hv, dhv = eval_h_boundary(h, M)
     z = np.exp(1j * boundary_grid(M))
-    return z + hv, 1.0 + dhv
+    return z + hv, 1j * z * (1.0 + dhv)
+
+
+def boundary_rows(h: ShapeCoeffs):
+    """(phi, x1, x2) rows of the boundary curve on
+    max(512, boundary_points(N)) points, for the boundary CSV outputs."""
+    M = max(512, boundary_points(h.N))
+    f, _ = boundary_curve(h, M)
+    return zip(boundary_grid(M), f.real, f.imag)
 
 
 def eval_h_at(h: ShapeCoeffs, z: np.ndarray):
@@ -190,16 +205,14 @@ def eval_h_at(h: ShapeCoeffs, z: np.ndarray):
 # certificates and area
 # --------------------------------------------------------------------------
 
-def injectivity_margin(h: ShapeCoeffs, M: int = 0) -> float:
-    """1/sqrt(2) minus the boundary maximum of |h| + |h'|.
+def injectivity_margin(h: ShapeCoeffs) -> float:
+    """1/sqrt(2) minus the maximum of |h| + |h'| on boundary_points(N) points.
 
     A positive value certifies that f = id + h is injective on the closed
     disk; the boundary maximum bounds the interior one since h and h' are
     analytic.  A negative value is not a proof of non-injectivity.
     """
-    if M <= 0:
-        M = max(256, 4 * h.N + 4)
-    hv, dhv = eval_h_boundary(h, max(M, 2 * h.N + 2))
+    hv, dhv = eval_h_boundary(h, boundary_points(h.N))
     return float(1.0 / np.sqrt(2.0) - np.max(np.abs(hv) + np.abs(dhv)))
 
 
@@ -210,7 +223,7 @@ def self_intersection_oracle(h: ShapeCoeffs, M: int = 512) -> bool:
     spacing-scaled threshold.  Quadratic in M; a test oracle, not a fast
     path.
     """
-    f, _ = eval_boundary(h, max(M, 2 * h.N + 2))
+    f, _ = boundary_curve(h, max(M, 2 * h.N + 2))
     M = len(f)
     pts = np.column_stack([f.real, f.imag])
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)

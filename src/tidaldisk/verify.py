@@ -19,7 +19,7 @@ from .potential import (_u0_case_a, case_a, case_b, make_base_state, u0,
 from .radial_ode import mode_derivatives, solve_An
 from .residual import (boundary_potential, quasi_newton_solve, residual_F,
                        residual_norm)
-from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze,
+from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, boundary_curve,
                        eval_h_boundary, injectivity_margin,
                        self_intersection_oracle)
 
@@ -256,7 +256,8 @@ def criterion_11_linear_response():
     for case in (case_b(), case_a(0.5), case_a(1.0)):
         base = make_base_state(case, 2.0, rigid_preset(1.0))
         c2 = 2.0 * build_mode_table(base, N=N).c[n]
-        du = boundary_potential(h, case, M) - boundary_potential(h.scaled(-1.0), case, M)
+        du = (boundary_potential(*boundary_curve(h, M), case)
+              - boundary_potential(*boundary_curve(h.scaled(-1.0), M), case))
         S = analyze(0.5 * du, N=M // 2 - 1).coeffs
         err = max(np.max(np.abs(np.where(n == 0, 1.0, 2.0) * S[n] / e - c2)),
                   2.0 * np.max(np.abs(S[N // 2 + 1:])) / eps)

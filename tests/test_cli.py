@@ -155,6 +155,21 @@ def test_solve_sweep_and_linearity(tmp_path):
     assert (out / "boundary_4e-05.csv").exists()
 
 
+@pytest.mark.parametrize("command, csv_name", [
+    ("solve", "boundary_1e-06.csv"), ("perturb", "boundary_perturb_1e-06.csv"),
+])
+def test_boundary_csv_at_n256(tmp_path, command, csv_name):
+    # at N = 256 a fixed 512-point boundary CSV is below the 2N + 2 = 514
+    # floor; the rows follow boundary_points(N) = 1024
+    cfg = _write_cfg(tmp_path, BASE_CFG.replace("N = 16", "N = 256")
+                     + "m = 1e-6\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    header, rows = _read_csv(out / csv_name)
+    assert header == ["phi", "x1", "x2"]
+    assert len(rows) == 1024
+
+
 def test_verify_writes_report(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["verify", "--out", str(out)]) == 0

@@ -52,6 +52,22 @@ def test_scan_flags_planted_resonance(op):
     assert exc.value.exit_code == 3
 
 
+@pytest.mark.parametrize("bad, tail", [
+    ([2, 4], 5),      # the certified tail starts in the middle
+    ([], 1),          # every mode dominated
+    ([2, 8], None),   # mode N itself is not dominated
+])
+def test_scan_tail_certificate_hand_built(op, bad, tail):
+    # c_n = 0 leaves the leading term dominant; a huge c_n breaks dominance
+    N = 8
+    c = np.zeros(N + 1)
+    c[bad] = 1e6
+    t = dataclasses.replace(op.table, N=N, a_deriv=np.zeros(N), c=c,
+                            omega=np.ones(N + 1))
+    report = nonresonance_scan(dataclasses.replace(op, table=t))
+    assert report["tail_certified_from"] == tail
+
+
 def test_w_closed_oracles(op):
     # translation h(z) = z: the force derivative is 2 pi / a0 (log kernel)
     W = w_shape_derivative(op, ShapeCoeffs(1.0, np.zeros(0, dtype=complex)))
@@ -124,7 +140,7 @@ def test_w_central_difference_of_force(case, a0):
     g = ShapeCoeffs(0.3, np.array([0.2 + 0.1j, -0.1, 0.05 - 0.02j, 0.02j]))
     eps = 1e-5
     fd = (particle_force(g.scaled(eps), case, a0)
-          - particle_force(g.scaled(-eps), case, a0)) / (2.0 * eps)
+          - particle_force(g.scaled(-eps), case, a0)).real / (2.0 * eps)
     assert abs(fd - w_shape_derivative(op, g)) < 1e-10
 
 

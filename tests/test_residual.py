@@ -14,13 +14,14 @@ from tidaldisk.kernel import (linear_preset, profile_from_table, rigid_preset,
 from tidaldisk.linop import apply_forward, make_operator
 from tidaldisk import linop, residual
 from tidaldisk.potential import case_a, case_b, make_base_state, u0, u0_d1
-from tidaldisk.residual import (_mode_eigs, _product_weights, _solve_modes,
+from tidaldisk.residual import (EquilibriumSolution, _mode_eigs,
+                                _product_weights, _solve_modes,
                                 boundary_potential, center_of_mass,
                                 field_equation_residual, particle_force,
                                 particle_potential_at, quasi_newton_solve,
                                 residual_F, residual_norm, solve_phi_h)
 from tidaldisk.spectral import (ShapeCoeffs, _h_coeffs, boundary_grid,
-                               disk_rule, eval_boundary, eval_h_at,
+                               boundary_curve, disk_rule, eval_h_at,
                                eval_h_polar)
 
 
@@ -268,13 +269,17 @@ def test_stream_function_rejects_folded_shape(base):
 # boundary potential
 # --------------------------------------------------------------------------
 
+def _potential(h, case, M):
+    return boundary_potential(*boundary_curve(h, M), case)
+
+
 def test_boundary_potential_disk_values():
     # unperturbed disk: the log-kernel potential vanishes on the circle and
     # the nu = 1 potential equals -4 there
     zero = ShapeCoeffs.zero(2)
-    ub = boundary_potential(zero, case_b(), 128)
+    ub = _potential(zero, case_b(), 128)
     assert np.max(np.abs(ub)) < 1e-13
-    ua = boundary_potential(zero, case_a(1.0), 128)
+    ua = _potential(zero, case_a(1.0), 128)
     assert np.max(np.abs(ua + 4.0)) < 1e-12
     assert abs(u0(case_a(1.0), 1.0) + 4.0) < 1e-9
 
@@ -282,17 +287,15 @@ def test_boundary_potential_disk_values():
 def test_boundary_potential_self_convergence(base):
     h = _small_shape()
     for case in (case_b(), case_a(0.7)):
-        coarse = boundary_potential(h, case, 128)
-        fine = boundary_potential(h, case, 256)
+        coarse = _potential(h, case, 128)
+        fine = _potential(h, case, 256)
         assert np.max(np.abs(fine[::2] - coarse)) < 1e-10
 
 
 def _loop_log_potential(h, M):
     """The per-target loop that the log kernel of boundary_potential
     replaced, kept as a reference."""
-    f, fp = eval_boundary(h, M)
-    z = np.exp(1j * boundary_grid(M))
-    yp = 1j * z * fp
+    f, yp = boundary_curve(h, M)
     diff = f[None, :] - f[:, None]
     P = (diff * (1j * np.conj(yp))[None, :]).real
     rho = np.abs(diff)
@@ -323,7 +326,7 @@ def test_boundary_potential_matches_reference_loop(nu, M):
     gn = 0.1 * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
     gn /= np.arange(1, N + 1) ** 2
     h = ShapeCoeffs(0.01 * rng.standard_normal(), gn)
-    new = boundary_potential(h, case_b(), M)
+    new = _potential(h, case_b(), M)
     ref = _loop_log_potential(h, M)
     assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -356,7 +359,7 @@ def test_boundary_potential_power_matches_quad(nu, M):
     N = 64
     gn = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / np.arange(1, N + 1)
     h = ShapeCoeffs(0.003, 0.01 * gn / np.max(np.abs(gn)))
-    U = boundary_potential(h, case_a(nu), M)
+    U = _potential(h, case_a(nu), M)
     for i in (0, M // 5, M // 2 + 3):
         ref = _quad_power_potential(h, nu, 2.0 * np.pi * i / M)
         assert abs(U[i] - ref) < 1e-9
@@ -392,7 +395,7 @@ def test_particle_force_disk(base):
                - u0_d1(case_a(1.0), 2.5)) < 1e-10
     # symmetric shapes exert no transverse force
     h = ShapeCoeffs(0.01, np.array([0.02 + 0j, 0.005 + 0j]))
-    assert abs(particle_force(h, case_b(), 2.0, component=1)) < 1e-14
+    assert abs(particle_force(h, case_b(), 2.0).imag) < 1e-14
 
 
 def test_particle_force_guards():
@@ -407,7 +410,8 @@ def test_particle_side_error_classes(op, monkeypatch):
     # grid and base-state failures leave as TidaldiskError subclasses with
     # their exit codes, not as ValueError
     with pytest.raises(ConfigError):
-        boundary_potential(ShapeCoeffs.zero(16), case_b(), M=16)
+        residual_F(ShapeCoeffs.zero(16), op.base.a0, op.base.lambda0, 0.0,
+                   op.base, n_angular=16)
     monkeypatch.setattr(linop, "u0_d2", lambda case, a: 10.0)
     with pytest.raises(DegenerateBaseError):
         make_operator(op.base, table=op.table)
@@ -432,16 +436,19 @@ def _body_rule(h, n_r, n_phi):
 @pytest.mark.parametrize("case", [case_b(), case_a(0.5), case_a(1.0)],
                          ids=["log", "nu0.5", "nu1"])
 def test_particle_force_matches_body_integral(case):
-    # at N = 128 a 128-angle disk rule aliases h's 130 coefficients; the
+    # the force grid is boundary_points(N) whatever the residual's grid; at
+    # N = 128 a 128-angle disk rule aliases h's 130 coefficients, the
     # 512-angle one does not
-    h = _decaying_shape(128, 2, 1e-3, seed=3)
-    f, wf = _body_rule(h, 128, 512)
     strength, p = case.force_law
-    for a in (1.6, 2.0, 4.0):
-        af = a - f
-        ref = np.sum(strength * af * np.abs(af) ** (-(p + 2.0)) * wf)
-        assert abs(particle_force(h, case, a) - ref.real) < 1e-13
-        assert abs(particle_force(h, case, a, component=1) - ref.imag) < 1e-13
+    for N in (8, 64, 128):
+        h = _decaying_shape(N, 2, 1e-3, seed=3)
+        f, wf = _body_rule(h, 128, 512)
+        for a in (1.6, 2.0, 4.0):
+            af = a - f
+            ref = np.sum(strength * af * np.abs(af) ** (-(p + 2.0)) * wf)
+            force = particle_force(h, case, a)
+            assert abs(force.real - ref.real) < 1e-13, (N, a)
+            assert abs(force.imag - ref.imag) < 1e-13, (N, a)
 
 
 def test_center_of_mass_matches_body_integral():
@@ -463,6 +470,26 @@ def test_center_of_mass_disk():
 # --------------------------------------------------------------------------
 # residual
 # --------------------------------------------------------------------------
+
+def test_injectivity_guards(base):
+    # |h| + |h'| = 0.8 + 1.6 at z = 1: the certificate fails
+    folded = ShapeCoeffs(0.0, np.array([0.8 + 0j]))
+    with pytest.raises(TidaldiskError, match="injective"):
+        solve_phi_h(folded, base.profile, n_radial=32, n_angular=64)
+    with pytest.raises(TidaldiskError, match="injective"):
+        residual_F(folded, base.a0, base.lambda0, 0.0, base, n_radial=32,
+                   n_angular=64)
+
+
+def test_folded_iterate_diverges(op, monkeypatch):
+    # boundary_potential no longer certifies the shape; the quasi-Newton
+    # loop still refuses an iterate that lost the certificate
+    gn = np.zeros(op.N, dtype=complex)
+    gn[0] = 0.8
+    monkeypatch.setattr(residual, "first_order_response",
+                        lambda op, m: (ShapeCoeffs(0.0, gn), 0.0, 0.0))
+    with pytest.raises(DivergenceError, match="lost certified injectivity"):
+        quasi_newton_solve(op, 1e-6)
 
 def test_residual_vanishes_at_base(base):
     S, r2, r3 = residual_F(ShapeCoeffs.zero(16), base.a0, base.lambda0,
@@ -567,3 +594,18 @@ def test_solution_serialization(op):
     assert d["m"] == 5e-5
     rows = list(sol.boundary_csv_rows())
     assert len(rows) == 512
+
+
+def test_boundary_csv_rows_at_n256():
+    # 512 rows cannot carry 2N + 2 = 514 points: the rows follow
+    # boundary_points(N) = 1024 past N = 128
+    gn = np.zeros(256, dtype=complex)
+    gn[[0, 255]] = 1e-3
+    sol = EquilibriumSolution(ShapeCoeffs(0.0, gn), 2.0, 0.0, 1e-6, 0.0, 1,
+                              [0.0], {})
+    rows = list(sol.boundary_csv_rows())
+    assert len(rows) == 1024
+    f = np.array([x1 + 1j * x2 for _, x1, x2 in rows])
+    phi = np.array([p for p, _, _ in rows])
+    z = np.exp(1j * phi)
+    assert np.max(np.abs(f - z - 1e-3 * (z**2 + z**257))) < 1e-15

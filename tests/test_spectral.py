@@ -4,8 +4,8 @@ from numpy.polynomial.legendre import leggauss
 
 from tidaldisk.spectral import (BoundarySpectrum, ShapeCoeffs, _polar_sum,
                                 analyze, area,
-                                area_quadrature, boundary_grid, disk_rule,
-                                eval_boundary,
+                                area_quadrature, boundary_curve,
+                                boundary_grid, boundary_points, disk_rule,
                                 eval_h_at, eval_h_boundary, eval_h_polar,
                                 injectivity_margin, self_intersection_oracle,
                                 synthesize, xi_coeffs)
@@ -60,8 +60,12 @@ def test_eval_consistency():
     hv2, dhv2 = eval_h_at(h, z)
     assert np.max(np.abs(hv - hv2)) < 1e-14
     assert np.max(np.abs(dhv - dhv2)) < 1e-14
-    f, df = eval_boundary(h, M)
+    f, yp = boundary_curve(h, M)
     assert np.max(np.abs(f - (z + hv))) < 1e-15
+    # y' = d/dt f(e^{it}); f holds the powers 1..N+1 < M only
+    dfdt = np.fft.ifft(1j * np.arange(M) * np.fft.fft(f))
+    assert np.max(np.abs(yp - dfdt)) < 1e-13
+    assert np.max(np.abs(np.abs(yp) - np.abs(1.0 + dhv))) < 1e-15
     with pytest.raises(ValueError):
         eval_h_boundary(h, 4)
 
@@ -109,6 +113,12 @@ def test_interior_bounded_by_boundary():
     hi, dhi = eval_h_at(h, z)
     assert np.max(np.abs(hi)) <= bmax[0] + 1e-12
     assert np.max(np.abs(dhi)) <= bmax[1] + 1e-12
+
+
+def test_boundary_points():
+    assert [boundary_points(N) for N in (0, 8, 64, 65, 256)] == [
+        256, 256, 256, 260, 1024]
+    assert all(boundary_points(N) >= 2 * N + 2 for N in range(1, 600))
 
 
 def test_injectivity_margin():
