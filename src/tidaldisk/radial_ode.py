@@ -41,6 +41,8 @@ class RadialProfile:
     deriv_at_1: float
     evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     residual: float = 0.0
+    _fields: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -52,6 +54,17 @@ class RadialProfile:
 
     def __call__(self, r):
         return self.evaluate(r)
+
+    def dirichlet_field(self, n_radial: int) -> np.ndarray:
+        """phi(r) - phi(1) at the radii of the half-diameter grid of
+        n_radial nodes, zero at r = 1 exactly.  Cached per n_radial, so
+        read-only."""
+        out = self._fields.get(n_radial)
+        if out is None:
+            out = self(_radial_basis(n_radial)[0].r) - self(1.0)
+            out.setflags(write=False)
+            self._fields[n_radial] = out
+        return out
 
     @property
     def value_at_1(self) -> float:

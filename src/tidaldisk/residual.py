@@ -89,6 +89,15 @@ def _mode_eigs(n_radial: int, lam: float):
     return tuple(out)
 
 
+def _left_product(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """A @ Z for a C-contiguous complex Z.  A real A (as eig returns for
+    every grid in use) multiplies the float view of Z, the (re, im) pairs
+    of its columns, in one real product; A @ Z would upcast A to complex."""
+    if np.iscomplexobj(A):
+        return A @ Z
+    return (A @ Z.view(float)).view(complex)
+
+
 def _solve_modes(n_radial: int, lam: float, rhs_hat: np.ndarray) -> np.ndarray:
     """Solve (d_rr + (1/r) d_r - n^2/r^2 - lam) u = rhs with u(1) = 0 for
     every rfft column n of rhs_hat; row 0 of rhs_hat is not used."""
@@ -96,8 +105,9 @@ def _solve_modes(n_radial: int, lam: float, rhs_hat: np.ndarray) -> np.ndarray:
     n2 = np.arange(rhs_hat.shape[1]) ** 2
     u_hat = np.zeros(rhs_hat.shape, dtype=complex)
     for p, (ev, V, Vinv) in enumerate(_mode_eigs(n_radial, lam)):
-        coef = Vinv @ (r2 * rhs_hat[1:, p::2])
-        u_hat[1:, p::2] = V @ (coef / (ev[:, None] - n2[None, p::2]))
+        coef = _left_product(Vinv, r2 * rhs_hat[1:, p::2])
+        coef /= ev[:, None] - n2[None, p::2]
+        u_hat[1:, p::2] = _left_product(V, coef)
     return u_hat
 
 
@@ -242,9 +252,9 @@ def _product_weights(M: int, nu: Optional[float] = None) -> np.ndarray:
     return w
 
 
-# Elements per (target, offset) block: 2^14 // M targets at a time, so a
-# call's temporaries peak at about 1.2 MB whatever M is, where unblocked
-# M x M arrays take 12 MB at M = 512.
+# Elements per block of target rows: 2^14 // M targets at a time against
+# all M sources, so a call's temporaries take two 128 KiB blocks whatever
+# M is, where an unblocked M x M kernel matrix takes 2 MB at M = 512.
 _OFFSET_BLOCK_ELEMS = 2**14
 
 
@@ -260,46 +270,77 @@ def boundary_potential(f: np.ndarray, yp: np.ndarray, case) -> np.ndarray:
     P = Re[(y(t) - x) i conj(y'(t))], which vanishes quadratically at the
     target, so the integrand is integrable.
 
-    One loop serves both kernels: arrays indexed by target i and offset k
-    (source i + k mod M) are sliding windows over [f, f], taken in blocks
-    of _OFFSET_BLOCK_ELEMS // M targets to bound the memory.  With
-    s2 = 4 sin^2(pi k / M), the integrand is a smooth factor of P and
-    rho^2 / s2 times a singular factor of s2:
+    With s2 = 4 sin^2(pi k / M) at the offset k = j - i (mod M) from target
+    i to source j, the integrand is a smooth factor of P and rho^2 / s2
+    times a singular factor of s2, which takes the circulant weights W_k of
+    _product_weights (Kress's product rule; the log's smooth term takes the
+    trapezoid rule).  Folded into one circulant row c_k, the two factors
+    make U_i = sum_j P_ij L_ij:
 
-    - log: P [(1/4) ln(rho^2 / s2) - 1/4] + P (1/4) ln s2,
-    - power: [P / s2] [rho^2 / s2]^(-nu/2) s2^(1 - nu/2).
+    - log: P [(1/4) ln(rho^2 / s2) - 1/4] + P (1/4) ln s2, so
+      L = trap ln(rho^2 c_k) with trap = pi / (2M) and
+      c_k = exp(W_k / (4 trap) - 1) / s2;
+    - power: [P / s2] [rho^2 / s2]^(-nu/2) s2^(1 - nu/2), so
+      L = rho^-nu c_k with c_k = W_k s2^(nu/2 - 1).
 
-    The singular factor takes the circulant weights of _product_weights
-    (Kress's product rule; the log's first term, the trapezoid rule), so U_i
-    is one weighted row sum over k.  The power kernel's smooth factor has
-    the limit (1/2) Im(y'' conj y') |y'|^(-nu) at k = 0, weighted by W_0.
+    P_ij = Im[conj(f_j - f_i) y'_j] splits about any origin z0, so
+    U_i = Im[(L (conj(f - z0) y'))_i - conj(f_i - z0) (L y')_i].  Each block
+    of _OFFSET_BLOCK_ELEMS // M rows of L is formed in place and multiplied
+    by three real columns, about z0 at the block's middle target: the two
+    parts cancel in U, and about z0 they stay as small as the offsets.  On
+    the diagonal, where P vanishes, rho^2 = 1 and c_0 = 1 (log) or 0
+    (power) make L_ii = 0.  The power kernel's smooth factor has the limit
+    (1/2) Im(y'' conj y') |y'|^(-nu) at k = 0, weighted by W_0.
     """
     M = len(f)
     s2 = 4.0 * np.sin(np.pi * np.arange(1, M) / M) ** 2
+    c = np.empty(M)
     if case.is_log:
         trap = np.pi / (2.0 * M)
-        wk = 0.25 * _product_weights(M)[1:] - trap
+        c[0] = 1.0
+        c[1:] = np.exp(0.25 * _product_weights(M)[1:] / trap - 1.0) / s2
     else:
         wts = _product_weights(M, case.nu)
-        wk = wts[1:] / s2
-    # [i, k - 1] holds the source j = i + k (mod M), k = 1..M-1
-    src = sliding_window_view(np.concatenate([f, f])[1:], M - 1)[:M]
-    ysrc = sliding_window_view(np.concatenate([yp, yp])[1:], M - 1)[:M]
+        c[0] = 0.0
+        c[1:] = wts[1:] * s2 ** (0.5 * case.nu - 1.0)
+    # row i of circ holds c at j - i (mod M), a reversed window over [c, c]
+    circ = sliding_window_view(np.concatenate([c, c]), M)[M:0:-1]
+    x, y = f.real, f.imag
+    # x_j - x_i = [-x_i, 1] . [1, x_j]: products by 1 and one rounded sum,
+    # the bits of a subtraction, which BLAS writes faster than a broadcast
+    ones = np.ones(M)
+    left = np.stack([-x, ones, -y, ones], axis=1)
+    right = np.stack([ones, x, ones, y])
+    # the columns of the product: Im(conj(f - z0) y'), Re y' and Im y'
+    cols = np.stack([np.empty(M), yp.real, yp.imag])
     block = max(1, _OFFSET_BLOCK_ELEMS // M)
+    d2_block, dy_block = np.empty((block, M)), np.empty((block, M))
     out = np.empty(M)
     for lo in range(0, M, block):
-        rows = slice(lo, lo + block)
-        diff = src[rows] - f[rows, None]
-        y = ysrc[rows]
-        P = diff.real * y.imag - diff.imag * y.real
-        # rho^2 / s2 stays near |y'|^2, so a kernel of it is smooth; the log
-        # takes one log of the ratio rather than a difference of two logs
-        ratio = (diff.real**2 + diff.imag**2) / s2
-        factor = (trap * np.log(ratio) + wk if case.is_log
-                  else ratio ** (-0.5 * case.nu) * wk)
-        out[rows] = np.einsum("ik,ik->i", P, factor)
+        rows = slice(lo, min(lo + block, M))
+        n = rows.stop - lo
+        # d2 = rho^2 of the block's rows, turned into the rows of L in place
+        d2, dy = d2_block[:n], dy_block[:n]
+        np.matmul(left[rows, :2], right[:2], out=d2)
+        np.multiply(d2, d2, out=d2)
+        np.matmul(left[rows, 2:], right[2:], out=dy)
+        np.multiply(dy, dy, out=dy)
+        d2 += dy
+        d2[np.arange(n), np.arange(lo, rows.stop)] = 1.0
+        if case.is_log:
+            d2 *= circ[rows]
+            np.log(d2, out=d2)
+        else:
+            np.power(d2, -0.5 * case.nu, out=d2)
+            d2 *= circ[rows]
+        x0, y0 = x[lo + n // 2], y[lo + n // 2]  # z0
+        np.subtract(x, x0, out=cols[0])
+        cols[0] *= cols[2]
+        cols[0] -= (y - y0) * cols[1]
+        a, bx, by = (d2 @ cols.T).T
+        out[rows] = a - (x[rows] - x0) * by + (y[rows] - y0) * bx
     if case.is_log:
-        return out
+        return trap * out
     # y' holds the powers 1..N+1 < M of e^{it} only, so one FFT gives y''
     ypp = np.fft.ifft(1j * np.arange(M) * np.fft.fft(yp))
     diag = 0.5 * (ypp * yp.conj()).imag * np.abs(yp) ** (-case.nu)
@@ -372,9 +413,7 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
         raise ConfigError(f"angular grid n_angular={n_angular} is below "
                           f"2N+2={2 * h.N + 2}")
     if u_init is None:
-        r = _radial_basis(n_radial)[0].r
-        # base-state field, Dirichlet exact
-        u_init = (base.phi0(r) - base.phi0(1.0))[:, None]
+        u_init = base.phi0.dirichlet_field(n_radial)[:, None]
     fieldv = solve_phi_h(h, base.profile, n_radial=n_radial,
                          n_angular=n_angular, u_init=u_init)
     dn = fieldv.boundary_normal_deriv()

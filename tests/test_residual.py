@@ -1,6 +1,8 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import lu_factor, lu_solve
@@ -84,6 +86,14 @@ def test_mode_operators_match_laplacian_mode():
                     np.linalg.norm(A, np.inf) * np.linalg.norm(x, np.inf)
                     + np.linalg.norm(b, np.inf))
                 assert err <= 1e-14, (n_radial, lam, n, err)
+
+
+def test_left_product_real_matrix():
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((15, 15))
+    Z = rng.standard_normal((15, 9)) + 1j * rng.standard_normal((15, 9))
+    assert np.max(np.abs(residual._left_product(A, Z) - A.astype(complex) @ Z)) < 1e-14
+    assert np.array_equal(residual._left_product(A + 0j, Z), (A + 0j) @ Z)
 
 
 def test_mode_solve_complex_eigenbasis(monkeypatch):
@@ -331,6 +341,13 @@ def test_boundary_potential_matches_reference_loop(nu, M):
     assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _rough_shape(N, amp, seed):
+    """g0 = 0.003 and |g_n| ~ amp / n with random phases."""
+    rng = np.random.default_rng(seed)
+    gn = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / np.arange(1, N + 1)
+    return ShapeCoeffs(0.003, amp * gn / np.max(np.abs(gn)))
+
+
 def _quad_power_potential(h, nu, t0):
     """-1/(2 - nu) int P |y - x|^(-nu) dt at x = y(t0), by adaptive quad on
     either side of the singular point, with y(t) = f(e^{it}) summed
@@ -355,14 +372,85 @@ def _quad_power_potential(h, nu, t0):
 def test_boundary_potential_power_matches_quad(nu, M):
     # N = 64 with |gn| ~ 0.01/n: the modes near n = 64 move U by about
     # 1e-3, which the graded 820-offset rule this replaced missed by 3e-2
-    rng = np.random.default_rng(3)
-    N = 64
-    gn = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / np.arange(1, N + 1)
-    h = ShapeCoeffs(0.003, 0.01 * gn / np.max(np.abs(gn)))
+    h = _rough_shape(64, 0.01, 3)
     U = _potential(h, case_a(nu), M)
     for i in (0, M // 5, M // 2 + 3):
         ref = _quad_power_potential(h, nu, 2.0 * np.pi * i / M)
         assert abs(U[i] - ref) < 1e-9
+
+
+def _offset_form_potential(f, yp, case, dtype=np.float64):
+    """The (target, offset) form that boundary_potential replaced, kept as
+    a reference: P and the kernel factor are formed elementwise on sliding
+    windows over [f, f] and summed row by row.  It runs in the float type
+    dtype (np.longdouble for rounding-level checks) from the same float64
+    samples, product weights and k = 0 term."""
+    real = np.dtype(dtype).type
+    pi = real("3.14159265358979323846264338327950288")
+    M = len(f)
+    s2 = 4 * np.sin(pi * np.arange(1, M).astype(dtype) / M) ** 2
+    if case.is_log:
+        trap = pi / (2 * M)
+        wk = _product_weights(M)[1:].astype(dtype) / 4 - trap
+    else:
+        wts = _product_weights(M, case.nu)
+        wk = wts[1:].astype(dtype) / s2
+    fc, ypc = (z.astype(np.result_type(dtype, 1j)) for z in (f, yp))
+    # [i, k - 1] holds the source j = i + k (mod M), k = 1..M-1
+    src = sliding_window_view(np.concatenate([fc, fc])[1:], M - 1)[:M]
+    ysrc = sliding_window_view(np.concatenate([ypc, ypc])[1:], M - 1)[:M]
+    diff = src - fc[:, None]
+    P = diff.real * ysrc.imag - diff.imag * ysrc.real
+    ratio = (diff.real**2 + diff.imag**2) / s2
+    factor = (trap * np.log(ratio) + wk if case.is_log
+              else ratio ** (-real(case.nu) / 2) * wk)
+    out = np.einsum("ik,ik->i", P, factor)
+    if case.is_log:
+        return out
+    ypp = np.fft.ifft(1j * np.arange(M) * np.fft.fft(yp))
+    diag = 0.5 * (ypp * yp.conj()).imag * np.abs(yp) ** (-case.nu)
+    return -(out + real(wts[0]) * diag.astype(dtype)) / (2 - real(case.nu))
+
+
+@pytest.mark.parametrize("M", [64, 65, 256, 600])
+@pytest.mark.parametrize("nu", [None, 0.3, 0.5, 1.0])
+def test_boundary_potential_matches_offset_form(nu, M):
+    # odd M, and at M = 65 and 600 a partial last block of target rows
+    case = case_b() if nu is None else case_a(nu)
+    f, yp = boundary_curve(_rough_shape(min(24, M // 2 - 1), 0.05, 11), M)
+    U = boundary_potential(f, yp, case)
+    ref = _offset_form_potential(f, yp, case)
+    assert np.max(np.abs(U - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("case", [case_b(), case_a(0.5), case_a(1.0)],
+                         ids=["log", "nu0.5", "nu1"])
+def test_boundary_potential_rounding(case):
+    # the separated products sum about each block's middle target: 5.2e-16
+    # (log), 2.0e-15 (nu = 0.5) and 3.6e-15 (nu = 1) on this shape, where
+    # sums about the origin measured 1.1e-15, 2.4e-15 and 6.5e-15 and the
+    # offset form 5.9e-16, 3.6e-15 and 4.5e-15
+    f, yp = boundary_curve(_rough_shape(64, 0.1, 1), 256)
+    ref = _offset_form_potential(f, yp, case, np.longdouble)
+    err = float(np.max(np.abs(boundary_potential(f, yp, case) - ref)))
+    assert err <= 8e-16 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def test_boundary_potential_memory_bounded():
+    # blocks of 2^14 // M target rows: at M = 1024 one call peaks at
+    # 0.45 MB (the offset form at 1.2 MB), where one M x M array takes 8 MB
+    f, yp = boundary_curve(_rough_shape(64, 0.01, 2), 1024)
+    for case in (case_b(), case_a(0.5)):
+        boundary_potential(f, yp, case)  # fill the weight cache
+        tracemalloc.start()
+        try:
+            boundary_potential(f, yp, case)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("M", [64, 65, 256, 257])
@@ -495,6 +583,28 @@ def test_residual_vanishes_at_base(base):
     S, r2, r3 = residual_F(ShapeCoeffs.zero(16), base.a0, base.lambda0,
                            0.0, base, n_radial=32, n_angular=64)
     assert residual_norm(S, r2, r3) < 1e-12
+
+
+def test_residual_base_field_once_per_grid():
+    # residual_F starts from phi0(r) - phi0(1) on the radial grid; the base
+    # state keeps it per n_radial, equal bit for bit to a fresh evaluation
+    base = make_base_state(case_b(), 2.0, linear_preset(1.0, -2.0))
+    calls = []
+    evaluate = base.phi0.evaluate
+    base.phi0.evaluate = lambda r: calls.append(1) or evaluate(r)
+    r = HalfDiameterGrid(32).r
+    fresh = base.phi0(r) - base.phi0(1.0)
+    h = _small_shape()
+    fields = []
+    for _ in range(2):
+        *_, fld = residual_F(h, base.a0, base.lambda0, 0.0, base, n_radial=32,
+                             n_angular=64, return_field=True)
+        fields.append(fld.values)
+    assert len(calls) == 4  # fresh, then the first residual_F only
+    cached = base.phi0.dirichlet_field(32)
+    assert np.array_equal(cached, fresh) and not cached.flags.writeable
+    assert np.array_equal(fields[0], fields[1])
+    assert base.phi0.dirichlet_field(16).shape == (16,)
 
 
 def test_residual_affine_in_lambda(base):
