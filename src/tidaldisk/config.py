@@ -11,6 +11,7 @@ Recognized keys (units in parentheses):
     a0          particle distance (body radii), at least 1.5
     omega0      rotation speed (rad per time unit)
     profile     rigid:<w> | linear:<slope>,<offset> | csv:<path>
+                (linear: |offset| >= 2e-9, below which phi0 is degenerate)
     N           mode truncation, integer >= 8
     n_radial    radial collocation nodes (half diameter)
     n_angular   angular grid size
@@ -30,8 +31,8 @@ from typing import List, Optional
 from .errors import ConfigError
 from .kernel import (VorticityProfile, linear_preset, profile_from_csv,
                      rigid_preset, zero_preset)
-from .potential import (_A0_MIN, InteractionCase, case_a, case_b,
-                        check_omega0)
+from .potential import (_A0_MIN, DEGENERATE_TOL, InteractionCase, case_a,
+                        case_b, check_omega0)
 
 _KNOWN_KEYS = {
     "case", "nu", "a0", "omega0", "profile", "N", "n_radial", "n_angular",
@@ -92,7 +93,15 @@ def _parse_profile(text: str) -> VorticityProfile:
             return rigid_preset(float(arg))
         if kind == "linear":
             slope, _, offset = arg.partition(",")
-            return linear_preset(float(slope), float(offset or 0.0))
+            slope, offset = float(slope), float(offset or 0.0)
+            # phi0 = offset psi with Delta psi = slope psi + 1, psi(1) = 0,
+            # and 0 < psi'(1) <= 1/2, so |phi0'(1)| <= |offset| / 2: below
+            # the degeneracy tolerance the base state is degenerate, and
+            # shots near phi = 0 can underflow in the integrator
+            if abs(offset) < 2.0 * DEGENERATE_TOL:
+                raise ConfigError(f"invalid profile spec {text!r}: offset "
+                                  "too small, the base state is degenerate")
+            return linear_preset(slope, offset)
         if kind == "zero":
             return zero_preset()
         if kind == "csv":

@@ -47,15 +47,12 @@ from .linop import LinearizedOperator, first_order_response, solve_linearized
 from .potential import (_A0_MIN, BaseState, particle_potential_at,
                         sine_power_coeffs)
 # eval_h_at is not called here; perfbench/tracing.py wraps it under this name
-from .spectral import (BoundarySpectrum, ShapeCoeffs, _h_coeffs, _polar_sum,
-                       analyze, area, boundary_curve, boundary_grid,
-                       boundary_points, boundary_rows, eval_h_at,
-                       injectivity_margin)
+from .spectral import (BoundarySpectrum, ShapeCoeffs, _h_coeffs, analyze,
+                       area, boundary_curve, boundary_grid, boundary_points,
+                       boundary_rows, eval_h_at, injectivity_margin)
 
 DEFAULT_ANGULAR = 256
 
-# j_{0,1}^2: the Dirichlet Laplacian of the unit disk lies at or below -_J01_SQ
-_J01_SQ = 5.783185962946784
 # grid of the Picard damping, so that nearby shapes share one _mode_eigs entry
 _LAM_STEP = 1.0 / 16.0
 
@@ -66,26 +63,27 @@ _LAM_STEP = 1.0 / 16.0
 
 @functools.lru_cache(maxsize=4)
 def _mode_eigs(n_radial: int, lam: float):
-    """For parity p = 0, 1, the eigen-decomposition (Lambda_p, V_p, V_p^-1)
-    of the interior block r^2 (basis[p] - lam I)[1:, 1:].
+    """For parity p = 0, 1, the eigen-decomposition (Lambda_p, V_p,
+    V_p^-1 diag(r^2)) of the interior block r^2 (basis[p] - lam I)[1:, 1:].
 
     Dropping row and column 0 imposes u(1) = 0.  Times r^2, the operator of
     mode n is this block minus n^2 I, so all modes of one parity share V_p
-    (fast diagonalization).  Shared between calls, so the arrays are
-    read-only.  solve_phi_h takes lam from a grid of multiples of _LAM_STEP,
-    so the shapes of a solve share an entry; a profile with G' = 0 always
-    has lam = 0.
+    (fast diagonalization); the third factor takes a right-hand side
+    straight to the eigenbasis of the operator times r^2.  Shared between
+    calls, so the arrays are read-only.  solve_phi_h takes lam from a grid
+    of multiples of _LAM_STEP, so the shapes of a solve share an entry; a
+    profile with G' = 0 always has lam = 0.
     """
     grid, basis = _radial_basis(n_radial)
-    r2 = grid.r[1:, None] ** 2
+    r2 = grid.r[1:] ** 2
     eye = np.eye(n_radial - 1)
     out = []
     for B in basis:
-        ev, V = np.linalg.eig(r2 * (B[1:, 1:] - lam * eye))
-        Vinv = np.linalg.inv(V)
-        for arr in (ev, V, Vinv):
+        ev, V = np.linalg.eig(r2[:, None] * (B[1:, 1:] - lam * eye))
+        Vinv_r2 = np.linalg.inv(V) * r2
+        for arr in (ev, V, Vinv_r2):
             arr.setflags(write=False)
-        out.append((ev, V, Vinv))
+        out.append((ev, V, Vinv_r2))
     return tuple(out)
 
 
@@ -101,11 +99,11 @@ def _left_product(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
 def _solve_modes(n_radial: int, lam: float, rhs_hat: np.ndarray) -> np.ndarray:
     """Solve (d_rr + (1/r) d_r - n^2/r^2 - lam) u = rhs with u(1) = 0 for
     every rfft column n of rhs_hat; row 0 of rhs_hat is not used."""
-    r2 = _radial_basis(n_radial)[0].r[1:, None] ** 2
     n2 = np.arange(rhs_hat.shape[1]) ** 2
     u_hat = np.zeros(rhs_hat.shape, dtype=complex)
-    for p, (ev, V, Vinv) in enumerate(_mode_eigs(n_radial, lam)):
-        coef = _left_product(Vinv, r2 * rhs_hat[1:, p::2])
+    for p, (ev, V, Vinv_r2) in enumerate(_mode_eigs(n_radial, lam)):
+        coef = _left_product(Vinv_r2,
+                             np.ascontiguousarray(rhs_hat[1:, p::2]))
         coef /= ev[:, None] - n2[None, p::2]
         u_hat[1:, p::2] = _left_product(V, coef)
     return u_hat
@@ -126,6 +124,7 @@ class DiskField:
     r: np.ndarray              # descending, r[0] = 1
     phi: np.ndarray            # uniform angular grid
     values: np.ndarray         # shape (len(r), len(phi))
+    spectrum: np.ndarray = field(repr=False)  # rfft of values along phi
     grid: HalfDiameterGrid = field(repr=False, default=None)
     picard_steps: int = 0      # steps of the solve that made the field
     damping: float = 0.0       # its final Picard damping lam
@@ -137,15 +136,38 @@ class DiskField:
         """Radial derivative at r = 1, mode by mode with the correct parity
         fold of the half-diameter discretization."""
         rows = [self.grid.d1(p)[:1] for p in (0, 1)]
-        vh = np.fft.rfft(self.values, axis=1)
-        return np.fft.irfft(_parity_fold(rows, vh)[0], n=len(self.phi))
+        return np.fft.irfft(_parity_fold(rows, self.spectrum)[0],
+                            n=len(self.phi))
 
 
-def conformal_factor_grid(h: ShapeCoeffs, r: np.ndarray, M: int):
-    """|f'|^2 on the polar grid r_i exp(2 pi i j / M); h itself is not
-    evaluated."""
-    dh = _polar_sum(_h_coeffs(h)[1], r, M)
-    return np.abs(1.0 + dh) ** 2
+@functools.lru_cache(maxsize=4)
+def _radial_powers(n_radial: int, N: int) -> np.ndarray:
+    """r_i^k, k = 0..N, on the radial grid of n_radial nodes.  Cached, so
+    read-only."""
+    powers = _radial_basis(n_radial)[0].r[:, None] ** np.arange(N + 1)
+    powers.setflags(write=False)
+    return powers
+
+
+def conformal_factor_grid(h: ShapeCoeffs, n_radial: int, M: int):
+    """|f'|^2 on the polar grid r_i exp(2 pi i j / M) of the n_radial
+    radial nodes; h itself is not evaluated.
+
+    One inverse FFT of the rows c_k r_i^k (c_k the coefficients of
+    f' = 1 + h', r^k cached) gives f' = Re f' + i Im f', and |f'|^2 is the
+    sum of the squares of that pair.  The grid must hold 2N + 2 points, as
+    everywhere else on the boundary; the powers then lie below M, which the
+    length-M transform needs.
+    """
+    if M < 2 * h.N + 2:
+        raise ConfigError(f"angular grid n_angular={M} is below "
+                          f"2N+2={2 * h.N + 2}")
+    cdf = _h_coeffs(h)[1]
+    cdf[0] += 1.0
+    pairs = np.fft.ifft(_radial_powers(n_radial, h.N) * cdf, n=M, axis=1,
+                        norm="forward").view(float)
+    np.square(pairs, out=pairs)
+    return pairs[:, 0::2] + pairs[:, 1::2]
 
 
 def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
@@ -157,12 +179,12 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
 
     Each step solves (Delta - lam) u_next = w G(u) - lam u with w = |f'|^2.
     Its error operator is (Delta - lam)^-1 (w G' - lam); the Dirichlet
-    Laplacian of the disk lies at or below -j01^2, so with lam the midpoint
-    of [min wG', max wG'] the step contracts for any wG' >= 0.  lam is
+    Laplacian of the disk lies at or below -j01^2 = -5.78, so with lam the
+    midpoint of [min wG', max wG'] the step contracts for any wG' >= 0.
+    Each step takes lam at the midpoint of the current iterate's range,
     rounded to multiples of _LAM_STEP (at least 0), so that nearby shapes
-    share one cached eigenbasis, and set at step 0; a later step resets it
-    only when max|wG' - lam| exceeds (lam + j01^2) / 2.  A profile with
-    G' = 0 keeps lam = 0.
+    share one cached eigenbasis.  A profile with G' = 0 keeps lam = 0, and
+    one with G' = 1 keeps lam = 1 while |f'|^2 stays within 1/32 of 1.
 
     Stop rule: by the maximum principle, ||(Delta - lam)^-1|| <= 1/max(4, lam)
     in the sup norm, so q = max|wG' - lam| / max(4, lam), taken over the
@@ -176,14 +198,15 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
     The step runs on the rfft modes n = 0..M/2 of the angle, by fast
     diagonalization (_solve_modes), and evaluates G' once, at the new
     iterate; a solve of k steps evaluates it k + 1 times.  The iteration
-    starts from u_init (broadcast to the grid), or from zero.
+    starts from u_init (broadcast to the grid), or from zero.  The field
+    keeps the last step's modes as its spectrum.  The grid must hold
+    2N + 2 angles (ConfigError).
     """
     if injectivity_margin(h) <= 0:
         raise TidaldiskError("shape is not certified injective; refusing "
                              "to solve on a possibly folded domain")
     grid, _ = _radial_basis(n_radial)
-    r = grid.r
-    w = conformal_factor_grid(h, r, n_angular)
+    w = conformal_factor_grid(h, n_radial, n_angular)
     shape = (n_radial, n_angular)
     if u_init is None:
         u = np.zeros(shape)
@@ -191,12 +214,9 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
         u = np.array(np.broadcast_to(u_init, shape), dtype=float)
 
     wg1 = w * profile.d1(u)
-    lam = None
     for steps in range(1, max_iter + 1):
         lo, hi = float(np.min(wg1)), float(np.max(wg1))
-        if lam is None or max(hi - lam, lam - lo) > 0.5 * (lam + _J01_SQ):
-            lam = max(round(0.5 * (lo + hi) / _LAM_STEP) * _LAM_STEP, 0.0)
-
+        lam = max(round(0.5 * (lo + hi) / _LAM_STEP) * _LAM_STEP, 0.0)
         rhs = w * np.asarray(profile.eval(u), dtype=float) - lam * u
         u_hat = _solve_modes(n_radial, lam, np.fft.rfft(rhs, axis=1))
         u_new = np.fft.irfft(u_hat, n=n_angular, axis=1)
@@ -211,8 +231,9 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
         raise DivergenceError(
             f"stream-function iteration did not converge (last step {delta:.2e})")
 
-    return DiskField(r=r, phi=boundary_grid(n_angular), values=u, grid=grid,
-                     picard_steps=steps, damping=lam)
+    return DiskField(r=grid.r, phi=boundary_grid(n_angular), values=u,
+                     spectrum=u_hat, grid=grid, picard_steps=steps,
+                     damping=lam)
 
 
 def field_equation_residual(fieldv: DiskField, h: ShapeCoeffs,
@@ -220,7 +241,7 @@ def field_equation_residual(fieldv: DiskField, h: ShapeCoeffs,
     """Sup norm of Delta u - |f'|^2 G(u) at the interior collocation nodes."""
     r = fieldv.r
     M = len(fieldv.phi)
-    w = conformal_factor_grid(h, r, M)
+    w = conformal_factor_grid(h, len(r), M)
     _, basis = _radial_basis(len(r))
     vh = np.fft.rfft(fieldv.values, axis=1)
     n = np.arange(vh.shape[1])
@@ -330,8 +351,10 @@ def boundary_potential(f: np.ndarray, yp: np.ndarray, case) -> np.ndarray:
         if case.is_log:
             d2 *= circ[rows]
             np.log(d2, out=d2)
-        else:
-            np.power(d2, -0.5 * case.nu, out=d2)
+        else:  # rho^-nu as exp(-(nu/2) ln rho^2), faster than np.power
+            np.log(d2, out=d2)
+            d2 *= -0.5 * case.nu
+            np.exp(d2, out=d2)
             d2 *= circ[rows]
         x0, y0 = x[lo + n // 2], y[lo + n // 2]  # z0
         np.subtract(x, x0, out=cols[0])
@@ -356,7 +379,7 @@ def boundary_potential(f: np.ndarray, yp: np.ndarray, case) -> np.ndarray:
 _PF_CLEARANCE = 0.3
 
 
-def particle_force(h: ShapeCoeffs, case, a: float) -> complex:
+def particle_force(h: ShapeCoeffs, case, a: float, curve=None) -> complex:
     """Gradient of the body's attraction potential at the particle site
     (a, 0), as the complex number d/dx1 + i d/dx2.
 
@@ -368,11 +391,20 @@ def particle_force(h: ShapeCoeffs, case, a: float) -> complex:
     at the disk the error falls like a^-M, 1.5^-M near the closest
     particle; at N = 128 with |g_n| ~ 1e-3/n, 2N + 2 points leave errors up
     to 6e-9 and 4N points 4e-16.
+
+    curve, a sample (f, y') of h on a uniform grid (spectral.boundary_curve),
+    is used at every k-th point when boundary_points(N) divides its size;
+    otherwise the curve is sampled afresh.
     """
     a = float(a)
     if a < _A0_MIN:
         raise ConfigError(f"particle distance must be at least {_A0_MIN}")
-    f, yp = boundary_curve(h, boundary_points(h.N))
+    M = boundary_points(h.N)
+    if curve is not None and len(curve[0]) % M == 0:
+        step = len(curve[0]) // M
+        f, yp = curve[0][::step], curve[1][::step]
+    else:
+        f, yp = boundary_curve(h, M)
     if float(np.max(np.abs(f))) > a - _PF_CLEARANCE:
         raise TidaldiskError(
             "shape reaches too close to the particle for smooth quadrature")
@@ -406,12 +438,12 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
     Bernoulli mismatch, r2 the particle-balance residual and r3 the volume
     residual; with return_field=True the stream-function field is appended.
     The stream-function solve starts from u_init, by default from the
-    base-state field phi0(r).  The curve is sampled once, on the n_angular
-    grid, which must hold at least 2N + 2 points.
+    base-state field phi0(r), and its field carries its own rfft for the
+    normal derivative.  The curve is sampled once, on the n_angular grid,
+    which must hold at least 2N + 2 points (solve_phi_h raises ConfigError
+    otherwise); particle_force takes every k-th point of that sample when
+    boundary_points(N) divides n_angular.
     """
-    if n_angular < 2 * h.N + 2:
-        raise ConfigError(f"angular grid n_angular={n_angular} is below "
-                          f"2N+2={2 * h.N + 2}")
     if u_init is None:
         u_init = base.phi0.dirichlet_field(n_radial)[:, None]
     fieldv = solve_phi_h(h, base.profile, n_radial=n_radial,
@@ -428,7 +460,7 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
                + u_self + m * u_part - lam)
     S_res = analyze(samples, N=h.N)
 
-    r2 = base.omega0**2 * a - particle_force(h, base.case, a).real
+    r2 = base.omega0**2 * a - particle_force(h, base.case, a, (f, yp)).real
     r3 = area(h) - np.pi
     if return_field:
         return S_res, float(r2), float(r3), fieldv
@@ -476,7 +508,9 @@ class EquilibriumSolution:
 
 def _diagnostics(h: ShapeCoeffs, a: float, lam: float, m: float,
                  base: BaseState, S: BoundarySpectrum,
-                 picard_steps: list) -> dict:
+                 picard_steps: list, margin: float) -> dict:
+    """Diagnostics of a converged state; margin is injectivity_margin(h),
+    which the quasi-Newton loop has computed for the iterate."""
     com = center_of_mass(h, m, a)
     # Pressure continuity on the free boundary: the interior pressure at the
     # boundary is -(1/2)|grad psi|^2 + (Omega0^2/2)|x|^2 + lambda (the
@@ -488,7 +522,7 @@ def _diagnostics(h: ShapeCoeffs, a: float, lam: float, m: float,
         "area_error": abs(area(h) - np.pi),
         "center_of_mass": [float(com[0]), float(com[1])],
         "symmetry_defect": h.symmetry_defect(),
-        "injectivity_margin": injectivity_margin(h),
+        "injectivity_margin": margin,
         "pressure_jump_sup": jump_sup,
         # stream-function Picard steps of each residual_F call
         "picard_steps": picard_steps,
@@ -521,11 +555,10 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
         S, r2, r3, fieldv = residual_F(h, base.a0, base.lambda0, 0.0, base,
                                        n_radial, n_angular, return_field=True)
         rn = residual_norm(S, r2, r3)
+        diag = _diagnostics(h, base.a0, base.lambda0, 0.0, base, S,
+                            [fieldv.picard_steps], injectivity_margin(h))
         return EquilibriumSolution(h, base.a0, base.lambda0, 0.0, rn, 0,
-                                   [rn], _diagnostics(h, base.a0,
-                                                      base.lambda0, 0.0,
-                                                      base, S,
-                                                      [fieldv.picard_steps]))
+                                   [rn], diag)
 
     h1, a1, l1 = first_order_response(op, m)
     h = h1
@@ -541,7 +574,11 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
             raise DivergenceError(
                 f"iterate moved the particle to a={a:.6g}, inside the "
                 f"admissible distance {_A0_MIN}", history=history)
-        if injectivity_margin(h) <= 0:
+        # solve_phi_h checks the margin again, for callers outside this
+        # loop, and raises TidaldiskError (exit 1); an iterate that leaves
+        # the certified set is a divergence (exit 4)
+        margin = injectivity_margin(h)
+        if margin <= 0:
             raise DivergenceError("iterate lost certified injectivity",
                                   history=history)
         S, r2, r3, fieldv = residual_F(h, a, lam, m, base, n_radial,
@@ -554,7 +591,7 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
         if rn < tol:
             return EquilibriumSolution(h, a, lam, m, rn, it, history,
                                        _diagnostics(h, a, lam, m, base, S,
-                                                    picard_steps))
+                                                    picard_steps, margin))
         if len(history) > 1 and rn > history[-2]:
             bad_streak += 1
             if bad_streak >= 3:

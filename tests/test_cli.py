@@ -1,8 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tidaldisk import cli
 from tidaldisk.cli import main
@@ -238,3 +243,68 @@ def test_write_csv_bytes(tmp_path):
     assert path.read_bytes() == (
         b'n,x\r\n0,0.1\r\n1,0.3333333333333333\r\n2,"a,b"\r\n')
     assert [p.name for p in path.parent.iterdir()] == ["t.csv"]
+
+
+# --------------------------------------------------------------------------
+# property: every generated config leaves with a documented exit code
+# --------------------------------------------------------------------------
+
+_EXIT_CODES = {0, 1, 2, 3, 4, 5}  # as documented in the cli docstring
+_BAD_REALS = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0, 1e6]
+
+
+@st.composite
+def _run_configs(draw):
+    """A small-N config of either kernel, a0 often near its minimum 1.5;
+    half of them with one value made non-finite or out of range."""
+    N = draw(st.integers(8, 16))
+    cfg = {"case": draw(st.sampled_from(["A", "B"]))}
+    if cfg["case"] == "A":
+        cfg["nu"] = draw(st.floats(0.05, 1.0))
+    if draw(st.integers(0, 3)):
+        cfg["a0"] = draw(st.one_of(st.floats(1.5, 1.6), st.floats(1.5, 6.0)))
+    else:
+        cfg["omega0"] = draw(st.floats(0.05, 1.5))
+    kind = draw(st.sampled_from(["rigid", "linear"]))
+    params = ([draw(st.floats(0.1, 3.0))] if kind == "rigid" else
+              [draw(st.floats(0.0, 20.0)), draw(st.floats(-4.0, 1.0))])
+    cfg.update(N=N, n_radial=draw(st.integers(8, 24)),
+               n_angular=draw(st.integers(2 * N + 2, 64)),
+               m=draw(st.floats(-1e-4, 1e-4)))
+    if draw(st.booleans()):
+        cfg["tol"] = draw(st.floats(1e-13, 1e-6))
+    if draw(st.booleans()):
+        cfg["m_cap"] = draw(st.floats(1e-6, 1.0))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(cfg) + ["profile"]))
+        if key == "profile":
+            # no huge slopes: the shooting for the base state overflows
+            params[draw(st.integers(0, len(params) - 1))] = draw(
+                st.sampled_from(_BAD_REALS[:-1]))
+        elif key == "case":
+            cfg[key] = "C"
+        elif key in ("N", "n_radial", "n_angular"):
+            cfg[key] = draw(st.integers(-2, 2 * N + 1))
+        else:
+            cfg[key] = draw(st.sampled_from(_BAD_REALS))
+    cfg["profile"] = kind + ":" + ",".join(map(repr, params))
+    return "".join(f"{key} = {value!r}\n" if isinstance(value, float)
+                   else f"{key} = {value}\n" for key, value in cfg.items())
+
+
+@pytest.mark.parametrize("command", ["base", "scan", "perturb", "solve"])
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@given(text=_run_configs())
+def test_cli_exits_with_documented_code(command, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", path,
+                         "--out", os.path.join(tmp, "out")])
+    assert code in _EXIT_CODES
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().startswith("error:")

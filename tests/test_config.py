@@ -56,6 +56,9 @@ def test_parse_case_a_defaults():
     ("case=B\nprofile=rigid:1\na0=2\nm_cap=0\n", "'m_cap': must be positive"),
     ("case=B\nprofile=rigid:1\na0=2\nm_cap=-1\n", "'m_cap': must be positive"),
     ("case=B\nprofile=rigid:1\na0=2\nseed=-1\n", "seed must be non-negative"),
+    # |phi0'(1)| <= |offset| / 2; at 1.44e-173 the shooting underflowed
+    ("case=B\nprofile=linear:1\na0=2\n", "degenerate"),
+    ("case=B\nprofile=linear:1,1.44e-173\na0=2\n", "degenerate"),
 ])
 def test_parse_errors(text, frag):
     with pytest.raises(ConfigError, match=frag):

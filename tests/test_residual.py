@@ -24,7 +24,7 @@ from tidaldisk.residual import (EquilibriumSolution, _mode_eigs,
                                 residual_F, residual_norm, solve_phi_h)
 from tidaldisk.spectral import (ShapeCoeffs, _h_coeffs, boundary_grid,
                                boundary_curve, disk_rule, eval_h_at,
-                               eval_h_polar)
+                               eval_h_polar, injectivity_margin)
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +226,7 @@ def test_stream_function_stop_rule_accuracy(slope):
     # the same iteration run to 1e-15
     profile = (_table_profile() if slope == "table"
                else linear_preset(slope, -2.0))
+    steps = []
     for amp in (1e-4, 1e-2, 5e-2):
         h = _small_shape().scaled(amp / 0.01)
         fld = solve_phi_h(h, profile, n_radial=32, n_angular=64, tol=1e-12)
@@ -233,6 +234,36 @@ def test_stream_function_stop_rule_accuracy(slope):
         err = np.max(np.abs(fld.values - ref.values))
         assert err <= 1e-12, (slope, amp, err)
         assert fld.damping % residual._LAM_STEP == 0.0
+        steps.append(fld.picard_steps)
+    if slope == "table":
+        # the damping follows the midpoint of each iterate's wG' range as
+        # it spreads from about [0.96, 1.14] at u = 0 to [0.93, 2.84]
+        # (amp 1e-2); held at its first value, 1.0625, these cold solves
+        # took 16, 16 and 17 steps
+        assert steps == [10, 11, 12]
+
+
+def test_disk_field_spectrum_is_rfft(base_linear):
+    # the field keeps the modes of its last Picard step, which
+    # boundary_normal_deriv reads in place of an rfft of the values
+    fld = solve_phi_h(_small_shape(), base_linear.profile, n_radial=32,
+                      n_angular=64)
+    assert fld.picard_steps > 1
+    ref = np.fft.rfft(fld.values, axis=1)
+    assert np.max(np.abs(fld.spectrum - ref)) <= 1e-14
+    rows = [fld.grid.d1(p)[:1] for p in (0, 1)]
+    dn = np.fft.irfft(residual._parity_fold(rows, ref)[0], n=64)
+    assert np.max(np.abs(fld.boundary_normal_deriv() - dn)) <= 1e-14
+
+
+@pytest.mark.parametrize("N, M", [(8, 18), (8, 64), (64, 256), (128, 512)])
+def test_conformal_factor_grid_matches_polar_sum(N, M):
+    h = _decaying_shape(N, 2, 0.05, seed=N)
+    r = HalfDiameterGrid(32).r
+    ref = np.abs(1.0 + eval_h_polar(h, r, M)[1]) ** 2
+    assert np.max(np.abs(residual.conformal_factor_grid(h, 32, M) - ref)) <= 4e-15
+    with pytest.raises(ConfigError):
+        residual.conformal_factor_grid(h, 32, 2 * N + 1)
 
 
 def test_stream_function_rigid_one_step(base):
@@ -486,6 +517,30 @@ def test_particle_force_disk(base):
     assert abs(particle_force(h, case_b(), 2.0).imag) < 1e-14
 
 
+@pytest.mark.parametrize("case", [case_b(), case_a(0.5)], ids=["log", "nu0.5"])
+def test_particle_force_from_residual_curve(case):
+    # boundary_points(8) = 256: every 2nd or 3rd point of a 512- or 768-point
+    # sample is the force grid; a 300-point sample is not used
+    h = _decaying_shape(8, 2, 1e-2, seed=4)
+    fresh = particle_force(h, case, 2.0)
+    for M in (256, 512, 768, 300):
+        got = particle_force(h, case, 2.0, boundary_curve(h, M))
+        assert abs(got - fresh) <= 1e-15, M
+
+
+@pytest.mark.parametrize("n_angular, samples", [(256, 1), (512, 1), (300, 2)])
+def test_residual_samples_curve_once(base, monkeypatch, n_angular, samples):
+    # particle_force takes residual_F's sample when boundary_points(N)
+    # divides n_angular, and samples the curve afresh when it does not
+    calls = []
+    sample = residual.boundary_curve
+    monkeypatch.setattr(residual, "boundary_curve",
+                        lambda h, M: calls.append(M) or sample(h, M))
+    residual_F(_small_shape(), base.a0, base.lambda0, 0.0, base,
+               n_radial=16, n_angular=n_angular)
+    assert calls == [n_angular, 256][:samples]
+
+
 def test_particle_force_guards():
     with pytest.raises(ConfigError):
         particle_force(ShapeCoeffs.zero(1), case_b(), 1.2)
@@ -664,6 +719,8 @@ def test_solve_small_mass(op, base):
     assert abs(d["center_of_mass"][0]) < 1e-8
     assert d["symmetry_defect"] < 1e-12
     assert d["injectivity_margin"] > 0.5
+    # the margin the quasi-Newton loop checked on the final iterate
+    assert d["injectivity_margin"] == injectivity_margin(sol.h)
     assert d["pressure_jump_sup"] < 1e-8
     assert len(d["picard_steps"]) == sol.iterations
     # the body leans toward the particle and drifts slightly closer
