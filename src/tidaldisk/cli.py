@@ -13,7 +13,9 @@ Subcommands:
 
 All subcommands take --config PATH and --out DIR.  Output files are written
 atomically (temp file + rename).  Exit codes: 0 ok, 2 config error,
-3 resonance, 4 divergence, 5 quadrature failure.
+3 resonance, 4 divergence, 5 quadrature failure.  A run that fails with
+a package error also writes error.json (error class, exit_code, message;
+history for a divergence) to --out.
 
 CSV columns: phi0.csv (r, phi0); modes.csv (n, a_deriv, c, omega);
 boundary*.csv (phi, x1, x2); history_<m>.csv (iteration, residual_norm).
@@ -22,6 +24,7 @@ boundary*.csv (phi, x1, x2); history_<m>.csv (iteration, residual_norm).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -33,7 +36,8 @@ import numpy as np
 
 from .coeffs import build_mode_table
 from .config import RunConfig, parse_config_file
-from .errors import ConfigError, ResonanceError, TidaldiskError
+from .errors import (ConfigError, DivergenceError, ResonanceError,
+                     TidaldiskError)
 from .linop import (first_order_response, make_operator, nonresonance_scan)
 from .potential import a0_from_omega, make_base_state
 from .residual import quasi_newton_solve
@@ -203,8 +207,23 @@ _COMMANDS = {
 }
 
 
+def _error_report(exc: TidaldiskError) -> dict:
+    report = {
+        "schema_version": 1,
+        "error": type(exc).__name__,
+        "exit_code": exc.exit_code,
+        "message": str(exc),
+    }
+    if isinstance(exc, DivergenceError):
+        report["history"] = exc.history
+    return report
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    error_path = os.path.join(args.out, "error.json")
+    with contextlib.suppress(OSError):  # a stale report from an earlier run
+        os.remove(error_path)
     try:
         cfg = parse_config_file(args.config) if args.config else None
         if args.command != "verify" and cfg is None:
@@ -212,6 +231,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, args.out)
     except TidaldiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        # the report is a courtesy: failing to write it changes nothing
+        with contextlib.suppress(OSError):
+            _write_json(error_path, _error_report(exc))
         return exc.exit_code
 
 

@@ -539,8 +539,9 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
     Starts from the first-order response; reports divergence after three
     consecutive residual increases, or when an iterate leaves the
     admissible set (particle distance below the a0 minimum, or a shape not
-    certified injective).  The default mass cap is a heuristic
-    tied to the distance to resonance.
+    certified injective).  At m = 0 the disk itself is the answer, and its
+    residual must be below tol like any other.  The default mass cap is a
+    heuristic tied to the distance to resonance.
     """
     base = op.base
     if m_cap is None:
@@ -555,6 +556,10 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
         S, r2, r3, fieldv = residual_F(h, base.a0, base.lambda0, 0.0, base,
                                        n_radial, n_angular, return_field=True)
         rn = residual_norm(S, r2, r3)
+        if not rn < tol:
+            raise DivergenceError(
+                f"the unperturbed disk misses the discrete system by "
+                f"{rn:.2e}, not below tol {tol:g}", history=[rn])
         diag = _diagnostics(h, base.a0, base.lambda0, 0.0, base, S,
                             [fieldv.picard_steps], injectivity_margin(h))
         return EquilibriumSolution(h, base.a0, base.lambda0, 0.0, rn, 0,

@@ -270,6 +270,58 @@ def criterion_11_linear_response(seed=0):
     }
 
 
+def criterion_12_discrete_jacobian(seed=0):
+    """apply_forward is the Jacobian of residual_F at the disk (m = 0).
+
+    One central difference along h = sum e_n z^(n+1), e_n = eps/(n+1), as
+    in criterion 11, gives row n of the mode block for every n <= N, and the
+    Z and M rows; two more give the a and lambda columns.  Row n is held
+    against the size of the terms whose sum is omega_n (the tail
+    certificate's lead + rest), not against omega_n itself, which nearly
+    vanishes next to a resonance (n = 2 in case B and n = 4 at nu = 1 here).
+    The differences' own error is about 3e-9 (their eps^2 terms)."""
+    N, M, eps = 64, 256, 1e-6
+    n = np.arange(N + 1)
+    e = eps / (n + 1)
+    h, zero = ShapeCoeffs(e[0], e[1:]), ShapeCoeffs.zero(N)
+    worst = {}
+    for case, profile in ((case_b(), linear_preset(1.0, -2.0)),
+                          (case_a(0.5), rigid_preset(1.0)),
+                          (case_a(1.0), linear_preset(1.0, -2.0))):
+        base = make_base_state(case, 2.0, profile)
+        op = make_operator(base, N=N)
+        t, dp = op.table, base.dphi0_at_1
+
+        def half_diff(dh, da, dl):  # (F(x + d) - F(x - d)) / 2 at the disk
+            Fp, Fm = (residual_F(dh.scaled(s), base.a0 + s * da,
+                                 base.lambda0 + s * dl, 0.0, base, n_angular=M)
+                      for s in (1.0, -1.0))
+            return (0.5 * (Fp[0].coeffs - Fm[0].coeffs),
+                    0.5 * (Fp[1] - Fm[1]), 0.5 * (Fp[2] - Fm[2]))
+
+        S, Z, Mr = half_diff(h, 0.0, 0.0)
+        S_lin, Z_lin, M_lin = apply_forward(op, h, 0.0, 0.0)
+        a_n = np.concatenate([[t.a0_deriv], t.a_deriv])
+        terms = np.where(n == 0, 2.0, 1.0) * (
+            (0.5 * dp * dp + np.abs(dp * a_n)) * (n + 1)
+            + 0.5 * base.omega0**2 + np.abs(t.c))
+        err = {"modes": np.max(np.abs(S - S_lin.coeffs) / (e * terms)),
+               "Z": abs(Z - Z_lin) / np.sum(np.abs(op.w_weights * e)),
+               "M": abs(Mr - M_lin) / abs(M_lin)}
+        for name, b, mu in (("a", eps, 0.0), ("lambda", 0.0, eps)):
+            S, Z, Mr = half_diff(zero, b, mu)
+            S_lin, Z_lin, M_lin = apply_forward(op, zero, b, mu)
+            err[name] = max(np.max(np.abs(S - S_lin.coeffs)), abs(Z - Z_lin),
+                            abs(Mr - M_lin)) / max(abs(Z_lin), abs(mu))
+        worst[f"{case.label()} {profile.name}"] = {
+            k: float(v) for k, v in err.items()}
+    return {
+        "name": "frozen operator is the discrete Jacobian of residual_F",
+        "passed": bool(max(max(v.values()) for v in worst.values()) < 1e-7),
+        "details": {"max_rel_error": worst},
+    }
+
+
 ALL_CRITERIA = [
     criterion_1_closed_forms,
     criterion_2_rigid_mode_derivatives,
@@ -282,6 +334,7 @@ ALL_CRITERIA = [
     criterion_9_potential_properties,
     criterion_10_conformal_certification,
     criterion_11_linear_response,
+    criterion_12_discrete_jacobian,
 ]
 
 

@@ -60,3 +60,6 @@ def test_criterion_10_conformal_certification():
 def test_criterion_11_linear_response():
     _run(verify.criterion_11_linear_response)
 
+
+def test_criterion_12_discrete_jacobian():
+    _run(verify.criterion_12_discrete_jacobian)

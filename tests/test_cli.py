@@ -113,6 +113,61 @@ def test_scan_exit_on_resonance(tmp_path, capsys):
     assert 2 in report["resonances"]
 
 
+def test_error_report_on_config_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, BASE_CFG + "bogus = 1\n")
+    out = tmp_path / "out"
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    report = _read_json(out / "error.json")
+    assert report == {"schema_version": 1, "error": "ConfigError",
+                      "exit_code": 2,
+                      "message": err.removeprefix("error: ").rstrip("\n")}
+    # a later successful run in the same directory removes the stale report
+    cfg = _write_cfg(tmp_path, BASE_CFG)
+    assert main(["base", "--config", cfg, "--out", str(out)]) == 0
+    assert not (out / "error.json").exists()
+
+
+def test_error_report_on_resonant_scan(tmp_path):
+    w = float(np.sqrt(np.pi) / 2.0)  # on the n = 2 resonance, as above
+    cfg = _write_cfg(
+        tmp_path, f"case = B\nprofile = rigid:{w!r}\na0 = 2.0\nN = 16\n")
+    out = tmp_path / "out"
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 3
+    report = _read_json(out / "error.json")
+    assert report["error"] == "ResonanceError" and report["exit_code"] == 3
+    assert "n=2" in report["message"] and "history" not in report
+
+
+def test_error_report_unwritable(tmp_path, capsys):
+    # --out names a file, so no report can be written: the exit code and
+    # the stderr line are those of the error itself
+    out = tmp_path / "out"
+    out.write_text("")
+    cfg = _write_cfg(tmp_path, BASE_CFG + "bogus = 1\n")
+    assert main(["base", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_solve_zero_mass_above_tol(tmp_path, capsys):
+    # the 41-knot PCHIP table: the disk misses the discrete system by about
+    # 5e-9, so solve at m = 0 and tol 1e-10 diverges with that one residual
+    u = np.linspace(-1.5, 0.5, 41)
+    table = tmp_path / "g.csv"
+    table.write_text("".join(f"{x!r},{-2.0 + x + 4.0 * x**3!r}\n"
+                             for x in u.tolist()))
+    cfg = _write_cfg(tmp_path, f"case = B\nprofile = csv:{table}\na0 = 2.0\n"
+                     "N = 16\nm = 0\ntol = 1e-10\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 4
+    assert "unperturbed disk" in capsys.readouterr().err
+    report = _read_json(out / "error.json")
+    assert report["error"] == "DivergenceError" and report["exit_code"] == 4
+    assert len(report["history"]) == 1 and report["history"][0] > 1e-10
+    assert not (out / "solution_0.json").exists()
+
+
 def test_perturb_outputs(tmp_path):
     cfg = _write_cfg(tmp_path, BASE_CFG + "m = 1e-5\n")
     out = tmp_path / "out"
@@ -180,7 +235,7 @@ def test_verify_writes_report(tmp_path, capsys):
     assert main(["verify", "--out", str(out)]) == 0
     report = _read_json(out / "verify.json")
     assert report["passed"] is True
-    assert [r["criterion"] for r in report["criteria"]] == list(range(1, 12))
+    assert [r["criterion"] for r in report["criteria"]] == list(range(1, 13))
     assert "[PASS]" in capsys.readouterr().out
 
 

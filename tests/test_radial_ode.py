@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from tidaldisk.errors import TidaldiskError
 from tidaldisk.kernel import (linear_preset, profile_from_table, rigid_preset,
                               zero_preset)
 from tidaldisk.potential import case_a, case_b, make_base_state
-from tidaldisk.radial_ode import (RadialProfile, mode_derivatives, solve_An,
-                                  solve_phi0)
+from tidaldisk.radial_ode import (RadialProfile, _mode_grid, mode_derivatives,
+                                  solve_An, solve_phi0)
 
 
 def test_profile_validation():
@@ -67,6 +68,12 @@ def test_mode_derivatives_rigid_closed_form(rigid_base):
     assert np.max(np.abs(d * (n + 1) + 1.0)) < 1e-12
 
 
+def _pchip41_profile():
+    """PCHIP table of G(u) = -2 + u + 4 u^3 with 41 knots on [-1.5, 0.5]."""
+    u = np.linspace(-1.5, 0.5, 41)
+    return profile_from_table(u, -2.0 + u + 4.0 * u**3)
+
+
 def _table_profile():
     """PCHIP profile of G(u) = -2 + u + 4 u^3, as in test_residual.py."""
     u = np.linspace(-1.0, 1.0, 21)
@@ -101,8 +108,44 @@ def test_mode_rejects_negative_n(rigid_base):
 
 @pytest.mark.parametrize("case", [case_a(0.5), case_b()], ids=["A", "B"])
 def test_mode_derivatives_match_solve_An(case):
-    # a linear profile, so that both G(phi0) and G'(phi0) enter
+    # a linear profile, so that both G(phi0) and G'(phi0) enter; the batched
+    # Schur route and the per-mode LU solves agree to about 2e-14
     base = make_base_state(case, 2.0, linear_preset(1.0, -2.0))
     d = mode_derivatives(base, 64)
     assert d.shape == (65,)
-    assert np.array_equal(d, [solve_An(n, base)[1] for n in range(65)])
+    np.testing.assert_allclose(d, [solve_An(n, base)[1] for n in range(65)],
+                               rtol=1e-13, atol=0.0)
+
+
+def _refined_mode_derivatives(base, N, n_nodes):
+    """Per-mode solves of (L + 2n C) alpha = g0, refined three times with
+    residuals formed in long double (80-bit on x86-64): the discrete
+    A_n'(1) to well below double rounding."""
+    _, L, C, row, g0 = _mode_grid(base, n_nodes)
+    ld = np.longdouble
+    Ll, Cl, gl, rl = (v.astype(ld) for v in (L, C, g0, row))
+    out = np.empty(N + 1)
+    for n in range(N + 1):
+        lu = lu_factor(L + 2 * n * C)
+        x = lu_solve(lu, g0).astype(ld)
+        for _ in range(3):
+            x += lu_solve(lu, (gl - Ll @ x - 2 * n * (Cl @ x)).astype(float))
+        out[n] = float(rl @ x)
+    return out
+
+
+@pytest.fixture(scope="module",
+                params=[rigid_preset(1.0), linear_preset(1.0, -2.0),
+                        _pchip41_profile()],
+                ids=["rigid", "linear", "pchip41"])
+def profile_base(request):
+    return make_base_state(case_b(), 2.0, request.param)
+
+
+@pytest.mark.parametrize("n_nodes", [16, 64, 128])
+def test_mode_derivatives_accuracy(profile_base, n_nodes):
+    # the Schur route with its one refinement step against a refined
+    # per-mode reference; the unrefined route misses by up to 3e-11 at 128
+    ref = _refined_mode_derivatives(profile_base, 256, n_nodes)
+    d = mode_derivatives(profile_base, 256, n_nodes=n_nodes)
+    assert np.max(np.abs(d - ref) / np.abs(ref)) < 1e-13

@@ -708,6 +708,20 @@ def test_solve_zero_mass(op, base):
     assert sol.diagnostics["picard_steps"] == [1]
 
 
+def test_solve_zero_mass_checks_tol():
+    # on a 41-knot PCHIP table the shot base state misses the discrete
+    # system by about 5e-9 at 64 radii, so m = 0 cannot claim tol 1e-10
+    u = np.linspace(-1.5, 0.5, 41)
+    base = make_base_state(case_b(), 2.0,
+                           profile_from_table(u, -2.0 + u + 4.0 * u**3))
+    op = make_operator(base, N=16)
+    with pytest.raises(DivergenceError, match="unperturbed disk") as info:
+        quasi_newton_solve(op, 0.0, tol=1e-10)
+    assert len(info.value.history) == 1
+    assert 1e-10 < info.value.history[0] < 1e-7
+    assert quasi_newton_solve(op, 0.0, tol=1e-7).residual_norm < 1e-7
+
+
 def test_solve_small_mass(op, base):
     m = 5e-5
     sol = quasi_newton_solve(op, m, tol=1e-10)
