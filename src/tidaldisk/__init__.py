@@ -12,8 +12,7 @@ from .potential import (BaseState, InteractionCase, a0_from_omega, case_a,
 from .radial_ode import RadialProfile, solve_An, solve_phi0
 from .coeffs import ModeTable, build_mode_table, c_n, c_n_closed_log
 from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
-                       boundary_curve, injectivity_margin, synthesize,
-                       xi_coeffs)
+                       boundary_curve, injectivity_margin, synthesize)
 from .linop import (LinearizedOperator, apply_forward, first_order_response,
                     make_operator, nonresonance_scan, solve_linearized)
 from .residual import (DiskField, EquilibriumSolution, boundary_potential,
@@ -35,5 +34,5 @@ __all__ = [
     "profile_from_csv", "profile_from_table", "quasi_newton_solve",
     "residual_F", "rigid_preset", "smooth_profile", "solve_An",
     "solve_linearized", "solve_phi0", "solve_phi_h", "synthesize", "u0",
-    "u0_d1", "u0_d2", "xi_coeffs", "zero_preset",
+    "u0_d1", "u0_d2", "zero_preset",
 ]

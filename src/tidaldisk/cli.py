@@ -78,7 +78,9 @@ def _write_csv(path: str, header, rows):
 
 
 def _mass_tag(m: float) -> str:
-    return f"{m:g}"
+    """The shortest text that reads back as m, so that distinct masses
+    never share an output file."""
+    return repr(m)
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ Recognized keys (units in parentheses):
                 (linear: |offset| >= 2e-9, below which phi0 is degenerate)
     N           mode truncation, integer >= 8
     n_radial    radial collocation nodes (half diameter)
-    n_angular   angular grid size
+    n_angular   angular grid size, at least 2N + 2 (default max(256, 4N))
     tol         quasi-Newton residual target
     m           mass parameter, or comma-separated sweep
     m_cap       override of the heuristic mass cap, positive
@@ -33,6 +33,7 @@ from .kernel import (VorticityProfile, linear_preset, profile_from_csv,
                      rigid_preset, zero_preset)
 from .potential import (_A0_MIN, DEGENERATE_TOL, InteractionCase, case_a,
                         case_b, check_omega0)
+from .spectral import boundary_points, check_grid
 
 _KNOWN_KEYS = {
     "case", "nu", "a0", "omega0", "profile", "N", "n_radial", "n_angular",
@@ -48,7 +49,7 @@ class RunConfig:
     omega0: Optional[float] = None
     N: int = 64
     n_radial: int = 64
-    n_angular: int = 256
+    n_angular: Optional[int] = None  # boundary_points(N)
     tol: float = 1e-10
     m_list: List[float] = field(default_factory=lambda: [1e-4])
     m_cap: Optional[float] = None
@@ -56,6 +57,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_angular is None:
+            self.n_angular = boundary_points(self.N)
         if (self.a0 is None) == (self.omega0 is None):
             raise ConfigError("exactly one of a0 / omega0 must be given")
         reals = [("a0", self.a0), ("omega0", self.omega0), ("tol", self.tol),
@@ -63,6 +66,8 @@ class RunConfig:
         for key, value in reals:
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"key {key!r}: must be finite, got {value!r}")
+        if len(set(self.m_list)) < len(self.m_list):
+            raise ConfigError(f"key 'm': repeated mass in {self.m_list!r}")
         if self.m_cap is not None and self.m_cap <= 0:
             raise ConfigError(f"key 'm_cap': must be positive, got {self.m_cap!r}")
         if self.a0 is not None and self.a0 < _A0_MIN:
@@ -77,8 +82,10 @@ class RunConfig:
             raise ConfigError(f"N must be at least 8, got {self.N}")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
-        if self.n_radial < 8 or self.n_angular < 2 * self.N + 2:
-            raise ConfigError("grid too small for the requested truncation")
+        if self.n_radial < 8:
+            raise ConfigError(f"n_radial must be at least 8, got "
+                              f"{self.n_radial}")
+        check_grid(self.n_angular, self.N)
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         if self.seed < 0:
@@ -148,46 +155,28 @@ def parse_config_text(text: str) -> RunConfig:
         raise ConfigError("missing required key 'profile'")
     profile = _parse_profile(raw["profile"])
 
-    def fget(key, default=None):
-        if key not in raw:
-            return default
-        try:
-            return float(raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: not a number") from exc
-
-    def iget(key, default):
-        if key not in raw:
-            return default
-        try:
-            return int(raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: not an integer") from exc
-
-    m_list = [1e-4]
+    kw = {}
+    for key in ("a0", "omega0", "tol", "m_cap"):
+        if key in raw:
+            try:
+                kw[key] = float(raw[key])
+            except ValueError as exc:
+                raise ConfigError(f"key {key!r}: not a number") from exc
+    for key in ("N", "n_radial", "n_angular", "workers", "seed"):
+        if key in raw:
+            try:
+                kw[key] = int(raw[key])
+            except ValueError as exc:
+                raise ConfigError(f"key {key!r}: not an integer") from exc
     if "m" in raw:
         try:
-            m_list = [float(tok) for tok in raw["m"].split(",") if tok.strip()]
+            kw["m_list"] = [float(tok) for tok in raw["m"].split(",")
+                            if tok.strip()]
         except ValueError as exc:
             raise ConfigError("key 'm': expected comma-separated numbers") from exc
-        if not m_list:
+        if not kw["m_list"]:
             raise ConfigError("key 'm': empty sweep")
-
-    N = iget("N", 64)
-    return RunConfig(
-        case=case,
-        profile=profile,
-        a0=fget("a0"),
-        omega0=fget("omega0"),
-        N=N,
-        n_radial=iget("n_radial", 64),
-        n_angular=iget("n_angular", max(256, 2 * N + 2)),
-        tol=fget("tol", 1e-10),
-        m_list=m_list,
-        m_cap=fget("m_cap"),
-        workers=iget("workers", 1),
-        seed=iget("seed", 0),
-    )
+    return RunConfig(case=case, profile=profile, **kw)
 
 
 def parse_config_file(path: str) -> RunConfig:

@@ -18,7 +18,6 @@ is kept only as the independent check of both (verify criterion 9).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import gamma, hyp2f1
 
+from . import radial_ode
 from .errors import DegenerateBaseError, QuadratureError
 from .kernel import VorticityProfile
 
@@ -332,7 +332,7 @@ class BaseState:
     omega0: float
     a0: float
     lambda0: float
-    phi0: "RadialProfile"  # noqa: F821 - see radial_ode
+    phi0: radial_ode.RadialProfile
     dphi0_at_1: float
     g_at_boundary: float
     profile: VorticityProfile
@@ -354,23 +354,20 @@ class BaseState:
             "phi0_values": list(map(float, self.phi0.values)),
         }
 
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_json_dict(), **kw)
-
 
 DEGENERATE_TOL = 1e-9
 
 
 def make_base_state(case: InteractionCase, a0: float, profile: VorticityProfile) -> BaseState:
     """Assemble the zero-mass solution for a particle at distance a0 >= 1.5."""
-    from .radial_ode import solve_phi0  # local import avoids a cycle
-
     a0 = float(a0)
     if a0 < _A0_MIN:
         raise ValueError(
             f"a0 must be at least {_A0_MIN} (particle clear of the body)")
     omega0 = omega_from_a0(case, a0)
-    phi0 = solve_phi0(profile)
+    # looked up on the module at call time, so that a wrapper installed
+    # as radial_ode.solve_phi0 (perfbench/tracing.py) takes effect
+    phi0 = radial_ode.solve_phi0(profile)
     dphi1 = phi0.deriv_at_1
     if abs(dphi1) < DEGENERATE_TOL:
         raise DegenerateBaseError(

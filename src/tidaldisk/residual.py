@@ -29,7 +29,6 @@ base-state field phi0(r).
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -47,9 +46,10 @@ from .linop import LinearizedOperator, first_order_response, solve_linearized
 from .potential import (_A0_MIN, BaseState, particle_potential_at,
                         sine_power_coeffs)
 # eval_h_at is not called here; perfbench/tracing.py wraps it under this name
-from .spectral import (BoundarySpectrum, ShapeCoeffs, _h_coeffs, analyze,
-                       area, boundary_curve, boundary_grid, boundary_points,
-                       boundary_rows, eval_h_at, injectivity_margin)
+from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
+                       boundary_curve, boundary_grid, boundary_points,
+                       boundary_rows, conformal_factor_grid, eval_h_at,
+                       injectivity_margin)
 
 DEFAULT_ANGULAR = 256
 
@@ -138,36 +138,6 @@ class DiskField:
         rows = [self.grid.d1(p)[:1] for p in (0, 1)]
         return np.fft.irfft(_parity_fold(rows, self.spectrum)[0],
                             n=len(self.phi))
-
-
-@functools.lru_cache(maxsize=4)
-def _radial_powers(n_radial: int, N: int) -> np.ndarray:
-    """r_i^k, k = 0..N, on the radial grid of n_radial nodes.  Cached, so
-    read-only."""
-    powers = _radial_basis(n_radial)[0].r[:, None] ** np.arange(N + 1)
-    powers.setflags(write=False)
-    return powers
-
-
-def conformal_factor_grid(h: ShapeCoeffs, n_radial: int, M: int):
-    """|f'|^2 on the polar grid r_i exp(2 pi i j / M) of the n_radial
-    radial nodes; h itself is not evaluated.
-
-    One inverse FFT of the rows c_k r_i^k (c_k the coefficients of
-    f' = 1 + h', r^k cached) gives f' = Re f' + i Im f', and |f'|^2 is the
-    sum of the squares of that pair.  The grid must hold 2N + 2 points, as
-    everywhere else on the boundary; the powers then lie below M, which the
-    length-M transform needs.
-    """
-    if M < 2 * h.N + 2:
-        raise ConfigError(f"angular grid n_angular={M} is below "
-                          f"2N+2={2 * h.N + 2}")
-    cdf = _h_coeffs(h)[1]
-    cdf[0] += 1.0
-    pairs = np.fft.ifft(_radial_powers(n_radial, h.N) * cdf, n=M, axis=1,
-                        norm="forward").view(float)
-    np.square(pairs, out=pairs)
-    return pairs[:, 0::2] + pairs[:, 1::2]
 
 
 def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
@@ -498,9 +468,6 @@ class EquilibriumSolution:
             "shape": self.h.to_json_dict(),
             "diagnostics": self.diagnostics,
         }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_json_dict(), **kw)
 
     def boundary_csv_rows(self):
         return boundary_rows(self.h)

@@ -5,7 +5,8 @@ The fluid domain is the image of the unit disk under f(z) = z + h(z) with
     h(z) = g0 * z + sum_{n>=1} gn[n] * z^(n+1),
 
 g0 real, so that h(0) = 0 and h'(0) is real.  This module holds the
-coefficient container, the boundary curve and its grid rule, the injectivity
+coefficient container, the sampling of the shape (the boundary curve and
+|f'|^2 on a polar grid, by FFT) with its 2N + 2 grid floor, the injectivity
 margin certificate, the closed-form area, and the discrete Fourier
 transform pair used to move between boundary samples and mode coefficients.
 """
@@ -13,11 +14,12 @@ transform pair used to move between boundary samples and mode coefficients.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+
+from .chebyshev import _radial_basis
+from .errors import ConfigError
 
 
 # --------------------------------------------------------------------------
@@ -44,9 +46,6 @@ class ShapeCoeffs:
     @classmethod
     def zero(cls, N: int) -> "ShapeCoeffs":
         return cls(0.0, np.zeros(N, dtype=complex))
-
-    def copy(self) -> "ShapeCoeffs":
-        return ShapeCoeffs(self.g0, self.gn.copy())
 
     def scaled(self, t: float) -> "ShapeCoeffs":
         return ShapeCoeffs(t * self.g0, t * self.gn)
@@ -75,9 +74,6 @@ class ShapeCoeffs:
             "gn": [[float(c.real), float(c.imag)] for c in self.gn],
         }
 
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_json_dict(), **kw)
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "ShapeCoeffs":
         gn = np.array([complex(re, im) for re, im in d["gn"]], dtype=complex)
@@ -86,21 +82,20 @@ class ShapeCoeffs:
         return cls(float(d["g0"]), gn)
 
 
-def xi_coeffs(h: ShapeCoeffs) -> np.ndarray:
-    """One-sided Fourier coefficients of Re[e^{-i phi} h(e^{i phi})]
-    (negative modes implied by conjugation): xi_0 = 2 g0, xi_n = gn."""
-    out = np.empty(h.N + 1, dtype=complex)
-    out[0] = 2.0 * h.g0
-    out[1:] = h.gn
-    return out
-
-
 # --------------------------------------------------------------------------
 # boundary evaluation
 # --------------------------------------------------------------------------
 
 def boundary_grid(M: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(M) / M
+
+
+def check_grid(M: int, N: int):
+    """Raise ConfigError unless a uniform grid of M points carries N modes:
+    M >= 2N + 2, the floor of every angular grid of the package."""
+    if M < 2 * N + 2:
+        raise ConfigError(f"angular grid of {M} points is below "
+                          f"2N+2={2 * N + 2} for N={N}")
 
 
 def boundary_points(N: int) -> int:
@@ -120,54 +115,39 @@ def _h_coeffs(h: ShapeCoeffs):
     return ch, cdh
 
 
-def _polar_sum(coeffs: np.ndarray, r: np.ndarray, M: int) -> np.ndarray:
-    """Values of sum_k coeffs[k] z^k at z = r_i exp(2 pi i j / M).
-
-    Row i scales coefficient k by r_i^k and one inverse FFT along the angle
-    axis sums the powers.  On the uniform M-grid exp(i k phi_j) equals
-    exp(i (k mod M) phi_j), so powers k >= M, if any, are folded onto
-    k mod M; the fold is exact at these points.
-    """
-    k = np.arange(len(coeffs))
-    scaled = coeffs[None, :] * r[:, None] ** k[None, :]
-    if len(coeffs) > M:
-        folded = np.zeros((len(r), M), dtype=complex)
-        np.add.at(folded, (slice(None), k % M), scaled)
-        scaled = folded
-    return M * np.fft.ifft(scaled, n=M, axis=1)
-
-
-def eval_h_polar(h: ShapeCoeffs, r, M: int):
-    """h and h' on the polar grid r_i exp(2 pi i j / M), j = 0..M-1, as
-    arrays of shape (len(r), M)."""
-    r = np.asarray(r, dtype=float)
-    ch, cdh = _h_coeffs(h)
-    return _polar_sum(ch, r, M), _polar_sum(cdh, r, M)
+def eval_h_boundary(h: ShapeCoeffs, M: int):
+    """Samples of h and h' on the uniform boundary grid: one inverse FFT
+    each of the power-series coefficients, whose powers lie below M."""
+    check_grid(M, h.N)
+    return tuple(np.fft.ifft(c, n=M, norm="forward") for c in _h_coeffs(h))
 
 
 @functools.lru_cache(maxsize=4)
-def disk_rule(n_r: int, n_phi: int):
-    """Gauss-Legendre (radial) x uniform (angular) rule on the unit disk.
+def _radial_powers(n_radial: int, N: int) -> np.ndarray:
+    """r_i^k, k = 0..N, on the radial grid of n_radial nodes.  Cached, so
+    read-only."""
+    powers = _radial_basis(n_radial)[0].r[:, None] ** np.arange(N + 1)
+    powers.setflags(write=False)
+    return powers
 
-    Returns the radii r (n_r,), the nodes r_i exp(i phi_j) (n_r, n_phi) and
-    the weights (n_r, 1), which include the area element r dr dphi.  Cached
-    per (n_r, n_phi), so the arrays are read-only.
+
+def conformal_factor_grid(h: ShapeCoeffs, n_radial: int, M: int):
+    """|f'|^2 on the polar grid r_i exp(2 pi i j / M) of the n_radial
+    radial nodes of chebyshev._radial_basis; h itself is not evaluated.
+
+    One inverse FFT of the rows c_k r_i^k (c_k the coefficients of
+    f' = 1 + h', r^k cached) gives f' = Re f' + i Im f', and |f'|^2 is the
+    sum of the squares of that pair.  The grid must hold 2N + 2 points, as
+    everywhere else on the boundary; the powers then lie below M, which the
+    length-M transform needs.
     """
-    xg, wg = leggauss(n_r)
-    r = 0.5 * (xg + 1.0)
-    z = r[:, None] * np.exp(1j * boundary_grid(n_phi))[None, :]
-    wt = (r * 0.5 * wg)[:, None] * (2.0 * np.pi / n_phi)
-    for arr in (r, z, wt):
-        arr.setflags(write=False)
-    return r, z, wt
-
-
-def eval_h_boundary(h: ShapeCoeffs, M: int):
-    """Samples of h and h' on the uniform boundary grid."""
-    if M < 2 * h.N + 2:
-        raise ValueError(f"grid M={M} must be at least 2N+2={2*h.N+2}")
-    hv, dhv = eval_h_polar(h, np.ones(1), M)
-    return hv[0], dhv[0]
+    check_grid(M, h.N)
+    cdf = _h_coeffs(h)[1]
+    cdf[0] += 1.0
+    pairs = np.fft.ifft(_radial_powers(n_radial, h.N) * cdf, n=M, axis=1,
+                        norm="forward").view(float)
+    np.square(pairs, out=pairs)
+    return pairs[:, 0::2] + pairs[:, 1::2]
 
 
 def boundary_curve(h: ShapeCoeffs, M: int):
@@ -189,7 +169,7 @@ def boundary_rows(h: ShapeCoeffs):
 def eval_h_at(h: ShapeCoeffs, z: np.ndarray):
     """h and h' at arbitrary points of the closed disk (direct summation).
 
-    On polar grids use eval_h_polar, which does the same with one FFT."""
+    On the boundary grid eval_h_boundary does the same with one FFT."""
     z = np.asarray(z, dtype=complex)
     hv = h.g0 * z
     dhv = np.full_like(z, h.g0)
@@ -223,7 +203,7 @@ def self_intersection_oracle(h: ShapeCoeffs, M: int = 512) -> bool:
     spacing-scaled threshold.  Quadratic in M; a test oracle, not a fast
     path.
     """
-    f, _ = boundary_curve(h, max(M, 2 * h.N + 2))
+    f, _ = boundary_curve(h, max(M, boundary_points(h.N)))
     M = len(f)
     pts = np.column_stack([f.real, f.imag])
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
@@ -240,13 +220,6 @@ def area(h: ShapeCoeffs) -> float:
     the monomials: pi * (|1+g0|^2 + sum (n+1)|gn|^2)."""
     n = np.arange(1, h.N + 1)
     return float(np.pi * ((1.0 + h.g0) ** 2 + np.sum((n + 1) * np.abs(h.gn) ** 2)))
-
-
-def area_quadrature(h: ShapeCoeffs, n_r: int = 128, n_phi: int = 256) -> float:
-    """Validation path: tensor quadrature of |f'|^2 over the disk."""
-    r, _, wt = disk_rule(n_r, n_phi)
-    _, dh = eval_h_polar(h, r, n_phi)
-    return float(np.sum(np.abs(1.0 + dh) ** 2 * wt))
 
 
 # --------------------------------------------------------------------------
@@ -295,16 +268,14 @@ def analyze(samples: np.ndarray, N: int = -1) -> BoundarySpectrum:
     c = np.fft.fft(samples) / M
     if N < 0:
         N = M // 2 - 1
-    if N > M // 2 - 1:
-        raise ValueError("requested N exceeds the grid Nyquist range")
+    check_grid(M, N)
     return BoundarySpectrum(c[: N + 1])
 
 
 def synthesize(spec: BoundarySpectrum, M: int) -> np.ndarray:
     """Real samples on the uniform M-grid from one-sided coefficients:
     S_0 + 2 Re sum_{n>=1} S_n exp(i n phi_j)."""
-    if M < 2 * spec.N + 2:
-        raise ValueError(f"grid M={M} must be at least 2N+2={2*spec.N+2}")
+    check_grid(M, spec.N)
     c = np.zeros(M, dtype=complex)
     c[: spec.N + 1] = spec.coeffs
     vals = M * np.fft.ifft(c)

@@ -17,7 +17,7 @@ from .linop import (apply_forward, first_order_response, make_operator,
                     solve_linearized)
 from .potential import (_u0_case_a, case_a, case_b, make_base_state, u0,
                         u0_d1, u0_d2)
-from .radial_ode import mode_derivatives, solve_An
+from .radial_ode import mode_derivatives
 from .residual import (boundary_potential, quasi_newton_solve, residual_F,
                        residual_norm)
 from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, boundary_curve,
@@ -80,11 +80,12 @@ def criterion_2_rigid_mode_derivatives(seed=0):
 
 
 def criterion_3_mode_derivative_asymptotics(seed=0):
+    """2n A_n'(1) / G(0) tends to 1; one Richardson step on the mode
+    table's own route (mode_derivatives) at n = 128, 256."""
     base = make_base_state(case_b(), 2.0, linear_preset(1.0, -2.0))
     g_bdry = float(base.profile.eval(0.0))
-    f = {}
-    for n in (64, 128, 256):
-        f[n] = 2 * n * solve_An(n, base)[1] / g_bdry
+    d = mode_derivatives(base, 256)
+    f = {n: 2 * n * float(d[n]) / g_bdry for n in (64, 128, 256)}
     rich = 2.0 * f[256] - f[128]
     return {
         "name": "large-n asymptotics of A_n'(1)",

@@ -165,7 +165,7 @@ def test_solve_zero_mass_above_tol(tmp_path, capsys):
     report = _read_json(out / "error.json")
     assert report["error"] == "DivergenceError" and report["exit_code"] == 4
     assert len(report["history"]) == 1 and report["history"][0] > 1e-10
-    assert not (out / "solution_0.json").exists()
+    assert not (out / "solution_0.0.json").exists()
 
 
 def test_perturb_outputs(tmp_path):
@@ -178,6 +178,26 @@ def test_perturb_outputs(tmp_path):
     header, rows = _read_csv(out / "boundary_perturb_1e-05.csv")
     assert header == ["phi", "x1", "x2"]
     assert len(rows) >= 512
+
+
+def test_close_masses_keep_their_own_outputs(tmp_path):
+    # both masses read 2.2e-06 in six significant digits; each output file
+    # is tagged with the shortest text that reads back as its mass
+    cfg = _write_cfg(tmp_path, BASE_CFG + "m = 2.2e-6, 2.2000001e-6\n")
+    out = tmp_path / "out"
+    assert main(["perturb", "--config", cfg, "--out", str(out)]) == 0
+    for m in (2.2e-6, 2.2000001e-6):
+        assert _read_json(out / f"perturb_{m!r}.json")["m"] == m
+        assert (out / f"boundary_perturb_{m!r}.csv").exists()
+
+
+def test_repeated_mass_exit_code(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, BASE_CFG + "m = 1e-5, 0.00001\n")
+    out = tmp_path / "out"
+    assert main(["perturb", "--config", cfg, "--out", str(out)]) == 2
+    assert "repeated mass" in capsys.readouterr().err
+    assert _read_json(out / "error.json")["error"] == "ConfigError"
+    assert not list(out.glob("perturb_*"))
 
 
 def test_operator_on_configured_radial_grid(tmp_path, monkeypatch):

@@ -22,6 +22,13 @@ def test_parse_good():
     assert cfg.tol == 1e-10 and cfg.workers == 1
 
 
+@pytest.mark.parametrize("N, M", [(16, 256), (64, 256), (128, 512)])
+def test_default_angular_grid(N, M):
+    # every grid the code chooses is boundary_points(N) = max(256, 4N)
+    cfg = parse_config_text(f"case=B\nprofile=rigid:1\na0=2\nN={N}\n")
+    assert cfg.n_angular == M
+
+
 def test_parse_case_a_defaults():
     cfg = parse_config_text("case=A\nnu=0.5\nprofile=rigid:2\nomega0=0.3\n")
     assert cfg.case.nu == 0.5

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from disk_quadrature import disk_rule
 from tidaldisk.coeffs import build_mode_table
 from tidaldisk.errors import ResonanceError
 from tidaldisk.kernel import rigid_preset
@@ -12,8 +13,7 @@ from tidaldisk.linop import (apply_forward, first_order_response,
                              w_shape_derivative)
 from tidaldisk.potential import case_a, case_b, make_base_state
 from tidaldisk.residual import particle_force
-from tidaldisk.spectral import (BoundarySpectrum, ShapeCoeffs, disk_rule,
-                                eval_h_polar)
+from tidaldisk.spectral import BoundarySpectrum, ShapeCoeffs, eval_h_at
 
 
 @pytest.fixture(scope="module")
@@ -118,8 +118,8 @@ def test_w_matches_body_integral(case):
     g = ShapeCoeffs(1e-3 * rng.standard_normal(),
                     1e-3 * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
                     / n)
-    r, y, wt = disk_rule(128, 1024)
-    gv, dgv = eval_h_polar(g, r, 1024)
+    y, wt = disk_rule(128, 1024)
+    gv, dgv = eval_h_at(g, y)
     strength, p = case.force_law
     for a0 in (1.6, 2.0, 4.0):
         op = make_operator(make_base_state(case, a0, rigid_preset(1.0)), N=N)

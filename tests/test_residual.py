@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gamma, rgamma
 
+from disk_quadrature import disk_rule
 from tidaldisk.chebyshev import HalfDiameterGrid
 from tidaldisk.errors import (ConfigError, DegenerateBaseError, DivergenceError,
                               TidaldiskError)
@@ -23,8 +24,8 @@ from tidaldisk.residual import (EquilibriumSolution, _mode_eigs,
                                 particle_potential_at, quasi_newton_solve,
                                 residual_F, residual_norm, solve_phi_h)
 from tidaldisk.spectral import (ShapeCoeffs, _h_coeffs, boundary_grid,
-                               boundary_curve, disk_rule, eval_h_at,
-                               eval_h_polar, injectivity_margin)
+                               boundary_curve, conformal_factor_grid,
+                               eval_h_at, injectivity_margin)
 
 
 @pytest.fixture(scope="module")
@@ -260,10 +261,11 @@ def test_disk_field_spectrum_is_rfft(base_linear):
 def test_conformal_factor_grid_matches_polar_sum(N, M):
     h = _decaying_shape(N, 2, 0.05, seed=N)
     r = HalfDiameterGrid(32).r
-    ref = np.abs(1.0 + eval_h_polar(h, r, M)[1]) ** 2
-    assert np.max(np.abs(residual.conformal_factor_grid(h, 32, M) - ref)) <= 4e-15
+    z = r[:, None] * np.exp(1j * boundary_grid(M))[None, :]
+    ref = np.abs(1.0 + eval_h_at(h, z)[1]) ** 2
+    assert np.max(np.abs(conformal_factor_grid(h, 32, M) - ref)) <= 4e-15
     with pytest.raises(ConfigError):
-        residual.conformal_factor_grid(h, 32, 2 * N + 1)
+        conformal_factor_grid(h, 32, 2 * N + 1)
 
 
 def test_stream_function_rigid_one_step(base):
@@ -571,8 +573,8 @@ def _decaying_shape(N, power, scale, seed):
 def _body_rule(h, n_r, n_phi):
     """Nodes f(y) and weights |f'(y)|^2 dA(y) of a disk rule carried onto
     the body: the reference for the boundary-integral forms."""
-    r, y, wt = disk_rule(n_r, n_phi)
-    fv, dfv = eval_h_polar(h, r, n_phi)
+    y, wt = disk_rule(n_r, n_phi)
+    fv, dfv = eval_h_at(h, y)
     return y + fv, np.abs(1.0 + dfv) ** 2 * wt
 
 

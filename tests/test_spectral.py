@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
-from tidaldisk.spectral import (BoundarySpectrum, ShapeCoeffs, _polar_sum,
-                                analyze, area,
-                                area_quadrature, boundary_curve,
-                                boundary_grid, boundary_points, disk_rule,
-                                eval_h_at, eval_h_boundary, eval_h_polar,
+from disk_quadrature import area_quadrature
+from tidaldisk.errors import ConfigError
+from tidaldisk.spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
+                                boundary_curve, boundary_grid,
+                                boundary_points, conformal_factor_grid,
+                                eval_h_at, eval_h_boundary,
                                 injectivity_margin, self_intersection_oracle,
-                                synthesize, xi_coeffs)
+                                synthesize)
 
 
 def _shape(g0, *gn):
@@ -35,23 +35,6 @@ def test_shape_json_round_trip():
     assert np.array_equal(back.gn, h.gn)
 
 
-def test_xi_coeffs():
-    # a pure g0 perturbation moves the radius by g0 cos-free: xi_0 = 2 g0
-    h = _shape(1.0, 0.25)
-    xi = xi_coeffs(h)
-    assert xi[0] == 2.0
-    assert xi[1] == 0.25
-    # against direct samples of Re[e^{-i phi} h(e^{i phi})]: the two-sided
-    # transform puts g0 in S_0, while xi_0 doubles it so that the one-sided
-    # synthesis formula S_0 + 2 Re sum ... applies uniformly
-    M = 64
-    hv, _ = eval_h_boundary(h, M)
-    radial = np.real(np.exp(-1j * boundary_grid(M)) * hv)
-    spec = analyze(radial)
-    assert abs(spec[0] - h.g0) < 1e-13
-    assert abs(2.0 * spec[1] - h.gn[0]) < 1e-13
-
-
 def test_eval_consistency():
     h = _shape(0.05, 0.02 - 0.01j, 0.0, 0.004j)
     M = 32
@@ -66,40 +49,42 @@ def test_eval_consistency():
     dfdt = np.fft.ifft(1j * np.arange(M) * np.fft.fft(f))
     assert np.max(np.abs(yp - dfdt)) < 1e-13
     assert np.max(np.abs(np.abs(yp) - np.abs(1.0 + dhv))) < 1e-15
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         eval_h_boundary(h, 4)
 
 
 @pytest.mark.parametrize("N, M", [
-    (10, 32),    # M >= N + 2: every power has its own angular mode
-    (10, 8),     # M < N + 2: powers k >= M fold onto k mod M
-    (30, 8),     # powers fold onto k mod M up to three times
-    (128, 128),  # degree N + 1 = 129: one power folds
+    (10, 32),
+    (128, 258),  # at the 2N + 2 floor
 ])
-def test_eval_h_polar_matches_direct_summation(N, M):
+def test_eval_h_boundary_matches_direct_summation(N, M):
     rng = np.random.default_rng(N + M)
     decay = 0.05 / np.arange(1, N + 1) ** 2
     h = ShapeCoeffs(0.03, decay * (rng.standard_normal(N)
                                   + 1j * rng.standard_normal(N)))
-    r = np.array([1.0, 0.97, 0.5, 0.01])
-    hv, dhv = eval_h_polar(h, r, M)
-    z = r[:, None] * np.exp(1j * boundary_grid(M))[None, :]
-    hv2, dhv2 = eval_h_at(h, z)
-    assert hv.shape == (len(r), M)
+    hv, dhv = eval_h_boundary(h, M)
+    hv2, dhv2 = eval_h_at(h, np.exp(1j * boundary_grid(M)))
+    assert hv.shape == dhv.shape == (M,)
     assert np.max(np.abs(hv - hv2)) < 1e-14
     assert np.max(np.abs(dhv - dhv2)) < 1e-14
 
 
-@pytest.mark.parametrize("L, M", [(12, 32), (66, 256), (12, 8)])
-def test_polar_sum_matches_always_folded(L, M):
-    # the fold is skipped when no power reaches M; the sums are bit-equal
-    rng = np.random.default_rng(L + M)
-    c = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-    r = np.array([1.0, 0.9, 0.3])
-    k = np.arange(L)
-    folded = np.zeros((len(r), M), dtype=complex)
-    np.add.at(folded, (slice(None), k % M), c * r[:, None] ** k)
-    assert np.array_equal(_polar_sum(c, r, M), M * np.fft.ifft(folded, axis=1))
+_N_FLOOR = 12
+_SAMPLERS = {
+    "eval_h_boundary": eval_h_boundary,
+    "conformal_factor_grid": lambda h, M: conformal_factor_grid(h, 16, M),
+    "synthesize": lambda h, M: synthesize(BoundarySpectrum.zero(h.N), M),
+    "analyze": lambda h, M: analyze(np.zeros(M), N=h.N),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLERS))
+def test_grid_floor(name):
+    # one check, M >= 2N + 2, behind every sampler of a shape or spectrum
+    h = ShapeCoeffs(0.01, np.full(_N_FLOOR, 1e-3 + 0j))
+    _SAMPLERS[name](h, 2 * _N_FLOOR + 2)
+    with pytest.raises(ConfigError, match="grid"):
+        _SAMPLERS[name](h, 2 * _N_FLOOR + 1)
 
 
 def test_interior_bounded_by_boundary():
@@ -146,24 +131,6 @@ def test_area_closed_form_and_quadrature():
     assert area(ShapeCoeffs.zero(2)) == np.pi
 
 
-def test_disk_rule_cached_read_only():
-    # the cached rule is shared by every caller: it must equal a fresh build
-    # and refuse writes
-    n_r, n_phi = 16, 24
-    r, z, wt = disk_rule(n_r, n_phi)
-    xg, wg = leggauss(n_r)
-    r_ref = 0.5 * (xg + 1.0)
-    assert np.array_equal(r, r_ref)
-    assert np.array_equal(z, r_ref[:, None]
-                          * np.exp(1j * boundary_grid(n_phi))[None, :])
-    assert np.array_equal(wt, (r_ref * 0.5 * wg)[:, None]
-                          * (2.0 * np.pi / n_phi))
-    assert disk_rule(n_r, n_phi)[0] is r
-    for arr in (r, z, wt):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-
-
 def test_analyze_convention():
     M = 64
     phi = boundary_grid(M)
@@ -194,7 +161,7 @@ def test_spectrum_guards():
         BoundarySpectrum(np.array([1.0 + 0.5j, 0.0]))
     spec = BoundarySpectrum.zero(4)
     assert spec.norm() == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         synthesize(BoundarySpectrum.zero(10), 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         analyze(np.zeros(16), N=8)
