@@ -8,7 +8,8 @@ combination of the Fourier coefficients of |2 sin(t/2)|^-nu.  This module
 adds the checks they are held against:
 
 * direct graded quadrature of the defining disk integral (moderate n),
-  used by verify criterion 1 and the tests,
+  written once for both kernels through the case's K and force law, used
+  by verify criterion 1 and the tests,
 * the kernel moments m_k = (1/2) int_D y^k |1-y|^(-nu) dy, a ratio of
   Gamma functions by Gauss's sum of their binomial series, from which
   c_n = nu * sum_{k<=n} m_k - 2(n+1) m_n; the tests use it for large n,
@@ -64,12 +65,12 @@ def c_n_disk_quadrature(case: InteractionCase, n,
     """Graded quadrature of the defining disk integral for c_n.
 
     n is one integer or an array of them; all share the rule of the largest.
-    With y = r e^{i phi} and K = ln|1 - y| (log) or |1 - y|^-nu (power),
-    the integrand is (n + 1) y^n K + (1/2) sum_{k<=n} y^k (log) or
-    (1/2) [nu sum_{k<=n} y^k - 2 (n + 1) y^n] K (power), so every c_n is a
-    combination of the moments sum w K y^k and sum w y^k, k <= max n.  y^k
-    splits into r^k times e^{ik phi}, and each set of moments is one matrix
-    product over the rule; the sums over k <= n are cumulative sums.
+    With y = r e^{i phi}, K the case's kernel and (s, p) its force law, the
+    integrand is (n + 1) y^n K(|1 - y|) + (s/2) sum_{k<=n} y^k |1 - y|^-p,
+    so every c_n is a combination of the moments mom(F)_k = sum w F y^k,
+    k <= max n, of F = K and F = |1 - y|^-p.  y^k splits into r^k times
+    e^{ik phi}, and each set of moments is one matrix product over the rule;
+    the sums over k <= n are cumulative sums.
 
     Returns the real part (a float for scalar n); a non-negligible imaginary
     residue at any n indicates a quadrature failure and is reported as such.
@@ -77,17 +78,16 @@ def c_n_disk_quadrature(case: InteractionCase, n,
     ns = np.asarray(n)
     k = np.arange(int(np.max(ns)) + 1)
     rn, rw, pn, pw = _disk_rule(int(k[-1]))
-    # |1 - y| on the rule, then the kernel, each formed once for every n
     dist = np.hypot(1.0 - rn[:, None] * np.cos(pn), rn[:, None] * np.sin(pn))
-    kern = np.log(dist) if case.is_log else dist ** -case.nu
     radial = (rn * rw)[:, None] * rn[:, None] ** k        # r dr r^k
     angle = pw[:, None] * np.exp(1j * np.outer(pn, k))    # dphi e^{ik phi}
-    mom = np.sum(radial * (kern @ angle), axis=0)
-    if case.is_log:
-        plain = np.sum(radial, axis=0) * np.sum(angle, axis=0)
-        vals = (k + 1) * mom + 0.5 * np.cumsum(plain)
-    else:
-        vals = 0.5 * case.nu * np.cumsum(mom) - (k + 1) * mom
+
+    def mom(F):
+        return np.sum(radial * (F @ angle), axis=0)
+
+    strength, p = case.force_law
+    vals = ((k + 1) * mom(case.potential(dist))
+            + 0.5 * strength * np.cumsum(mom(dist ** -p)))
     vals = vals[ns]
     residue = float(np.max(np.abs(vals.imag)))
     if residue > imag_tol:
@@ -168,16 +168,6 @@ class ModeTable:
         for n in range(self.N + 1):
             ad = self.a0_deriv if n == 0 else self.a_deriv[n - 1]
             yield n, ad, self.c[n], self.omega[n]
-
-    def to_json_dict(self):
-        return {
-            "schema_version": 1,
-            "N": self.N,
-            "a0_deriv": self.a0_deriv,
-            "a_deriv": self.a_deriv.tolist(),
-            "c": self.c.tolist(),
-            "omega": self.omega.tolist(),
-        }
 
 
 def multiplier(base: BaseState, n, a_deriv_n, c_abs_n):

@@ -5,15 +5,17 @@ Two families of attractive interactions are supported:
 * case A: power-law kernel -1/|x-y|^nu with nu in (0, 1],
 * case B: logarithmic kernel ln|x-y| (the 2D Newtonian potential).
 
-The frozen :class:`InteractionCase` is the one kernel object: it holds what
-the rest of the package needs of the kernel in closed form.  For case B the
-disk potential is in closed form everywhere.  For case A it is a Gauss
-hypergeometric function too: of r^-2 outside the disk (expanding
-|x-y|^-nu in binomial series of y/r and conj(y)/r and integrating term by
-term over the disk; u0, u0_d1, u0_d2) and of r^2 inside it (u0).  Adaptive
-quadrature of the defining double integral, with a graded Gauss-Legendre
-rule in the angular variable to absorb the integrable kernel singularity,
-is kept only as the independent check of both (verify criterion 9).
+The frozen :class:`InteractionCase` is the one kernel object: it holds
+K(d) and what the rest of the package needs of the kernel in closed form.
+Outside the disk the potential of either kernel is pi K(r) times a Gauss
+hypergeometric function of r^-2 (for case A, expand |x-y|^-nu in binomial
+series of y/r and conj(y)/r and integrate term by term over the disk; for
+case B, p = 0, it is 1); u0, u0_d1 and u0_d2 are written once through K and
+the force law.  Inside it is -(pi/2)(1 - r^2) for case B and a 2F1 of r^2
+for case A.  Adaptive quadrature of the defining double integral, with a
+graded Gauss-Legendre rule in the angular variable to absorb the integrable
+kernel singularity, is kept only as the independent check of case A's
+forms (verify criterion 9).
 """
 
 from __future__ import annotations
@@ -71,10 +73,11 @@ class InteractionCase:
     kind 'A' uses K(d) = -d^(-nu) with nu in (0, 1]; kind 'B' uses
     K(d) = ln d.  The case holds:
 
+    - ``potential(d)``: K(d) itself;
     - ``force_law``: (strength, p) with K'(d) = strength * d^-(p+1), that
       is (1, 0) for the log and (nu, nu) for the power kernel;
-    - ``u0_at_1``: the disk potential on the unit circle, 0 for the log and
-      -pi Gamma(3-nu) / ((2-nu) Gamma(2-nu/2)^2) for the power kernel;
+    - ``u0_at_1``: the disk potential on the unit circle,
+      pi K(1) Gamma(2-p) / Gamma(2-p/2)^2, so 0 for the log kernel;
     - ``coefficients(n_max)``: the linearization coefficients c_0..c_n_max.
 
     The power kernel's c_n and the boundary product rule
@@ -103,14 +106,16 @@ class InteractionCase:
         """(strength, p) with K'(d) = strength * d^-(p+1)."""
         return (1.0, 0.0) if self.is_log else (self.nu, self.nu)
 
+    def potential(self, d):
+        """K(d), elementwise: ln d, or -d^-nu."""
+        return np.log(d) if self.is_log else -d ** -self.nu
+
     @property
     def u0_at_1(self) -> float:
         """Interaction potential of the unit disk on the unit circle."""
-        if self.is_log:
-            return 0.0
-        nu = self.nu
-        return float(-np.pi * gamma(3.0 - nu)
-                     / ((2.0 - nu) * gamma(2.0 - 0.5 * nu) ** 2))
+        p = self.force_law[1]
+        return float(np.pi * self.potential(1.0) * gamma(2.0 - p)
+                     / gamma(2.0 - 0.5 * p) ** 2)
 
     def coefficients(self, n_max: int) -> np.ndarray:
         """Linearization coefficients c_0..c_n_max in closed form.
@@ -210,27 +215,26 @@ def _u0_case_a(r: float, nu: float, tol: float = 1e-10) -> float:
 def u0(case: InteractionCase, r: float) -> float:
     """Interaction potential of the unit disk at distance r from its center.
 
-    Power kernel, r > 1: with a = nu/2 and x = r^-2,
-    u0 = -pi r^-nu 2F1(a, a; 2; x) (DLMF 15.2.1), and its r-derivatives
-    follow from d/dx 2F1 (DLMF 15.5.1):
-    u0' = pi nu r^-(nu+1) 2F1(a, a+1; 2; x),
-    u0'' = -pi nu [(nu+1) r^-(nu+2) 2F1(a, a+1; 2; x)
-                   + a(a+1) r^-(nu+4) 2F1(a+1, a+2; 3; x)].
-    Power kernel, r <= 1: u0 = -(2 pi/(2-nu)) 2F1(a, a-1; 1; r^2), the
-    Riesz potential of the disk.  At r = 1 both forms are Gauss's sum
-    (DLMF 15.4.20), case.u0_at_1.
+    Outside the body, r > 1: with (s, p) the case's force law, a = p/2 and
+    x = r^-2, u0 = pi K(r) 2F1(a, a; 2; x) (DLMF 15.2.1), and by
+    d/dx 2F1 (DLMF 15.5.1) u0' = pi s r^-(p+1) 2F1(a, a+1; 2; x) and
+    u0'' = -pi s [(p+1) r^-(p+2) 2F1(a, a+1; 2; x)
+                  + a(a+1) r^-(p+4) 2F1(a+1, a+2; 3; x)];
+    at p = 0 these are pi ln r, pi / r and -pi / r^2.  Inside, r <= 1:
+    -(pi/2)(1 - r^2) (log) or -(2 pi/(2-nu)) 2F1(a, a-1; 1; r^2) (power,
+    the Riesz potential of the disk).  At r = 1 both power forms are
+    Gauss's sum (DLMF 15.4.20), case.u0_at_1.
     """
     r = float(r)
     if r < 0:
         raise ValueError("r must be non-negative")
+    if r > 1.0:
+        a = 0.5 * case.force_law[1]
+        return float(np.pi * case.potential(r) * hyp2f1(a, a, 2.0, r ** -2))
     if case.is_log:
-        if r <= 1.0:
-            return -np.pi / 2.0 * (1.0 - r * r)
-        return np.pi * np.log(r)
+        return -np.pi / 2.0 * (1.0 - r * r)
     nu, a = case.nu, 0.5 * case.nu
-    if r <= 1.0:
-        return float(-2.0 * np.pi / (2.0 - nu) * hyp2f1(a, a - 1.0, 1.0, r * r))
-    return float(-np.pi * r ** -nu * hyp2f1(a, a, 2.0, r ** -2))
+    return float(-2.0 * np.pi / (2.0 - nu) * hyp2f1(a, a - 1.0, 1.0, r * r))
 
 
 def u0_d1(case: InteractionCase, r: float) -> float:
@@ -238,10 +242,9 @@ def u0_d1(case: InteractionCase, r: float) -> float:
     r = float(r)
     if r <= 1.0:
         raise ValueError(f"u0_d1 is defined for r > 1, got r={r}")
-    if case.is_log:
-        return np.pi / r
-    nu, a = case.nu, 0.5 * case.nu
-    return float(np.pi * nu * r ** -(nu + 1.0) * hyp2f1(a, a + 1.0, 2.0, r ** -2))
+    s, p = case.force_law
+    a = 0.5 * p
+    return float(np.pi * s * r ** -(p + 1.0) * hyp2f1(a, a + 1.0, 2.0, r ** -2))
 
 
 def u0_d2(case: InteractionCase, r: float) -> float:
@@ -249,12 +252,11 @@ def u0_d2(case: InteractionCase, r: float) -> float:
     r = float(r)
     if r <= 1.0:
         raise ValueError(f"u0_d2 is defined for r > 1, got r={r}")
-    if case.is_log:
-        return -np.pi / (r * r)
-    nu, a = case.nu, 0.5 * case.nu
+    s, p = case.force_law
+    a = 0.5 * p
     x = r ** -2
-    return float(-np.pi * nu * r ** -(nu + 2.0) * (
-        (nu + 1.0) * hyp2f1(a, a + 1.0, 2.0, x)
+    return float(-np.pi * s * r ** -(p + 2.0) * (
+        (p + 1.0) * hyp2f1(a, a + 1.0, 2.0, x)
         + a * (a + 1.0) * x * hyp2f1(a + 1.0, a + 2.0, 3.0, x)))
 
 
@@ -310,10 +312,7 @@ def a0_from_omega(case: InteractionCase, omega0: float, tol: float = 1e-12) -> f
 def particle_potential_at(case: InteractionCase, a: float,
                           pts: np.ndarray) -> np.ndarray:
     """Potential of the unit point mass at (a, 0), evaluated at pts."""
-    d = np.abs(pts - a)
-    if case.is_log:
-        return np.log(d)
-    return -d ** (-case.nu)
+    return case.potential(np.abs(pts - a))
 
 
 # --------------------------------------------------------------------------
@@ -336,7 +335,6 @@ class BaseState:
     dphi0_at_1: float
     g_at_boundary: float
     profile: VorticityProfile
-    u0_at_1: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -348,7 +346,7 @@ class BaseState:
             "lambda0": self.lambda0,
             "dphi0_at_1": self.dphi0_at_1,
             "g_at_boundary": self.g_at_boundary,
-            "u0_at_1": self.u0_at_1,
+            "u0_at_1": self.case.u0_at_1,
             "profile": self.profile.name,
             "phi0_nodes": list(map(float, self.phi0.nodes)),
             "phi0_values": list(map(float, self.phi0.values)),
@@ -373,8 +371,7 @@ def make_base_state(case: InteractionCase, a0: float, profile: VorticityProfile)
         raise DegenerateBaseError(
             f"phi0'(1) = {dphi1:.3e} vanishes; the stream profile is degenerate"
         )
-    u0_at_1 = case.u0_at_1
-    lambda0 = 0.5 * dphi1 * dphi1 - 0.5 * omega0 * omega0 + u0_at_1
+    lambda0 = 0.5 * dphi1 * dphi1 - 0.5 * omega0 * omega0 + case.u0_at_1
     return BaseState(
         case=case,
         omega0=omega0,
@@ -384,5 +381,4 @@ def make_base_state(case: InteractionCase, a0: float, profile: VorticityProfile)
         dphi0_at_1=dphi1,
         g_at_boundary=float(profile.eval(0.0)),
         profile=profile,
-        u0_at_1=u0_at_1,
     )

@@ -51,8 +51,6 @@ from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
                        boundary_rows, conformal_factor_grid, eval_h_at,
                        injectivity_margin)
 
-DEFAULT_ANGULAR = 256
-
 # grid of the Picard damping, so that nearby shapes share one _mode_eigs entry
 _LAM_STEP = 1.0 / 16.0
 
@@ -142,7 +140,7 @@ class DiskField:
 
 def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
                 n_radial: int = DEFAULT_RADIAL,
-                n_angular: int = DEFAULT_ANGULAR,
+                n_angular: Optional[int] = None,
                 tol: float = 1e-12, max_iter: int = 200,
                 u_init=None) -> DiskField:
     """Damped Picard solution of Delta u = |f'|^2 G(u), u = 0 on the circle.
@@ -170,11 +168,13 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
     iterate; a solve of k steps evaluates it k + 1 times.  The iteration
     starts from u_init (broadcast to the grid), or from zero.  The field
     keeps the last step's modes as its spectrum.  The grid must hold
-    2N + 2 angles (ConfigError).
+    2N + 2 angles (ConfigError); by default it has boundary_points(N).
     """
     if injectivity_margin(h) <= 0:
         raise TidaldiskError("shape is not certified injective; refusing "
                              "to solve on a possibly folded domain")
+    if n_angular is None:
+        n_angular = boundary_points(h.N)
     grid, _ = _radial_basis(n_radial)
     w = conformal_factor_grid(h, n_radial, n_angular)
     shape = (n_radial, n_angular)
@@ -400,7 +400,7 @@ def center_of_mass(h: ShapeCoeffs, m: float, a: float):
 def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
                base: BaseState,
                n_radial: int = DEFAULT_RADIAL,
-               n_angular: int = DEFAULT_ANGULAR,
+               n_angular: Optional[int] = None,
                return_field: bool = False, u_init=None):
     """The three components of the reduced system at state (h, a, lam).
 
@@ -411,9 +411,12 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
     base-state field phi0(r), and its field carries its own rfft for the
     normal derivative.  The curve is sampled once, on the n_angular grid,
     which must hold at least 2N + 2 points (solve_phi_h raises ConfigError
-    otherwise); particle_force takes every k-th point of that sample when
-    boundary_points(N) divides n_angular.
+    otherwise) and by default has boundary_points(N); particle_force takes
+    every k-th point of that sample when boundary_points(N) divides
+    n_angular.
     """
+    if n_angular is None:
+        n_angular = boundary_points(h.N)
     if u_init is None:
         u_init = base.phi0.dirichlet_field(n_radial)[:, None]
     fieldv = solve_phi_h(h, base.profile, n_radial=n_radial,
@@ -499,7 +502,7 @@ def _diagnostics(h: ShapeCoeffs, a: float, lam: float, m: float,
 def quasi_newton_solve(op: LinearizedOperator, m: float,
                        tol: float = 1e-10, max_iter: int = 50,
                        n_radial: int = DEFAULT_RADIAL,
-                       n_angular: int = DEFAULT_ANGULAR,
+                       n_angular: Optional[int] = None,
                        m_cap: Optional[float] = None) -> EquilibriumSolution:
     """Frozen-derivative fixed point x_{k+1} = x_k - DF(base)^{-1} F(x_k).
 

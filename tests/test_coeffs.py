@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from tidaldisk.coeffs import (ModeTable, build_mode_table, c_n,
+from tidaldisk.coeffs import (ModeTable, _disk_rule, build_mode_table, c_n,
                               c_n_closed_log, c_n_digamma_nu1,
                               c_n_disk_quadrature, kernel_moments, multiplier)
 from tidaldisk.errors import QuadratureError
@@ -23,6 +23,34 @@ def test_closed_log_values():
 def test_log_quadrature_matches_closed_form():
     for n in (0, 1, 2, 7, 16):
         assert abs(c_n_disk_quadrature(case_b(), n) - c_n_closed_log(n)) < 1e-11
+
+
+def _two_branch_disk_quadrature(case, n_max):
+    """Reference: c_0..c_n_max by the disk quadrature with one branch per
+    kernel, K = ln|1 - y| (log) or |1 - y|^-nu (power)."""
+    k = np.arange(n_max + 1)
+    rn, rw, pn, pw = _disk_rule(n_max)
+    dist = np.hypot(1.0 - rn[:, None] * np.cos(pn), rn[:, None] * np.sin(pn))
+    kern = np.log(dist) if case.is_log else dist ** -case.nu
+    radial = (rn * rw)[:, None] * rn[:, None] ** k
+    angle = pw[:, None] * np.exp(1j * np.outer(pn, k))
+    mom = np.sum(radial * (kern @ angle), axis=0)
+    if case.is_log:
+        plain = np.sum(radial, axis=0) * np.sum(angle, axis=0)
+        vals = (k + 1) * mom + 0.5 * np.cumsum(plain)
+    else:
+        vals = 0.5 * case.nu * np.cumsum(mom) - (k + 1) * mom
+    return vals.real
+
+
+@pytest.mark.parametrize("case", [case_b(), case_a(0.3), case_a(0.5),
+                                  case_a(0.92), case_a(1.0)],
+                         ids=lambda c: c.label())
+def test_disk_quadrature_matches_two_branch_form(case):
+    n = np.arange(65)
+    got = c_n_disk_quadrature(case, n)
+    ref = _two_branch_disk_quadrature(case, 64)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_power_moments_closed_values():

@@ -2,12 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gamma, hyp2f1
 
 from tidaldisk.errors import DegenerateBaseError
 from tidaldisk.kernel import rigid_preset, zero_preset
 from tidaldisk.potential import (InteractionCase, _u0_case_a, a0_from_omega,
                                  case_a, case_b, make_base_state,
-                                 omega_from_a0, u0, u0_d1, u0_d2)
+                                 omega_from_a0, particle_potential_at, u0,
+                                 u0_d1, u0_d2)
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -30,6 +32,47 @@ def test_log_case_closed_forms():
     assert abs(u0(case, 2.0) - np.pi * np.log(2.0)) < 1e-15
     assert abs(u0_d1(case, 2.0) - np.pi / 2) < 1e-15
     assert abs(u0_d2(case, 2.0) + np.pi / 4) < 1e-15
+
+
+def _two_branch_exterior(case, r):
+    """Reference: u0, u0', u0'' outside the disk and u0(1), written once per
+    kernel, for the single forms through K(d) and the force law."""
+    if case.is_log:
+        return np.pi * np.log(r), np.pi / r, -np.pi / (r * r), 0.0
+    nu, a = case.nu, 0.5 * case.nu
+    x = r ** -2
+    f1 = hyp2f1(a, a + 1.0, 2.0, x)
+    return (-np.pi * r ** -nu * hyp2f1(a, a, 2.0, x),
+            np.pi * nu * r ** -(nu + 1.0) * f1,
+            -np.pi * nu * r ** -(nu + 2.0) * (
+                (nu + 1.0) * f1
+                + a * (a + 1.0) * x * hyp2f1(a + 1.0, a + 2.0, 3.0, x)),
+            -np.pi * gamma(3.0 - nu)
+            / ((2.0 - nu) * gamma(2.0 - 0.5 * nu) ** 2))
+
+
+def _two_branch_particle_potential(case, a, pts):
+    d = np.abs(pts - a)
+    if case.is_log:
+        return np.log(d)
+    return -d ** (-case.nu)
+
+
+KERNEL_CASES = [case_b()] + [case_a(nu) for nu in (0.3, 0.5, 0.92, 1.0)]
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=lambda c: c.label())
+@pytest.mark.parametrize("r", [1.0 + 1e-6, 1.05, 1.5, 2.0, 2.3011, 10.0, 1e6])
+def test_kernel_forms_match_two_branch_forms(case, r):
+    ref = _two_branch_exterior(case, r)
+    got = (u0(case, r), u0_d1(case, r), u0_d2(case, r), case.u0_at_1)
+    for g, w in zip(got, ref):
+        assert abs(g - w) <= 1e-15 * abs(w)
+    a = 2.0
+    pts = a + r * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7))
+    w = _two_branch_particle_potential(case, a, pts)
+    assert np.all(np.abs(particle_potential_at(case, a, pts) - w)
+                  <= 1e-15 * np.abs(w))
 
 
 def test_interior_derivatives_rejected():

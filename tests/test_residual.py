@@ -757,6 +757,14 @@ def test_solve_large_mass_fails(op):
         quasi_newton_solve(op, 0.5, m_cap=1.0, max_iter=10)
 
 
+def test_solve_default_angular_grid_follows_N(base):
+    # the library default n_angular is boundary_points(N), as on the config
+    # path: 512 at N = 128, where 2N + 2 = 258 points are needed
+    sol = quasi_newton_solve(make_operator(base, N=128), 1e-5)
+    assert sol.residual_norm < 1e-10
+    assert sol.iterations <= 3
+
+
 @pytest.mark.parametrize("nu, frac", [(0.5, 0.9), (1.0, 0.1), (1.0, 0.9)])
 def test_solve_near_body_power_kernel(nu, frac):
     # At a0 = 1.6 the particle excites shape modes up to n ~ 64 enough that
