@@ -25,7 +25,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import lu_factor, lu_solve, schur
 from scipy.optimize import brentq
 
-from .chebyshev import DEFAULT_RADIAL, _radial_basis, lobatto_points
+from .chebyshev import DEFAULT_RADIAL, _radial_basis
 from .errors import TidaldiskError
 from .kernel import VorticityProfile
 
@@ -44,6 +44,8 @@ class RadialProfile:
     deriv_at_1: float
     evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     residual: float = 0.0
+    _samples: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
     _fields: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -58,13 +60,24 @@ class RadialProfile:
     def __call__(self, r):
         return self.evaluate(r)
 
+    def grid_values(self, n_radial: int) -> np.ndarray:
+        """phi(r) at the radii of the half-diameter grid of n_radial nodes,
+        in the grid's order (r[0] = 1).  Cached per n_radial, so
+        read-only."""
+        out = self._samples.get(n_radial)
+        if out is None:
+            out = self(_radial_basis(n_radial)[0].r)
+            out.setflags(write=False)
+            self._samples[n_radial] = out
+        return out
+
     def dirichlet_field(self, n_radial: int) -> np.ndarray:
         """phi(r) - phi(1) at the radii of the half-diameter grid of
         n_radial nodes, zero at r = 1 exactly.  Cached per n_radial, so
         read-only."""
         out = self._fields.get(n_radial)
         if out is None:
-            out = self(_radial_basis(n_radial)[0].r) - self(1.0)
+            out = self.grid_values(n_radial) - self(1.0)
             out.setflags(write=False)
             self._fields[n_radial] = out
         return out
@@ -105,12 +118,16 @@ def _integrate_from_center(c: float, profile: VorticityProfile,
     return sol
 
 
-def solve_phi0(profile: VorticityProfile, n_nodes: int = DEFAULT_RADIAL + 1,
+def solve_phi0(profile: VorticityProfile, n_radial: int = DEFAULT_RADIAL,
                bracket_scale: float = 10.0) -> RadialProfile:
     """Shoot on the center value so that the profile vanishes at r = 1.
 
     For non-decreasing G the shooting map c -> phi(1; c) is monotone, so a
-    sign change bracket plus Brent iteration is reliable.
+    sign change bracket plus Brent iteration is reliable.  The profile is
+    sampled at r = 0 and at the radii of the half-diameter grid of
+    n_radial nodes, ascending; those samples are also its ``grid_values``,
+    so neither the mode table nor the stream-function solver evaluates the
+    dense output again on that grid.
     """
     if not profile.monotone_certified and not profile.check_monotone(-10.0, 10.0):
         raise ValueError("vorticity profile must be non-decreasing")
@@ -138,7 +155,8 @@ def solve_phi0(profile: VorticityProfile, n_nodes: int = DEFAULT_RADIAL + 1,
     c_star = brentq(shoot, cs[idx], cs[idx + 1], xtol=1e-14, rtol=8.9e-16)
 
     sol = _integrate_from_center(c_star, profile, dense=True)
-    nodes = 0.5 * (1.0 - lobatto_points(n_nodes))
+    radii = _radial_basis(n_radial)[0].r  # descending, radii[0] = 1
+    nodes = np.concatenate([[0.0], radii[::-1]])
     dense_sol = sol.sol
 
     def dense(r):
@@ -150,11 +168,15 @@ def solve_phi0(profile: VorticityProfile, n_nodes: int = DEFAULT_RADIAL + 1,
         return np.where(r < _R_CORE, core, out)
 
     values = dense(nodes)
+    on_grid = values[:0:-1].copy()  # phi0(r), before phi0(1) is imposed
+    on_grid.setflags(write=False)
     values[-1] = 0.0  # Dirichlet value, exact by construction
     deriv_at_1 = float(sol.y[1][-1])
     residual = abs(float(sol.y[0][-1]))
-    return RadialProfile(nodes=nodes, values=values, deriv_at_1=deriv_at_1,
+    prof = RadialProfile(nodes=nodes, values=values, deriv_at_1=deriv_at_1,
                          evaluate=dense, residual=residual)
+    prof._samples[n_radial] = on_grid
+    return prof
 
 
 # --------------------------------------------------------------------------
@@ -168,7 +190,7 @@ def _mode_grid(base, n_nodes: int):
     the r = 1 row of d_r."""
     grid, basis = _radial_basis(n_nodes)
     r = grid.r
-    phi = base.phi0(r)
+    phi = base.phi0.grid_values(n_nodes)
     g0 = np.asarray(base.profile.eval(phi), dtype=float)
     g1 = np.asarray(base.profile.d1(phi), dtype=float)
     d1 = grid.d1(0)
@@ -233,16 +255,16 @@ def mode_derivatives(base, N: int, n_nodes: int = DEFAULT_RADIAL) -> np.ndarray:
     T, Q = schur(lu_solve(lu, L))
     s = 2.0 * np.arange(N + 1)
 
-    def solve(R):  # (L + s_j C)^-1 R[:, j] for every j; may overwrite R
-        return Q @ _shifted_back_substitution(
-            T, s, Q.T @ lu_solve(lu, R, overwrite_b=True))
+    def sweep(V):  # Q (T + s_j I)^-1 V[:, j] for every j; overwrites V
+        return Q @ _shifted_back_substitution(T, s, V)
 
-    alpha = solve(np.repeat(g0[:, None], N + 1, axis=1))
+    v = Q.T @ lu_solve(lu, g0)  # Q^T C^-1 g0, the same for every n
+    alpha = sweep(np.repeat(v[:, None], N + 1, axis=1))
     R = C @ alpha  # the residual g0 - L alpha - 2n C alpha, built in place
     R *= -s
     R -= L @ alpha
     R += g0[:, None]
-    alpha += solve(R)
+    alpha += sweep(Q.T @ lu_solve(lu, R, overwrite_b=True))
     return row @ alpha
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tidaldisk import cli
+from tidaldisk.chebyshev import DEFAULT_RADIAL, _radial_basis
 from tidaldisk.cli import main
 from tidaldisk.coeffs import build_mode_table
 
@@ -48,6 +49,13 @@ def test_base_outputs(tmp_path):
     header, rows = _read_csv(out / "phi0.csv")
     assert header == ["r", "phi0"]
     assert float(rows[0][0]) == 0.0 and float(rows[-1][1]) == 0.0
+    # both carry r = 0, then the solver grid's radii, ascending
+    nodes = [0.0, *_radial_basis(DEFAULT_RADIAL)[0].r[::-1]]
+    assert base["phi0_nodes"] == nodes
+    assert len(base["phi0_values"]) == DEFAULT_RADIAL + 1
+    assert base["phi0_values"][-1] == 0.0
+    assert [float(r) for r, _ in rows] == nodes
+    assert [float(v) for _, v in rows] == base["phi0_values"]
 
 
 def test_base_deterministic(tmp_path):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
+from tidaldisk.chebyshev import DEFAULT_RADIAL, _radial_basis
+from tidaldisk.coeffs import build_mode_table
 from tidaldisk.errors import TidaldiskError
 from tidaldisk.kernel import (linear_preset, profile_from_table, rigid_preset,
                               zero_preset)
@@ -33,6 +35,19 @@ def test_phi0_rigid_closed_form():
 def test_phi0_zero_profile():
     prof = solve_phi0(zero_preset(), bracket_scale=1.0)
     assert np.max(np.abs(prof(np.linspace(0, 1, 11)))) < 1e-12
+
+
+def test_phi0_samples_on_solver_grid():
+    # r = 0, then the radii of the solver's half-diameter grid, ascending;
+    # the Dirichlet value is imposed exactly
+    prof = solve_phi0(linear_preset(1.0, -2.0))
+    r = _radial_basis(DEFAULT_RADIAL)[0].r
+    assert len(prof.nodes) == len(prof.values) == DEFAULT_RADIAL + 1
+    assert prof.nodes[0] == 0.0
+    assert np.array_equal(prof.nodes[1:], r[::-1])
+    assert prof.values[0] == prof(0.0)
+    assert np.array_equal(prof.values[1:-1], prof(r[:0:-1]))
+    assert prof.values[-1] == 0.0
 
 
 def test_phi0_bracket_failure():
@@ -92,6 +107,24 @@ def test_mode_derivatives_resolved(profile, tol):
     coarse = mode_derivatives(base, 256, n_nodes=64)
     fine = mode_derivatives(base, 256, n_nodes=128)
     assert np.max(np.abs(coarse - fine) / np.abs(fine)) < tol
+
+
+def test_mode_table_reads_phi0_samples():
+    # on the base's own grid the table reuses the samples solve_phi0 took,
+    # equal bit for bit to a fresh evaluation; any other grid evaluates
+    # phi0 once and keeps it
+    base = make_base_state(case_b(), 2.0, linear_preset(1.0, -2.0))
+    calls = []
+    evaluate = base.phi0.evaluate
+    base.phi0.evaluate = lambda r: calls.append(1) or evaluate(r)
+    build_mode_table(base, N=64)
+    assert calls == []
+    samples = base.phi0.grid_values(DEFAULT_RADIAL)
+    assert np.array_equal(samples, evaluate(_radial_basis(DEFAULT_RADIAL)[0].r))
+    assert not samples.flags.writeable
+    for _ in range(2):
+        mode_derivatives(base, 16, n_nodes=32)
+    assert len(calls) == 1
 
 
 def test_mode_n0_regular(rigid_base):
