@@ -36,9 +36,9 @@ import numpy as np
 
 from .coeffs import build_mode_table
 from .config import RunConfig, parse_config_file
-from .errors import (ConfigError, DivergenceError, ResonanceError,
-                     TidaldiskError)
-from .linop import (first_order_response, make_operator, nonresonance_scan)
+from .errors import ConfigError, DivergenceError, TidaldiskError
+from .linop import (check_resonances, first_order_response, make_operator,
+                    nonresonance_scan)
 from .potential import a0_from_omega, make_base_state
 from .residual import quasi_newton_solve
 from .spectral import boundary_rows
@@ -116,14 +116,10 @@ def cmd_base(cfg: RunConfig, out: str) -> int:
 
 def cmd_scan(cfg: RunConfig, out: str) -> int:
     op = _operator(cfg)
-    table = op.table
-    report = nonresonance_scan(op)
     _write_csv(os.path.join(out, "modes.csv"),
-               ("n", "a_deriv", "c", "omega"), table.to_csv_rows())
-    _write_json(os.path.join(out, "scan.json"), report)
-    if report["resonances"]:
-        n = report["resonances"][0]
-        raise ResonanceError(n, table.omega_at(n))
+               ("n", "a_deriv", "c", "omega"), op.table.to_csv_rows())
+    _write_json(os.path.join(out, "scan.json"), nonresonance_scan(op))
+    check_resonances(op.table)  # after the outputs, which help diagnose it
     return 0
 
 

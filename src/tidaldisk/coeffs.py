@@ -152,34 +152,35 @@ def c_n(case: InteractionCase, n: int) -> float:
 class ModeTable:
     """Per-mode data of the linearized boundary operator up to truncation N.
 
-    omega[n] depends on |n| only; negative modes are implied.
+    Every array runs over n = 0..N (length N+1); omega[n] depends on |n|
+    only, and negative modes are implied.
     """
 
     N: int
-    a_deriv: np.ndarray          # A_n'(1), n = 1..N  (length N)
-    c: np.ndarray                # c_n, n = 0..N      (length N+1)
-    omega: np.ndarray            # omega_n, n = 0..N  (length N+1)
-    a0_deriv: float = 0.0        # A_0'(1), kept for the n = 0 multiplier
-
-    def omega_at(self, n: int) -> float:
-        return float(self.omega[abs(n)])
+    a_deriv: np.ndarray          # A_n'(1)
+    c: np.ndarray                # c_n
+    omega: np.ndarray            # omega_n
 
     def to_csv_rows(self):
-        for n in range(self.N + 1):
-            ad = self.a0_deriv if n == 0 else self.a_deriv[n - 1]
-            yield n, ad, self.c[n], self.omega[n]
+        return zip(range(self.N + 1), self.a_deriv, self.c, self.omega)
 
 
-def multiplier(base: BaseState, n, a_deriv_n, c_abs_n):
-    """Fourier multiplier of mode n of the linearized boundary condition:
-    -(1/2) phi0'(1)^2 (|n|+1) + phi0'(1) A_n'(1) (|n|+1) - (1/2) omega0^2 + c_n.
-
-    Scalars or equal-length arrays over n.
+def multiplier_terms(base: BaseState, n, a_deriv_n, c_abs_n):
+    """The four terms whose sum is the multiplier omega_n:
+    -(1/2) phi0'(1)^2 (|n|+1), phi0'(1) A_n'(1) (|n|+1), -(1/2) omega0^2
+    and c_n.  Scalars or equal-length arrays over n.
     """
     n = abs(n)
     dp = base.dphi0_at_1
-    return (-0.5 * dp * dp * (n + 1) + dp * a_deriv_n * (n + 1)
-            - 0.5 * base.omega0**2 + c_abs_n)
+    return (-0.5 * dp * dp * (n + 1), dp * a_deriv_n * (n + 1),
+            -0.5 * base.omega0**2, c_abs_n)
+
+
+def multiplier(base: BaseState, n, a_deriv_n, c_abs_n):
+    """Fourier multiplier omega_n of mode n of the linearized boundary
+    condition: the sum of multiplier_terms, left to right."""
+    t1, t2, t3, t4 = multiplier_terms(base, n, a_deriv_n, c_abs_n)
+    return t1 + t2 + t3 + t4
 
 
 def build_mode_table(base: BaseState, N: int = DEFAULT_N_MODES,
@@ -198,5 +199,4 @@ def build_mode_table(base: BaseState, N: int = DEFAULT_N_MODES,
     derivs = mode_derivatives(base, N, n_nodes=n_nodes)
     c = base.case.coefficients(N)
     omega = multiplier(base, np.arange(N + 1), derivs, c)
-    return ModeTable(N=N, a_deriv=derivs[1:], c=c, omega=omega,
-                     a0_deriv=float(derivs[0]))
+    return ModeTable(N=N, a_deriv=derivs, c=c, omega=omega)

@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from .chebyshev import DEFAULT_RADIAL
 from .errors import ConfigError
 from .kernel import (VorticityProfile, linear_preset, profile_from_csv,
                      rigid_preset, zero_preset)
@@ -48,7 +49,7 @@ class RunConfig:
     a0: Optional[float] = None
     omega0: Optional[float] = None
     N: int = 64
-    n_radial: int = 64
+    n_radial: int = DEFAULT_RADIAL
     n_angular: Optional[int] = None  # boundary_points(N)
     tol: float = 1e-10
     m_list: List[float] = field(default_factory=lambda: [1e-4])

@@ -10,7 +10,7 @@ tabulated profile.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,7 +29,6 @@ class VorticityProfile:
     d1: Callable[[np.ndarray], np.ndarray]
     monotone_certified: bool = False
     name: str = "custom"
-    sup_bound: float = field(default=np.inf)  # bound for |G| used by shooting
 
     def __call__(self, u):
         return self.eval(u)
@@ -48,10 +47,8 @@ def _constant_profile(value: float, name: str) -> VorticityProfile:
     def zero(u):
         return np.zeros_like(np.asarray(u, dtype=float))
 
-    return VorticityProfile(
-        eval=ev, d1=zero, monotone_certified=True, name=name,
-        sup_bound=abs(value),
-    )
+    return VorticityProfile(eval=ev, d1=zero, monotone_certified=True,
+                            name=name)
 
 
 def rigid_preset(omega0: float) -> VorticityProfile:
@@ -84,13 +81,8 @@ def linear_preset(slope: float = 1.0, offset: float = 0.0) -> VorticityProfile:
     def d1(u):
         return np.full_like(np.asarray(u, dtype=float), slope)
 
-    return VorticityProfile(
-        eval=ev, d1=d1, monotone_certified=True,
-        name=f"linear({slope:g},{offset:g})",
-        # |G| on the relevant range is not known a priori; the shooting
-        # bracket uses this as a scale only.
-        sup_bound=abs(slope) * 10.0 + abs(offset),
-    )
+    return VorticityProfile(eval=ev, d1=d1, monotone_certified=True,
+                            name=f"linear({slope:g},{offset:g})")
 
 
 def profile_from_table(u: np.ndarray, g: np.ndarray) -> VorticityProfile:
@@ -131,10 +123,8 @@ def profile_from_table(u: np.ndarray, g: np.ndarray) -> VorticityProfile:
         out = np.where(x < lo, slope_lo, out)
         return np.where(x > hi, slope_hi, out)
 
-    prof = VorticityProfile(
-        eval=ev, d1=d1, monotone_certified=True, name="table",
-        sup_bound=float(np.max(np.abs(g))) + abs(slope_lo) + abs(slope_hi),
-    )
+    prof = VorticityProfile(eval=ev, d1=d1, monotone_certified=True,
+                            name="table")
     if not prof.check_monotone(lo, hi):
         raise ValueError("interpolated profile failed the monotonicity check")
     return prof
@@ -155,12 +145,12 @@ def profile_from_csv(path: str) -> VorticityProfile:
     return profile_from_table(np.array(us), np.array(gs))
 
 
-def smooth_profile(fn, d1, name="callable", sup_bound=np.inf,
+def smooth_profile(fn, d1, name="callable",
                    certify_range=None) -> VorticityProfile:
     """Wrap explicit callables G and G' as a profile, optionally
     spot-checking monotonicity on ``certify_range = (lo, hi)``."""
     prof = VorticityProfile(eval=fn, d1=d1, monotone_certified=False,
-                            name=name, sup_bound=sup_bound)
+                            name=name)
     if certify_range is not None:
         if not prof.check_monotone(*certify_range):
             raise ValueError("profile failed the monotonicity check")

@@ -24,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .coeffs import ModeTable, build_mode_table
+from .coeffs import (DEFAULT_N_MODES, ModeTable, build_mode_table,
+                     multiplier_terms)
 from .errors import DegenerateBaseError, ResonanceError
 from .potential import BaseState, particle_potential_at, u0_d2
 # eval_h_at is not called here; perfbench/tracing.py wraps it under this name
@@ -49,7 +50,8 @@ class LinearizedOperator:
 
 
 def make_operator(base: BaseState, table: Optional[ModeTable] = None,
-                  N: int = 256, workers: int = 1) -> LinearizedOperator:
+                  N: int = DEFAULT_N_MODES,
+                  workers: int = 1) -> LinearizedOperator:
     """Frozen linearization at ``base``, building the N-mode table unless one
     is given; ``workers`` is passed on to ``build_mode_table``, where it has
     no effect."""
@@ -70,27 +72,36 @@ def make_operator(base: BaseState, table: Optional[ModeTable] = None,
 # resonance scan
 # --------------------------------------------------------------------------
 
-def nonresonance_scan(op: LinearizedOperator, margin_factor: float = 1.0,
-                      tol: float = _RESONANCE_TOL) -> dict:
+def resonant_modes(table: ModeTable) -> list:
+    """The modes 1 <= n <= N with |omega_n| < _RESONANCE_TOL, ascending."""
+    small = np.abs(table.omega[1:]) < _RESONANCE_TOL
+    return [int(n) for n in np.flatnonzero(small) + 1]
+
+
+def check_resonances(table: ModeTable):
+    """Raise ResonanceError at the lowest resonant mode, if there is one."""
+    bad = resonant_modes(table)
+    if bad:
+        raise ResonanceError(bad[0], table.omega[bad[0]])
+
+
+def nonresonance_scan(op: LinearizedOperator) -> dict:
     """Report min_n |omega_n| for 1 <= n <= N and a tail certificate.
 
     The certificate records the first index n_T from which the leading term
-    -(1/2) phi0'(1)^2 (n+1) dominates all the remaining contributions by
-    the given factor; past that point omega_n cannot vanish, and the
-    dominance only improves with n.
+    -(1/2) phi0'(1)^2 (n+1) dominates the sum of the magnitudes of the
+    other three terms of omega_n; past that point omega_n cannot vanish,
+    and the dominance only improves with n.
     """
     t = op.table
     om = t.omega[1:]
     n_arr = np.arange(1, t.N + 1)
     min_idx = int(np.argmin(np.abs(om)))
-    resonances = [int(n) for n in n_arr[np.abs(om) < tol]]
 
-    dp = op.base.dphi0_at_1
-    lead = 0.5 * dp * dp * (n_arr + 1)
-    rest = (0.5 * op.base.omega0**2
-            + np.abs(dp * t.a_deriv) * (n_arr + 1)
-            + np.abs(t.c[1:]))
-    dominated = lead > margin_factor * rest
+    t1, t2, t3, t4 = multiplier_terms(op.base, n_arr, t.a_deriv[1:], t.c[1:])
+    lead = -t1
+    rest = -t3 + np.abs(t2) + np.abs(t4)
+    dominated = lead > rest
     # the tail starts after the last mode that is not dominated
     run = int(np.cumprod(dominated[::-1]).sum())
     tail_from = t.N - run + 1 if run else None
@@ -101,7 +112,7 @@ def nonresonance_scan(op: LinearizedOperator, margin_factor: float = 1.0,
         "min_abs_omega": float(np.min(np.abs(om))),
         "argmin_n": int(n_arr[min_idx]),
         "tail_certified_from": tail_from,
-        "resonances": resonances,
+        "resonances": resonant_modes(t),
     }
 
 
@@ -143,14 +154,6 @@ def w_shape_derivative(op: LinearizedOperator, g: ShapeCoeffs) -> float:
 # inversion and forward application
 # --------------------------------------------------------------------------
 
-def _check_resonances(op: LinearizedOperator, tol: float = _RESONANCE_TOL):
-    om = op.table.omega[1:]
-    bad = np.where(np.abs(om) < tol)[0]
-    if len(bad):
-        n = int(bad[0]) + 1
-        raise ResonanceError(n, float(om[bad[0]]))
-
-
 def solve_linearized(op: LinearizedOperator, S: BoundarySpectrum,
                      Z: float, M: float):
     """Invert the frozen linearization for right-hand side (S, Z, M).
@@ -159,8 +162,8 @@ def solve_linearized(op: LinearizedOperator, S: BoundarySpectrum,
     """
     if S.N > op.N:
         raise ValueError("spectrum truncation exceeds the operator table")
-    _check_resonances(op)
     t = op.table
+    check_resonances(t)
 
     g0 = M / (2.0 * np.pi)
     gn = np.zeros(op.N, dtype=complex)

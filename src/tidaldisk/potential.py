@@ -332,9 +332,16 @@ class BaseState:
     a0: float
     lambda0: float
     phi0: radial_ode.RadialProfile
-    dphi0_at_1: float
-    g_at_boundary: float
     profile: VorticityProfile
+
+    @property
+    def dphi0_at_1(self) -> float:
+        return self.phi0.deriv_at_1
+
+    @property
+    def g_at_boundary(self) -> float:
+        """G(0), the vorticity on the boundary, where phi0 vanishes."""
+        return float(self.profile.eval(0.0))
 
     def to_json_dict(self) -> dict:
         return {
@@ -378,7 +385,5 @@ def make_base_state(case: InteractionCase, a0: float, profile: VorticityProfile)
         a0=a0,
         lambda0=lambda0,
         phi0=phi0,
-        dphi0_at_1=dphi1,
-        g_at_boundary=float(profile.eval(0.0)),
         profile=profile,
     )

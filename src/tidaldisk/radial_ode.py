@@ -46,8 +46,6 @@ class RadialProfile:
     residual: float = 0.0
     _samples: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
-    _fields: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -73,14 +71,9 @@ class RadialProfile:
 
     def dirichlet_field(self, n_radial: int) -> np.ndarray:
         """phi(r) - phi(1) at the radii of the half-diameter grid of
-        n_radial nodes, zero at r = 1 exactly.  Cached per n_radial, so
-        read-only."""
-        out = self._fields.get(n_radial)
-        if out is None:
-            out = self.grid_values(n_radial) - self(1.0)
-            out.setflags(write=False)
-            self._fields[n_radial] = out
-        return out
+        n_radial nodes, zero at r = 1 exactly: the grid's r[0] is 1."""
+        phi = self.grid_values(n_radial)
+        return phi - phi[0]
 
     @property
     def value_at_1(self) -> float:
@@ -123,7 +116,10 @@ def solve_phi0(profile: VorticityProfile, n_radial: int = DEFAULT_RADIAL,
     """Shoot on the center value so that the profile vanishes at r = 1.
 
     For non-decreasing G the shooting map c -> phi(1; c) is monotone, so a
-    sign change bracket plus Brent iteration is reliable.  The profile is
+    sign change bracket plus Brent iteration is reliable.  The maximum
+    principle places phi0(0) between 0 and -G(0)/4: G(phi0) - G(0) has the
+    sign of phi0, so phi0 is compared with 0 and with G(0)(r^2 - 1)/4.  The
+    scan therefore covers +-bracket_scale (1 + |G(0)|).  The profile is
     sampled at r = 0 and at the radii of the half-diameter grid of
     n_radial nodes, ascending; those samples are also its ``grid_values``,
     so neither the mode table nor the stream-function solver evaluates the
@@ -132,7 +128,7 @@ def solve_phi0(profile: VorticityProfile, n_radial: int = DEFAULT_RADIAL,
     if not profile.monotone_certified and not profile.check_monotone(-10.0, 10.0):
         raise ValueError("vorticity profile must be non-decreasing")
 
-    scale = bracket_scale * (1.0 + min(profile.sup_bound, 1e3))
+    scale = bracket_scale * (1.0 + abs(float(profile.eval(0.0))))
 
     def shoot(c):
         return float(_integrate_from_center(c, profile).y[0][-1])

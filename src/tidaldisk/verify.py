@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coeffs import (build_mode_table, c_n_closed_log, c_n_digamma_nu1,
-                     c_n_disk_quadrature)
+                     c_n_disk_quadrature, multiplier_terms)
 from .kernel import linear_preset, rigid_preset
 from .linop import (apply_forward, first_order_response, make_operator,
                     solve_linearized)
@@ -83,9 +83,8 @@ def criterion_3_mode_derivative_asymptotics(seed=0):
     """2n A_n'(1) / G(0) tends to 1; one Richardson step on the mode
     table's own route (mode_derivatives) at n = 128, 256."""
     base = make_base_state(case_b(), 2.0, linear_preset(1.0, -2.0))
-    g_bdry = float(base.profile.eval(0.0))
     d = mode_derivatives(base, 256)
-    f = {n: 2 * n * float(d[n]) / g_bdry for n in (64, 128, 256)}
+    f = {n: 2 * n * float(d[n]) / base.g_at_boundary for n in (64, 128, 256)}
     rich = 2.0 * f[256] - f[128]
     return {
         "name": "large-n asymptotics of A_n'(1)",
@@ -277,8 +276,8 @@ def criterion_12_discrete_jacobian(seed=0):
     One central difference along h = sum e_n z^(n+1), e_n = eps/(n+1), as
     in criterion 11, gives row n of the mode block for every n <= N, and the
     Z and M rows; two more give the a and lambda columns.  Row n is held
-    against the size of the terms whose sum is omega_n (the tail
-    certificate's lead + rest), not against omega_n itself, which nearly
+    against the summed magnitudes of the four terms of omega_n
+    (multiplier_terms), not against omega_n itself, which nearly
     vanishes next to a resonance (n = 2 in case B and n = 4 at nu = 1 here).
     The differences' own error is about 3e-9 (their eps^2 terms)."""
     N, M, eps = 64, 256, 1e-6
@@ -291,7 +290,7 @@ def criterion_12_discrete_jacobian(seed=0):
                           (case_a(1.0), linear_preset(1.0, -2.0))):
         base = make_base_state(case, 2.0, profile)
         op = make_operator(base, N=N)
-        t, dp = op.table, base.dphi0_at_1
+        t = op.table
 
         def half_diff(dh, da, dl):  # (F(x + d) - F(x - d)) / 2 at the disk
             Fp, Fm = (residual_F(dh.scaled(s), base.a0 + s * da,
@@ -302,10 +301,9 @@ def criterion_12_discrete_jacobian(seed=0):
 
         S, Z, Mr = half_diff(h, 0.0, 0.0)
         S_lin, Z_lin, M_lin = apply_forward(op, h, 0.0, 0.0)
-        a_n = np.concatenate([[t.a0_deriv], t.a_deriv])
-        terms = np.where(n == 0, 2.0, 1.0) * (
-            (0.5 * dp * dp + np.abs(dp * a_n)) * (n + 1)
-            + 0.5 * base.omega0**2 + np.abs(t.c))
+        terms = np.where(n == 0, 2.0, 1.0) * sum(
+            np.abs(term)
+            for term in multiplier_terms(base, n, t.a_deriv, t.c))
         err = {"modes": np.max(np.abs(S - S_lin.coeffs) / (e * terms)),
                "Z": abs(Z - Z_lin) / np.sum(np.abs(op.w_weights * e)),
                "M": abs(Mr - M_lin) / abs(M_lin)}

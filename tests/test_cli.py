@@ -67,6 +67,14 @@ def test_base_deterministic(tmp_path):
     assert (out1 / "phi0.csv").read_bytes() == (out2 / "phi0.csv").read_bytes()
 
 
+def test_base_strong_rigid_rotation(tmp_path):
+    # the shooting range scales with |G(0)| = 1e5
+    cfg = _write_cfg(tmp_path, "case = B\nprofile = rigid:50000\na0 = 2.0\n")
+    out = tmp_path / "out"
+    assert main(["base", "--config", cfg, "--out", str(out)]) == 0
+    assert abs(_read_json(out / "base.json")["dphi0_at_1"] + 5e4) < 1e-7
+
+
 def test_omega0_route_matches_a0_route(tmp_path):
     cfg_a = _write_cfg(tmp_path, BASE_CFG, "a.cfg")
     om = float(np.sqrt(np.pi) / 2.0)

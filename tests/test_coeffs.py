@@ -5,7 +5,8 @@ from scipy.special import gammaln
 
 from tidaldisk.coeffs import (ModeTable, _disk_rule, build_mode_table, c_n,
                               c_n_closed_log, c_n_digamma_nu1,
-                              c_n_disk_quadrature, kernel_moments, multiplier)
+                              c_n_disk_quadrature, kernel_moments, multiplier,
+                              multiplier_terms)
 from tidaldisk.errors import QuadratureError
 from tidaldisk.kernel import rigid_preset
 from tidaldisk.potential import case_a, case_b, make_base_state, u0
@@ -237,17 +238,21 @@ def test_mode_table_invariants(base):
     table = build_mode_table(base, N=32)
     assert isinstance(table, ModeTable)
     assert table.N == 32
-    assert len(table.a_deriv) == 32 and len(table.c) == 33
+    assert len(table.a_deriv) == 33 and len(table.c) == 33
     # constant G = -2: A_n'(1) = -1/(n+1)
-    n = np.arange(1, 33)
+    n = np.arange(33)
     assert np.max(np.abs(table.a_deriv + 1.0 / (n + 1))) < 1e-9
-    assert table.omega_at(-5) == table.omega_at(5)
     # omega recomputed from its ingredients
     for k in (1, 7, 32):
-        expect = multiplier(base, k, table.a_deriv[k - 1], table.c[k])
+        expect = multiplier(base, k, table.a_deriv[k], table.c[k])
         assert table.omega[k] == expect
+    # omega is the left-to-right sum of its four terms, bit for bit
+    t1, t2, t3, t4 = multiplier_terms(base, n, table.a_deriv, table.c)
+    assert np.array_equal(table.omega, t1 + t2 + t3 + t4)
     rows = list(table.to_csv_rows())
     assert len(rows) == 33 and rows[0][0] == 0
+    assert rows == [(k, table.a_deriv[k], table.c[k], table.omega[k])
+                    for k in range(33)]
 
 
 def test_mode_table_workers_deterministic(base):

@@ -35,14 +35,14 @@ def test_scan_report(op):
     assert abs(report["min_abs_omega"] - 0.1073) < 1e-3
     assert report["tail_certified_from"] is not None
     assert report["tail_certified_from"] <= 10
+    assert report["tail_certified_from"] == 5
 
 
 def test_scan_flags_planted_resonance(op):
     t = op.table
     omega = t.omega.copy()
     omega[3] = 0.0
-    t2 = type(t)(N=t.N, a_deriv=t.a_deriv, c=t.c, omega=omega,
-                 a0_deriv=t.a0_deriv)
+    t2 = type(t)(N=t.N, a_deriv=t.a_deriv, c=t.c, omega=omega)
     op2 = dataclasses.replace(op, table=t2)
     report = nonresonance_scan(op2)
     assert report["resonances"] == [3]
@@ -62,7 +62,7 @@ def test_scan_tail_certificate_hand_built(op, bad, tail):
     N = 8
     c = np.zeros(N + 1)
     c[bad] = 1e6
-    t = dataclasses.replace(op.table, N=N, a_deriv=np.zeros(N), c=c,
+    t = dataclasses.replace(op.table, N=N, a_deriv=np.zeros(N + 1), c=c,
                             omega=np.ones(N + 1))
     report = nonresonance_scan(dataclasses.replace(op, table=t))
     assert report["tail_certified_from"] == tail

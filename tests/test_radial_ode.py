@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
+from scipy.special import i0
 
 from tidaldisk.chebyshev import DEFAULT_RADIAL, _radial_basis
 from tidaldisk.coeffs import build_mode_table
@@ -48,6 +49,26 @@ def test_phi0_samples_on_solver_grid():
     assert prof.values[0] == prof(0.0)
     assert np.array_equal(prof.values[1:-1], prof(r[:0:-1]))
     assert prof.values[-1] == 0.0
+
+
+def test_phi0_strong_rigid_rotation():
+    # G(0) = -1e5: phi0(0) = -G(0)/4 lies inside the shooting range
+    # +-10 (1 + |G(0)|)
+    w = 5e4
+    prof = solve_phi0(rigid_preset(w))
+    r = np.linspace(0.0, 1.0, 101)
+    exact = 0.5 * w * (1.0 - r * r)
+    assert np.max(np.abs(prof(r) - exact)) < 1e-12 * exact[0]
+
+
+def test_phi0_table_far_from_zero():
+    # G(u) = u - 1000 from a PCHIP table on [1000, 1003], extrapolated
+    # linearly: phi0 = 1000 (1 - I0(r) / I0(1)), phi0(0) about 210
+    u = np.linspace(1000.0, 1003.0, 7)
+    prof = solve_phi0(profile_from_table(u, u - 1000.0))
+    r = np.linspace(0.0, 1.0, 101)
+    exact = 1000.0 * (1.0 - i0(r) / i0(1.0))
+    assert np.max(np.abs(prof(r) - exact)) < 1e-11 * exact[0]
 
 
 def test_phi0_bracket_failure():
