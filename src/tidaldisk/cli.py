@@ -12,8 +12,10 @@ Subcommands:
     verify   run the verification suites; writes verify.json
 
 All subcommands take --config PATH and --out DIR.  Output files are written
-atomically (temp file + rename).  Exit codes: 0 ok, 2 config error,
-3 resonance, 4 divergence, 5 quadrature failure.  A run that fails with
+atomically (temp file + rename).  Exit codes: 0 ok, 1 other failure (a
+degenerate base state, or one whose phi0'(1), lambda0 or omega_n
+overflows, as at profile = rigid:1e155), 2 config error, 3 resonance,
+4 divergence, 5 quadrature failure.  A run that fails with
 a package error also writes error.json (error class, exit_code, message;
 history for a divergence) to --out.
 

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import digamma, gamma
 
 from .chebyshev import DEFAULT_RADIAL
-from .errors import QuadratureError
+from .errors import QuadratureError, TidaldiskError
 # c_n_closed_log is defined with the case object and kept importable here
 from .potential import (InteractionCase, BaseState, c_n_closed_log,
                         graded_panels, panel_rule)
@@ -198,5 +198,10 @@ def build_mode_table(base: BaseState, N: int = DEFAULT_N_MODES,
         raise ValueError("N must be at least 1")
     derivs = mode_derivatives(base, N, n_nodes=n_nodes)
     c = base.case.coefficients(N)
-    omega = multiplier(base, np.arange(N + 1), derivs, c)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        omega = multiplier(base, np.arange(N + 1), derivs, c)
+    if not np.all(np.isfinite(omega)):
+        raise TidaldiskError(
+            f"the multipliers omega_n overflow (phi0'(1) = "
+            f"{base.dphi0_at_1:.3e})")
     return ModeTable(N=N, a_deriv=derivs, c=c, omega=omega)

@@ -19,7 +19,7 @@ weights one FFT gives when the operator is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -43,6 +43,13 @@ class LinearizedOperator:
     table: ModeTable
     particle_diag: float  # omega0^2 - U0''(a0), the radial Hessian entry
     w_weights: np.ndarray  # W[g] = w_0 g0 + sum_n w_n Re g_n, n = 1..N
+    # The first-order solution per unit mass, made on first use and never
+    # by make_operator: first_order_response's (g, b, mu), and per solver
+    # grid (n_radial, n_angular) residual.first_order_field's psi or None.
+    unit_response: Optional[tuple] = field(default=None, init=False,
+                                           repr=False, compare=False)
+    stream_fields: dict = field(default_factory=dict, init=False,
+                                repr=False, compare=False)
 
     @property
     def N(self) -> int:
@@ -203,9 +210,11 @@ def first_order_response(op: LinearizedOperator, m: float):
 
     The mass enters the boundary equation through + m * (particle potential
     on the deformed boundary); the first-order correction solves the frozen
-    linearization against minus that source.
+    linearization against minus that source.  The solve at unit mass is
+    made once per operator and kept; each m scales it.
     """
-    S_m = particle_source_spectrum(op)
-    g, b, mu = solve_linearized(op, S_m, 0.0, 0.0)
-    h1 = g.scaled(-m)
-    return h1, -m * b, -m * mu
+    if op.unit_response is None:
+        op.unit_response = solve_linearized(op, particle_source_spectrum(op),
+                                            0.0, 0.0)
+    g, b, mu = op.unit_response
+    return g.scaled(-m), -m * b, -m * mu

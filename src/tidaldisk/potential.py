@@ -29,7 +29,7 @@ from scipy.optimize import brentq
 from scipy.special import gamma, hyp2f1
 
 from . import radial_ode
-from .errors import DegenerateBaseError, QuadratureError
+from .errors import DegenerateBaseError, QuadratureError, TidaldiskError
 from .kernel import VorticityProfile
 
 
@@ -379,6 +379,10 @@ def make_base_state(case: InteractionCase, a0: float, profile: VorticityProfile)
             f"phi0'(1) = {dphi1:.3e} vanishes; the stream profile is degenerate"
         )
     lambda0 = 0.5 * dphi1 * dphi1 - 0.5 * omega0 * omega0 + case.u0_at_1
+    if not (np.isfinite(dphi1) and np.isfinite(lambda0)):
+        raise TidaldiskError(
+            f"the base state overflows: phi0'(1) = {dphi1:.3e}, "
+            f"lambda0 = {lambda0:.3e}")
     return BaseState(
         case=case,
         omega0=omega0,

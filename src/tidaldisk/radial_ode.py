@@ -97,15 +97,21 @@ def _integrate_from_center(c: float, profile: VorticityProfile,
     Near r = 0 the regular solution behaves like c + G(c) r^2 / 4, which is
     used to step off the coordinate singularity.
     """
-    g_c = float(profile.eval(c))
-    r0 = _R_CORE
-    y0 = [c + 0.25 * g_c * r0 * r0, 0.5 * g_c * r0]
-
     def rhs(r, y):
         return [y[1], float(profile.eval(y[0])) - y[1] / r]
 
-    sol = solve_ivp(rhs, (r0, 1.0), y0, method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=dense)
+    # a steep or huge G overflows: a non-finite start is refused here, and
+    # a later overflow fails the integration or leaves a non-finite base
+    # state, which make_base_state refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_c = float(profile.eval(c))
+        r0 = _R_CORE
+        y0 = [c + 0.25 * g_c * r0 * r0, 0.5 * g_c * r0]
+        if not np.all(np.isfinite(y0)):
+            raise TidaldiskError(f"radial integration overflows at its "
+                                 f"start phi(0) = {c:g}")
+        sol = solve_ivp(rhs, (r0, 1.0), y0, method="DOP853",
+                        rtol=rtol, atol=atol, dense_output=dense)
     if not sol.success:
         raise TidaldiskError(f"radial integration failed: {sol.message}")
     return sol
@@ -129,6 +135,9 @@ def solve_phi0(profile: VorticityProfile, n_radial: int = DEFAULT_RADIAL,
         raise ValueError("vorticity profile must be non-decreasing")
 
     scale = bracket_scale * (1.0 + abs(float(profile.eval(0.0))))
+    if not np.isfinite(scale):
+        raise TidaldiskError(f"shooting range +-{scale:g} for phi0(0) "
+                             "overflows")
 
     def shoot(c):
         return float(_integrate_from_center(c, profile).y[0][-1])

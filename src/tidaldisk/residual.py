@@ -22,8 +22,9 @@ parity over all modes.  The damping is the midpoint of the range of
 |f'|^2 G' on a fixed grid of values, so that nearby shapes share one cached
 eigenbasis, and the iteration stops on an a-posteriori bound of its error
 (solve_phi_h).  residual_F starts the iteration from a given field: the
-quasi-Newton solve passes the previous iterate's, and the default is the
-base-state field phi0(r).
+quasi-Newton solve passes the first-order field phi0 + m psi
+(first_order_field) to its first call and the previous iterate's to the
+later ones, and the default is the base-state field phi0(r).
 """
 
 from __future__ import annotations
@@ -48,11 +49,15 @@ from .potential import (_A0_MIN, BaseState, particle_potential_at,
 # eval_h_at is not called here; perfbench/tracing.py wraps it under this name
 from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
                        boundary_curve, boundary_grid, boundary_points,
-                       boundary_rows, conformal_factor_grid, eval_h_at,
+                       boundary_rows, conformal_factor_grid,
+                       conformal_factor_variation, eval_h_at,
                        injectivity_margin)
 
 # grid of the Picard damping, so that nearby shapes share one _mode_eigs entry
 _LAM_STEP = 1.0 / 16.0
+# solve_phi_h's default stop tolerance and step limit
+_PICARD_TOL = 1e-12
+_PICARD_MAX_ITER = 200
 
 
 # --------------------------------------------------------------------------
@@ -141,7 +146,7 @@ class DiskField:
 def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
                 n_radial: int = DEFAULT_RADIAL,
                 n_angular: Optional[int] = None,
-                tol: float = 1e-12, max_iter: int = 200,
+                tol: float = _PICARD_TOL, max_iter: int = _PICARD_MAX_ITER,
                 u_init=None) -> DiskField:
     """Damped Picard solution of Delta u = |f'|^2 G(u), u = 0 on the circle.
 
@@ -170,7 +175,7 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
     keeps the last step's modes as its spectrum.  The grid must hold
     2N + 2 angles (ConfigError); by default it has boundary_points(N).
     """
-    if injectivity_margin(h) <= 0:
+    if not injectivity_margin(h) > 0:
         raise TidaldiskError("shape is not certified injective; refusing "
                              "to solve on a possibly folded domain")
     if n_angular is None:
@@ -183,27 +188,73 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
     else:
         u = np.array(np.broadcast_to(u_init, shape), dtype=float)
 
-    wg1 = w * profile.d1(u)
-    for steps in range(1, max_iter + 1):
-        lo, hi = float(np.min(wg1)), float(np.max(wg1))
-        lam = max(round(0.5 * (lo + hi) / _LAM_STEP) * _LAM_STEP, 0.0)
-        rhs = w * np.asarray(profile.eval(u), dtype=float) - lam * u
-        u_hat = _solve_modes(n_radial, lam, np.fft.rfft(rhs, axis=1))
-        u_new = np.fft.irfft(u_hat, n=n_angular, axis=1)
-        delta = float(np.max(np.abs(u_new - u)))
-        u = u_new
-        wg1 = w * profile.d1(u)
-        lo, hi = min(lo, float(np.min(wg1))), max(hi, float(np.max(wg1)))
-        q = max(hi - lam, lam - lo) / max(4.0, lam)
-        if (delta * q / (1.0 - q) if q < 0.5 else delta) < tol:
-            break
-    else:
-        raise DivergenceError(
-            f"stream-function iteration did not converge (last step {delta:.2e})")
-
+    u, u_hat, steps, lam = _damped_picard(
+        lambda v: w * np.asarray(profile.eval(v), dtype=float),
+        lambda v: w * profile.d1(v), u, n_radial, tol, max_iter)
     return DiskField(r=grid.r, phi=boundary_grid(n_angular), values=u,
                      spectrum=u_hat, grid=grid, picard_steps=steps,
                      damping=lam)
+
+
+def _damped_picard(rhs, slope, u: np.ndarray, n_radial: int, tol: float,
+                   max_iter: int):
+    """Solve Delta u = rhs(u), u = 0 on the circle, from the iterate u on
+    the polar grid, by solve_phi_h's damped Picard step, damping rule and
+    stop rule; slope(u) is d rhs / du.  Returns (u, its rfft modes, the
+    number of steps, the last damping); slope is evaluated once at the
+    start and once per step.
+    """
+    n_angular = u.shape[1]
+    s = slope(u)
+    for steps in range(1, max_iter + 1):
+        lo, hi = float(np.min(s)), float(np.max(s))
+        lam = max(round(0.5 * (lo + hi) / _LAM_STEP) * _LAM_STEP, 0.0)
+        u_hat = _solve_modes(n_radial, lam,
+                             np.fft.rfft(rhs(u) - lam * u, axis=1))
+        u_new = np.fft.irfft(u_hat, n=n_angular, axis=1)
+        delta = float(np.max(np.abs(u_new - u)))
+        u = u_new
+        s = slope(u)
+        lo, hi = min(lo, float(np.min(s))), max(hi, float(np.max(s)))
+        q = max(hi - lam, lam - lo) / max(4.0, lam)
+        if (delta * q / (1.0 - q) if q < 0.5 else delta) < tol:
+            return u, u_hat, steps, lam
+    raise DivergenceError(
+        f"stream-function iteration did not converge (last step {delta:.2e})")
+
+
+def first_order_field(op: LinearizedOperator, n_radial: int = DEFAULT_RADIAL,
+                      n_angular: Optional[int] = None):
+    """d phi_h / dm at m = 0 along the first-order shape, on the solver grid
+    of (n_radial, n_angular), or None where G'(phi0) vanishes on it.
+
+    With h = m h1, h1 the first-order shape per unit mass, |f'|^2 is
+    1 + m w1 + O(m^2) with w1 = 2 Re h1', so phi_h = phi0 + m psi + O(m^2)
+    where (Delta - G'(phi0)) psi = w1 G(phi0) and psi = 0 at r = 1.  psi
+    comes from solve_phi_h's Picard step (_damped_picard) with its damping
+    and stop rules, in one step when G' is constant on the damping grid.
+    Where G'(phi0) = 0 on the grid, one Picard step is exact from any
+    start, so no psi is made.  Made once per operator and grid, and kept on
+    op; read-only.
+    """
+    if n_angular is None:
+        n_angular = boundary_points(op.N)
+    key = (n_radial, n_angular)
+    if key not in op.stream_fields:
+        profile = op.base.profile
+        phi0 = op.base.phi0.dirichlet_field(n_radial)[:, None]
+        g1 = np.asarray(profile.d1(phi0), dtype=float)
+        psi = None
+        if np.any(g1):
+            h1, _, _ = first_order_response(op, 1.0)
+            source = (conformal_factor_variation(h1, n_radial, n_angular)
+                      * np.asarray(profile.eval(phi0), dtype=float))
+            psi = _damped_picard(lambda v: g1 * v + source, lambda v: g1,
+                                 np.zeros((n_radial, n_angular)), n_radial,
+                                 _PICARD_TOL, _PICARD_MAX_ITER)[0]
+            psi.setflags(write=False)
+        op.stream_fields[key] = psi
+    return op.stream_fields[key]
 
 
 def field_equation_residual(fieldv: DiskField, h: ShapeCoeffs,
@@ -506,10 +557,11 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
                        m_cap: Optional[float] = None) -> EquilibriumSolution:
     """Frozen-derivative fixed point x_{k+1} = x_k - DF(base)^{-1} F(x_k).
 
-    Starts from the first-order response; reports divergence after three
-    consecutive residual increases, or when an iterate leaves the
-    admissible set (particle distance below the a0 minimum, or a shape not
-    certified injective).  At m = 0 the disk itself is the answer, and its
+    Starts from the first-order response, and its first stream-function
+    solve from the first-order field (first_order_field); reports
+    divergence after three consecutive residual increases, or when an
+    iterate leaves the admissible set (particle distance below the a0
+    minimum, or a shape not certified injective).  At m = 0 the disk itself is the answer, and its
     residual must be below tol like any other.  The default mass cap is a
     heuristic tied to the distance to resonance.
     """
@@ -540,9 +592,13 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
     a = base.a0 + a1
     lam = base.lambda0 + l1
 
+    # the first stream-function solve starts from the first-order field
+    # phi0 + m psi, and each later one from the last field
+    psi = first_order_field(op, n_radial, n_angular)
+    u_prev = (None if psi is None else
+              base.phi0.dirichlet_field(n_radial)[:, None] + m * psi)
     history = []
     picard_steps = []
-    u_prev = None  # each stream-function solve starts from the last field
     bad_streak = 0
     for it in range(1, max_iter + 1):
         if a < _A0_MIN:
@@ -553,7 +609,7 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
         # loop, and raises TidaldiskError (exit 1); an iterate that leaves
         # the certified set is a divergence (exit 4)
         margin = injectivity_margin(h)
-        if margin <= 0:
+        if not margin > 0:
             raise DivergenceError("iterate lost certified injectivity",
                                   history=history)
         S, r2, r3, fieldv = residual_F(h, a, lam, m, base, n_radial,

@@ -131,23 +131,36 @@ def _radial_powers(n_radial: int, N: int) -> np.ndarray:
     return powers
 
 
+def _polar_series(c: np.ndarray, n_radial: int, M: int) -> np.ndarray:
+    """sum_k c_k z^k at z = r_i exp(2 pi i j / M), on the n_radial radial
+    nodes of chebyshev._radial_basis, as the float view of its (re, im)
+    pairs: one inverse FFT of the rows c_k r_i^k (r^k cached).  The M-grid
+    must hold the powers, which check_grid's 2N + 2 floor ensures."""
+    return np.fft.ifft(_radial_powers(n_radial, len(c) - 1) * c, n=M, axis=1,
+                       norm="forward").view(float)
+
+
 def conformal_factor_grid(h: ShapeCoeffs, n_radial: int, M: int):
     """|f'|^2 on the polar grid r_i exp(2 pi i j / M) of the n_radial
     radial nodes of chebyshev._radial_basis; h itself is not evaluated.
 
-    One inverse FFT of the rows c_k r_i^k (c_k the coefficients of
-    f' = 1 + h', r^k cached) gives f' = Re f' + i Im f', and |f'|^2 is the
-    sum of the squares of that pair.  The grid must hold 2N + 2 points, as
-    everywhere else on the boundary; the powers then lie below M, which the
-    length-M transform needs.
+    f' = 1 + h' comes from _polar_series, and |f'|^2 is the sum of the
+    squares of its (re, im) pair.  The grid must hold 2N + 2 points, as
+    everywhere else on the boundary.
     """
     check_grid(M, h.N)
     cdf = _h_coeffs(h)[1]
     cdf[0] += 1.0
-    pairs = np.fft.ifft(_radial_powers(n_radial, h.N) * cdf, n=M, axis=1,
-                        norm="forward").view(float)
+    pairs = _polar_series(cdf, n_radial, M)
     np.square(pairs, out=pairs)
     return pairs[:, 0::2] + pairs[:, 1::2]
+
+
+def conformal_factor_variation(h: ShapeCoeffs, n_radial: int, M: int):
+    """2 Re h' on the polar grid of conformal_factor_grid: the first-order
+    change of |f'|^2 = |1 + t h'|^2 in t at the disk."""
+    check_grid(M, h.N)
+    return 2.0 * _polar_series(_h_coeffs(h)[1], n_radial, M)[:, 0::2]
 
 
 def boundary_curve(h: ShapeCoeffs, M: int):

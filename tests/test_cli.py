@@ -312,6 +312,33 @@ def test_non_finite_profile_exit_code(tmp_path, capsys, spec):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["base", "scan", "perturb", "solve"])
+@pytest.mark.parametrize("spec", ["rigid:1e155", "linear:0,1e300"])
+def test_overflowing_base_state_exit_code(tmp_path, capsys, spec, command):
+    # phi0'(1) is finite, but lambda0 = phi0'(1)^2 / 2 + ... overflows
+    cfg = _write_cfg(tmp_path, f"case = B\nprofile = {spec}\na0 = 2.0\n"
+                               "N = 16\nm = 1e-6\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflows" in err
+    assert _read_json(out / "error.json")["exit_code"] == 1
+    for path in out.glob("*.json"):
+        text = path.read_text()
+        assert "NaN" not in text and "Infinity" not in text, path.name
+
+
+@pytest.mark.parametrize("command", ["scan", "perturb", "solve"])
+def test_overflowing_multipliers_exit_code(tmp_path, capsys, command):
+    # lambda0 = 5e307 is finite, but -(1/2) phi0'(1)^2 (n+1) overflows
+    cfg = _write_cfg(tmp_path, "case = B\nprofile = rigid:1e154\na0 = 2.0\n"
+                               "N = 16\nm = 1e-6\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "omega_n overflow" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = main(["base", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "o")])
@@ -357,8 +384,11 @@ def _run_configs(draw):
     else:
         cfg["omega0"] = draw(st.floats(0.05, 1.5))
     kind = draw(st.sampled_from(["rigid", "linear"]))
-    params = ([draw(st.floats(0.1, 3.0))] if kind == "rigid" else
-              [draw(st.floats(0.0, 20.0)), draw(st.floats(-4.0, 1.0))])
+    # huge values overflow the shooting or the base state
+    huge = st.sampled_from([1e6, 1e155, 1e300])
+    params = ([draw(st.one_of(st.floats(0.1, 3.0), huge))] if kind == "rigid"
+              else [draw(st.one_of(st.floats(0.0, 20.0), huge)),
+                    draw(st.one_of(st.floats(-4.0, 1.0), huge))])
     cfg.update(N=N, n_radial=draw(st.integers(8, 24)),
                n_angular=draw(st.integers(2 * N + 2, 64)),
                m=draw(st.floats(-1e-4, 1e-4)))
@@ -369,9 +399,8 @@ def _run_configs(draw):
     if draw(st.booleans()):
         key = draw(st.sampled_from(sorted(cfg) + ["profile"]))
         if key == "profile":
-            # no huge slopes: the shooting for the base state overflows
             params[draw(st.integers(0, len(params) - 1))] = draw(
-                st.sampled_from(_BAD_REALS[:-1]))
+                st.sampled_from(_BAD_REALS))
         elif key == "case":
             cfg[key] = "C"
         elif key in ("N", "n_radial", "n_angular"):
@@ -384,7 +413,7 @@ def _run_configs(draw):
 
 
 @pytest.mark.parametrize("command", ["base", "scan", "perturb", "solve"])
-@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
 @given(text=_run_configs())
 def test_cli_exits_with_documented_code(command, text):
     with tempfile.TemporaryDirectory() as tmp:

@@ -6,6 +6,7 @@ import pytest
 from disk_quadrature import disk_rule
 from tidaldisk.coeffs import build_mode_table
 from tidaldisk.errors import ResonanceError
+from tidaldisk import linop
 from tidaldisk.kernel import rigid_preset
 from tidaldisk.linop import (apply_forward, first_order_response,
                              make_operator, nonresonance_scan,
@@ -207,6 +208,24 @@ def test_first_order_response_scaling(op):
     # the shape leans toward the particle: the n = 1 coefficient is real
     # and the response is symmetric in the x1-axis
     assert h1.symmetry_defect() < 1e-16
+
+
+def test_first_order_response_solved_once(monkeypatch):
+    # make_operator does not solve for the response; the first call solves
+    # it at unit mass, and every mass scales that solve bit for bit
+    base = make_base_state(case_b(), 2.0, rigid_preset(1.0))
+    op = make_operator(base, N=16)
+    assert op.unit_response is None
+    g, b, mu = solve_linearized(op, particle_source_spectrum(op), 0.0, 0.0)
+    calls = []
+    solve = linop.solve_linearized
+    monkeypatch.setattr(linop, "solve_linearized",
+                        lambda *args: calls.append(1) or solve(*args))
+    for m in (1e-4, -3e-5, 2e-4):
+        h1, a1, l1 = first_order_response(op, m)
+        assert h1.g0 == -m * g.g0 and np.array_equal(h1.gn, -m * g.gn)
+        assert a1 == -m * b and l1 == -m * mu
+    assert len(calls) == 1
 
 
 def test_truncation_guards(op):

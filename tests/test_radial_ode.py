@@ -76,6 +76,18 @@ def test_phi0_bracket_failure():
         solve_phi0(rigid_preset(1.0), bracket_scale=1e-9)
 
 
+@pytest.mark.parametrize("profile, match", [
+    (rigid_preset(1e308), "shooting range"),          # G(0) = -inf
+    (linear_preset(1e300, 1e300), "at its start"),    # G(c) overflows
+    (linear_preset(1e6, -2.0), "integration failed"),  # steep G
+])
+def test_phi0_overflow_is_a_package_error(profile, match):
+    # the shooting overflows without a RuntimeWarning (an error under the
+    # test settings) and leaves as a TidaldiskError
+    with pytest.raises(TidaldiskError, match=match):
+        solve_phi0(profile)
+
+
 @pytest.fixture(scope="module")
 def rigid_base():
     return make_base_state(case_b(), 2.0, rigid_preset(1.0))

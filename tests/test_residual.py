@@ -14,15 +14,17 @@ from tidaldisk.errors import (ConfigError, DegenerateBaseError, DivergenceError,
                               TidaldiskError)
 from tidaldisk.kernel import (linear_preset, profile_from_table, rigid_preset,
                               smooth_profile)
-from tidaldisk.linop import apply_forward, make_operator
+from tidaldisk.linop import (apply_forward, first_order_response,
+                             make_operator, nonresonance_scan)
 from tidaldisk import linop, residual
 from tidaldisk.potential import case_a, case_b, make_base_state, u0, u0_d1
 from tidaldisk.residual import (EquilibriumSolution, _mode_eigs,
                                 _product_weights, _solve_modes,
                                 boundary_potential, center_of_mass,
-                                field_equation_residual, particle_force,
-                                particle_potential_at, quasi_newton_solve,
-                                residual_F, residual_norm, solve_phi_h)
+                                field_equation_residual, first_order_field,
+                                particle_force, particle_potential_at,
+                                quasi_newton_solve, residual_F,
+                                residual_norm, solve_phi_h)
 from tidaldisk.spectral import (ShapeCoeffs, _h_coeffs, boundary_grid,
                                boundary_curve, conformal_factor_grid,
                                eval_h_at, injectivity_margin)
@@ -293,13 +295,74 @@ def test_solve_sweep_shares_eigenbasis(op_linear):
     assert residual._mode_eigs.cache_info().misses <= 1
 
 
-def test_solve_warm_start_across_iterates(op_linear):
+def test_solve_warm_start_across_iterates(op_linear, monkeypatch):
+    solve = residual.solve_phi_h
+    calls = []
+
+    def recording(h, profile, **kw):
+        fld = solve(h, profile, **kw)
+        calls.append((kw["u_init"], fld.values))
+        return fld
+
+    monkeypatch.setattr(residual, "solve_phi_h", recording)
     sol = quasi_newton_solve(op_linear, 0.9 * _linear_cap(op_linear),
                              n_radial=32, n_angular=64)
     steps = sol.diagnostics["picard_steps"]
-    assert sol.iterations == 2 and len(steps) == 2
-    # the second residual_F starts from the first one's field
-    assert steps[1] < steps[0]
+    assert sol.iterations == 2 and steps == [1, 1]
+    # the second residual_F starts from the first one's field, which saves
+    # a step: started from phi0, the same shape takes more
+    assert calls[1][0] is calls[0][1]
+    phi0 = op_linear.base.phi0.dirichlet_field(32)[:, None]
+    cold = solve(sol.h, op_linear.base.profile, n_radial=32, n_angular=64,
+                 u_init=phi0)
+    assert cold.picard_steps > steps[1]
+
+
+@pytest.mark.parametrize("frac", [0.1, 0.5, 0.9, 1.0, -0.5])
+def test_solve_first_order_start_one_picard_step(op_linear, frac):
+    # started from phi0 + m psi, the first stream-function solve of a
+    # linear G needs one step, like the warm-started second (from phi0
+    # alone it takes two)
+    sol = quasi_newton_solve(op_linear, frac * _linear_cap(op_linear),
+                             n_radial=32, n_angular=64)
+    assert sol.diagnostics["picard_steps"] == [1, 1]
+
+
+@pytest.mark.parametrize("profile", [linear_preset(1.0, -2.0),
+                                     _table_profile()],
+                         ids=["linear", "table"])
+def test_first_order_field_central_difference(profile):
+    # psi = d phi_h / dm along the first-order shape: the central
+    # difference of solve_phi_h fields at +-eps h1 has an O(eps^2) error
+    op = make_operator(make_base_state(case_b(), 2.0, profile), N=16)
+    psi = first_order_field(op, 32, 64)
+    h1, _, _ = first_order_response(op, 1.0)
+    eps = 1e-4
+    plus, minus = (solve_phi_h(h1.scaled(s * eps), profile, n_radial=32,
+                               n_angular=64, tol=1e-15).values
+                   for s in (1.0, -1.0))
+    fd = (plus - minus) / (2.0 * eps)
+    assert np.max(np.abs(psi)) > 0.1
+    assert np.max(np.abs(fd - psi)) < 1e-7
+    assert np.max(np.abs(psi[0])) == 0.0  # Dirichlet at r = 1
+
+
+def test_first_order_field_made_once_where_needed(base, base_linear):
+    # neither make_operator nor the scan makes the first-order solution; a
+    # solve makes psi once per grid, and none where G' = 0 (rigid)
+    for b in (base, base_linear):
+        op = make_operator(b, N=16)
+        nonresonance_scan(op)
+        assert op.unit_response is None and op.stream_fields == {}
+    quasi_newton_solve(op, 0.5 * _linear_cap(op), n_radial=32, n_angular=64)
+    psi = op.stream_fields[(32, 64)]
+    assert psi.shape == (32, 64) and not psi.flags.writeable
+    assert first_order_field(op, 32, 64) is psi
+    rigid = make_operator(base, N=16)
+    sol = quasi_newton_solve(rigid, 0.5 * _linear_cap(rigid), n_radial=32,
+                             n_angular=64)
+    assert rigid.stream_fields == {(32, 64): None}
+    assert sol.diagnostics["picard_steps"] == [1, 1]
 
 
 def test_stream_function_rejects_folded_shape(base):
@@ -635,6 +698,19 @@ def test_folded_iterate_diverges(op, monkeypatch):
                         lambda op, m: (ShapeCoeffs(0.0, gn), 0.0, 0.0))
     with pytest.raises(DivergenceError, match="lost certified injectivity"):
         quasi_newton_solve(op, 1e-6)
+
+
+def test_nan_shape_is_not_certified(base, op, monkeypatch):
+    # a NaN shape has a NaN margin, which fails the certificate like a
+    # folded one, both in solve_phi_h and in the quasi-Newton loop
+    nan_shape = ShapeCoeffs(np.nan, np.zeros(op.N, dtype=complex))
+    with pytest.raises(TidaldiskError, match="injective"):
+        solve_phi_h(nan_shape, base.profile, n_radial=32, n_angular=64)
+    monkeypatch.setattr(residual, "first_order_response",
+                        lambda op, m: (nan_shape, 0.0, 0.0))
+    with pytest.raises(DivergenceError, match="lost certified injectivity"):
+        quasi_newton_solve(op, 1e-6)
+
 
 def test_residual_vanishes_at_base(base):
     S, r2, r3 = residual_F(ShapeCoeffs.zero(16), base.a0, base.lambda0,
