@@ -350,15 +350,15 @@ def test_first_order_field_central_difference(profile):
 def test_first_order_field_made_once_where_needed(base, base_linear):
     # neither make_operator nor the scan makes the first-order solution; a
     # solve makes psi once per grid, and none where G' = 0 (rigid)
-    for b in (base, base_linear):
-        op = make_operator(b, N=16)
+    rigid, linear = (make_operator(b, N=16) for b in (base, base_linear))
+    for op in (rigid, linear):
         nonresonance_scan(op)
         assert op.unit_response is None and op.stream_fields == {}
-    quasi_newton_solve(op, 0.5 * _linear_cap(op), n_radial=32, n_angular=64)
-    psi = op.stream_fields[(32, 64)]
+    quasi_newton_solve(linear, 0.5 * _linear_cap(linear), n_radial=32,
+                       n_angular=64)
+    psi = linear.stream_fields[(32, 64)]
     assert psi.shape == (32, 64) and not psi.flags.writeable
-    assert first_order_field(op, 32, 64) is psi
-    rigid = make_operator(base, N=16)
+    assert first_order_field(linear, 32, 64) is psi
     sol = quasi_newton_solve(rigid, 0.5 * _linear_cap(rigid), n_radial=32,
                              n_angular=64)
     assert rigid.stream_fields == {(32, 64): None}
