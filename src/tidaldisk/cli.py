@@ -13,11 +13,12 @@ Subcommands:
 
 All subcommands take --config PATH and --out DIR.  Output files are written
 atomically (temp file + rename).  Exit codes: 0 ok, 1 other failure (a
-degenerate base state, or one whose phi0'(1), lambda0 or omega_n
-overflows, as at profile = rigid:1e155), 2 config error, 3 resonance,
-4 divergence, 5 quadrature failure.  A run that fails with
-a package error also writes error.json (error class, exit_code, message;
-history for a divergence) to --out.
+degenerate base state, one whose phi0'(1), lambda0 or omega_n overflows,
+as at profile = rigid:1e155, or a shot phi0 that misses phi0(1) = 0 by
+more than 1e-8 of max|phi0|, as at linear:1000,-2), 2 config error,
+3 resonance (at any mass, m = 0 included), 4 divergence, 5 quadrature
+failure.  A run that fails with a package error also writes error.json
+(error class, exit_code, message; history for a divergence) to --out.
 
 CSV columns: phi0.csv (r, phi0); modes.csv (n, a_deriv, c, omega);
 boundary*.csv (phi, x1, x2); history_<m>.csv (iteration, residual_norm).
@@ -153,7 +154,7 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
         _write_json(os.path.join(out, f"solution_{tag}.json"),
                     sol.to_json_dict())
         _write_csv(os.path.join(out, f"boundary_{tag}.csv"),
-                   ("phi", "x1", "x2"), sol.boundary_csv_rows())
+                   ("phi", "x1", "x2"), boundary_rows(sol.h))
         _write_csv(os.path.join(out, f"history_{tag}.csv"),
                    ("iteration", "residual_norm"),
                    enumerate(sol.history, start=1))

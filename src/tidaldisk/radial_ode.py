@@ -60,24 +60,15 @@ class RadialProfile:
 
     def grid_values(self, n_radial: int) -> np.ndarray:
         """phi(r) at the radii of the half-diameter grid of n_radial nodes,
-        in the grid's order (r[0] = 1).  Cached per n_radial, so
-        read-only."""
+        in the grid's order, with the Dirichlet value phi(1) = 0 exact at
+        r[0] = 1.  Cached per n_radial, so read-only."""
         out = self._samples.get(n_radial)
         if out is None:
             out = self(_radial_basis(n_radial)[0].r)
+            out[0] = 0.0
             out.setflags(write=False)
             self._samples[n_radial] = out
         return out
-
-    def dirichlet_field(self, n_radial: int) -> np.ndarray:
-        """phi(r) - phi(1) at the radii of the half-diameter grid of
-        n_radial nodes, zero at r = 1 exactly: the grid's r[0] is 1."""
-        phi = self.grid_values(n_radial)
-        return phi - phi[0]
-
-    @property
-    def value_at_1(self) -> float:
-        return float(self.values[-1])
 
     def to_csv_rows(self):
         return zip(self.nodes, self.values)
@@ -88,6 +79,10 @@ class RadialProfile:
 # --------------------------------------------------------------------------
 
 _R_CORE = 1e-6  # series start radius; below this the ODE is singular
+# solve_phi0's shooting range in units of 1 + |G(0)|, and the largest
+# boundary mismatch of the shot relative to max|phi0|
+_BRACKET_SCALE = 10.0
+_MISMATCH_BOUND = 1e-8
 
 
 def _integrate_from_center(c: float, profile: VorticityProfile,
@@ -117,27 +112,32 @@ def _integrate_from_center(c: float, profile: VorticityProfile,
     return sol
 
 
-def solve_phi0(profile: VorticityProfile, n_radial: int = DEFAULT_RADIAL,
-               bracket_scale: float = 10.0) -> RadialProfile:
+def solve_phi0(profile: VorticityProfile,
+               n_radial: int = DEFAULT_RADIAL) -> RadialProfile:
     """Shoot on the center value so that the profile vanishes at r = 1.
 
     For non-decreasing G the shooting map c -> phi(1; c) is monotone, so a
     sign change bracket plus Brent iteration is reliable.  The maximum
-    principle places phi0(0) between 0 and -G(0)/4: G(phi0) - G(0) has the
-    sign of phi0, so phi0 is compared with 0 and with G(0)(r^2 - 1)/4.  The
-    scan therefore covers +-bracket_scale (1 + |G(0)|).  The profile is
-    sampled at r = 0 and at the radii of the half-diameter grid of
-    n_radial nodes, ascending; those samples are also its ``grid_values``,
-    so neither the mode table nor the stream-function solver evaluates the
-    dense output again on that grid.
+    principle places phi0 between 0 and -G(0)/4: G(phi0) - G(0) has the
+    sign of phi0, so phi0 is compared with 0 and with G(0)(r^2 - 1)/4.  An
+    uncertified profile is checked for monotonicity on that interval, and
+    the scan covers +-_BRACKET_SCALE (1 + |G(0)|).  The shot must meet
+    phi(1) = 0 to within _MISMATCH_BOUND = 1e-8 of max|phi0|, or
+    TidaldiskError: on G = s u - 2 that ratio is phi0'(1)'s relative error,
+    3e-16 at s = 1, 7e-9 at s = 300 and 6e-3 at s = 1000.  The profile is
+    sampled at r = 0 and at the radii of the half-diameter grid of n_radial
+    nodes, ascending, with phi0(1) = 0 exact; those samples are also its
+    ``grid_values`` on that grid.
     """
-    if not profile.monotone_certified and not profile.check_monotone(-10.0, 10.0):
-        raise ValueError("vorticity profile must be non-decreasing")
-
-    scale = bracket_scale * (1.0 + abs(float(profile.eval(0.0))))
+    g_0 = float(profile.eval(0.0))
+    scale = _BRACKET_SCALE * (1.0 + abs(g_0))
     if not np.isfinite(scale):
         raise TidaldiskError(f"shooting range +-{scale:g} for phi0(0) "
                              "overflows")
+    if not (profile.monotone_certified
+            or profile.check_monotone(min(0.0, -0.25 * g_0),
+                                      max(0.0, -0.25 * g_0))):
+        raise ValueError("vorticity profile must be non-decreasing")
 
     def shoot(c):
         return float(_integrate_from_center(c, profile).y[0][-1])
@@ -173,14 +173,18 @@ def solve_phi0(profile: VorticityProfile, n_radial: int = DEFAULT_RADIAL,
         return np.where(r < _R_CORE, core, out)
 
     values = dense(nodes)
-    on_grid = values[:0:-1].copy()  # phi0(r), before phi0(1) is imposed
-    on_grid.setflags(write=False)
-    values[-1] = 0.0  # Dirichlet value, exact by construction
-    deriv_at_1 = float(sol.y[1][-1])
     residual = abs(float(sol.y[0][-1]))
-    prof = RadialProfile(nodes=nodes, values=values, deriv_at_1=deriv_at_1,
-                         evaluate=dense, residual=residual)
-    prof._samples[n_radial] = on_grid
+    peak = float(np.max(np.abs(values)))
+    if not residual <= _MISMATCH_BOUND * peak:
+        raise TidaldiskError(f"the shot phi0 misses phi0(1) = 0 by "
+                             f"{residual:.3e}, more than {_MISMATCH_BOUND:g} "
+                             f"of max|phi0| = {peak:.3e}")
+    values[-1] = 0.0  # Dirichlet value, exact by construction
+    values.setflags(write=False)  # shared with grid_values
+    prof = RadialProfile(nodes=nodes, values=values,
+                         deriv_at_1=float(sol.y[1][-1]), evaluate=dense,
+                         residual=residual)
+    prof._samples[n_radial] = values[:0:-1]
     return prof
 
 

@@ -49,7 +49,7 @@ from .potential import (_A0_MIN, BaseState, particle_potential_at,
 # eval_h_at is not called here; perfbench/tracing.py wraps it under this name
 from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
                        boundary_curve, boundary_grid, boundary_points,
-                       boundary_rows, conformal_factor_grid,
+                       conformal_factor_grid,
                        conformal_factor_variation, eval_h_at,
                        injectivity_margin)
 
@@ -130,10 +130,6 @@ class DiskField:
     spectrum: np.ndarray = field(repr=False)  # rfft of values along phi
     grid: HalfDiameterGrid = field(repr=False, default=None)
     picard_steps: int = 0      # steps of the solve that made the field
-    damping: float = 0.0       # its final Picard damping lam
-
-    def boundary_trace(self) -> np.ndarray:
-        return self.values[0, :].copy()
 
     def boundary_normal_deriv(self) -> np.ndarray:
         """Radial derivative at r = 1, mode by mode with the correct parity
@@ -188,12 +184,11 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
     else:
         u = np.array(np.broadcast_to(u_init, shape), dtype=float)
 
-    u, u_hat, steps, lam = _damped_picard(
+    u, u_hat, steps = _damped_picard(
         lambda v: w * np.asarray(profile.eval(v), dtype=float),
         lambda v: w * profile.d1(v), u, n_radial, tol, max_iter)
     return DiskField(r=grid.r, phi=boundary_grid(n_angular), values=u,
-                     spectrum=u_hat, grid=grid, picard_steps=steps,
-                     damping=lam)
+                     spectrum=u_hat, grid=grid, picard_steps=steps)
 
 
 def _damped_picard(rhs, slope, u: np.ndarray, n_radial: int, tol: float,
@@ -201,8 +196,8 @@ def _damped_picard(rhs, slope, u: np.ndarray, n_radial: int, tol: float,
     """Solve Delta u = rhs(u), u = 0 on the circle, from the iterate u on
     the polar grid, by solve_phi_h's damped Picard step, damping rule and
     stop rule; slope(u) is d rhs / du.  Returns (u, its rfft modes, the
-    number of steps, the last damping); slope is evaluated once at the
-    start and once per step.
+    number of steps); slope is evaluated once at the start and once per
+    step.
     """
     n_angular = u.shape[1]
     s = slope(u)
@@ -218,7 +213,7 @@ def _damped_picard(rhs, slope, u: np.ndarray, n_radial: int, tol: float,
         lo, hi = min(lo, float(np.min(s))), max(hi, float(np.max(s)))
         q = max(hi - lam, lam - lo) / max(4.0, lam)
         if (delta * q / (1.0 - q) if q < 0.5 else delta) < tol:
-            return u, u_hat, steps, lam
+            return u, u_hat, steps
     raise DivergenceError(
         f"stream-function iteration did not converge (last step {delta:.2e})")
 
@@ -242,7 +237,7 @@ def first_order_field(op: LinearizedOperator, n_radial: int = DEFAULT_RADIAL,
     key = (n_radial, n_angular)
     if key not in op.stream_fields:
         profile = op.base.profile
-        phi0 = op.base.phi0.dirichlet_field(n_radial)[:, None]
+        phi0 = op.base.phi0.grid_values(n_radial)[:, None]
         g1 = np.asarray(profile.d1(phi0), dtype=float)
         psi = None
         if np.any(g1):
@@ -469,7 +464,7 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
     if n_angular is None:
         n_angular = boundary_points(h.N)
     if u_init is None:
-        u_init = base.phi0.dirichlet_field(n_radial)[:, None]
+        u_init = base.phi0.grid_values(n_radial)[:, None]
     fieldv = solve_phi_h(h, base.profile, n_radial=n_radial,
                          n_angular=n_angular, u_init=u_init)
     dn = fieldv.boundary_normal_deriv()
@@ -492,7 +487,8 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
 
 
 def residual_norm(S: BoundarySpectrum, r2: float, r3: float) -> float:
-    return float(np.sqrt(S.norm() ** 2 + r2 * r2 + r3 * r3))
+    """Euclidean norm of the three components, summed hypot-style."""
+    return float(np.hypot.reduce([S.norm(), r2, r3]))
 
 
 # --------------------------------------------------------------------------
@@ -522,9 +518,6 @@ class EquilibriumSolution:
             "shape": self.h.to_json_dict(),
             "diagnostics": self.diagnostics,
         }
-
-    def boundary_csv_rows(self):
-        return boundary_rows(self.h)
 
 
 def _diagnostics(h: ShapeCoeffs, a: float, lam: float, m: float,
@@ -558,12 +551,11 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
     """Frozen-derivative fixed point x_{k+1} = x_k - DF(base)^{-1} F(x_k).
 
     Starts from the first-order response, and its first stream-function
-    solve from the first-order field (first_order_field); reports
-    divergence after three consecutive residual increases, or when an
-    iterate leaves the admissible set (particle distance below the a0
-    minimum, or a shape not certified injective).  At m = 0 the disk itself is the answer, and its
-    residual must be below tol like any other.  The default mass cap is a
-    heuristic tied to the distance to resonance.
+    solve from the first-order field (first_order_field), at m = 0 the
+    disk and phi0; reports divergence after three consecutive residual
+    increases, or when an iterate leaves the admissible set (particle
+    distance below the a0 minimum, or a shape not certified injective).
+    The default mass cap is a heuristic tied to the distance to resonance.
     """
     base = op.base
     if m_cap is None:
@@ -573,22 +565,7 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
             f"m={m:g} exceeds the contraction heuristic cap {m_cap:g}; "
             "pass m_cap explicitly to override")
 
-    if m == 0.0:
-        h = ShapeCoeffs.zero(op.N)
-        S, r2, r3, fieldv = residual_F(h, base.a0, base.lambda0, 0.0, base,
-                                       n_radial, n_angular, return_field=True)
-        rn = residual_norm(S, r2, r3)
-        if not rn < tol:
-            raise DivergenceError(
-                f"the unperturbed disk misses the discrete system by "
-                f"{rn:.2e}, not below tol {tol:g}", history=[rn])
-        diag = _diagnostics(h, base.a0, base.lambda0, 0.0, base, S,
-                            [fieldv.picard_steps], injectivity_margin(h))
-        return EquilibriumSolution(h, base.a0, base.lambda0, 0.0, rn, 0,
-                                   [rn], diag)
-
-    h1, a1, l1 = first_order_response(op, m)
-    h = h1
+    h, a1, l1 = first_order_response(op, m)
     a = base.a0 + a1
     lam = base.lambda0 + l1
 
@@ -596,7 +573,7 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
     # phi0 + m psi, and each later one from the last field
     psi = first_order_field(op, n_radial, n_angular)
     u_prev = (None if psi is None else
-              base.phi0.dirichlet_field(n_radial)[:, None] + m * psi)
+              base.phi0.grid_values(n_radial)[:, None] + m * psi)
     history = []
     picard_steps = []
     bad_streak = 0

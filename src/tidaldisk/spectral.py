@@ -266,8 +266,10 @@ class BoundarySpectrum:
         return np.conj(self.coeffs[-n])
 
     def norm(self) -> float:
-        c = self.coeffs
-        return float(np.sqrt(np.abs(c[0]) ** 2 + 2.0 * np.sum(np.abs(c[1:]) ** 2)))
+        """sqrt(|S_0|^2 + 2 sum_n |S_n|^2), the L2 norm over 2 pi, summed
+        hypot-style, so that it overflows only where the norm does."""
+        a = np.abs(self.coeffs)
+        return float(np.hypot(a[0], np.sqrt(2.0) * np.hypot.reduce(a[1:])))
 
 
 def analyze(samples: np.ndarray, N: int = -1) -> BoundarySpectrum:

@@ -168,7 +168,7 @@ def test_error_report_unwritable(tmp_path, capsys):
 
 def test_solve_zero_mass_above_tol(tmp_path, capsys):
     # the 41-knot PCHIP table: the disk misses the discrete system by about
-    # 5e-9, so solve at m = 0 and tol 1e-10 diverges with that one residual
+    # 5e-9, and solve at m = 0 and tol 1e-10 corrects it in one step
     u = np.linspace(-1.5, 0.5, 41)
     table = tmp_path / "g.csv"
     table.write_text("".join(f"{x!r},{-2.0 + x + 4.0 * x**3!r}\n"
@@ -176,12 +176,11 @@ def test_solve_zero_mass_above_tol(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, f"case = B\nprofile = csv:{table}\na0 = 2.0\n"
                      "N = 16\nm = 0\ntol = 1e-10\n")
     out = tmp_path / "out"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 4
-    assert "unperturbed disk" in capsys.readouterr().err
-    report = _read_json(out / "error.json")
-    assert report["error"] == "DivergenceError" and report["exit_code"] == 4
-    assert len(report["history"]) == 1 and report["history"][0] > 1e-10
-    assert not (out / "solution_0.0.json").exists()
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert not (out / "error.json").exists()
+    sol = _read_json(out / "solution_0.0.json")
+    assert sol["iterations"] == 2 and sol["residual_norm"] < 1e-10
+    assert 1e-10 < sol["history"][0] < 1e-7
 
 
 def test_perturb_outputs(tmp_path):
@@ -326,6 +325,35 @@ def test_overflowing_base_state_exit_code(tmp_path, capsys, spec, command):
     for path in out.glob("*.json"):
         text = path.read_text()
         assert "NaN" not in text and "Infinity" not in text, path.name
+
+
+@pytest.mark.parametrize("command", ["base", "scan", "perturb", "solve"])
+@pytest.mark.parametrize("spec", ["linear:1000,-2", "linear:2000,-2"])
+def test_steep_profile_shooting_mismatch_exit_code(tmp_path, capsys, spec,
+                                                   command):
+    # the shot misses phi0(1) = 0 by 6e-3 and 1.0 of max|phi0|, and its
+    # phi0'(1) is as far off (-924 against -0.044 at slope 2000)
+    cfg = _write_cfg(tmp_path, f"case = B\nprofile = {spec}\na0 = 2.0\n"
+                               "N = 16\nm = 1e-6\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "misses phi0(1) = 0" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    assert _read_json(out / "error.json")["exit_code"] == 1
+
+
+def test_huge_base_state_history_is_finite(tmp_path, capsys):
+    # lambda0 = 5e199: the residuals near 1e190 square past the float
+    # range, but their norms do not, so error.json stays valid JSON
+    cfg = _write_cfg(tmp_path, "case = B\nprofile = rigid:1e100\na0 = 2.0\n"
+                               "N = 16\nm = 1e-6\n")
+    out = tmp_path / "o"
+    code = main(["solve", "--config", cfg, "--out", str(out)])
+    assert code in _EXIT_CODES and code != 0
+    text = (out / "error.json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    history = json.loads(text)["history"]
+    assert history and np.all(np.isfinite(history))
 
 
 @pytest.mark.parametrize("command", ["scan", "perturb", "solve"])

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
@@ -6,7 +7,8 @@ from scipy.special import i0
 from tidaldisk.chebyshev import DEFAULT_RADIAL, _radial_basis
 from tidaldisk.coeffs import build_mode_table
 from tidaldisk.errors import TidaldiskError
-from tidaldisk.kernel import (linear_preset, profile_from_table, rigid_preset,
+from tidaldisk.kernel import (VorticityProfile, linear_preset,
+                              profile_from_table, rigid_preset, smooth_profile,
                               zero_preset)
 from tidaldisk.potential import case_a, case_b, make_base_state
 from tidaldisk.radial_ode import (RadialProfile, _mode_grid, mode_derivatives,
@@ -30,11 +32,11 @@ def test_phi0_rigid_closed_form():
     assert np.max(np.abs(prof(r) - 0.5 * w * (1.0 - r * r))) < 1e-10
     assert abs(prof.deriv_at_1 + w) < 1e-10
     assert prof.residual < 1e-12
-    assert prof.value_at_1 == 0.0
+    assert prof.values[-1] == 0.0
 
 
 def test_phi0_zero_profile():
-    prof = solve_phi0(zero_preset(), bracket_scale=1.0)
+    prof = solve_phi0(zero_preset())
     assert np.max(np.abs(prof(np.linspace(0, 1, 11)))) < 1e-12
 
 
@@ -49,6 +51,21 @@ def test_phi0_samples_on_solver_grid():
     assert prof.values[0] == prof(0.0)
     assert np.array_equal(prof.values[1:-1], prof(r[:0:-1]))
     assert prof.values[-1] == 0.0
+
+
+@pytest.mark.parametrize("n_radial", [DEFAULT_RADIAL, 32])
+def test_phi0_grid_values_one_sample(n_radial):
+    # on the base's own grid the samples are those solve_phi0 took, the
+    # ones base.json and phi0.csv write; on any grid phi0(1) = 0 exactly
+    prof = solve_phi0(linear_preset(1.0, -2.0))
+    samples = prof.grid_values(n_radial)
+    r = _radial_basis(n_radial)[0].r
+    assert samples.shape == (n_radial,) and samples[0] == 0.0
+    assert not samples.flags.writeable
+    assert prof.grid_values(n_radial) is samples
+    assert np.array_equal(samples[1:], prof(r[1:]))
+    if n_radial == DEFAULT_RADIAL:
+        assert np.array_equal(samples, prof.values[:0:-1])
 
 
 def test_phi0_strong_rigid_rotation():
@@ -72,8 +89,40 @@ def test_phi0_table_far_from_zero():
 
 
 def test_phi0_bracket_failure():
-    with pytest.raises(TidaldiskError, match="bracket"):
-        solve_phi0(rigid_preset(1.0), bracket_scale=1e-9)
+    # G = -j01^2 u - 1, marked non-decreasing though it is not: every shot
+    # is -1/j01^2 + (c + 1/j01^2) J0(j01 r), which reads -1/j01^2 at r = 1
+    k2 = 2.404825557695773 ** 2
+    profile = VorticityProfile(eval=lambda u: -k2 * np.asarray(u) - 1.0,
+                               d1=lambda u: np.full_like(u, -k2),
+                               monotone_certified=True)
+    with pytest.raises(TidaldiskError, match=r"bracket .* \[-20, 20\]"):
+        solve_phi0(profile)
+
+
+def test_phi0_monotone_check_covers_phi0_range():
+    # G(u) = u - 1000 - 50 (u - 150) exp(-((u - 150)/5)^2) is increasing on
+    # [-10, 10], but G' reaches -49 near u = 150, inside [0, -G(0)/4] =
+    # [0, 250], where phi0 lives
+    def g(u):
+        u = np.asarray(u, dtype=float)
+        return u - 1000.0 - 50.0 * (u - 150.0) * np.exp(-((u - 150.0) / 5.0) ** 2)
+
+    def g1(u):
+        x = (np.asarray(u, dtype=float) - 150.0) / 5.0
+        return 1.0 - 50.0 * (1.0 - 2.0 * x * x) * np.exp(-x * x)
+
+    profile = smooth_profile(g, g1)
+    assert profile.check_monotone(-10.0, 10.0)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        solve_phi0(profile)
+
+
+@pytest.mark.parametrize("slope", [1000.0, 2000.0])
+def test_phi0_shooting_mismatch_is_refused(slope):
+    # steep linear G: the shot misses phi0(1) = 0 by 6e-3 (slope 1000) and
+    # by 1.0 (2000) of max|phi0|, and phi0'(1) by as much
+    with pytest.raises(TidaldiskError, match="misses phi0"):
+        solve_phi0(linear_preset(slope, -2.0))
 
 
 @pytest.mark.parametrize("profile, match", [
@@ -153,11 +202,50 @@ def test_mode_table_reads_phi0_samples():
     build_mode_table(base, N=64)
     assert calls == []
     samples = base.phi0.grid_values(DEFAULT_RADIAL)
-    assert np.array_equal(samples, evaluate(_radial_basis(DEFAULT_RADIAL)[0].r))
+    fresh = evaluate(_radial_basis(DEFAULT_RADIAL)[0].r)
+    assert np.array_equal(samples[1:], fresh[1:]) and samples[0] == 0.0
     assert not samples.flags.writeable
     for _ in range(2):
         mode_derivatives(base, 16, n_nodes=32)
     assert len(calls) == 1
+
+
+def _bessel_ratios(k, n_max):
+    """I_{n+1}(k) / I_n(k) for n = 0..n_max, by the backward recurrence
+    r_{n-1} = 1 / (2n/k + r_n) started from 0 well above n_max (scipy's
+    ive underflows by n = 256), in 30 digits."""
+    out = [None] * (n_max + 1)
+    with mpmath.workdps(30):
+        r = mpmath.mpf(0)
+        for n in range(n_max + 60, 0, -1):
+            r = 1 / (2 * n / k + r)
+            if n <= n_max + 1:
+                out[n - 1] = r
+    return out
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 4.0, 25.0])
+def test_linear_profile_closed_forms(s):
+    # G = s u + b with k = sqrt(s): phi0 = (b/s)(I0(kr)/I0(k) - 1),
+    # phi0'(1) = (b/k) I1(k)/I0(k) and, from alpha_n = A_n / r^n,
+    # A_n'(1) = (b / (2(n+1))) (1 - I1(k) I_{n+1}(k) / (I0(k) I_n(k))).
+    # Measured: 9.7e-13, 2.5e-13 and 8.5e-13 (relative) at worst.
+    b = -2.0
+    base = make_base_state(case_b(), 2.0, linear_preset(s, b))
+    prof = base.phi0
+    with mpmath.workdps(30):
+        k = mpmath.sqrt(s)
+        i0k = mpmath.besseli(0, k)
+        phi0 = [float(b / mpmath.mpf(s) * (mpmath.besseli(0, k * r) / i0k - 1))
+                for r in prof.nodes]
+        ratio = _bessel_ratios(k, 256)
+        a_deriv = [float(b / (2 * (n + 1)) * (1 - ratio[0] * ratio[n]))
+                   for n in range(257)]
+        deriv_at_1 = float(b / k * ratio[0])
+    assert np.max(np.abs(prof.values - phi0)) < 2e-12
+    assert abs(prof.deriv_at_1 - deriv_at_1) < 1e-12
+    d = mode_derivatives(base, 256)
+    assert np.max(np.abs(d - a_deriv) / np.abs(a_deriv)) < 2e-12
 
 
 def test_mode_n0_regular(rigid_base):

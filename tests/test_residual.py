@@ -11,23 +11,23 @@ from scipy.special import gamma, rgamma
 from disk_quadrature import disk_rule
 from tidaldisk.chebyshev import HalfDiameterGrid
 from tidaldisk.errors import (ConfigError, DegenerateBaseError, DivergenceError,
-                              TidaldiskError)
+                              ResonanceError, TidaldiskError)
 from tidaldisk.kernel import (linear_preset, profile_from_table, rigid_preset,
                               smooth_profile)
 from tidaldisk.linop import (apply_forward, first_order_response,
                              make_operator, nonresonance_scan)
 from tidaldisk import linop, residual
 from tidaldisk.potential import case_a, case_b, make_base_state, u0, u0_d1
-from tidaldisk.residual import (EquilibriumSolution, _mode_eigs,
-                                _product_weights, _solve_modes,
+from tidaldisk.residual import (_mode_eigs, _product_weights, _solve_modes,
                                 boundary_potential, center_of_mass,
                                 field_equation_residual, first_order_field,
                                 particle_force, particle_potential_at,
                                 quasi_newton_solve, residual_F,
                                 residual_norm, solve_phi_h)
-from tidaldisk.spectral import (ShapeCoeffs, _h_coeffs, boundary_grid,
-                               boundary_curve, conformal_factor_grid,
-                               eval_h_at, injectivity_margin)
+from tidaldisk.spectral import (BoundarySpectrum, ShapeCoeffs, _h_coeffs,
+                               boundary_curve, boundary_grid, boundary_rows,
+                               conformal_factor_grid, eval_h_at,
+                               injectivity_margin)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ def test_stream_function_disk_closed_form(base):
                       n_radial=32, n_angular=64)
     exact = 0.5 * (1.0 - fld.r**2)
     assert np.max(np.abs(fld.values - exact[:, None])) < 1e-12
-    assert np.max(np.abs(fld.boundary_trace())) < 1e-13
+    assert np.max(np.abs(fld.values[0])) < 1e-13
     assert np.max(np.abs(fld.boundary_normal_deriv() + 1.0)) < 1e-10
 
 
@@ -223,12 +223,26 @@ def _table_profile():
     return profile_from_table(u, -2.0 + u + 4.0 * u**3)
 
 
+def _recording_dampings(monkeypatch):
+    """The damping lam of every Picard step, as _solve_modes receives it."""
+    dampings = []
+    solve = residual._solve_modes
+
+    def recording(n_radial, lam, rhs_hat):
+        dampings.append(lam)
+        return solve(n_radial, lam, rhs_hat)
+
+    monkeypatch.setattr(residual, "_solve_modes", recording)
+    return dampings
+
+
 @pytest.mark.parametrize("slope", [1.0, 5.0, 20.0, "table"])
-def test_stream_function_stop_rule_accuracy(slope):
+def test_stream_function_stop_rule_accuracy(slope, monkeypatch):
     # the a-posteriori stop at tol = 1e-12 leaves the field within 1e-12 of
     # the same iteration run to 1e-15
     profile = (_table_profile() if slope == "table"
                else linear_preset(slope, -2.0))
+    dampings = _recording_dampings(monkeypatch)
     steps = []
     for amp in (1e-4, 1e-2, 5e-2):
         h = _small_shape().scaled(amp / 0.01)
@@ -236,8 +250,8 @@ def test_stream_function_stop_rule_accuracy(slope):
         ref = solve_phi_h(h, profile, n_radial=32, n_angular=64, tol=1e-15)
         err = np.max(np.abs(fld.values - ref.values))
         assert err <= 1e-12, (slope, amp, err)
-        assert fld.damping % residual._LAM_STEP == 0.0
         steps.append(fld.picard_steps)
+    assert all(lam % residual._LAM_STEP == 0.0 for lam in dampings)
     if slope == "table":
         # the damping follows the midpoint of each iterate's wG' range as
         # it spreads from about [0.96, 1.14] at u = 0 to [0.93, 2.84]
@@ -270,10 +284,11 @@ def test_conformal_factor_grid_matches_polar_sum(N, M):
         conformal_factor_grid(h, 32, 2 * N + 1)
 
 
-def test_stream_function_rigid_one_step(base):
+def test_stream_function_rigid_one_step(base, monkeypatch):
     # G' = 0: no damping, and the first step solves the equation exactly
+    dampings = _recording_dampings(monkeypatch)
     fld = solve_phi_h(_small_shape(), base.profile, n_radial=32, n_angular=64)
-    assert fld.picard_steps == 1 and fld.damping == 0.0
+    assert fld.picard_steps == 1 and dampings == [0.0]
 
 
 @pytest.fixture(scope="module")
@@ -312,7 +327,7 @@ def test_solve_warm_start_across_iterates(op_linear, monkeypatch):
     # the second residual_F starts from the first one's field, which saves
     # a step: started from phi0, the same shape takes more
     assert calls[1][0] is calls[0][1]
-    phi0 = op_linear.base.phi0.dirichlet_field(32)[:, None]
+    phi0 = op_linear.base.phi0.grid_values(32)[:, None]
     cold = solve(sol.h, op_linear.base.profile, n_radial=32, n_angular=64,
                  u_init=phi0)
     assert cold.picard_steps > steps[1]
@@ -719,26 +734,27 @@ def test_residual_vanishes_at_base(base):
 
 
 def test_residual_base_field_once_per_grid():
-    # residual_F starts from phi0(r) - phi0(1) on the radial grid; the base
-    # state samples phi0 once per n_radial, and the field equals a fresh
-    # evaluation bit for bit
+    # residual_F starts from phi0(r) on the radial grid, with phi0(1) = 0
+    # exact; the base state samples phi0 once per n_radial, and the field
+    # equals a fresh evaluation bit for bit
     base = make_base_state(case_b(), 2.0, linear_preset(1.0, -2.0))
     calls = []
     evaluate = base.phi0.evaluate
     base.phi0.evaluate = lambda r: calls.append(1) or evaluate(r)
     r = HalfDiameterGrid(32).r
-    fresh = base.phi0(r) - base.phi0(1.0)
+    fresh = base.phi0(r)
+    fresh[0] = 0.0
     h = _small_shape()
     fields = []
     for _ in range(2):
         *_, fld = residual_F(h, base.a0, base.lambda0, 0.0, base, n_radial=32,
                              n_angular=64, return_field=True)
         fields.append(fld.values)
-    assert len(calls) == 3  # fresh (two), then the first residual_F only
-    cached = base.phi0.dirichlet_field(32)
+    assert len(calls) == 2  # fresh, then the first residual_F only
+    cached = base.phi0.grid_values(32)
     assert np.array_equal(cached, fresh)
     assert np.array_equal(fields[0], fields[1])
-    assert base.phi0.dirichlet_field(16).shape == (16,)
+    assert base.phi0.grid_values(16).shape == (16,)
 
 
 def test_residual_affine_in_lambda(base):
@@ -780,8 +796,9 @@ def test_residual_linearization_consistency(base, op):
 # --------------------------------------------------------------------------
 
 def test_solve_zero_mass(op, base):
+    # m = 0 runs the loop from the disk, which its first residual accepts
     sol = quasi_newton_solve(op, 0.0)
-    assert sol.iterations == 0
+    assert sol.iterations == 1
     assert sol.a == base.a0 and sol.lam == base.lambda0
     assert sol.residual_norm < 1e-12
     assert sol.diagnostics["picard_steps"] == [1]
@@ -789,16 +806,36 @@ def test_solve_zero_mass(op, base):
 
 def test_solve_zero_mass_checks_tol():
     # on a 41-knot PCHIP table the shot base state misses the discrete
-    # system by about 5e-9 at 64 radii, so m = 0 cannot claim tol 1e-10
+    # system by about 5e-9 at 64 radii; the loop corrects the disk to the
+    # discrete solution in one step, which moves lambda by as much
     u = np.linspace(-1.5, 0.5, 41)
     base = make_base_state(case_b(), 2.0,
                            profile_from_table(u, -2.0 + u + 4.0 * u**3))
     op = make_operator(base, N=16)
-    with pytest.raises(DivergenceError, match="unperturbed disk") as info:
-        quasi_newton_solve(op, 0.0, tol=1e-10)
-    assert len(info.value.history) == 1
-    assert 1e-10 < info.value.history[0] < 1e-7
-    assert quasi_newton_solve(op, 0.0, tol=1e-7).residual_norm < 1e-7
+    sol = quasi_newton_solve(op, 0.0, tol=1e-10)
+    assert sol.iterations == 2
+    assert 1e-10 < sol.history[0] < 1e-7 and sol.residual_norm < 1e-13
+    assert 1e-10 < abs(sol.lam - base.lambda0) < 1e-7
+    assert sol.h.norm() < 1e-14 and abs(sol.a - base.a0) < 1e-14
+
+
+def test_solve_zero_mass_resonant_table():
+    # at the rigid rotation omega0 = sqrt(pi)/2, a0 = 2, the n = 2
+    # multiplier vanishes; m = 0 meets the resonance like any other mass
+    w = float(np.sqrt(np.pi) / 2.0)
+    op = make_operator(make_base_state(case_b(), 2.0, rigid_preset(w)), N=16)
+    with pytest.raises(ResonanceError) as info:
+        quasi_newton_solve(op, 0.0, n_radial=32, n_angular=64)
+    assert info.value.mode == 2 and info.value.exit_code == 3
+
+
+def test_residual_norm_does_not_overflow():
+    # components near 1e200 square past the float range; the norms do not
+    S = BoundarySpectrum(np.array([3e200, 2e200j, 0.0]))
+    assert S.norm() == pytest.approx(np.sqrt(17.0) * 1e200, rel=1e-15)
+    assert residual_norm(S, 0.0, 1e200) == pytest.approx(np.sqrt(18.0) * 1e200,
+                                                         rel=1e-15)
+    assert residual_norm(BoundarySpectrum.zero(0), 3.0, 4.0) == 5.0
 
 
 def test_solve_small_mass(op, base):
@@ -860,7 +897,7 @@ def test_solution_serialization(op):
     d = sol.to_json_dict()
     assert d["schema_version"] == 1
     assert d["m"] == 5e-5
-    rows = list(sol.boundary_csv_rows())
+    rows = list(boundary_rows(sol.h))
     assert len(rows) == 512
 
 
@@ -869,9 +906,7 @@ def test_boundary_csv_rows_at_n256():
     # boundary_points(N) = 1024 past N = 128
     gn = np.zeros(256, dtype=complex)
     gn[[0, 255]] = 1e-3
-    sol = EquilibriumSolution(ShapeCoeffs(0.0, gn), 2.0, 0.0, 1e-6, 0.0, 1,
-                              [0.0], {})
-    rows = list(sol.boundary_csv_rows())
+    rows = list(boundary_rows(ShapeCoeffs(0.0, gn)))
     assert len(rows) == 1024
     f = np.array([x1 + 1j * x2 for _, x1, x2 in rows])
     phi = np.array([p for p, _, _ in rows])
