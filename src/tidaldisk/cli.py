@@ -15,10 +15,13 @@ All subcommands take --config PATH and --out DIR.  Output files are written
 atomically (temp file + rename).  Exit codes: 0 ok, 1 other failure (a
 degenerate base state, one whose phi0'(1), lambda0 or omega_n overflows,
 as at profile = rigid:1e155, or a shot phi0 that misses phi0(1) = 0 by
-more than 1e-8 of max|phi0|, as at linear:1000,-2), 2 config error,
-3 resonance (at any mass, m = 0 included), 4 divergence, 5 quadrature
-failure.  A run that fails with a package error also writes error.json
-(error class, exit_code, message; history for a divergence) to --out.
+more than 1e-8 of max|phi0|, as at linear:1000,-2, or a mass above an
+explicit m_cap), 2 config error, 3 resonance (at any mass, m = 0
+included), 4 divergence (an iterate, the first-order start included,
+that folds or brings the particle inside a = 1.5, a residual that rises
+three times in a row, or no convergence), 5 quadrature failure.  A run
+that fails with a package error also writes error.json (error class,
+exit_code, message; history for a divergence) to --out.
 
 CSV columns: phi0.csv (r, phi0); modes.csv (n, a_deriv, c, omega);
 boundary*.csv (phi, x1, x2); history_<m>.csv (iteration, residual_norm).

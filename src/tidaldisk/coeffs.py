@@ -41,13 +41,13 @@ DEFAULT_N_MODES = 256
 # direct disk quadrature
 # --------------------------------------------------------------------------
 
-def _disk_rule(n: int, radial_levels=36, angular_levels=36, n_gauss=12):
+def _disk_rule(n: int):
     """Polar product rule on the unit disk, graded toward the singular
     boundary point (r, phi) = (1, 0) and refined to resolve mode n."""
-    r_edges = graded_panels(0.0, 1.0, radial_levels, toward_a=False)
-    rn, rw = panel_rule(r_edges, n_gauss)
+    r_edges = graded_panels(0.0, 1.0, 36, toward_a=False)
+    rn, rw = panel_rule(r_edges, 12)
 
-    half = graded_panels(0.0, np.pi, angular_levels, toward_a=True)
+    half = graded_panels(0.0, np.pi, 36, toward_a=True)
     # subdivide to track the oscillation of y^n
     max_len = np.pi / max(n, 4)
     edges = [0.0]
@@ -56,7 +56,7 @@ def _disk_rule(n: int, radial_levels=36, angular_levels=36, n_gauss=12):
         edges.extend(np.linspace(a, b, pieces + 1)[1:])
     half = np.array(edges)
     full = np.concatenate([half, 2.0 * np.pi - half[::-1][1:]])
-    pn, pw = panel_rule(full, n_gauss)
+    pn, pw = panel_rule(full, 12)
     return rn, rw, pn, pw
 
 

@@ -15,9 +15,9 @@ Recognized keys (units in parentheses):
     N           mode truncation, integer >= 8
     n_radial    radial collocation nodes (half diameter)
     n_angular   angular grid size, at least 2N + 2 (default max(256, 4N))
-    tol         quasi-Newton residual target
+    tol         quasi-Newton residual target, relative to max(1, phi0'(1)^2)
     m           mass parameter, or comma-separated sweep
-    m_cap       override of the heuristic mass cap, positive
+    m_cap       optional limit on |m|, positive (default: none)
     workers     accepted for compatibility, has no effect (integer >= 1)
     seed        seed for randomized verification suites, integer >= 0
 """

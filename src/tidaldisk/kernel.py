@@ -33,9 +33,9 @@ class VorticityProfile:
     def __call__(self, u):
         return self.eval(u)
 
-    def check_monotone(self, lo: float, hi: float, n: int = 1000) -> bool:
-        """Spot-check monotonicity of G and non-negativity of G' on a grid."""
-        u = np.linspace(lo, hi, n)
+    def check_monotone(self, lo: float, hi: float) -> bool:
+        """Spot-check that G is non-decreasing and G' >= 0 on 1000 points."""
+        u = np.linspace(lo, hi, 1000)
         g = np.asarray(self.eval(u), dtype=float)
         return bool(np.all(np.diff(g) >= -1e-12) and np.all(self.d1(u) >= -1e-12))
 

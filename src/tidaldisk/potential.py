@@ -193,7 +193,7 @@ def _ring_kernel(r: float, s: np.ndarray, nu: float) -> np.ndarray:
     return 2.0 * q ** (-nu / 2.0) @ _phi_weights
 
 
-def _u0_case_a(r: float, nu: float, tol: float = 1e-10) -> float:
+def _u0_case_a(r: float, nu: float) -> float:
     """-int_D |x-y|^(-nu) dy for |x| = r, by radial adaptive quadrature of
     the ring contributions.  A reference for u0's closed forms only (verify
     criterion 9, tests); it stalls just inside r = 1 for nu near 1."""
@@ -202,9 +202,9 @@ def _u0_case_a(r: float, nu: float, tol: float = 1e-10) -> float:
         return float(s * _ring_kernel(r, s, nu)[0])
 
     points = [r] if 0.0 < r < 1.0 else None
-    val, err = quad(integrand, 0.0, 1.0, epsabs=tol, epsrel=tol,
+    val, err = quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10,
                     limit=300, points=points)
-    if err > 50 * max(tol, 1e-12) * max(1.0, abs(val)):
+    if err > 5e-9 * max(1.0, abs(val)):
         raise QuadratureError(
             f"disk potential quadrature stalled at r={r} (err={err:.2e})",
             achieved=err,
@@ -291,7 +291,7 @@ def check_omega0(case: InteractionCase, omega0: float) -> None:
         )
 
 
-def a0_from_omega(case: InteractionCase, omega0: float, tol: float = 1e-12) -> float:
+def a0_from_omega(case: InteractionCase, omega0: float) -> float:
     """Invert the omega(a0) relation by Brent's method on [1.5, 1e6].
 
     The map is strictly decreasing, so the inverse is well defined; requests
@@ -304,7 +304,7 @@ def a0_from_omega(case: InteractionCase, omega0: float, tol: float = 1e-12) -> f
         return omega_from_a0(case, a) - omega0
 
     a0 = brentq(f, _A0_MIN, _A0_MAX, xtol=1e-13, rtol=8.9e-16)
-    if abs(omega_from_a0(case, a0) - omega0) >= tol:
+    if abs(omega_from_a0(case, a0) - omega0) >= 1e-12:
         raise QuadratureError("a0_from_omega failed to meet its tolerance")
     return float(a0)
 

@@ -86,7 +86,7 @@ _MISMATCH_BOUND = 1e-8
 
 
 def _integrate_from_center(c: float, profile: VorticityProfile,
-                           rtol=1e-12, atol=1e-14, dense=False):
+                           dense=False):
     """Integrate the radial ODE outward from phi(0) = c.
 
     Near r = 0 the regular solution behaves like c + G(c) r^2 / 4, which is
@@ -106,7 +106,7 @@ def _integrate_from_center(c: float, profile: VorticityProfile,
             raise TidaldiskError(f"radial integration overflows at its "
                                  f"start phi(0) = {c:g}")
         sol = solve_ivp(rhs, (r0, 1.0), y0, method="DOP853",
-                        rtol=rtol, atol=atol, dense_output=dense)
+                        rtol=1e-12, atol=1e-14, dense_output=dense)
     if not sol.success:
         raise TidaldiskError(f"radial integration failed: {sol.message}")
     return sol

@@ -23,8 +23,8 @@ parity over all modes.  The damping is the midpoint of the range of
 eigenbasis, and the iteration stops on an a-posteriori bound of its error
 (solve_phi_h).  residual_F starts the iteration from a given field: the
 quasi-Newton solve passes the first-order field phi0 + m psi
-(first_order_field) to its first call and the previous iterate's to the
-later ones, and the default is the base-state field phi0(r).
+(first_order_field) to its first call at m != 0 and the previous iterate's
+to the later ones, and the default is the base-state field phi0(r).
 """
 
 from __future__ import annotations
@@ -229,8 +229,8 @@ def first_order_field(op: LinearizedOperator, n_radial: int = DEFAULT_RADIAL,
     comes from solve_phi_h's Picard step (_damped_picard) with its damping
     and stop rules, in one step when G' is constant on the damping grid.
     Where G'(phi0) = 0 on the grid, one Picard step is exact from any
-    start, so no psi is made.  Made once per operator and grid, and kept on
-    op; read-only.
+    start, so no psi is made.  Made once per operator and grid, by the
+    first solve at m != 0, and kept on op; read-only.
     """
     if n_angular is None:
         n_angular = boundary_points(op.N)
@@ -552,18 +552,18 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
 
     Starts from the first-order response, and its first stream-function
     solve from the first-order field (first_order_field), at m = 0 the
-    disk and phi0; reports divergence after three consecutive residual
-    increases, or when an iterate leaves the admissible set (particle
-    distance below the a0 minimum, or a shape not certified injective).
-    The default mass cap is a heuristic tied to the distance to resonance.
+    disk and phi0.  No mass is refused in advance unless |m| > m_cap
+    (TidaldiskError): divergence is reported after three consecutive
+    residual increases, or when an iterate, the first-order start
+    included, leaves the admissible set (particle distance below the a0
+    minimum, or a shape not certified injective).  The loop stops at
+    rn < tol * max(1, phi0'(1)^2), the scale of the Bernoulli terms and
+    so of their rounding.
     """
     base = op.base
-    if m_cap is None:
-        m_cap = 1e-3 * float(np.min(np.abs(op.table.omega[1:])))
-    if abs(m) > m_cap:
-        raise TidaldiskError(
-            f"m={m:g} exceeds the contraction heuristic cap {m_cap:g}; "
-            "pass m_cap explicitly to override")
+    if m_cap is not None and abs(m) > m_cap:
+        raise TidaldiskError(f"m={m:g} exceeds m_cap={m_cap:g}")
+    stop = tol * max(1.0, base.dphi0_at_1 ** 2)
 
     h, a1, l1 = first_order_response(op, m)
     a = base.a0 + a1
@@ -571,7 +571,7 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
 
     # the first stream-function solve starts from the first-order field
     # phi0 + m psi, and each later one from the last field
-    psi = first_order_field(op, n_radial, n_angular)
+    psi = None if m == 0 else first_order_field(op, n_radial, n_angular)
     u_prev = (None if psi is None else
               base.phi0.grid_values(n_radial)[:, None] + m * psi)
     history = []
@@ -596,7 +596,7 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
         picard_steps.append(fieldv.picard_steps)
         rn = residual_norm(S, r2, r3)
         history.append(rn)
-        if rn < tol:
+        if rn < stop:
             return EquilibriumSolution(h, a, lam, m, rn, it, history,
                                        _diagnostics(h, a, lam, m, base, S,
                                                     picard_steps, margin))

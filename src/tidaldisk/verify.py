@@ -66,16 +66,46 @@ def criterion_1_closed_forms(seed=0):
     }
 
 
+def _linear_closed_forms(s, r, n_max):
+    """phi0 at the radii r, phi0'(1) and A_n'(1), n <= n_max, of
+    G = s u - 2: with k = sqrt(s) and q_n = I_{n+1}(k)/I_n(k),
+    phi0 = -(2/s)(I0(kr)/I0(k) - 1), phi0'(1) = -2 q_0/k and
+    A_n'(1) = -(1 - q_0 q_n)/(n + 1).  phi0 sums the series of
+    I0(kr) - I0(k), so it keeps its digits as s -> 0; q_n comes from the
+    backward recurrence q_{n-1} = 1/(2n/k + q_n), started at 0 above n_max
+    (scaled Bessel functions underflow by n = 256)."""
+    k = np.sqrt(s)
+    q = np.zeros(n_max + 61)
+    for n in range(n_max + 60, 0, -1):
+        q[n - 1] = 1.0 / (2.0 * n / k + q[n])
+    j = np.arange(1, 60)
+    terms = np.cumprod(s / 4.0 / j**2)  # (k/2)^(2j)/(j!)^2, to s = 25
+    phi0 = -2.0 / s * ((r[:, None] ** (2 * j) - 1.0) @ terms) / (1 + terms.sum())
+    n = np.arange(n_max + 1)
+    return phi0, -2.0 * q[0] / k, -(1.0 - q[0] * q[n]) / (n + 1)
+
+
 def criterion_2_rigid_mode_derivatives(seed=0):
+    """A_n'(1) against -Omega0/(n+1) for rigid G, and A_n'(1), phi0 and
+    phi0'(1) against their closed forms for G = s u - 2, of which rigid is
+    the s -> 0 limit, all relative to their size."""
     base = _matched_rigid_base()
     om = base.omega0
     target = -om / (np.arange(65) + 1)
     worst = float(np.max(np.abs(mode_derivatives(base, 64) - target)
                          / np.abs(target)))
+    linear = 0.0
+    for s in (1e-6, 1.0, 4.0, 25.0):
+        base = make_base_state(case_b(), 2.0, linear_preset(s, -2.0))
+        phi0, dphi, a_deriv = _linear_closed_forms(s, base.phi0.nodes, 64)
+        linear = max(linear, abs(base.dphi0_at_1 / dphi - 1.0),
+                     np.max(np.abs(base.phi0.values - phi0)) / np.max(phi0),
+                     np.max(np.abs(mode_derivatives(base, 64) / a_deriv - 1.0)))
     return {
-        "name": "rigid-rotation mode derivatives A_n'(1)",
-        "passed": bool(worst < 1e-8),
-        "details": {"max_rel_error": worst},
+        "name": "mode derivatives A_n'(1) and phi0: rigid and linear G",
+        "passed": bool(worst < 1e-8 and linear < 1e-10),
+        "details": {"max_rel_error": worst,
+                    "linear_max_rel_error": float(linear)},
     }
 
 

@@ -343,17 +343,74 @@ def test_steep_profile_shooting_mismatch_exit_code(tmp_path, capsys, spec,
 
 
 def test_huge_base_state_history_is_finite(tmp_path, capsys):
-    # lambda0 = 5e199: the residuals near 1e190 square past the float
-    # range, but their norms do not, so error.json stays valid JSON
+    # lambda0 = 5e199: the residuals near 1e187 square past the float
+    # range, but their norms do not, and the stop rule scales with
+    # phi0'(1)^2 = 1e200, so the solve converges and its history stays
+    # valid JSON
     cfg = _write_cfg(tmp_path, "case = B\nprofile = rigid:1e100\na0 = 2.0\n"
                                "N = 16\nm = 1e-6\n")
     out = tmp_path / "o"
-    code = main(["solve", "--config", cfg, "--out", str(out)])
-    assert code in _EXIT_CODES and code != 0
-    text = (out / "error.json").read_text()
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    text = (out / "solution_1e-06.json").read_text()
     assert "NaN" not in text and "Infinity" not in text
     history = json.loads(text)["history"]
     assert history and np.all(np.isfinite(history))
+
+
+def test_large_base_state_converges(tmp_path, capsys):
+    # lambda0 = 1.25e9: an absolute tol of 1e-10 lies below the rounding
+    # of the Bernoulli terms, tol * phi0'(1)^2 does not
+    cfg = _write_cfg(tmp_path, "case = B\nprofile = rigid:50000\na0 = 2.0\n"
+                               "N = 16\nm = 1e-9\n")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    sol = _read_json(out / "solution_1e-09.json")
+    assert sol["residual_norm"] < 1e-10 * 2.5e9
+
+
+def test_solve_exit_on_resonance(tmp_path, capsys):
+    # on the n = 2 resonance, as for scan: a nonzero mass reaches the
+    # linear solve and exits 3, as scan and perturb do
+    w = float(np.sqrt(np.pi) / 2.0)
+    cfg = _write_cfg(tmp_path, f"case = B\nprofile = rigid:{w!r}\na0 = 2.0\n"
+                               "N = 16\nm = 1e-5\n")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    report = _read_json(out / "error.json")
+    assert report["error"] == "ResonanceError" and "n=2" in report["message"]
+
+
+# Multiples of the former default cap 1e-3 min|omega_n| (2.481e-5 on the
+# case B config, 1.450e-4 on the case A one), which refused them all: the
+# loop's own checks admit what converges and stop what folds.
+_CASE_B_LINEAR = "case = B\nprofile = linear:1,-2\na0 = 2.0\nN = 128\n"
+_CASE_A_RIGID = "case = A\nnu = 0.5\nprofile = rigid:1\na0 = 2.0\nN = 64\n"
+
+
+@pytest.mark.parametrize("config, m, iterations", [
+    (_CASE_B_LINEAR, 7.44e-3, 13),   # 300 x the former cap
+    (_CASE_A_RIGID, 0.145, 31),      # 1000 x
+], ids=["B-300x", "A-1000x"])
+def test_solve_beyond_former_mass_cap(tmp_path, capsys, config, m, iterations):
+    cfg = _write_cfg(tmp_path, config + f"m = {m!r}\n")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    sol = _read_json(out / f"solution_{m!r}.json")
+    assert sol["residual_norm"] < 1e-10
+    assert sol["iterations"] <= iterations + 2
+
+
+@pytest.mark.parametrize("config, m", [
+    (_CASE_B_LINEAR, 0.0993),  # 4000 x the former cap
+    (_CASE_A_RIGID, 0.58),     # 4000 x
+], ids=["B-4000x", "A-4000x"])
+def test_solve_folding_mass_diverges(tmp_path, capsys, config, m):
+    cfg = _write_cfg(tmp_path, config + f"m = {m!r}\n")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 4
+    report = _read_json(out / "error.json")
+    assert report["error"] == "DivergenceError"
+    assert "injectivity" in report["message"]
 
 
 @pytest.mark.parametrize("command", ["scan", "perturb", "solve"])

@@ -380,6 +380,16 @@ def test_first_order_field_made_once_where_needed(base, base_linear):
     assert sol.diagnostics["picard_steps"] == [1, 1]
 
 
+def test_zero_mass_solve_makes_no_first_order_field(base_linear):
+    # at m = 0 the start phi0 + 0 psi is phi0, so no psi is made; a later
+    # nonzero mass makes it
+    op = make_operator(base_linear, N=16)
+    quasi_newton_solve(op, 0.0, n_radial=32, n_angular=64)
+    assert op.stream_fields == {}
+    quasi_newton_solve(op, 0.5 * _linear_cap(op), n_radial=32, n_angular=64)
+    assert op.stream_fields[(32, 64)] is not None
+
+
 def test_stream_function_rejects_folded_shape(base):
     with pytest.raises(TidaldiskError):
         solve_phi_h(ShapeCoeffs(0.8, np.zeros(0, dtype=complex)),
@@ -862,8 +872,13 @@ def test_solve_small_mass(op, base):
 
 
 def test_solve_mass_cap(op):
-    with pytest.raises(TidaldiskError, match="cap"):
+    # no default cap: the first-order start of m = 1 folds, which the loop
+    # measures; an explicit m_cap refuses before any work
+    with pytest.raises(DivergenceError, match="lost certified injectivity"):
         quasi_newton_solve(op, 1.0)
+    with pytest.raises(TidaldiskError, match="exceeds m_cap") as info:
+        quasi_newton_solve(op, 2e-4, m_cap=1e-4)
+    assert info.value.exit_code == 1
 
 
 def test_solve_large_mass_fails(op):
