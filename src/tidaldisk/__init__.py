@@ -4,8 +4,7 @@ body perturbed by a small external point mass."""
 from .errors import (ConfigError, DegenerateBaseError, DivergenceError,
                      QuadratureError, ResonanceError, TidaldiskError)
 from .kernel import (VorticityProfile, linear_preset, profile_from_csv,
-                     profile_from_table, rigid_preset, smooth_profile,
-                     zero_preset)
+                     profile_from_table, rigid_preset, zero_preset)
 from .potential import (BaseState, InteractionCase, a0_from_omega, case_a,
                         case_b, make_base_state, omega_from_a0, u0, u0_d1,
                         u0_d2)
@@ -32,7 +31,7 @@ __all__ = [
     "injectivity_margin", "linear_preset", "make_base_state",
     "make_operator", "nonresonance_scan", "omega_from_a0", "particle_force",
     "profile_from_csv", "profile_from_table", "quasi_newton_solve",
-    "residual_F", "rigid_preset", "smooth_profile", "solve_An",
-    "solve_linearized", "solve_phi0", "solve_phi_h", "synthesize", "u0",
-    "u0_d1", "u0_d2", "zero_preset",
+    "residual_F", "rigid_preset", "solve_An", "solve_linearized",
+    "solve_phi0", "solve_phi_h", "synthesize", "u0", "u0_d1", "u0_d2",
+    "zero_preset",
 ]

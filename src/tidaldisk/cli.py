@@ -12,16 +12,18 @@ Subcommands:
     verify   run the verification suites; writes verify.json
 
 All subcommands take --config PATH and --out DIR.  Output files are written
-atomically (temp file + rename).  Exit codes: 0 ok, 1 other failure (a
-degenerate base state, one whose phi0'(1), lambda0 or omega_n overflows,
-as at profile = rigid:1e155, or a shot phi0 that misses phi0(1) = 0 by
-more than 1e-8 of max|phi0|, as at linear:1000,-2, or a mass above an
-explicit m_cap), 2 config error, 3 resonance (at any mass, m = 0
-included), 4 divergence (an iterate, the first-order start included,
-that folds or brings the particle inside a = 1.5, a residual that rises
-three times in a row, or no convergence), 5 quadrature failure.  A run
-that fails with a package error also writes error.json (error class,
-exit_code, message; history for a divergence) to --out.
+atomically (temp file + rename), and hold only finite numbers.  Exit
+codes: 0 ok; 1 other failure (a degenerate base state, a G that overflows
+where phi0 lives, a base state whose phi0'(1), lambda0 or omega_n
+overflows, a shot phi0 that misses phi0(1) = 0 by more than 1e-8 of
+max|phi0|, a mass above an explicit m_cap, or an output that would hold a
+non-finite number, as perturb's can near |m| = 1.7e308); 2 config error;
+3 resonance of a mode n >= 2, at any mass; 4 divergence (an iterate, the
+first-order start included, that folds or brings the particle inside
+a = 1.5, a residual that rises three times in a row, or no convergence);
+5 quadrature failure.  A run that fails with a package error also writes
+error.json (error class, exit_code, message; history for a divergence)
+to --out.
 
 CSV columns: phi0.csv (r, phi0); modes.csv (n, a_deriv, c, omega);
 boundary*.csv (phi, x1, x2); history_<m>.csv (iteration, residual_norm).
@@ -34,6 +36,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -69,8 +72,16 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+def _not_finite(path: str) -> TidaldiskError:
+    return TidaldiskError(f"{os.path.basename(path)}: a number is not finite")
+
+
 def _write_json(path: str, obj):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise _not_finite(path) from None
+    _atomic_write(path, text + "\n")
 
 
 def _write_csv(path: str, header, rows):
@@ -78,6 +89,8 @@ def _write_csv(path: str, header, rows):
     w = csv.writer(buf)
     w.writerow(header)
     for row in rows:
+        if not all(math.isfinite(v) for v in row if isinstance(v, float)):
+            raise _not_finite(path)
         w.writerow([repr(float(v)) if isinstance(v, float) else v
                     for v in row])
     _atomic_write(path, buf.getvalue())

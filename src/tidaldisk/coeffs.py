@@ -166,7 +166,7 @@ class ModeTable:
 
 
 def multiplier_terms(base: BaseState, n, a_deriv_n, c_abs_n):
-    """The four terms whose sum is the multiplier omega_n:
+    """The four terms of the multiplier omega_n, their sum left to right:
     -(1/2) phi0'(1)^2 (|n|+1), phi0'(1) A_n'(1) (|n|+1), -(1/2) omega0^2
     and c_n.  Scalars or equal-length arrays over n.
     """
@@ -176,13 +176,6 @@ def multiplier_terms(base: BaseState, n, a_deriv_n, c_abs_n):
             -0.5 * base.omega0**2, c_abs_n)
 
 
-def multiplier(base: BaseState, n, a_deriv_n, c_abs_n):
-    """Fourier multiplier omega_n of mode n of the linearized boundary
-    condition: the sum of multiplier_terms, left to right."""
-    t1, t2, t3, t4 = multiplier_terms(base, n, a_deriv_n, c_abs_n)
-    return t1 + t2 + t3 + t4
-
-
 def build_mode_table(base: BaseState, N: int = DEFAULT_N_MODES,
                      n_nodes: int = DEFAULT_RADIAL, workers: int = 1) -> ModeTable:
     """Assemble A_n'(1), c_n and omega_n for n = 0..N.
@@ -190,16 +183,20 @@ def build_mode_table(base: BaseState, N: int = DEFAULT_N_MODES,
     The mode derivatives share one half-diameter grid of n_nodes radii and
     one set of G(phi0) tables.  The c_n are the case's closed form
     (InteractionCase.coefficients); the direct quadrature and the moment
-    route check them in the tests.
+    route check them in the tests.  omega_n is the sum of multiplier_terms,
+    except at the translation n = 1, which leaves the stream function and
+    the self-potential unchanged: the other terms cancel, omega_1 = t3.
     ``workers`` is accepted and has no effect: the table is built in one
     thread, which measured faster than a thread pool.
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    if N < 2:
+        raise ValueError("N must be at least 2")
     derivs = mode_derivatives(base, N, n_nodes=n_nodes)
     c = base.case.coefficients(N)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        omega = multiplier(base, np.arange(N + 1), derivs, c)
+        t1, t2, t3, t4 = multiplier_terms(base, np.arange(N + 1), derivs, c)
+        omega = t1 + t2 + t3 + t4
+    omega[1] = t3  # -omega0^2/2
     if not np.all(np.isfinite(omega)):
         raise TidaldiskError(
             f"the multipliers omega_n overflow (phi0'(1) = "

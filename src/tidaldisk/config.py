@@ -93,32 +93,35 @@ class RunConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
+def _linear_profile(arg: str) -> VorticityProfile:
+    slope, _, offset = arg.partition(",")
+    slope, offset = float(slope), float(offset or 0.0)
+    # phi0 = offset psi with Delta psi = slope psi + 1, psi(1) = 0, and
+    # 0 < psi'(1) <= 1/2, so |phi0'(1)| <= |offset| / 2: below the degeneracy
+    # tolerance the base is degenerate, and shots near 0 can underflow
+    if abs(offset) < 2.0 * DEGENERATE_TOL:
+        raise ConfigError("offset too small, the base state is degenerate")
+    return linear_preset(slope, offset)
+
+
+# the kinds of the `profile` key, each from the text after its colon
+_PROFILE_KINDS = {
+    "rigid": lambda arg: rigid_preset(float(arg)),
+    "linear": _linear_profile,
+    "zero": lambda arg: zero_preset(),
+    "csv": lambda arg: profile_from_csv(arg.strip()),
+}
+
+
 def _parse_profile(text: str) -> VorticityProfile:
     kind, _, arg = text.partition(":")
     kind = kind.strip().lower()
+    if kind not in _PROFILE_KINDS:
+        raise ConfigError(f"unknown profile kind {kind!r}")
     try:
-        if kind == "rigid":
-            return rigid_preset(float(arg))
-        if kind == "linear":
-            slope, _, offset = arg.partition(",")
-            slope, offset = float(slope), float(offset or 0.0)
-            # phi0 = offset psi with Delta psi = slope psi + 1, psi(1) = 0,
-            # and 0 < psi'(1) <= 1/2, so |phi0'(1)| <= |offset| / 2: below
-            # the degeneracy tolerance the base state is degenerate, and
-            # shots near phi = 0 can underflow in the integrator
-            if abs(offset) < 2.0 * DEGENERATE_TOL:
-                raise ConfigError(f"invalid profile spec {text!r}: offset "
-                                  "too small, the base state is degenerate")
-            return linear_preset(slope, offset)
-        if kind == "zero":
-            return zero_preset()
-        if kind == "csv":
-            return profile_from_csv(arg.strip())
-    except ConfigError:
-        raise
-    except (ValueError, OSError) as exc:
+        return _PROFILE_KINDS[kind](arg)
+    except (ConfigError, ValueError, OSError) as exc:
         raise ConfigError(f"invalid profile spec {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown profile kind {kind!r}")
 
 
 def parse_config_text(text: str) -> RunConfig:

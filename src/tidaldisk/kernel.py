@@ -19,25 +19,14 @@ from scipy.interpolate import PchipInterpolator
 
 @dataclass(frozen=True)
 class VorticityProfile:
-    """Non-decreasing vorticity function G and its derivative G'.
-
-    Instances are immutable; the evaluators are plain vectorized callables
-    and safe to share across workers.
+    """Vorticity function G and its derivative G', as plain vectorized
+    callables.  Any pair makes a profile; solve_phi0 checks that G is
+    non-decreasing where phi0 lives.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
-    monotone_certified: bool = False
     name: str = "custom"
-
-    def __call__(self, u):
-        return self.eval(u)
-
-    def check_monotone(self, lo: float, hi: float) -> bool:
-        """Spot-check that G is non-decreasing and G' >= 0 on 1000 points."""
-        u = np.linspace(lo, hi, 1000)
-        g = np.asarray(self.eval(u), dtype=float)
-        return bool(np.all(np.diff(g) >= -1e-12) and np.all(self.d1(u) >= -1e-12))
 
 
 def _constant_profile(value: float, name: str) -> VorticityProfile:
@@ -47,8 +36,7 @@ def _constant_profile(value: float, name: str) -> VorticityProfile:
     def zero(u):
         return np.zeros_like(np.asarray(u, dtype=float))
 
-    return VorticityProfile(eval=ev, d1=zero, monotone_certified=True,
-                            name=name)
+    return VorticityProfile(eval=ev, d1=zero, name=name)
 
 
 def rigid_preset(omega0: float) -> VorticityProfile:
@@ -68,7 +56,7 @@ def zero_preset() -> VorticityProfile:
     return _constant_profile(0.0, name="zero")
 
 
-def linear_preset(slope: float = 1.0, offset: float = 0.0) -> VorticityProfile:
+def linear_preset(slope: float, offset: float) -> VorticityProfile:
     """G(u) = slope*u + offset with slope >= 0."""
     if not (np.isfinite(slope) and np.isfinite(offset)):
         raise ValueError(f"slope and offset must be finite, got {slope}, {offset}")
@@ -81,15 +69,16 @@ def linear_preset(slope: float = 1.0, offset: float = 0.0) -> VorticityProfile:
     def d1(u):
         return np.full_like(np.asarray(u, dtype=float), slope)
 
-    return VorticityProfile(eval=ev, d1=d1, monotone_certified=True,
+    return VorticityProfile(eval=ev, d1=d1,
                             name=f"linear({slope:g},{offset:g})")
 
 
 def profile_from_table(u: np.ndarray, g: np.ndarray) -> VorticityProfile:
     """Monotone cubic interpolant through tabulated (u, G(u)) samples.
 
-    The PCHIP construction preserves monotonicity of the data, so a
-    non-decreasing table yields a certified non-decreasing profile.
+    The PCHIP construction preserves monotonicity of the data (Fritsch &
+    Carlson, SIAM J. Numer. Anal. 17 (1980) 238), so a non-decreasing
+    table yields a non-decreasing profile.
     Evaluation outside the table range extrapolates linearly with the
     boundary slope (G stays non-decreasing).
     """
@@ -123,11 +112,7 @@ def profile_from_table(u: np.ndarray, g: np.ndarray) -> VorticityProfile:
         out = np.where(x < lo, slope_lo, out)
         return np.where(x > hi, slope_hi, out)
 
-    prof = VorticityProfile(eval=ev, d1=d1, monotone_certified=True,
-                            name="table")
-    if not prof.check_monotone(lo, hi):
-        raise ValueError("interpolated profile failed the monotonicity check")
-    return prof
+    return VorticityProfile(eval=ev, d1=d1, name="table")
 
 
 def profile_from_csv(path: str) -> VorticityProfile:
@@ -144,15 +129,3 @@ def profile_from_csv(path: str) -> VorticityProfile:
                 raise ValueError(f"bad row in profile CSV {path!r}: {row}") from exc
     return profile_from_table(np.array(us), np.array(gs))
 
-
-def smooth_profile(fn, d1, name="callable",
-                   certify_range=None) -> VorticityProfile:
-    """Wrap explicit callables G and G' as a profile, optionally
-    spot-checking monotonicity on ``certify_range = (lo, hi)``."""
-    prof = VorticityProfile(eval=fn, d1=d1, monotone_certified=False,
-                            name=name)
-    if certify_range is not None:
-        if not prof.check_monotone(*certify_range):
-            raise ValueError("profile failed the monotonicity check")
-        object.__setattr__(prof, "monotone_certified", True)
-    return prof

@@ -80,9 +80,10 @@ def make_operator(base: BaseState, table: Optional[ModeTable] = None,
 # --------------------------------------------------------------------------
 
 def resonant_modes(table: ModeTable) -> list:
-    """The modes 1 <= n <= N with |omega_n| < _RESONANCE_TOL, ascending."""
-    small = np.abs(table.omega[1:]) < _RESONANCE_TOL
-    return [int(n) for n in np.flatnonzero(small) + 1]
+    """The modes 2 <= n <= N with |omega_n| < _RESONANCE_TOL, ascending;
+    mode 1, the translation, has omega_1 = -omega0^2/2 < 0."""
+    small = np.abs(table.omega[2:]) < _RESONANCE_TOL
+    return [int(n) for n in np.flatnonzero(small) + 2]
 
 
 def check_resonances(table: ModeTable):
@@ -93,7 +94,7 @@ def check_resonances(table: ModeTable):
 
 
 def nonresonance_scan(op: LinearizedOperator) -> dict:
-    """Report min_n |omega_n| for 1 <= n <= N and a tail certificate.
+    """Report min_n |omega_n| for 2 <= n <= N and a tail certificate.
 
     The certificate records the first index n_T from which the leading term
     -(1/2) phi0'(1)^2 (n+1) dominates the sum of the magnitudes of the
@@ -101,9 +102,8 @@ def nonresonance_scan(op: LinearizedOperator) -> dict:
     and the dominance only improves with n.
     """
     t = op.table
-    om = t.omega[1:]
     n_arr = np.arange(1, t.N + 1)
-    min_idx = int(np.argmin(np.abs(om)))
+    om = np.abs(t.omega[2:])
 
     t1, t2, t3, t4 = multiplier_terms(op.base, n_arr, t.a_deriv[1:], t.c[1:])
     lead = -t1
@@ -116,8 +116,8 @@ def nonresonance_scan(op: LinearizedOperator) -> dict:
     return {
         "schema_version": 1,
         "N": t.N,
-        "min_abs_omega": float(np.min(np.abs(om))),
-        "argmin_n": int(n_arr[min_idx]),
+        "min_abs_omega": float(np.min(om)),
+        "argmin_n": int(np.argmin(om)) + 2,
         "tail_certified_from": tail_from,
         "resonances": resonant_modes(t),
     }
@@ -217,4 +217,6 @@ def first_order_response(op: LinearizedOperator, m: float):
         op.unit_response = solve_linearized(op, particle_source_spectrum(op),
                                             0.0, 0.0)
     g, b, mu = op.unit_response
-    return g.scaled(-m), -m * b, -m * mu
+    # a mass near the float maximum overflows; the loop and the writers check
+    with np.errstate(over="ignore", invalid="ignore"):
+        return g.scaled(-m), -m * b, -m * mu

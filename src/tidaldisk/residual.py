@@ -570,10 +570,10 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
     lam = base.lambda0 + l1
 
     # the first stream-function solve starts from the first-order field
-    # phi0 + m psi, and each later one from the last field
+    # phi0 + m psi, formed once the start is admitted (m psi overflows at
+    # masses near the float maximum), and each later one from the last field
     psi = None if m == 0 else first_order_field(op, n_radial, n_angular)
-    u_prev = (None if psi is None else
-              base.phi0.grid_values(n_radial)[:, None] + m * psi)
+    u_prev = None
     history = []
     picard_steps = []
     bad_streak = 0
@@ -589,6 +589,8 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
         if not margin > 0:
             raise DivergenceError("iterate lost certified injectivity",
                                   history=history)
+        if it == 1 and psi is not None:
+            u_prev = base.phi0.grid_values(n_radial)[:, None] + m * psi
         S, r2, r3, fieldv = residual_F(h, a, lam, m, base, n_radial,
                                        n_angular, return_field=True,
                                        u_init=u_prev)

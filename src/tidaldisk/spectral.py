@@ -166,9 +166,11 @@ def conformal_factor_variation(h: ShapeCoeffs, n_radial: int, M: int):
 def boundary_curve(h: ShapeCoeffs, M: int):
     """The curve y(t) = f(e^{it}) and its tangent y'(t) = i e^{it} f'(e^{it})
     on the uniform M-grid; |y'| = |f'|."""
-    hv, dhv = eval_h_boundary(h, M)
     z = np.exp(1j * boundary_grid(M))
-    return z + hv, 1j * z * (1.0 + dhv)
+    # a shape near the float maximum overflows; the written rows are checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        hv, dhv = eval_h_boundary(h, M)
+        return z + hv, 1j * z * (1.0 + dhv)
 
 
 def boundary_rows(h: ShapeCoeffs):
@@ -205,8 +207,10 @@ def injectivity_margin(h: ShapeCoeffs) -> float:
     disk; the boundary maximum bounds the interior one since h and h' are
     analytic.  A negative value is not a proof of non-injectivity.
     """
-    hv, dhv = eval_h_boundary(h, boundary_points(h.N))
-    return float(1.0 / np.sqrt(2.0) - np.max(np.abs(hv) + np.abs(dhv)))
+    # a shape near the float maximum overflows to a margin of -inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        hv, dhv = eval_h_boundary(h, boundary_points(h.N))
+        return float(1.0 / np.sqrt(2.0) - np.max(np.abs(hv) + np.abs(dhv)))
 
 
 def self_intersection_oracle(h: ShapeCoeffs, M: int = 512) -> bool:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import pathlib
 import tempfile
 
 import numpy as np
@@ -424,6 +425,69 @@ def test_overflowing_multipliers_exit_code(tmp_path, capsys, command):
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
+@pytest.mark.parametrize("command", ["base", "scan", "perturb", "solve"])
+def test_overflowing_profile_exit_code(tmp_path, capsys, command):
+    # G = 1e300 u + 1e300 overflows on [-G(0)/4, 0] = [-2.5e299, 0]
+    cfg = _write_cfg(tmp_path, "case = B\nprofile = linear:1e300,1e300\n"
+                               "a0 = 2.0\nN = 16\nm = 1e-6\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "G overflows" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    assert _read_json(out / "error.json")["exit_code"] == 1
+
+
+@pytest.mark.parametrize("command", ["scan", "solve"])
+@pytest.mark.parametrize("case, a0", [("A\nnu = 1.0", 600.0),
+                                      ("A\nnu = 0.5", 1500.0),
+                                      ("B", 13000.0)],
+                         ids=["A1", "A0.5", "B"])
+def test_far_particle_translation_mode(tmp_path, capsys, command, case, a0):
+    # omega_1 = -omega0^2/2 falls below the 1e-8 resonance test at these
+    # distances; mode 1 is the translation and never resonates
+    cfg = _write_cfg(tmp_path, f"case = {case}\nprofile = linear:1,-2\n"
+                               f"a0 = {a0}\nN = 16\nm = 1e-12\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    if command == "scan":
+        report = _read_json(out / "scan.json")
+        assert report["resonances"] == [] and report["argmin_n"] >= 2
+    else:
+        assert _read_json(out / "solution_1e-12.json")["iterations"] == 1
+
+
+def _assert_outputs_finite(out):
+    """Every JSON in out parses with NaN and Infinity refused, and every
+    CSV field is a finite number."""
+    def refuse(name):
+        raise ValueError(f"non-finite {name}")
+
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=refuse)
+    for path in out.glob("*.csv"):
+        _, rows = _read_csv(path)
+        assert all(np.isfinite(float(v)) for row in rows for v in row), path
+
+
+@pytest.mark.parametrize("m", [1.7e308, -1.7e308])
+@pytest.mark.parametrize("command, profile, a0, code", [
+    ("solve", "rigid:1", 1.5, 4), ("solve", "linear:1,-2", 1000.0, 4),
+    ("perturb", "rigid:1", 1.5, 0), ("perturb", "rigid:1", 4.0, 1)])
+def test_mass_near_float_maximum(tmp_path, capsys, command, profile, a0,
+                                 code, m):
+    # the first-order shape m h1, its derivative or the field m psi
+    # overflows: solve refuses the start, and perturb writes its outputs
+    # only where they are finite (warnings are errors under the test
+    # settings)
+    cfg = _write_cfg(tmp_path, f"case = B\nprofile = {profile}\n"
+                               f"a0 = {a0}\nN = 16\nm = {m!r}\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    _assert_outputs_finite(out)
+    if code:
+        assert _read_json(out / "error.json")["exit_code"] == code
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = main(["base", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "o")])
@@ -458,14 +522,16 @@ _BAD_REALS = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0, 1e6]
 
 @st.composite
 def _run_configs(draw):
-    """A small-N config of either kernel, a0 often near its minimum 1.5;
-    half of them with one value made non-finite or out of range."""
+    """A small-N config of either kernel, a0 often near its minimum 1.5 and
+    sometimes far out; masses small or near the float maximum; half of
+    them with one value made non-finite or out of range."""
     N = draw(st.integers(8, 16))
     cfg = {"case": draw(st.sampled_from(["A", "B"]))}
     if cfg["case"] == "A":
         cfg["nu"] = draw(st.floats(0.05, 1.0))
     if draw(st.integers(0, 3)):
-        cfg["a0"] = draw(st.one_of(st.floats(1.5, 1.6), st.floats(1.5, 6.0)))
+        cfg["a0"] = draw(st.one_of(st.floats(1.5, 1.6), st.floats(1.5, 6.0),
+                                   st.floats(1e3, 1e6)))
     else:
         cfg["omega0"] = draw(st.floats(0.05, 1.5))
     kind = draw(st.sampled_from(["rigid", "linear"]))
@@ -476,7 +542,8 @@ def _run_configs(draw):
                     draw(st.one_of(st.floats(-4.0, 1.0), huge))])
     cfg.update(N=N, n_radial=draw(st.integers(8, 24)),
                n_angular=draw(st.integers(2 * N + 2, 64)),
-               m=draw(st.floats(-1e-4, 1e-4)))
+               m=draw(st.one_of(st.floats(-1e-4, 1e-4), st.sampled_from(
+                   [1e300, -1e300, 1.7e308, -1.7e308]))))
     if draw(st.booleans()):
         cfg["tol"] = draw(st.floats(1e-13, 1e-6))
     if draw(st.booleans()):
@@ -509,6 +576,7 @@ def test_cli_exits_with_documented_code(command, text):
         with contextlib.redirect_stderr(err):
             code = main([command, "--config", path,
                          "--out", os.path.join(tmp, "out")])
+        _assert_outputs_finite(pathlib.Path(tmp, "out"))
     assert code in _EXIT_CODES
     assert "Traceback" not in err.getvalue()
     if code:

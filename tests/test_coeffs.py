@@ -5,10 +5,10 @@ from scipy.special import gammaln
 
 from tidaldisk.coeffs import (ModeTable, _disk_rule, build_mode_table, c_n,
                               c_n_closed_log, c_n_digamma_nu1,
-                              c_n_disk_quadrature, kernel_moments, multiplier,
+                              c_n_disk_quadrature, kernel_moments,
                               multiplier_terms)
 from tidaldisk.errors import QuadratureError
-from tidaldisk.kernel import rigid_preset
+from tidaldisk.kernel import linear_preset, rigid_preset
 from tidaldisk.potential import case_a, case_b, make_base_state, u0
 
 
@@ -242,17 +242,33 @@ def test_mode_table_invariants(base):
     # constant G = -2: A_n'(1) = -1/(n+1)
     n = np.arange(33)
     assert np.max(np.abs(table.a_deriv + 1.0 / (n + 1))) < 1e-9
-    # omega recomputed from its ingredients
-    for k in (1, 7, 32):
-        expect = multiplier(base, k, table.a_deriv[k], table.c[k])
-        assert table.omega[k] == expect
-    # omega is the left-to-right sum of its four terms, bit for bit
+    # omega is the left-to-right sum of its four terms, bit for bit, except
+    # for the translation mode n = 1, where three of them cancel exactly
     t1, t2, t3, t4 = multiplier_terms(base, n, table.a_deriv, table.c)
-    assert np.array_equal(table.omega, t1 + t2 + t3 + t4)
+    rest = n != 1
+    assert np.array_equal(table.omega[rest], (t1 + t2 + t3 + t4)[rest])
+    assert table.omega[1] == -0.5 * base.omega0**2
     rows = list(table.to_csv_rows())
     assert len(rows) == 33 and rows[0][0] == 0
     assert rows == [(k, table.a_deriv[k], table.c[k], table.omega[k])
                     for k in range(33)]
+
+
+@pytest.mark.parametrize("case", [case_b(), case_a(0.5), case_a(1.0)],
+                         ids=["B", "A0.5", "A1"])
+@pytest.mark.parametrize("profile", [rigid_preset(1.0),
+                                     linear_preset(1.0, -2.0),
+                                     linear_preset(25.0, -2.0)],
+                         ids=["rigid", "linear1", "linear25"])
+def test_translation_mode_identity(case, profile):
+    # translating the body leaves its stream function and self-potential
+    # unchanged, so three of omega_1's four terms cancel to rounding and
+    # the table sets omega_1 = -omega0^2/2 exactly
+    base = make_base_state(case, 2.0, profile)
+    table = build_mode_table(base, N=8, n_nodes=32)
+    t1, t2, t3, t4 = multiplier_terms(base, 1, table.a_deriv[1], table.c[1])
+    assert abs(t1 + t2 + t4) <= 1e-12 * abs(t1)
+    assert table.omega[1] == t3 == -0.5 * base.omega0**2
 
 
 def test_mode_table_workers_deterministic(base):

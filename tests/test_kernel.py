@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from tidaldisk.kernel import (linear_preset, profile_from_csv,
-                              profile_from_table, rigid_preset,
-                              smooth_profile, zero_preset)
+from tidaldisk.kernel import (VorticityProfile, linear_preset,
+                              profile_from_csv, profile_from_table,
+                              rigid_preset, zero_preset)
 
 
 def test_rigid_preset_constant_value():
@@ -20,10 +20,6 @@ def test_rigid_preset_rejects_nonpositive():
         rigid_preset(-1.0)
 
 
-def test_rigid_preset_certified():
-    assert rigid_preset(2.0).monotone_certified
-
-
 def test_zero_preset():
     p = zero_preset()
     assert np.all(p.eval(np.linspace(-3, 3, 7)) == 0.0)
@@ -31,7 +27,7 @@ def test_zero_preset():
 
 def test_linear_preset_rejects_negative_slope():
     with pytest.raises(ValueError):
-        linear_preset(-0.5)
+        linear_preset(-0.5, -2.0)
 
 
 def _fd_error(p, u, h):
@@ -40,11 +36,8 @@ def _fd_error(p, u, h):
 
 
 def test_derivative_consistency_second_order():
-    p = smooth_profile(
-        fn=lambda u: np.tanh(u) + u,
-        d1=lambda u: 1.0 / np.cosh(u) ** 2 + 1.0,
-        certify_range=(-3.0, 3.0),
-    )
+    p = VorticityProfile(lambda u: np.tanh(u) + u,
+                         lambda u: 1.0 / np.cosh(u) ** 2 + 1.0)
     rng = np.random.default_rng(3)
     for u in rng.uniform(-2, 2, size=12):
         e1 = _fd_error(p, u, 1e-3)
@@ -58,7 +51,9 @@ def test_table_profile_monotone_and_extrapolates():
     u = np.linspace(-2, 2, 21)
     g = np.tanh(u)
     p = profile_from_table(u, g)
-    assert p.monotone_certified
+    # PCHIP keeps the table's monotonicity
+    x = np.linspace(-5.0, 5.0, 1001)
+    assert np.all(np.diff(p.eval(x)) >= 0.0) and np.all(p.d1(x) >= 0.0)
     x = np.linspace(-1.8, 1.8, 50)
     assert np.max(np.abs(p.eval(x) - np.tanh(x))) < 1e-3
     # linear extrapolation keeps it non-decreasing

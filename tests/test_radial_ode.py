@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from tidaldisk.chebyshev import DEFAULT_RADIAL, _radial_basis
 from tidaldisk.coeffs import build_mode_table
 from tidaldisk.errors import TidaldiskError
 from tidaldisk.kernel import (VorticityProfile, linear_preset,
-                              profile_from_table, rigid_preset, smooth_profile,
-                              zero_preset)
+                              profile_from_table, rigid_preset, zero_preset)
+from tidaldisk import radial_ode
 from tidaldisk.potential import case_a, case_b, make_base_state
 from tidaldisk.radial_ode import (RadialProfile, _mode_grid, mode_derivatives,
                                   solve_An, solve_phi0)
@@ -88,33 +90,60 @@ def test_phi0_table_far_from_zero():
     assert np.max(np.abs(prof(r) - exact)) < 1e-11 * exact[0]
 
 
-def test_phi0_bracket_failure():
-    # G = -j01^2 u - 1, marked non-decreasing though it is not: every shot
-    # is -1/j01^2 + (c + 1/j01^2) J0(j01 r), which reads -1/j01^2 at r = 1
-    k2 = 2.404825557695773 ** 2
-    profile = VorticityProfile(eval=lambda u: -k2 * np.asarray(u) - 1.0,
-                               d1=lambda u: np.full_like(u, -k2),
-                               monotone_certified=True)
-    with pytest.raises(TidaldiskError, match=r"bracket .* \[-20, 20\]"):
-        solve_phi0(profile)
+def test_phi0_bracket_failure(monkeypatch):
+    # a shooting range far too narrow for linear G = u - 2, whose phi0(0)
+    # is 2 (1 - 1/I0(1)) = 0.42: every shot in +-1e-3 (1 + |G(0)|) =
+    # +-0.003 ends below 0
+    monkeypatch.setattr(radial_ode, "_BRACKET_SCALE", 1e-3)
+    with pytest.raises(TidaldiskError, match=r"bracket .* \[-0.003, 0.003\]"):
+        solve_phi0(linear_preset(1.0, -2.0))
+
+
+# G(u) = u - 1000 - 50 (u - 150) exp(-((u - 150)/5)^2) is increasing on
+# [-10, 10], but G' reaches -49 near u = 150, inside [0, -G(0)/4] = [0, 250],
+# where phi0 lives
+def _dip_g(u):
+    u = np.asarray(u, dtype=float)
+    return u - 1000.0 - 50.0 * (u - 150.0) * np.exp(-((u - 150.0) / 5.0) ** 2)
+
+
+def _dip_g1(u):
+    x = (np.asarray(u, dtype=float) - 150.0) / 5.0
+    return 1.0 - 50.0 * (1.0 - 2.0 * x * x) * np.exp(-x * x)
 
 
 def test_phi0_monotone_check_covers_phi0_range():
-    # G(u) = u - 1000 - 50 (u - 150) exp(-((u - 150)/5)^2) is increasing on
-    # [-10, 10], but G' reaches -49 near u = 150, inside [0, -G(0)/4] =
-    # [0, 250], where phi0 lives
+    u = np.linspace(-10.0, 10.0, 1000)
+    assert np.all(np.diff(_dip_g(u)) >= 0.0) and np.all(_dip_g1(u) >= 0.0)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        solve_phi0(VorticityProfile(_dip_g, _dip_g1))
+
+
+def test_phi0_monotone_check_at_the_scale_of_g():
+    # G = 1e6 (sin^2 u + cos^2 u) - 2e6 is the constant -1e6 up to rounding,
+    # which makes it step down by 3.5e-10 between samples: the check's
+    # tolerance is 1e-12 of max|G|, so rounding at G's scale passes
     def g(u):
         u = np.asarray(u, dtype=float)
-        return u - 1000.0 - 50.0 * (u - 150.0) * np.exp(-((u - 150.0) / 5.0) ** 2)
+        return 1e6 * (np.sin(u) ** 2 + np.cos(u) ** 2) - 2e6
 
-    def g1(u):
-        x = (np.asarray(u, dtype=float) - 150.0) / 5.0
-        return 1.0 - 50.0 * (1.0 - 2.0 * x * x) * np.exp(-x * x)
+    prof = solve_phi0(VorticityProfile(g, np.zeros_like))
+    r = np.linspace(0.0, 1.0, 101)
+    assert np.max(np.abs(prof(r) - 2.5e5 * (1.0 - r * r))) < 1e-12 * 2.5e5
 
-    profile = smooth_profile(g, g1)
-    assert profile.check_monotone(-10.0, 10.0)
+
+@pytest.mark.parametrize("source", [
+    VorticityProfile(np.tanh, np.tanh, name="other"),
+    linear_preset(1.0, -2.0),
+    rigid_preset(1.0),
+    profile_from_table(np.linspace(-1.0, 1.0, 5), np.linspace(-3.0, -1.0, 5)),
+], ids=["constructor", "linear preset", "rigid preset", "table"])
+def test_every_profile_is_checked_where_phi0_lives(source):
+    # a profile is G and G' alone: the same callables are refused on
+    # [0, 250] whatever the profile was first built as
+    profile = dataclasses.replace(source, eval=_dip_g, d1=_dip_g1)
     with pytest.raises(ValueError, match="non-decreasing"):
-        solve_phi0(profile)
+        make_base_state(case_b(), 2.0, profile)
 
 
 @pytest.mark.parametrize("slope", [1000.0, 2000.0])
@@ -127,7 +156,7 @@ def test_phi0_shooting_mismatch_is_refused(slope):
 
 @pytest.mark.parametrize("profile, match", [
     (rigid_preset(1e308), "shooting range"),          # G(0) = -inf
-    (linear_preset(1e300, 1e300), "at its start"),    # G(c) overflows
+    (linear_preset(1e300, 1e300), "G overflows"),     # on [0, -G(0)/4]
     (linear_preset(1e6, -2.0), "integration failed"),  # steep G
 ])
 def test_phi0_overflow_is_a_package_error(profile, match):

@@ -12,8 +12,8 @@ from disk_quadrature import disk_rule
 from tidaldisk.chebyshev import HalfDiameterGrid
 from tidaldisk.errors import (ConfigError, DegenerateBaseError, DivergenceError,
                               ResonanceError, TidaldiskError)
-from tidaldisk.kernel import (linear_preset, profile_from_table, rigid_preset,
-                              smooth_profile)
+from tidaldisk.kernel import (VorticityProfile, linear_preset,
+                              profile_from_table, rigid_preset)
 from tidaldisk.linop import (apply_forward, first_order_response,
                              make_operator, nonresonance_scan)
 from tidaldisk import linop, residual
@@ -208,8 +208,8 @@ def test_stream_function_stop_rule_uniform_start(n):
     # From u = 0 on the unit disk, wG' = G'(0) = 1 is uniform and on the
     # damping grid, so the contraction bound at the start iterate alone is
     # 0 and would stop the solve after one step.
-    profile = smooth_profile(lambda u: -2.0 + u + 4.0 * np.asarray(u) ** 3,
-                             lambda u: 1.0 + 12.0 * np.asarray(u) ** 2)
+    profile = VorticityProfile(lambda u: -2.0 + u + 4.0 * np.asarray(u) ** 3,
+                               lambda u: 1.0 + 12.0 * np.asarray(u) ** 2)
     h = ShapeCoeffs.zero(n)
     fld = solve_phi_h(h, profile)
     assert fld.picard_steps > 1
