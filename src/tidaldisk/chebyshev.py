@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.interpolate import BarycentricInterpolator
 
 DEFAULT_RADIAL = 64  # half-diameter nodes; 2x this on the full diameter
 
@@ -81,10 +80,13 @@ class HalfDiameterGrid:
         L -= np.diag(n * n / self.r**2)
         return L
 
-    def even_interpolant(self, values: np.ndarray) -> BarycentricInterpolator:
+    def even_interpolant(self, values: np.ndarray):
         """Chebyshev interpolant of the even extension over the diameter of
-        ``values`` at the nodes r.  With wi given, scipy does not permute
-        the nodes at random, which moves results by an ulp between runs."""
+        ``values`` at the nodes r, a scipy BarycentricInterpolator.  With wi
+        given, scipy does not permute the nodes at random, which moves
+        results by an ulp between runs.  Only the reference route uses it,
+        so scipy.interpolate is imported here."""
+        from scipy.interpolate import BarycentricInterpolator
         wi = (-1.0) ** np.arange(2 * self.n_half)
         wi[[0, -1]] *= 0.5
         return BarycentricInterpolator(lobatto_points(2 * self.n_half),

@@ -15,9 +15,10 @@ All subcommands take --config PATH and --out DIR.  Output files are written
 atomically (temp file + rename), and hold only finite numbers.  Exit
 codes: 0 ok; 1 other failure (a degenerate base state, a G that overflows
 where phi0 lives, a base state whose phi0'(1), lambda0 or omega_n
-overflows, a shot phi0 that misses phi0(1) = 0 by more than 1e-8 of
-max|phi0|, a mass above an explicit m_cap, or an output that would hold a
-non-finite number, as perturb's can near |m| = 1.7e308); 2 config error;
+overflows, a shooting bracket that Brent's method does not close, a shot
+phi0 that misses phi0(1) = 0 by more than 1e-8 of max|phi0|, a mass
+above an explicit m_cap, or an output that would hold a non-finite
+number, as perturb's can near |m| = 1.7e308); 2 config error;
 3 resonance of a mode n >= 2, at any mass; 4 divergence (an iterate, the
 first-order start included, that folds or brings the particle inside
 a = 1.5, a residual that rises three times in a row, or no convergence);

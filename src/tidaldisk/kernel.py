@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 
 @dataclass(frozen=True)
@@ -93,6 +92,7 @@ def profile_from_table(u: np.ndarray, g: np.ndarray) -> VorticityProfile:
     if np.any(np.diff(g) < -1e-12 * max(1.0, np.max(np.abs(g)))):
         raise ValueError("profile table is not non-decreasing")
 
+    from scipy.interpolate import PchipInterpolator  # only tables need it
     base = PchipInterpolator(u, g, extrapolate=False)
     db = base.derivative(1)
     lo, hi = u[0], u[-1]

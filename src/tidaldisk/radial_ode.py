@@ -17,12 +17,13 @@ Two solvers live here:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import lu_factor, lu_solve, schur
+from scipy.linalg import schur
 from scipy.optimize import brentq
 
 from .chebyshev import DEFAULT_RADIAL, _radial_basis
@@ -123,13 +124,14 @@ def solve_phi0(profile: VorticityProfile,
     Every profile is spot-checked on 1000 points of that interval: G and G'
     must be finite there (else TidaldiskError), and neither the steps of G
     nor G' may fall below -1e-12 of max|G| or max|G'| (else ValueError).
-    The scan covers +-_BRACKET_SCALE (1 + |G(0)|).  The shot must meet
-    phi(1) = 0 to within _MISMATCH_BOUND = 1e-8 of max|phi0|, or
-    TidaldiskError: on G = s u - 2 that ratio is phi0'(1)'s relative error,
-    3e-16 at s = 1, 7e-9 at s = 300 and 6e-3 at s = 1000.  The profile is
-    sampled at r = 0 and at the radii of the half-diameter grid of n_radial
-    nodes, ascending, with phi0(1) = 0 exact; those samples are also its
-    ``grid_values`` on that grid.
+    The scan covers +-_BRACKET_SCALE (1 + |G(0)|); a bracket that Brent's
+    method does not close within its iteration cap is a TidaldiskError.
+    The shot must meet phi(1) = 0 to within _MISMATCH_BOUND = 1e-8 of
+    max|phi0|, or TidaldiskError: on G = s u - 2 that ratio is phi0'(1)'s
+    relative error, 3e-16 at s = 1, 7e-9 at s = 300 and 6e-3 at s = 1000.
+    The profile is sampled at r = 0 and at the radii of the half-diameter
+    grid of n_radial nodes, ascending, with phi0(1) = 0 exact; those
+    samples are also its ``grid_values`` on that grid.
     """
     g_0 = float(profile.eval(0.0))
     scale = _BRACKET_SCALE * (1.0 + abs(g_0))
@@ -163,7 +165,12 @@ def solve_phi0(profile: VorticityProfile,
             f"no shooting bracket for phi0(0) in [{-scale:g}, {scale:g}]; "
             "the profile may be incompatible with a bounded solution"
         )
-    c_star = brentq(shoot, cs[idx], cs[idx + 1], xtol=1e-14, rtol=8.9e-16)
+    try:
+        c_star = brentq(shoot, cs[idx], cs[idx + 1], xtol=1e-14,
+                        rtol=8.9e-16)
+    except RuntimeError as exc:  # Brent's iteration cap
+        raise TidaldiskError(f"no phi0(0) found in [{cs[idx]:g}, "
+                             f"{cs[idx + 1]:g}]: {exc}") from exc
 
     sol = _integrate_from_center(c_star, profile, dense=True)
     radii = _radial_basis(n_radial)[0].r  # descending, radii[0] = 1
@@ -198,20 +205,33 @@ def solve_phi0(profile: VorticityProfile,
 # linear modes by collocation
 # --------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=4)
+def _grid_operators(n_nodes: int):
+    """(C, C^-1, row) on the interior nodes of the even block of the
+    half-diameter grid: C = (1/r) d_r, and row the r = 1 row of d_r.  They
+    depend on the grid alone, so every table on it shares them; the arrays
+    are read-only."""
+    grid, _ = _radial_basis(n_nodes)
+    d1 = grid.d1(0)
+    C = d1[1:, 1:] / grid.r[1:, None]
+    ops = (C, np.linalg.inv(C), d1[0, 1:])
+    for arr in ops:
+        arr.setflags(write=False)
+    return ops
+
+
 def _mode_grid(base, n_nodes: int):
     """(grid, L, C, row, g0), shared by every mode of one table: on the
     interior nodes (dropping r = 1 imposes alpha(1) = 0) of the even block,
-    L = d_rr + (1/r) d_r - G'(phi0), C = (1/r) d_r and g0 = G(phi0); row is
-    the r = 1 row of d_r."""
+    L = d_rr + (1/r) d_r - G'(phi0), C and row from _grid_operators, and
+    g0 = G(phi0)."""
     grid, basis = _radial_basis(n_nodes)
-    r = grid.r
     phi = base.phi0.grid_values(n_nodes)
     g0 = np.asarray(base.profile.eval(phi), dtype=float)
     g1 = np.asarray(base.profile.d1(phi), dtype=float)
-    d1 = grid.d1(0)
     L = basis[0][1:, 1:] - np.diag(g1[1:])
-    C = d1[1:, 1:] / r[1:, None]
-    return grid, L, C, d1[0, 1:], g0[1:]
+    C, _, row = _grid_operators(n_nodes)
+    return grid, L, C, row, g0[1:]
 
 
 def _solve_mode(n: int, grid):
@@ -258,28 +278,30 @@ def mode_derivatives(base, N: int, n_nodes: int = DEFAULT_RADIAL) -> np.ndarray:
     The systems (L + 2n C) alpha_n = g0 differ only by the shift 2n, so
     they share one real Schur form C^-1 L = Q T Q^T: alpha_n =
     Q (T + 2n I)^-1 Q^T C^-1 g0, one back-substitution sweep over all n
-    (Laub, IEEE TAC 26 (1981) 407).  Forming C^-1 L costs accuracy in
-    cond(C) (about 3e3 at 64 radii), so one step of iterative refinement
-    against L and C follows, through the same factors.  Per-mode solves
-    refined with long-double residuals match the result to 2e-14 relative
-    up to 128 radii (n <= 256); ``solve_An``'s single LU solve reads up to
-    1.3e-13 there.  No profile is built.
+    (Laub, IEEE TAC 26 (1981) 407).  C^-1 is kept per grid
+    (_grid_operators), so every C^-1 product is one matrix product:
+    C^-1 L for the Schur form, and Q^T C^-1, formed once per table, on g0
+    and on the residual.  Forming C^-1 L costs accuracy in cond(C) (about
+    3e3 at 64 radii), so one step of iterative refinement against L and C
+    follows.  Per-mode solves refined with long-double residuals match the
+    result to 2e-14 relative up to 128 radii (n <= 256); ``solve_An``'s
+    single LU solve reads up to 1.3e-13 there.  No profile is built.
     """
     _, L, C, row, g0 = _mode_grid(base, n_nodes)
-    lu = lu_factor(C)
-    T, Q = schur(lu_solve(lu, L))
+    C_inv = _grid_operators(n_nodes)[1]
+    T, Q = schur(C_inv @ L, overwrite_a=True)
     s = 2.0 * np.arange(N + 1)
+    P = Q.T @ C_inv  # Q^T C^-1, on g0 and on the residual
 
     def sweep(V):  # Q (T + s_j I)^-1 V[:, j] for every j; overwrites V
         return Q @ _shifted_back_substitution(T, s, V)
 
-    v = Q.T @ lu_solve(lu, g0)  # Q^T C^-1 g0, the same for every n
-    alpha = sweep(np.repeat(v[:, None], N + 1, axis=1))
+    alpha = sweep(np.repeat((P @ g0)[:, None], N + 1, axis=1))
     R = C @ alpha  # the residual g0 - L alpha - 2n C alpha, built in place
     R *= -s
     R -= L @ alpha
     R += g0[:, None]
-    alpha += sweep(Q.T @ lu_solve(lu, R, overwrite_b=True))
+    alpha += sweep(P @ R)
     return row @ alpha
 
 

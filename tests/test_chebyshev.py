@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import tidaldisk
 from tidaldisk.chebyshev import HalfDiameterGrid, diff_matrix, lobatto_points
 
 
@@ -51,3 +56,14 @@ def test_half_diameter_poisson_mode0():
     assert np.max(np.abs(u - (1.0 - grid.r**2))) < 1e-10
     d1 = grid.d1(0)
     assert abs((d1 @ u)[0] + 2.0) < 1e-9
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # only the reference route (even_interpolant) and table profiles
+    # interpolate, so they import scipy.interpolate themselves
+    src = os.path.dirname(os.path.dirname(tidaldisk.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, tidaldisk; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

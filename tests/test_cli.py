@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tidaldisk import cli
+from tidaldisk import cli, radial_ode
 from tidaldisk.chebyshev import DEFAULT_RADIAL, _radial_basis
 from tidaldisk.cli import main
 from tidaldisk.coeffs import build_mode_table
@@ -340,6 +340,22 @@ def test_steep_profile_shooting_mismatch_exit_code(tmp_path, capsys, spec,
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     assert "misses phi0(1) = 0" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    assert _read_json(out / "error.json")["exit_code"] == 1
+
+
+def test_brent_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a Brent step that hits its iteration cap (as on some steep tables)
+    # leaves as a package error with error.json, not a traceback
+    def capped(*args, **kwargs):
+        raise RuntimeError("Failed to converge after 100 iterations")
+
+    monkeypatch.setattr(radial_ode, "brentq", capped)
+    out = tmp_path / "o"
+    assert main(["base", "--config", _write_cfg(tmp_path, BASE_CFG),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Failed to converge" in err
+    assert "Traceback" not in err
     assert _read_json(out / "error.json")["exit_code"] == 1
 
 

@@ -13,8 +13,8 @@ from tidaldisk.kernel import (VorticityProfile, linear_preset,
                               profile_from_table, rigid_preset, zero_preset)
 from tidaldisk import radial_ode
 from tidaldisk.potential import case_a, case_b, make_base_state
-from tidaldisk.radial_ode import (RadialProfile, _mode_grid, mode_derivatives,
-                                  solve_An, solve_phi0)
+from tidaldisk.radial_ode import (RadialProfile, _grid_operators, _mode_grid,
+                                  mode_derivatives, solve_An, solve_phi0)
 
 
 def test_profile_validation():
@@ -192,6 +192,38 @@ def test_mode_derivatives_rigid_closed_form(rigid_base):
     n = np.arange(257)
     d = mode_derivatives(rigid_base, 256)
     assert np.max(np.abs(d * (n + 1) + 1.0)) < 1e-12
+
+
+def test_grid_operators_read_only(rigid_base):
+    # one cache entry per grid, shared by every table: no caller may write
+    for arr in _grid_operators(DEFAULT_RADIAL):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    _, _, C, row, _ = _mode_grid(rigid_base, DEFAULT_RADIAL)
+    assert not C.flags.writeable and not row.flags.writeable
+
+
+def test_grid_operators_one_entry_per_grid(rigid_base):
+    # repeated tables on one grid build its operators at most once
+    ops = _grid_operators(24)
+    misses = _grid_operators.cache_info().misses
+    first = mode_derivatives(rigid_base, 32, n_nodes=24)
+    second = mode_derivatives(rigid_base, 32, n_nodes=24)
+    assert _grid_operators.cache_info().misses == misses
+    assert _grid_operators(24) is ops
+    assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("n_nodes", [8, 16, 32, 64, 128])
+def test_grid_operators_inverse(n_nodes):
+    # C^-1 C is the identity to rounding: below eps cond(C), which is 40 at
+    # 8 radii and 1.1e4 at 128 (measured 0.11 and 0.012 of the bound)
+    C, C_inv, row = _grid_operators(n_nodes)
+    assert C.shape == C_inv.shape == (n_nodes - 1, n_nodes - 1)
+    assert row.shape == (n_nodes - 1,)
+    bound = np.finfo(float).eps * np.linalg.cond(C)
+    assert np.max(np.abs(C_inv @ C - np.eye(n_nodes - 1))) < bound
 
 
 def _pchip41_profile():
