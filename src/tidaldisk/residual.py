@@ -49,9 +49,9 @@ from .potential import (_A0_MIN, BaseState, particle_potential_at,
 # eval_h_at is not called here; perfbench/tracing.py wraps it under this name
 from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
                        boundary_curve, boundary_grid, boundary_points,
-                       conformal_factor_grid,
+                       boundary_sample, conformal_factor_grid,
                        conformal_factor_variation, eval_h_at,
-                       injectivity_margin)
+                       injectivity_margin, on_boundary_points, sample_curve)
 
 # grid of the Picard damping, so that nearby shapes share one _mode_eigs entry
 _LAM_STEP = 1.0 / 16.0
@@ -143,7 +143,7 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
                 n_radial: int = DEFAULT_RADIAL,
                 n_angular: Optional[int] = None,
                 tol: float = _PICARD_TOL, max_iter: int = _PICARD_MAX_ITER,
-                u_init=None) -> DiskField:
+                u_init=None, margin: Optional[float] = None) -> DiskField:
     """Damped Picard solution of Delta u = |f'|^2 G(u), u = 0 on the circle.
 
     Each step solves (Delta - lam) u_next = w G(u) - lam u with w = |f'|^2.
@@ -167,22 +167,26 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
     The step runs on the rfft modes n = 0..M/2 of the angle, by fast
     diagonalization (_solve_modes), and evaluates G' once, at the new
     iterate; a solve of k steps evaluates it k + 1 times.  The iteration
-    starts from u_init (broadcast to the grid), or from zero.  The field
-    keeps the last step's modes as its spectrum.  The grid must hold
-    2N + 2 angles (ConfigError); by default it has boundary_points(N).
+    starts from u_init, or from zero, as a read-only view broadcast to the
+    grid (the steps only read it).  The field keeps the last step's modes
+    as its spectrum.  The grid must hold 2N + 2 angles (ConfigError); by
+    default it has boundary_points(N).
+
+    The shape must be certified injective (TidaldiskError otherwise): margin
+    is its injectivity_margin, which residual_F passes on from its boundary
+    sample, and which is computed here when it is not given.
     """
-    if not injectivity_margin(h) > 0:
+    if margin is None:
+        margin = injectivity_margin(h)
+    if not margin > 0:
         raise TidaldiskError("shape is not certified injective; refusing "
                              "to solve on a possibly folded domain")
     if n_angular is None:
         n_angular = boundary_points(h.N)
     grid, _ = _radial_basis(n_radial)
     w = conformal_factor_grid(h, n_radial, n_angular)
-    shape = (n_radial, n_angular)
-    if u_init is None:
-        u = np.zeros(shape)
-    else:
-        u = np.array(np.broadcast_to(u_init, shape), dtype=float)
+    u = np.broadcast_to(np.asarray(0.0 if u_init is None else u_init,
+                                   dtype=float), (n_radial, n_angular))
 
     u, u_hat, steps = _damped_picard(
         lambda v: w * np.asarray(profile.eval(v), dtype=float),
@@ -289,16 +293,36 @@ def _product_weights(M: int, nu: Optional[float] = None) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=8)
+def _circulant_rows(M: int, nu: Optional[float] = None) -> np.ndarray:
+    """The circulant row c of boundary_potential, with row i holding c at
+    the offsets j - i (mod M): a reversed window over [c, c].  nu is as in
+    _product_weights; cached, so read-only."""
+    w = _product_weights(M, nu)
+    s2 = 4.0 * np.sin(np.pi * np.arange(1, M) / M) ** 2
+    c = np.empty(M)
+    if nu is None:
+        c[0] = 1.0
+        c[1:] = np.exp(0.25 * w[1:] / (np.pi / (2.0 * M)) - 1.0) / s2
+    else:
+        c[0] = 0.0
+        c[1:] = w[1:] * s2 ** (0.5 * nu - 1.0)
+    return sliding_window_view(np.concatenate([c, c]), M)[M:0:-1]
+
+
 # Elements per block of target rows: 2^14 // M targets at a time against
 # all M sources, so a call's temporaries take two 128 KiB blocks whatever
 # M is, where an unblocked M x M kernel matrix takes 2 MB at M = 512.
 _OFFSET_BLOCK_ELEMS = 2**14
 
 
-def boundary_potential(f: np.ndarray, yp: np.ndarray, case) -> np.ndarray:
+def boundary_potential(f: np.ndarray, yp: np.ndarray, case,
+                       ypp: Optional[np.ndarray] = None) -> np.ndarray:
     """Samples of (U_h o f)(e^{i phi_j}) on the uniform M-grid, from the
-    curve f and its tangent yp there (spectral.boundary_curve).  residual_F
-    passes its n_angular sample, of a shape that solve_phi_h has certified.
+    curve f, its tangent yp and, for the power kernel, y'' there
+    (spectral.sample_curve); without ypp, y'' is taken from yp by an FFT
+    pair.  residual_F passes its n_angular sample, of a shape that
+    solve_phi_h has certified.
 
     With w chosen so that div[(y - x) w(|y - x|)] is the interaction kernel,
     w = (1/2) ln rho - 1/4 (log) or -rho^(-nu) / (2 - nu) (power), the area
@@ -311,8 +335,8 @@ def boundary_potential(f: np.ndarray, yp: np.ndarray, case) -> np.ndarray:
     i to source j, the integrand is a smooth factor of P and rho^2 / s2
     times a singular factor of s2, which takes the circulant weights W_k of
     _product_weights (Kress's product rule; the log's smooth term takes the
-    trapezoid rule).  Folded into one circulant row c_k, the two factors
-    make U_i = sum_j P_ij L_ij:
+    trapezoid rule).  Folded into one circulant row c_k (_circulant_rows,
+    cached per M and kernel), the two factors make U_i = sum_j P_ij L_ij:
 
     - log: P [(1/4) ln(rho^2 / s2) - 1/4] + P (1/4) ln s2, so
       L = trap ln(rho^2 c_k) with trap = pi / (2M) and
@@ -330,18 +354,8 @@ def boundary_potential(f: np.ndarray, yp: np.ndarray, case) -> np.ndarray:
     (1/2) Im(y'' conj y') |y'|^(-nu) at k = 0, weighted by W_0.
     """
     M = len(f)
-    s2 = 4.0 * np.sin(np.pi * np.arange(1, M) / M) ** 2
-    c = np.empty(M)
-    if case.is_log:
-        trap = np.pi / (2.0 * M)
-        c[0] = 1.0
-        c[1:] = np.exp(0.25 * _product_weights(M)[1:] / trap - 1.0) / s2
-    else:
-        wts = _product_weights(M, case.nu)
-        c[0] = 0.0
-        c[1:] = wts[1:] * s2 ** (0.5 * case.nu - 1.0)
-    # row i of circ holds c at j - i (mod M), a reversed window over [c, c]
-    circ = sliding_window_view(np.concatenate([c, c]), M)[M:0:-1]
+    nu = None if case.is_log else case.nu
+    circ = _circulant_rows(M, nu)
     x, y = f.real, f.imag
     # x_j - x_i = [-x_i, 1] . [1, x_j]: products by 1 and one rounded sum,
     # the bits of a subtraction, which BLAS writes faster than a broadcast
@@ -379,11 +393,12 @@ def boundary_potential(f: np.ndarray, yp: np.ndarray, case) -> np.ndarray:
         a, bx, by = (d2 @ cols.T).T
         out[rows] = a - (x[rows] - x0) * by + (y[rows] - y0) * bx
     if case.is_log:
-        return trap * out
-    # y' holds the powers 1..N+1 < M of e^{it} only, so one FFT gives y''
-    ypp = np.fft.ifft(1j * np.arange(M) * np.fft.fft(yp))
-    diag = 0.5 * (ypp * yp.conj()).imag * np.abs(yp) ** (-case.nu)
-    return -(out + wts[0] * diag) / (2.0 - case.nu)
+        return np.pi / (2.0 * M) * out
+    if ypp is None:
+        # y' holds the powers 1..N+1 < M of e^{it} only, so one FFT gives y''
+        ypp = np.fft.ifft(1j * np.arange(M) * np.fft.fft(yp))
+    diag = 0.5 * (ypp * yp.conj()).imag * np.abs(yp) ** (-nu)
+    return -(out + _product_weights(M, nu)[0] * diag) / (2.0 - nu)
 
 
 # --------------------------------------------------------------------------
@@ -409,31 +424,30 @@ def particle_force(h: ShapeCoeffs, case, a: float, curve=None) -> complex:
     to 6e-9 and 4N points 4e-16.
 
     curve, a sample (f, y') of h on a uniform grid (spectral.boundary_curve),
-    is used at every k-th point when boundary_points(N) divides its size;
-    otherwise the curve is sampled afresh.
+    is used at every k-th point when boundary_points(N) divides its size
+    (spectral.on_boundary_points); otherwise the curve is sampled afresh.
     """
     a = float(a)
     if a < _A0_MIN:
         raise ConfigError(f"particle distance must be at least {_A0_MIN}")
-    M = boundary_points(h.N)
-    if curve is not None and len(curve[0]) % M == 0:
-        step = len(curve[0]) // M
-        f, yp = curve[0][::step], curve[1][::step]
-    else:
-        f, yp = boundary_curve(h, M)
+    f, yp = (on_boundary_points(curve, h.N)
+             or boundary_curve(h, boundary_points(h.N)))
     if float(np.max(np.abs(f))) > a - _PF_CLEARANCE:
         raise TidaldiskError(
             "shape reaches too close to the particle for smooth quadrature")
     return np.mean(particle_potential_at(case, a, f) * 1j * yp) * 2.0 * np.pi
 
 
-def center_of_mass(h: ShapeCoeffs, m: float, a: float):
+def center_of_mass(h: ShapeCoeffs, m: float, a: float, curve=None):
     """(integral of x over the body + m X) / (pi + m), as a 2-vector.
 
     The body integral of z is (1/2i) int_bdry |z|^2 dz; |f|^2 y' is a
     trigonometric polynomial of degrees -N + 1..2N + 1, so the trapezoid
-    rule on boundary_points(N) >= 4N points is exact."""
-    f, yp = boundary_curve(h, boundary_points(h.N))
+    rule on boundary_points(N) >= 4N points is exact.  Those points are
+    taken from curve by particle_force's rule, the quasi-Newton loop's
+    sample of the final iterate, or sampled afresh."""
+    f, yp = (on_boundary_points(curve, h.N)
+             or boundary_curve(h, boundary_points(h.N)))
     mom = np.mean(np.abs(f) ** 2 * yp) * np.pi / 1j
     total = mom + m * a
     return np.array([total.real, total.imag]) / (np.pi + m)
@@ -447,7 +461,8 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
                base: BaseState,
                n_radial: int = DEFAULT_RADIAL,
                n_angular: Optional[int] = None,
-               return_field: bool = False, u_init=None):
+               return_field: bool = False, u_init=None, sample=None,
+               margin: Optional[float] = None):
     """The three components of the reduced system at state (h, a, lam).
 
     Returns (S_res, r2, r3) where S_res is the boundary spectrum of the
@@ -455,24 +470,34 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
     residual; with return_field=True the stream-function field is appended.
     The stream-function solve starts from u_init, by default from the
     base-state field phi0(r), and its field carries its own rfft for the
-    normal derivative.  The curve is sampled once, on the n_angular grid,
-    which must hold at least 2N + 2 points (solve_phi_h raises ConfigError
-    otherwise) and by default has boundary_points(N); particle_force takes
-    every k-th point of that sample when boundary_points(N) divides
-    n_angular.
+    normal derivative.
+
+    The shape is sampled once: sample is h, h' and h'' on the n_angular grid
+    (spectral.boundary_sample), which the quasi-Newton loop takes once per
+    iterate and which is taken here when not given.  The grid must hold at
+    least 2N + 2 points (ConfigError) and by default has boundary_points(N).
+    The curve, its tangent and y'' for the boundary potential come from
+    it, and so do margin, h's injectivity margin, when not given, and the
+    particle force, both at every k-th point when boundary_points(N)
+    divides n_angular.  solve_phi_h refuses a non-positive margin
+    (TidaldiskError).
     """
     if n_angular is None:
         n_angular = boundary_points(h.N)
+    if sample is None:
+        sample = boundary_sample(h, n_angular)
+    if margin is None:
+        margin = injectivity_margin(h, sample)
     if u_init is None:
         u_init = base.phi0.grid_values(n_radial)[:, None]
     fieldv = solve_phi_h(h, base.profile, n_radial=n_radial,
-                         n_angular=n_angular, u_init=u_init)
+                         n_angular=n_angular, u_init=u_init, margin=margin)
     dn = fieldv.boundary_normal_deriv()
 
-    f, yp = boundary_curve(h, n_angular)
+    f, yp, ypp = sample_curve(sample)
     grad2 = dn ** 2 / np.abs(yp) ** 2  # tangential part vanishes (Dirichlet)
 
-    u_self = boundary_potential(f, yp, base.case)
+    u_self = boundary_potential(f, yp, base.case, ypp)
     u_part = particle_potential_at(base.case, a, f)
 
     samples = (0.5 * grad2 - 0.5 * base.omega0**2 * np.abs(f) ** 2
@@ -520,18 +545,29 @@ class EquilibriumSolution:
         }
 
 
-def _diagnostics(h: ShapeCoeffs, a: float, lam: float, m: float,
-                 base: BaseState, S: BoundarySpectrum,
-                 picard_steps: list, margin: float) -> dict:
-    """Diagnostics of a converged state; margin is injectivity_margin(h),
-    which the quasi-Newton loop has computed for the iterate."""
-    com = center_of_mass(h, m, a)
+def _diagnostics(h: ShapeCoeffs, a: float, m: float, S: BoundarySpectrum,
+                 picard_steps: list, margin: float, sample: np.ndarray,
+                 history: list, correction: tuple) -> dict:
+    """Diagnostics of a converged state.  The quasi-Newton loop passes its
+    boundary sample of the iterate, the margin it computed from it, the
+    residual norms of every iterate and the correction (g, b, mu) that the
+    iterate's residual would take next."""
+    com = center_of_mass(h, m, a, sample_curve(sample)[:2])
     # Pressure continuity on the free boundary: the interior pressure at the
     # boundary is -(1/2)|grad psi|^2 + (Omega0^2/2)|x|^2 + lambda (the
     # primitive F vanishes there since psi = 0 and F(0) = 0), and matching
     # against the exterior potentials makes the mismatch exactly the
     # Bernoulli residual; its sup is bounded by the spectrum l1 norm.
     jump_sup = float(np.abs(S.coeffs[0]) + 2.0 * np.sum(np.abs(S.coeffs[1:])))
+    # Every norm but the last is above the stop level, so none divides by
+    # zero.  A map that contracts by q leaves x within |T(x) - x| / (1 - q)
+    # of its fixed point, with T(x) - x the next correction; q is estimated
+    # by the last residual ratio.
+    ratios = [history[k + 1] / history[k] for k in range(len(history) - 1)]
+    bound = None
+    if ratios and ratios[-1] < 1.0:
+        g, b, mu = correction
+        bound = float(np.hypot.reduce([g.norm(), b, mu])) / (1.0 - ratios[-1])
     return {
         "area_error": abs(area(h) - np.pi),
         "center_of_mass": [float(com[0]), float(com[1])],
@@ -540,6 +576,8 @@ def _diagnostics(h: ShapeCoeffs, a: float, lam: float, m: float,
         "pressure_jump_sup": jump_sup,
         # stream-function Picard steps of each residual_F call
         "picard_steps": picard_steps,
+        "contraction_ratios": ratios,
+        "error_bound": bound,
     }
 
 
@@ -559,11 +597,20 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
     minimum, or a shape not certified injective).  The loop stops at
     rn < tol * max(1, phi0'(1)^2), the scale of the Bernoulli terms and
     so of their rounding.
+
+    Each iterate is sampled once (spectral.boundary_sample, on n_angular):
+    its injectivity margin, every residual_F boundary value and, for the
+    final iterate, the center of mass read that sample.  The diagnostics
+    list the ratios of successive residual norms (contraction_ratios) and
+    an error_bound: the next correction's norm over 1 - q, q the last
+    ratio, or None with one iteration or q >= 1.
     """
     base = op.base
     if m_cap is not None and abs(m) > m_cap:
         raise TidaldiskError(f"m={m:g} exceeds m_cap={m_cap:g}")
     stop = tol * max(1.0, base.dphi0_at_1 ** 2)
+    if n_angular is None:
+        n_angular = boundary_points(op.N)
 
     h, a1, l1 = first_order_response(op, m)
     a = base.a0 + a1
@@ -582,10 +629,11 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
             raise DivergenceError(
                 f"iterate moved the particle to a={a:.6g}, inside the "
                 f"admissible distance {_A0_MIN}", history=history)
-        # solve_phi_h checks the margin again, for callers outside this
-        # loop, and raises TidaldiskError (exit 1); an iterate that leaves
-        # the certified set is a divergence (exit 4)
-        margin = injectivity_margin(h)
+        # one boundary sample per iterate, which residual_F reads; an
+        # iterate that leaves the certified set is a divergence (exit 4),
+        # where solve_phi_h refuses such a shape with TidaldiskError (exit 1)
+        sample = boundary_sample(h, n_angular)
+        margin = injectivity_margin(h, sample)
         if not margin > 0:
             raise DivergenceError("iterate lost certified injectivity",
                                   history=history)
@@ -593,15 +641,18 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
             u_prev = base.phi0.grid_values(n_radial)[:, None] + m * psi
         S, r2, r3, fieldv = residual_F(h, a, lam, m, base, n_radial,
                                        n_angular, return_field=True,
-                                       u_init=u_prev)
+                                       u_init=u_prev, sample=sample,
+                                       margin=margin)
         u_prev = fieldv.values
         picard_steps.append(fieldv.picard_steps)
         rn = residual_norm(S, r2, r3)
         history.append(rn)
+        g, b, mu = solve_linearized(op, S, r2, r3)  # g.N == op.N == h.N
         if rn < stop:
-            return EquilibriumSolution(h, a, lam, m, rn, it, history,
-                                       _diagnostics(h, a, lam, m, base, S,
-                                                    picard_steps, margin))
+            return EquilibriumSolution(
+                h, a, lam, m, rn, it, history,
+                _diagnostics(h, a, m, S, picard_steps, margin, sample,
+                             history, (g, b, mu)))
         if len(history) > 1 and rn > history[-2]:
             bad_streak += 1
             if bad_streak >= 3:
@@ -610,7 +661,6 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
                     history=history)
         else:
             bad_streak = 0
-        g, b, mu = solve_linearized(op, S, r2, r3)  # g.N == op.N == h.N
         h = ShapeCoeffs(h.g0 - g.g0, h.gn - g.gn)
         a -= b
         lam -= mu

@@ -5,8 +5,9 @@ The fluid domain is the image of the unit disk under f(z) = z + h(z) with
     h(z) = g0 * z + sum_{n>=1} gn[n] * z^(n+1),
 
 g0 real, so that h(0) = 0 and h'(0) is real.  This module holds the
-coefficient container, the sampling of the shape (the boundary curve and
-|f'|^2 on a polar grid, by FFT) with its 2N + 2 grid floor, the injectivity
+coefficient container, the sampling of the shape (h, h' and h'' on the
+boundary, and |f'|^2 on a polar grid, by FFT) with its 2N + 2 grid floor,
+the curve read from the boundary sample, the injectivity
 margin certificate, the closed-form area, and the discrete Fourier
 transform pair used to move between boundary samples and mode coefficients.
 """
@@ -104,22 +105,42 @@ def boundary_points(N: int) -> int:
     return max(256, 4 * N)
 
 
-def _h_coeffs(h: ShapeCoeffs):
-    """Power-series coefficients of h and of h' (index k holds z^k)."""
-    ch = np.zeros(h.N + 2, dtype=complex)
-    ch[1] = h.g0
-    ch[2:] = h.gn
-    cdh = np.zeros(h.N + 1, dtype=complex)
-    cdh[0] = h.g0
-    cdh[1:] = (np.arange(1, h.N + 1) + 1) * h.gn
-    return ch, cdh
+def _h_coeffs(h: ShapeCoeffs) -> np.ndarray:
+    """Power-series coefficients of h, h' and h'' as the rows of one
+    (3, N + 2) array; column k holds z^k."""
+    c = np.zeros((3, h.N + 2), dtype=complex)
+    c[0, 1] = h.g0
+    c[0, 2:] = h.gn
+    k = np.arange(1, h.N + 2)
+    c[1, :-1] = k * c[0, 1:]
+    c[2, :-2] = k[:-1] * c[1, 1:-1]
+    return c
+
+
+def boundary_sample(h: ShapeCoeffs, M: int) -> np.ndarray:
+    """h, h' and h'' on the uniform M-grid, the rows of one (3, M) array:
+    one inverse FFT of the stacked power-series coefficients, whose powers
+    lie below M."""
+    check_grid(M, h.N)
+    # a shape near the float maximum overflows; the margin refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.ifft(_h_coeffs(h), n=M, axis=1, norm="forward")
+
+
+def on_boundary_points(rows, N: int):
+    """Every k-th point of rows, samples on one uniform grid, where these
+    points are the boundary_points(N) grid; None where boundary_points(N)
+    does not divide the grid's size (or rows is None), and the caller
+    samples that grid afresh."""
+    M = boundary_points(N)
+    if rows is None or len(rows[0]) % M:
+        return None
+    return [row[::len(row) // M] for row in rows]
 
 
 def eval_h_boundary(h: ShapeCoeffs, M: int):
-    """Samples of h and h' on the uniform boundary grid: one inverse FFT
-    each of the power-series coefficients, whose powers lie below M."""
-    check_grid(M, h.N)
-    return tuple(np.fft.ifft(c, n=M, norm="forward") for c in _h_coeffs(h))
+    """Samples of h and h' on the uniform boundary grid (boundary_sample)."""
+    return tuple(boundary_sample(h, M)[:2])
 
 
 @functools.lru_cache(maxsize=4)
@@ -149,7 +170,7 @@ def conformal_factor_grid(h: ShapeCoeffs, n_radial: int, M: int):
     everywhere else on the boundary.
     """
     check_grid(M, h.N)
-    cdf = _h_coeffs(h)[1]
+    cdf = _h_coeffs(h)[1, :-1]
     cdf[0] += 1.0
     pairs = _polar_series(cdf, n_radial, M)
     np.square(pairs, out=pairs)
@@ -160,17 +181,33 @@ def conformal_factor_variation(h: ShapeCoeffs, n_radial: int, M: int):
     """2 Re h' on the polar grid of conformal_factor_grid: the first-order
     change of |f'|^2 = |1 + t h'|^2 in t at the disk."""
     check_grid(M, h.N)
-    return 2.0 * _polar_series(_h_coeffs(h)[1], n_radial, M)[:, 0::2]
+    return 2.0 * _polar_series(_h_coeffs(h)[1, :-1], n_radial, M)[:, 0::2]
+
+
+@functools.lru_cache(maxsize=4)
+def _unit_circle(M: int) -> np.ndarray:
+    """e^{it} on the uniform M-grid.  Cached, so read-only."""
+    z = np.exp(1j * boundary_grid(M))
+    z.setflags(write=False)
+    return z
+
+
+def sample_curve(sample: np.ndarray):
+    """The curve y(t) = f(e^{it}), its tangent y'(t) = i e^{it} f'(e^{it})
+    and y''(t) = -e^{it} (f' + e^{it} h'') from a boundary_sample (h, h',
+    h''); |y'| = |f'|."""
+    z = _unit_circle(sample.shape[1])
+    hv, dhv, d2hv = sample
+    # a shape near the float maximum overflows; the written rows are checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        dfv = 1.0 + dhv
+        return z + hv, 1j * z * dfv, -z * (dfv + z * d2hv)
 
 
 def boundary_curve(h: ShapeCoeffs, M: int):
-    """The curve y(t) = f(e^{it}) and its tangent y'(t) = i e^{it} f'(e^{it})
-    on the uniform M-grid; |y'| = |f'|."""
-    z = np.exp(1j * boundary_grid(M))
-    # a shape near the float maximum overflows; the written rows are checked
-    with np.errstate(over="ignore", invalid="ignore"):
-        hv, dhv = eval_h_boundary(h, M)
-        return z + hv, 1j * z * (1.0 + dhv)
+    """The curve y(t) = f(e^{it}) and its tangent y'(t) on the uniform
+    M-grid (sample_curve)."""
+    return sample_curve(boundary_sample(h, M))[:2]
 
 
 def boundary_rows(h: ShapeCoeffs):
@@ -184,7 +221,7 @@ def boundary_rows(h: ShapeCoeffs):
 def eval_h_at(h: ShapeCoeffs, z: np.ndarray):
     """h and h' at arbitrary points of the closed disk (direct summation).
 
-    On the boundary grid eval_h_boundary does the same with one FFT."""
+    On the boundary grid boundary_sample does the same with one FFT."""
     z = np.asarray(z, dtype=complex)
     hv = h.g0 * z
     dhv = np.full_like(z, h.g0)
@@ -200,16 +237,20 @@ def eval_h_at(h: ShapeCoeffs, z: np.ndarray):
 # certificates and area
 # --------------------------------------------------------------------------
 
-def injectivity_margin(h: ShapeCoeffs) -> float:
+def injectivity_margin(h: ShapeCoeffs, sample=None) -> float:
     """1/sqrt(2) minus the maximum of |h| + |h'| on boundary_points(N) points.
 
-    A positive value certifies that f = id + h is injective on the closed
-    disk; the boundary maximum bounds the interior one since h and h' are
-    analytic.  A negative value is not a proof of non-injectivity.
+    The points are every k-th point of sample, a boundary_sample of h, when
+    boundary_points(N) divides its size (on_boundary_points), and otherwise
+    a fresh sample.  A positive value certifies that f = id + h is injective
+    on the closed disk; the boundary maximum bounds the interior one since
+    h and h' are analytic.  A negative value is not a proof of
+    non-injectivity.
     """
+    hv, dhv, _ = (on_boundary_points(sample, h.N)
+                  or boundary_sample(h, boundary_points(h.N)))
     # a shape near the float maximum overflows to a margin of -inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        hv, dhv = eval_h_boundary(h, boundary_points(h.N))
         return float(1.0 / np.sqrt(2.0) - np.max(np.abs(hv) + np.abs(dhv)))
 
 

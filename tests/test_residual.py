@@ -16,8 +16,9 @@ from tidaldisk.kernel import (VorticityProfile, linear_preset,
                               profile_from_table, rigid_preset)
 from tidaldisk.linop import (apply_forward, first_order_response,
                              make_operator, nonresonance_scan)
-from tidaldisk import linop, residual
+from tidaldisk import linop, residual, spectral
 from tidaldisk.potential import case_a, case_b, make_base_state, u0, u0_d1
+from tidaldisk.radial_ode import _mode_grid, _solve_mode
 from tidaldisk.residual import (_mode_eigs, _product_weights, _solve_modes,
                                 boundary_potential, center_of_mass,
                                 field_equation_residual, first_order_field,
@@ -26,8 +27,8 @@ from tidaldisk.residual import (_mode_eigs, _product_weights, _solve_modes,
                                 residual_norm, solve_phi_h)
 from tidaldisk.spectral import (BoundarySpectrum, ShapeCoeffs, _h_coeffs,
                                boundary_curve, boundary_grid, boundary_rows,
-                               conformal_factor_grid, eval_h_at,
-                               injectivity_margin)
+                               boundary_sample, conformal_factor_grid,
+                               eval_h_at, injectivity_margin, sample_curve)
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +363,28 @@ def test_first_order_field_central_difference(profile):
     assert np.max(np.abs(psi[0])) == 0.0  # Dirichlet at r = 1
 
 
+@pytest.mark.parametrize("case, profile", [
+    (case_b(), linear_preset(1.0, -2.0)), (case_a(0.5), linear_preset(4.0, -2.0))],
+    ids=["B-linear", "A-linear"])
+def test_first_order_field_matches_mode_profiles(case, profile):
+    # with h1' = sum_k d_k z^k, mode k of psi's source is d_k r^k G(phi0),
+    # the mode table's own right-hand side for A_k = r^k alpha_k, so
+    # psi = 2 Re sum_k d_k r^k alpha_k e^{ik theta} from per-mode solves
+    base = make_base_state(case, 2.0, profile)
+    op = make_operator(base, N=32)
+    psi = first_order_field(op, 64, 256)
+    h1, _, _ = first_order_response(op, 1.0)
+    d = _h_coeffs(h1)[1, :-1]
+    grid = _mode_grid(base, 64)
+    r = grid[0].r[1:]  # alpha(1) = 0 at r[0] = 1
+    modes = np.zeros((64, op.N + 1), dtype=complex)
+    for k in range(op.N + 1):
+        modes[1:, k] = d[k] * r**k * _solve_mode(k, grid)[0]
+    modal = 2.0 * np.fft.ifft(modes, n=256, axis=1, norm="forward").real
+    assert np.max(np.abs(psi)) > 0.3
+    assert np.max(np.abs(modal - psi)) < 1e-12
+
+
 def test_first_order_field_made_once_where_needed(base, base_linear):
     # neither make_operator nor the scan makes the first-order solution; a
     # solve makes psi once per grid, and none where G' = 0 (rigid)
@@ -473,7 +496,7 @@ def _quad_power_potential(h, nu, t0):
     """-1/(2 - nu) int P |y - x|^(-nu) dt at x = y(t0), by adaptive quad on
     either side of the singular point, with y(t) = f(e^{it}) summed
     directly from its coefficients."""
-    ch, _ = _h_coeffs(h)
+    ch = _h_coeffs(h)[0]
     ch[1] += 1.0
     k = np.arange(len(ch))
     x = np.sum(ch * np.exp(1j * k * t0))
@@ -552,11 +575,14 @@ def test_boundary_potential_rounding(case):
     # the separated products sum about each block's middle target: 5.2e-16
     # (log), 2.0e-15 (nu = 0.5) and 3.6e-15 (nu = 1) on this shape, where
     # sums about the origin measured 1.1e-15, 2.4e-15 and 6.5e-15 and the
-    # offset form 5.9e-16, 3.6e-15 and 4.5e-15
-    f, yp = boundary_curve(_rough_shape(64, 0.1, 1), 256)
+    # offset form 5.9e-16, 3.6e-15 and 4.5e-15; y'' by an FFT pair of y'
+    # or from the shape's boundary sample
+    f, yp, ypp = sample_curve(boundary_sample(_rough_shape(64, 0.1, 1), 256))
     ref = _offset_form_potential(f, yp, case, np.longdouble)
-    err = float(np.max(np.abs(boundary_potential(f, yp, case) - ref)))
-    assert err <= 8e-16 * max(1.0, float(np.max(np.abs(ref))))
+    for given in (None, ypp):
+        err = float(np.max(np.abs(boundary_potential(f, yp, case, given)
+                                  - ref)))
+        assert err <= 8e-16 * max(1.0, float(np.max(np.abs(ref))))
 
 
 def test_boundary_potential_memory_bounded():
@@ -620,12 +646,13 @@ def test_particle_force_from_residual_curve(case):
 
 @pytest.mark.parametrize("n_angular, samples", [(256, 1), (512, 1), (300, 2)])
 def test_residual_samples_curve_once(base, monkeypatch, n_angular, samples):
-    # particle_force takes residual_F's sample when boundary_points(N)
-    # divides n_angular, and samples the curve afresh when it does not
+    # residual_F samples the shape once, on n_angular; particle_force takes
+    # every k-th point of that sample when boundary_points(N) divides
+    # n_angular, and samples the curve afresh when it does not
     calls = []
-    sample = residual.boundary_curve
-    monkeypatch.setattr(residual, "boundary_curve",
-                        lambda h, M: calls.append(M) or sample(h, M))
+    for name in ("boundary_sample", "boundary_curve"):
+        monkeypatch.setattr(residual, name, lambda h, M, fn=getattr(
+            residual, name): calls.append(M) or fn(h, M))
     residual_F(_small_shape(), base.a0, base.lambda0, 0.0, base,
                n_radial=16, n_angular=n_angular)
     assert calls == [n_angular, 256][:samples]
@@ -712,6 +739,13 @@ def test_injectivity_guards(base):
     with pytest.raises(TidaldiskError, match="injective"):
         residual_F(folded, base.a0, base.lambda0, 0.0, base, n_radial=32,
                    n_angular=64)
+    # a margin passed on is checked as one computed: exit 1, not 4
+    zero = ShapeCoeffs.zero(8)
+    for margin in (0.0, -1.0, np.nan):
+        with pytest.raises(TidaldiskError, match="injective") as info:
+            residual_F(zero, base.a0, base.lambda0, 0.0, base, n_radial=32,
+                       n_angular=64, margin=margin)
+        assert info.value.exit_code == 1
 
 
 def test_folded_iterate_diverges(op, monkeypatch):
@@ -735,6 +769,23 @@ def test_nan_shape_is_not_certified(base, op, monkeypatch):
                         lambda op, m: (nan_shape, 0.0, 0.0))
     with pytest.raises(DivergenceError, match="lost certified injectivity"):
         quasi_newton_solve(op, 1e-6)
+
+
+@pytest.mark.parametrize("nu, n_angular", [(None, 256), (0.5, 256),
+                                           (0.5, 300)])
+def test_residual_supplied_sample_bit_identical(nu, n_angular):
+    # the quasi-Newton loop's sample and margin give what residual_F takes
+    # by itself, bit for bit, on a nested grid and on one that is not
+    base = make_base_state(case_b() if nu is None else case_a(nu), 2.0,
+                           rigid_preset(1.0))
+    h = _decaying_shape(16, 2, 1e-3, seed=5)
+    sample = boundary_sample(h, n_angular)
+    args = (h, base.a0, base.lambda0, 1e-4, base, 32, n_angular)
+    own = residual_F(*args)
+    given = residual_F(*args, sample=sample,
+                       margin=injectivity_margin(h, sample))
+    assert np.array_equal(own[0].coeffs, given[0].coeffs)
+    assert own[1:] == given[1:]
 
 
 def test_residual_vanishes_at_base(base):
@@ -869,6 +920,66 @@ def test_solve_small_mass(op, base):
     half = quasi_newton_solve(op, m / 2, tol=1e-10)
     ratio = (sol.a - base.a0) / (half.a - base.a0)
     assert abs(ratio - 2.0) < 0.05
+
+
+def test_solve_contraction_diagnostics(op):
+    # the ratios of successive residual norms, and |next correction| /
+    # (1 - q) with q the last ratio: within rounding of the distance to a
+    # solve run to a 1e-4 smaller tol, where q / (1 - q) times the last
+    # step read 6x low
+    m = 5e-5
+    sol = quasi_newton_solve(op, m, tol=1e-10)
+    ref = quasi_newton_solve(op, m, tol=1e-14)
+    d = sol.diagnostics
+    h = sol.history
+    assert d["contraction_ratios"] == [h[k + 1] / h[k]
+                                       for k in range(len(h) - 1)]
+    assert len(d["contraction_ratios"]) == sol.iterations - 1 >= 1
+    err = float(np.sqrt((sol.h.g0 - ref.h.g0) ** 2
+                        + np.sum(np.abs(sol.h.gn - ref.h.gn) ** 2)
+                        + (sol.a - ref.a) ** 2 + (sol.lam - ref.lam) ** 2))
+    assert ref.iterations > sol.iterations and err > 1e-13
+    assert abs(d["error_bound"] - err) < 0.1 * err
+    # one iteration: no ratio, so no bound, and the outputs stay finite
+    zero = quasi_newton_solve(op, 0.0).diagnostics
+    assert zero["contraction_ratios"] == [] and zero["error_bound"] is None
+
+
+def test_solve_margin_on_unnested_grid(op, monkeypatch):
+    # boundary_points(64) = 256 does not divide 300: the margin, the force
+    # and the center of mass take a fresh 256-point sample
+    sizes = []
+    for module in (residual, spectral):
+        monkeypatch.setattr(module, "boundary_sample", lambda h, M, fn=(
+            spectral.boundary_sample): sizes.append(M) or fn(h, M))
+    m = 5e-5
+    sol = quasi_newton_solve(op, m, n_angular=300)
+    assert sol.residual_norm < 1e-10
+    assert sizes.count(300) == sol.iterations and 256 in sizes
+    d = sol.diagnostics
+    assert d["injectivity_margin"] == injectivity_margin(sol.h)
+    assert d["center_of_mass"] == list(center_of_mass(sol.h, m, sol.a))
+
+
+@pytest.mark.parametrize("case, profile, N, n_angular", [
+    (case_a(0.5), rigid_preset(1.0), 64, 256),
+    (case_b(), linear_preset(1.0, -2.0), 128, 512)],
+    ids=["A-rigid", "B-linear"])
+def test_solve_transform_budget(case, profile, N, n_angular, monkeypatch):
+    # Per residual evaluation: the stacked h, h', h'' sample, |f'|^2, the
+    # rfft and irfft of each Picard step, the normal derivative and
+    # analyze.  The margin, the curve, y'', the force and the center of
+    # mass read the sample.  The first solve fills the operator's caches.
+    op = make_operator(make_base_state(case, 2.0, profile), N=N)
+    quasi_newton_solve(op, 1e-5, n_angular=n_angular)
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, lambda *args, fn=getattr(
+            np.fft, name), **kw: calls.append(fn) or fn(*args, **kw))
+    sol = quasi_newton_solve(op, 2e-5, n_angular=n_angular)
+    steps = sol.diagnostics["picard_steps"]
+    assert len(calls) == sum(4 + 2 * s for s in steps)
+    assert steps == [1, 1] and len(calls) == 12
 
 
 def test_solve_mass_cap(op):

@@ -5,10 +5,11 @@ from disk_quadrature import area_quadrature
 from tidaldisk.errors import ConfigError
 from tidaldisk.spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
                                 boundary_curve, boundary_grid,
-                                boundary_points, conformal_factor_grid,
+                                boundary_points, boundary_sample,
+                                conformal_factor_grid,
                                 eval_h_at, eval_h_boundary,
-                                injectivity_margin, self_intersection_oracle,
-                                synthesize)
+                                injectivity_margin, sample_curve,
+                                self_intersection_oracle, synthesize)
 
 
 def _shape(g0, *gn):
@@ -49,6 +50,15 @@ def test_eval_consistency():
     dfdt = np.fft.ifft(1j * np.arange(M) * np.fft.fft(f))
     assert np.max(np.abs(yp - dfdt)) < 1e-13
     assert np.max(np.abs(np.abs(yp) - np.abs(1.0 + dhv))) < 1e-15
+    # the sample's rows are h, h' and h'', and y'' = d/dt y'
+    sample = boundary_sample(h, M)
+    assert np.array_equal(sample[:2], [hv, dhv])
+    d2h = np.fft.ifft(1j * np.arange(M) * np.fft.fft(dhv)) / (1j * z)
+    assert np.max(np.abs(sample[2] - d2h)) < 1e-13
+    f2, yp2, ypp = sample_curve(sample)
+    assert np.array_equal(f2, f) and np.array_equal(yp2, yp)
+    ddt = np.fft.ifft(1j * np.arange(M) * np.fft.fft(yp))
+    assert np.max(np.abs(ypp - ddt)) < 1e-13
     with pytest.raises(ConfigError):
         eval_h_boundary(h, 4)
 
