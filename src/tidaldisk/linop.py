@@ -50,6 +50,9 @@ class LinearizedOperator:
                                            repr=False, compare=False)
     stream_fields: dict = field(default_factory=dict, init=False,
                                 repr=False, compare=False)
+    # set by the first solve_linearized that finds the table non-resonant
+    nonresonant: bool = field(default=False, init=False, repr=False,
+                              compare=False)
 
     @property
     def N(self) -> int:
@@ -165,12 +168,16 @@ def solve_linearized(op: LinearizedOperator, S: BoundarySpectrum,
                      Z: float, M: float):
     """Invert the frozen linearization for right-hand side (S, Z, M).
 
-    Returns (g, b, mu).  S beyond the table truncation is rejected.
+    Returns (g, b, mu).  S beyond the table truncation is rejected.  The
+    table is checked for resonances on the first call that finds none, and
+    a resonant table raises ResonanceError on every call.
     """
     if S.N > op.N:
         raise ValueError("spectrum truncation exceeds the operator table")
     t = op.table
-    check_resonances(t)
+    if not op.nonresonant:
+        check_resonances(t)
+        op.nonresonant = True
 
     g0 = M / (2.0 * np.pi)
     gn = np.zeros(op.N, dtype=complex)

@@ -25,6 +25,12 @@ eigenbasis, and the iteration stops on an a-posteriori bound of its error
 quasi-Newton solve passes the first-order field phi0 + m psi
 (first_order_field) to its first call at m != 0 and the previous iterate's
 to the later ones, and the default is the base-state field phi0(r).
+
+Where G is constant on the range of phi_h (constant_vorticity), as for
+rigid rotation, residual_F solves nothing on the grid: phi_h is
+(G0/4)(|f|^2 - P[|f|^2]), P the Poisson extension, and its normal
+derivative comes from the boundary sample in closed form
+(closed_form_flux).
 """
 
 from __future__ import annotations
@@ -133,10 +139,29 @@ class DiskField:
 
     def boundary_normal_deriv(self) -> np.ndarray:
         """Radial derivative at r = 1, mode by mode with the correct parity
-        fold of the half-diameter discretization."""
-        rows = [self.grid.d1(p)[:1] for p in (0, 1)]
-        return np.fft.irfft(_parity_fold(rows, self.spectrum)[0],
-                            n=len(self.phi))
+        fold of the half-diameter discretization (_boundary_rows)."""
+        return np.fft.irfft(
+            _parity_fold(_boundary_rows(len(self.r)), self.spectrum)[0],
+            n=len(self.phi))
+
+
+@functools.lru_cache(maxsize=4)
+def _boundary_rows(n_radial: int):
+    """The r = 1 rows of d_r for parity 0 and 1 on the half-diameter grid
+    of n_radial nodes, as (1, n_radial) arrays.  They depend on the grid
+    alone; cached, so read-only."""
+    grid, _ = _radial_basis(n_radial)
+    rows = tuple(grid.d1(p)[:1] for p in (0, 1))
+    for row in rows:
+        row.setflags(write=False)
+    return rows
+
+
+def _require_certified(margin: float):
+    """Refuse a shape whose injectivity margin is not positive."""
+    if not margin > 0:
+        raise TidaldiskError("shape is not certified injective; refusing "
+                             "to solve on a possibly folded domain")
 
 
 def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
@@ -178,9 +203,7 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
     """
     if margin is None:
         margin = injectivity_margin(h)
-    if not margin > 0:
-        raise TidaldiskError("shape is not certified injective; refusing "
-                             "to solve on a possibly folded domain")
+    _require_certified(margin)
     if n_angular is None:
         n_angular = boundary_points(h.N)
     grid, _ = _radial_basis(n_radial)
@@ -254,6 +277,45 @@ def first_order_field(op: LinearizedOperator, n_radial: int = DEFAULT_RADIAL,
             psi.setflags(write=False)
         op.stream_fields[key] = psi
     return op.stream_fields[key]
+
+
+def constant_vorticity(h: ShapeCoeffs,
+                       profile: VorticityProfile) -> Optional[float]:
+    """G0 = G(0) where G takes that one value wherever h's stream function
+    lies, and otherwise None.
+
+    On the closed disk |f| <= R = 1 + |g0| + sum |g_n|.  For G = G0 the
+    stream function is (G0/4)(|f|^2 - P[|f|^2]) (closed_form_flux), and
+    |f|^2 <= P[|f|^2] <= R^2 puts it between 0 and -G0 R^2/4.  Where G
+    equals G0 at both ends of that interval in floating point, a
+    non-decreasing G is G0 on all of it, and that field is the solution:
+    so for the rigid and zero presets and for tables flat there.  A G that
+    rises on the interval, as a linear G with a slope and G(0) != 0 does,
+    gives None.
+    """
+    g0 = float(profile.eval(0.0))
+    R = 1.0 + abs(h.g0) + float(np.sum(np.abs(h.gn)))
+    if float(profile.eval(-0.25 * g0 * R * R)) == g0:
+        return g0
+    return None
+
+
+def closed_form_flux(f: np.ndarray, yp: np.ndarray, g0: float) -> np.ndarray:
+    """Normal derivative on the circle of the u with Delta u = |f'|^2 G0 in
+    the disk and u = 0 on the circle, from the curve y = f(e^{it}) and its
+    tangent y' on a uniform grid (spectral.sample_curve).
+
+    f is analytic, so Delta |f|^2 = 4 |f'|^2 and u = (G0/4)(|f|^2 - P[|f|^2])
+    with P[|f|^2] the harmonic function of boundary values |y|^2.  On the
+    circle d_r |f|^2 = 2 Im(conj(y) y'), and d_r P[|f|^2] = sum_p |p| c_p
+    e^{ipt} with c_p the Fourier coefficients of |y|^2: one rfft/irfft
+    pair.  |y|^2 and Im(conj(y) y') have degree N, so the samples are exact
+    on the package's grids of 2N + 2 or more points.
+    """
+    M = len(f)
+    harmonic = np.fft.irfft(np.arange(M // 2 + 1)
+                            * np.fft.rfft(np.abs(f) ** 2), n=M)
+    return 0.25 * g0 * (2.0 * (f.conj() * yp).imag - harmonic)
 
 
 def field_equation_residual(fieldv: DiskField, h: ShapeCoeffs,
@@ -462,15 +524,21 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
                n_radial: int = DEFAULT_RADIAL,
                n_angular: Optional[int] = None,
                return_field: bool = False, u_init=None, sample=None,
-               margin: Optional[float] = None):
+               margin: Optional[float] = None, points=None):
     """The three components of the reduced system at state (h, a, lam).
 
     Returns (S_res, r2, r3) where S_res is the boundary spectrum of the
     Bernoulli mismatch, r2 the particle-balance residual and r3 the volume
-    residual; with return_field=True the stream-function field is appended.
-    The stream-function solve starts from u_init, by default from the
-    base-state field phi0(r), and its field carries its own rfft for the
-    normal derivative.
+    residual; with return_field=True the stream-function field is appended,
+    None where the flux has the closed form.
+
+    The flux, the stream function's normal derivative, has a closed form
+    where G is constant on the stream function's range (constant_vorticity:
+    the rigid and zero presets and flat tables), read from the boundary
+    sample (closed_form_flux), and no field is solved.  For any other G,
+    solve_phi_h solves for the field from u_init, by default the base-state
+    field phi0(r), and the field carries its own rfft for the normal
+    derivative.
 
     The shape is sampled once: sample is h, h' and h'' on the n_angular grid
     (spectral.boundary_sample), which the quasi-Newton loop takes once per
@@ -479,8 +547,10 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
     The curve, its tangent and y'' for the boundary potential come from
     it, and so do margin, h's injectivity margin, when not given, and the
     particle force, both at every k-th point when boundary_points(N)
-    divides n_angular.  solve_phi_h refuses a non-positive margin
-    (TidaldiskError).
+    divides n_angular.  Where it does not, points, a boundary_sample on
+    boundary_points(N), gives the force its curve; without it the force
+    samples that grid itself.  A non-positive margin is refused
+    (TidaldiskError) on either path.
     """
     if n_angular is None:
         n_angular = boundary_points(h.N)
@@ -488,13 +558,19 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
         sample = boundary_sample(h, n_angular)
     if margin is None:
         margin = injectivity_margin(h, sample)
-    if u_init is None:
-        u_init = base.phi0.grid_values(n_radial)[:, None]
-    fieldv = solve_phi_h(h, base.profile, n_radial=n_radial,
-                         n_angular=n_angular, u_init=u_init, margin=margin)
-    dn = fieldv.boundary_normal_deriv()
-
+    _require_certified(margin)
     f, yp, ypp = sample_curve(sample)
+    g0 = constant_vorticity(h, base.profile)
+    if g0 is None:
+        if u_init is None:
+            u_init = base.phi0.grid_values(n_radial)[:, None]
+        fieldv = solve_phi_h(h, base.profile, n_radial=n_radial,
+                             n_angular=n_angular, u_init=u_init, margin=margin)
+        dn = fieldv.boundary_normal_deriv()
+    else:
+        fieldv = None
+        dn = closed_form_flux(f, yp, g0)
+
     grad2 = dn ** 2 / np.abs(yp) ** 2  # tangential part vanishes (Dirichlet)
 
     u_self = boundary_potential(f, yp, base.case, ypp)
@@ -504,7 +580,8 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
                + u_self + m * u_part - lam)
     S_res = analyze(samples, N=h.N)
 
-    r2 = base.omega0**2 * a - particle_force(h, base.case, a, (f, yp)).real
+    curve = (f, yp) if points is None else sample_curve(points)[:2]
+    r2 = base.omega0**2 * a - particle_force(h, base.case, a, curve).real
     r3 = area(h) - np.pi
     if return_field:
         return S_res, float(r2), float(r3), fieldv
@@ -549,9 +626,10 @@ def _diagnostics(h: ShapeCoeffs, a: float, m: float, S: BoundarySpectrum,
                  picard_steps: list, margin: float, sample: np.ndarray,
                  history: list, correction: tuple) -> dict:
     """Diagnostics of a converged state.  The quasi-Newton loop passes its
-    boundary sample of the iterate, the margin it computed from it, the
-    residual norms of every iterate and the correction (g, b, mu) that the
-    iterate's residual would take next."""
+    boundary sample of the iterate that holds the boundary_points(N) grid,
+    the margin it computed from it, the residual norms of every iterate and
+    the correction (g, b, mu) that the iterate's residual would take
+    next."""
     com = center_of_mass(h, m, a, sample_curve(sample)[:2])
     # Pressure continuity on the free boundary: the interior pressure at the
     # boundary is -(1/2)|grad psi|^2 + (Omega0^2/2)|x|^2 + lambda (the
@@ -574,7 +652,8 @@ def _diagnostics(h: ShapeCoeffs, a: float, m: float, S: BoundarySpectrum,
         "symmetry_defect": h.symmetry_defect(),
         "injectivity_margin": margin,
         "pressure_jump_sup": jump_sup,
-        # stream-function Picard steps of each residual_F call
+        # stream-function Picard steps of each residual_F call, 0 where
+        # the flux has the closed form
         "picard_steps": picard_steps,
         "contraction_ratios": ratios,
         "error_bound": bound,
@@ -600,7 +679,12 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
 
     Each iterate is sampled once (spectral.boundary_sample, on n_angular):
     its injectivity margin, every residual_F boundary value and, for the
-    final iterate, the center of mass read that sample.  The diagnostics
+    final iterate, the center of mass read that sample.  Where
+    boundary_points(N) does not divide n_angular, the iterate is sampled
+    once more on boundary_points(N), for the margin, the particle force and
+    the center of mass.  Where G is constant on the stream function's range
+    (rigid rotation), residual_F solves no field, so none is carried from
+    one iterate to the next and picard_steps records 0.  The diagnostics
     list the ratios of successive residual norms (contraction_ratios) and
     an error_bound: the next correction's norm over 1 - q, q the last
     ratio, or None with one iteration or q >= 1.
@@ -609,8 +693,10 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
     if m_cap is not None and abs(m) > m_cap:
         raise TidaldiskError(f"m={m:g} exceeds m_cap={m_cap:g}")
     stop = tol * max(1.0, base.dphi0_at_1 ** 2)
+    n_points = boundary_points(op.N)
     if n_angular is None:
-        n_angular = boundary_points(op.N)
+        n_angular = n_points
+    nested = n_angular % n_points == 0
 
     h, a1, l1 = first_order_response(op, m)
     a = base.a0 + a1
@@ -629,11 +715,13 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
             raise DivergenceError(
                 f"iterate moved the particle to a={a:.6g}, inside the "
                 f"admissible distance {_A0_MIN}", history=history)
-        # one boundary sample per iterate, which residual_F reads; an
+        # one boundary sample per iterate, which residual_F reads, and one
+        # on boundary_points(N) where that grid is not nested in it; an
         # iterate that leaves the certified set is a divergence (exit 4),
-        # where solve_phi_h refuses such a shape with TidaldiskError (exit 1)
+        # where residual_F refuses such a shape with TidaldiskError (exit 1)
         sample = boundary_sample(h, n_angular)
-        margin = injectivity_margin(h, sample)
+        points = None if nested else boundary_sample(h, n_points)
+        margin = injectivity_margin(h, sample if nested else points)
         if not margin > 0:
             raise DivergenceError("iterate lost certified injectivity",
                                   history=history)
@@ -642,17 +730,18 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
         S, r2, r3, fieldv = residual_F(h, a, lam, m, base, n_radial,
                                        n_angular, return_field=True,
                                        u_init=u_prev, sample=sample,
-                                       margin=margin)
-        u_prev = fieldv.values
-        picard_steps.append(fieldv.picard_steps)
+                                       margin=margin, points=points)
+        u_prev = None if fieldv is None else fieldv.values
+        picard_steps.append(0 if fieldv is None else fieldv.picard_steps)
         rn = residual_norm(S, r2, r3)
         history.append(rn)
         g, b, mu = solve_linearized(op, S, r2, r3)  # g.N == op.N == h.N
         if rn < stop:
             return EquilibriumSolution(
                 h, a, lam, m, rn, it, history,
-                _diagnostics(h, a, m, S, picard_steps, margin, sample,
-                             history, (g, b, mu)))
+                _diagnostics(h, a, m, S, picard_steps, margin,
+                             sample if nested else points, history,
+                             (g, b, mu)))
         if len(history) > 1 and rn > history[-2]:
             bad_streak += 1
             if bad_streak >= 3:

@@ -53,6 +53,30 @@ def test_scan_flags_planted_resonance(op):
     assert exc.value.exit_code == 3
 
 
+def test_resonances_checked_once_per_operator(op, monkeypatch):
+    # the table is scanned on the first solve_linearized, the first-order
+    # response's, and not again on the quasi-Newton iterates
+    from tidaldisk.residual import quasi_newton_solve
+    fresh = make_operator(op.base, table=op.table)
+    calls = []
+    scan = linop.resonant_modes
+    monkeypatch.setattr(linop, "resonant_modes",
+                        lambda t: calls.append(1) or scan(t))
+    sol = quasi_newton_solve(fresh, 5e-5)
+    assert sol.iterations == 2 and calls == [1]
+    # a resonant table raises on every call, and from the solve
+    omega = op.table.omega.copy()
+    omega[2] = 0.0
+    bad = dataclasses.replace(fresh, table=dataclasses.replace(op.table,
+                                                               omega=omega))
+    for _ in range(2):
+        with pytest.raises(ResonanceError) as exc:
+            solve_linearized(bad, BoundarySpectrum.zero(4), 0.0, 0.0)
+        assert exc.value.mode == 2 and exc.value.exit_code == 3
+    with pytest.raises(ResonanceError):
+        quasi_newton_solve(bad, 5e-5)
+
+
 @pytest.mark.parametrize("bad, tail", [
     ([2, 4], 5),      # the certified tail starts in the middle
     ([], 1),          # every mode dominated

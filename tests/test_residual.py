@@ -13,7 +13,8 @@ from tidaldisk.chebyshev import HalfDiameterGrid
 from tidaldisk.errors import (ConfigError, DegenerateBaseError, DivergenceError,
                               ResonanceError, TidaldiskError)
 from tidaldisk.kernel import (VorticityProfile, linear_preset,
-                              profile_from_table, rigid_preset)
+                              profile_from_csv, profile_from_table,
+                              rigid_preset, zero_preset)
 from tidaldisk.linop import (apply_forward, first_order_response,
                              make_operator, nonresonance_scan)
 from tidaldisk import linop, residual, spectral
@@ -21,6 +22,7 @@ from tidaldisk.potential import case_a, case_b, make_base_state, u0, u0_d1
 from tidaldisk.radial_ode import _mode_grid, _solve_mode
 from tidaldisk.residual import (_mode_eigs, _product_weights, _solve_modes,
                                 boundary_potential, center_of_mass,
+                                closed_form_flux, constant_vorticity,
                                 field_equation_residual, first_order_field,
                                 particle_force, particle_potential_at,
                                 quasi_newton_solve, residual_F,
@@ -387,7 +389,8 @@ def test_first_order_field_matches_mode_profiles(case, profile):
 
 def test_first_order_field_made_once_where_needed(base, base_linear):
     # neither make_operator nor the scan makes the first-order solution; a
-    # solve makes psi once per grid, and none where G' = 0 (rigid)
+    # solve makes psi once per grid, and none where G' = 0 (rigid), whose
+    # flux has the closed form, so no Picard step is taken
     rigid, linear = (make_operator(b, N=16) for b in (base, base_linear))
     for op in (rigid, linear):
         nonresonance_scan(op)
@@ -400,7 +403,7 @@ def test_first_order_field_made_once_where_needed(base, base_linear):
     sol = quasi_newton_solve(rigid, 0.5 * _linear_cap(rigid), n_radial=32,
                              n_angular=64)
     assert rigid.stream_fields == {(32, 64): None}
-    assert sol.diagnostics["picard_steps"] == [1, 1]
+    assert sol.diagnostics["picard_steps"] == [0, 0]
 
 
 def test_zero_mass_solve_makes_no_first_order_field(base_linear):
@@ -417,6 +420,123 @@ def test_stream_function_rejects_folded_shape(base):
     with pytest.raises(TidaldiskError):
         solve_phi_h(ShapeCoeffs(0.8, np.zeros(0, dtype=complex)),
                     base.profile, n_radial=16, n_angular=32)
+
+
+# --------------------------------------------------------------------------
+# closed-form flux for constant G
+# --------------------------------------------------------------------------
+
+def _rough_shapes():
+    """(h, n_angular): certified shapes with |g_n| ~ scale / n^power."""
+    return [(_decaying_shape(16, 2, 0.05, seed=3), 64),
+            (_decaying_shape(64, 1.5, 0.01, seed=3), 256),
+            (_decaying_shape(64, 3, 0.05, seed=3), 256)]
+
+
+@pytest.mark.parametrize("n_radial", [32, 64])
+def test_closed_form_flux_matches_grid_solve(base, n_radial):
+    # the normal derivative of (G0/4)(|f|^2 - P[|f|^2]), read from the
+    # boundary sample, against solve_phi_h's (measured 1.4e-13)
+    for h, M in _rough_shapes():
+        assert injectivity_margin(h) > 0
+        g0 = constant_vorticity(h, base.profile)
+        assert g0 == -2.0
+        f, yp, _ = sample_curve(boundary_sample(h, M))
+        fld = solve_phi_h(h, base.profile, n_radial=n_radial, n_angular=M)
+        dn = fld.boundary_normal_deriv()
+        assert np.max(np.abs(closed_form_flux(f, yp, g0) - dn)) < 1e-12, h.N
+
+
+def test_closed_form_field_solves_field_equation(base):
+    # u = (G0/4)(|f|^2 - P[|f|^2]) on the polar grid, with f summed
+    # directly and P[|f|^2] = sum_p c_p r^|p| e^{ipt} from the boundary
+    # coefficients of |y|^2: it solves the field equation, vanishes on the
+    # circle, and its normal derivative is the closed-form flux
+    M = 32
+    for h in (_small_shape(), _decaying_shape(12, 2, 0.05, seed=5)):
+        grid = HalfDiameterGrid(16)
+        phi = boundary_grid(M)
+        z = grid.r[:, None] * np.exp(1j * phi)[None, :]
+        f, yp, _ = sample_curve(boundary_sample(h, M))
+        p = np.arange(M // 2 + 1)
+        P = np.fft.irfft(np.fft.rfft(np.abs(f) ** 2) * grid.r[:, None] ** p,
+                         n=M, axis=1)
+        u = -0.5 * (np.abs(z + eval_h_at(h, z)[0]) ** 2 - P)
+        fld = residual.DiskField(r=grid.r, phi=phi, values=u,
+                                 spectrum=np.fft.rfft(u, axis=1), grid=grid)
+        assert field_equation_residual(fld, h, base.profile) < 1e-10
+        assert np.max(np.abs(u[0])) < 1e-15
+        dn = closed_form_flux(f, yp, -2.0)
+        assert np.max(np.abs(fld.boundary_normal_deriv() - dn)) < 1e-12
+
+
+def test_constant_vorticity_selection(tmp_path):
+    # the path is taken where G(0) == G(-G0 R^2 / 4) in floating point:
+    # never for a rising G with G(0) != 0, for a table flat over the
+    # interval, and for G = 0 with a zero flux
+    shapes = [ShapeCoeffs.zero(8), _small_shape(),
+              _decaying_shape(64, 3, 0.05, seed=3)]
+    for h in shapes:
+        for slope in (1.0, 1e-12, 300.0):
+            assert constant_vorticity(h, linear_preset(slope, -2.0)) is None
+        assert constant_vorticity(h, rigid_preset(3.0)) == -6.0
+        assert constant_vorticity(h, zero_preset()) == 0.0
+    # flat on [-0.5, 1.5]; R^2 = 3 would reach its end
+    path = tmp_path / "flat.csv"
+    path.write_text("-2,-4\n-1,-3\n-0.5,-2\n0,-2\n0.5,-2\n1.5,-2\n"
+                    "2.5,-1\n3.5,0\n")
+    flat = profile_from_csv(str(path))
+    for h in shapes:
+        assert constant_vorticity(h, flat) == -2.0
+    assert constant_vorticity(ShapeCoeffs(0.8, np.zeros(1)), flat) is None
+    f, yp, _ = sample_curve(boundary_sample(shapes[2], 256))
+    assert not np.any(closed_form_flux(f, yp, 0.0))
+
+
+def test_closed_form_path_by_profile(base, base_linear, monkeypatch):
+    # rigid G solves no field and returns none; a linear G keeps the grid
+    # solve, bit for bit
+    calls = []
+    solve = residual.solve_phi_h
+    monkeypatch.setattr(residual, "solve_phi_h",
+                        lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    h = _small_shape()
+    *_, fld = residual_F(h, base.a0, base.lambda0, 1e-4, base, n_radial=32,
+                         n_angular=64, return_field=True)
+    assert fld is None and calls == []
+    S, r2, r3, fld = residual_F(h, base_linear.a0, base_linear.lambda0, 1e-4,
+                                base_linear, n_radial=32, n_angular=64,
+                                return_field=True)
+    assert calls == [1]
+    monkeypatch.undo()
+    ref = solve_phi_h(h, base_linear.profile, n_radial=32, n_angular=64,
+                      u_init=base_linear.phi0.grid_values(32)[:, None])
+    assert np.array_equal(fld.values, ref.values)
+
+
+def test_rigid_solve_makes_no_grid_solve(monkeypatch):
+    # the solve-A-rigid configuration: every residual takes the closed
+    # form, so no field is solved, carried or started from
+    op = make_operator(make_base_state(case_a(0.5), 2.0, rigid_preset(1.0)),
+                       N=64)
+    monkeypatch.setattr(residual, "solve_phi_h", None)
+    sol = quasi_newton_solve(op, 5e-5)
+    assert sol.residual_norm < 1e-10 and sol.iterations == 2
+    assert sol.diagnostics["picard_steps"] == [0, 0]
+
+
+def test_boundary_rows_cached_bit_identical(base_linear):
+    # the r = 1 rows of d_r are made once per grid, read-only, and give the
+    # normal derivative of rows taken from the full matrices
+    fld = solve_phi_h(_small_shape(), base_linear.profile, n_radial=32,
+                      n_angular=64)
+    rows = residual._boundary_rows(32)
+    assert residual._boundary_rows(32) is rows
+    assert not any(row.flags.writeable for row in rows)
+    grid = HalfDiameterGrid(32)
+    full = [grid.d1(p)[:1] for p in (0, 1)]
+    ref = np.fft.irfft(residual._parity_fold(full, fld.spectrum)[0], n=64)
+    assert np.array_equal(fld.boundary_normal_deriv(), ref)
 
 
 # --------------------------------------------------------------------------
@@ -731,14 +851,18 @@ def test_center_of_mass_disk():
 # residual
 # --------------------------------------------------------------------------
 
-def test_injectivity_guards(base):
+def test_injectivity_guards(base, monkeypatch):
     # |h| + |h'| = 0.8 + 1.6 at z = 1: the certificate fails
     folded = ShapeCoeffs(0.0, np.array([0.8 + 0j]))
     with pytest.raises(TidaldiskError, match="injective"):
         solve_phi_h(folded, base.profile, n_radial=32, n_angular=64)
-    with pytest.raises(TidaldiskError, match="injective"):
+    # rigid G takes the closed-form flux, which solves no field and still
+    # refuses the shape with exit 1
+    monkeypatch.setattr(residual, "solve_phi_h", None)
+    with pytest.raises(TidaldiskError, match="injective") as info:
         residual_F(folded, base.a0, base.lambda0, 0.0, base, n_radial=32,
                    n_angular=64)
+    assert info.value.exit_code == 1
     # a margin passed on is checked as one computed: exit 1, not 4
     zero = ShapeCoeffs.zero(8)
     for margin in (0.0, -1.0, np.nan):
@@ -857,12 +981,13 @@ def test_residual_linearization_consistency(base, op):
 # --------------------------------------------------------------------------
 
 def test_solve_zero_mass(op, base):
-    # m = 0 runs the loop from the disk, which its first residual accepts
+    # m = 0 runs the loop from the disk, which its first residual accepts;
+    # rigid G takes the closed-form flux, with no Picard step
     sol = quasi_newton_solve(op, 0.0)
     assert sol.iterations == 1
     assert sol.a == base.a0 and sol.lam == base.lambda0
     assert sol.residual_norm < 1e-12
-    assert sol.diagnostics["picard_steps"] == [1]
+    assert sol.diagnostics["picard_steps"] == [0]
 
 
 def test_solve_zero_mass_checks_tol():
@@ -946,8 +1071,9 @@ def test_solve_contraction_diagnostics(op):
 
 
 def test_solve_margin_on_unnested_grid(op, monkeypatch):
-    # boundary_points(64) = 256 does not divide 300: the margin, the force
-    # and the center of mass take a fresh 256-point sample
+    # boundary_points(64) = 256 does not divide 300: each iterate takes
+    # one 256-point sample, which the margin, the force and the center of
+    # mass share
     sizes = []
     for module in (residual, spectral):
         monkeypatch.setattr(module, "boundary_sample", lambda h, M, fn=(
@@ -955,21 +1081,24 @@ def test_solve_margin_on_unnested_grid(op, monkeypatch):
     m = 5e-5
     sol = quasi_newton_solve(op, m, n_angular=300)
     assert sol.residual_norm < 1e-10
-    assert sizes.count(300) == sol.iterations and 256 in sizes
+    assert sizes == [300, 256] * sol.iterations
     d = sol.diagnostics
     assert d["injectivity_margin"] == injectivity_margin(sol.h)
     assert d["center_of_mass"] == list(center_of_mass(sol.h, m, sol.a))
 
 
-@pytest.mark.parametrize("case, profile, N, n_angular", [
-    (case_a(0.5), rigid_preset(1.0), 64, 256),
-    (case_b(), linear_preset(1.0, -2.0), 128, 512)],
+@pytest.mark.parametrize("case, profile, N, n_angular, picard, transforms", [
+    (case_a(0.5), rigid_preset(1.0), 64, 256, [0, 0], 8),
+    (case_b(), linear_preset(1.0, -2.0), 128, 512, [1, 1], 12)],
     ids=["A-rigid", "B-linear"])
-def test_solve_transform_budget(case, profile, N, n_angular, monkeypatch):
+def test_solve_transform_budget(case, profile, N, n_angular, picard,
+                                transforms, monkeypatch):
     # Per residual evaluation: the stacked h, h', h'' sample, |f'|^2, the
     # rfft and irfft of each Picard step, the normal derivative and
-    # analyze.  The margin, the curve, y'', the force and the center of
-    # mass read the sample.  The first solve fills the operator's caches.
+    # analyze; on constant G, the sample, the rfft and irfft of the
+    # closed-form flux and analyze.  The margin, the curve, y'', the force
+    # and the center of mass read the sample.  The first solve fills the
+    # operator's caches.
     op = make_operator(make_base_state(case, 2.0, profile), N=N)
     quasi_newton_solve(op, 1e-5, n_angular=n_angular)
     calls = []
@@ -979,7 +1108,7 @@ def test_solve_transform_budget(case, profile, N, n_angular, monkeypatch):
     sol = quasi_newton_solve(op, 2e-5, n_angular=n_angular)
     steps = sol.diagnostics["picard_steps"]
     assert len(calls) == sum(4 + 2 * s for s in steps)
-    assert steps == [1, 1] and len(calls) == 12
+    assert steps == picard and len(calls) == transforms
 
 
 def test_solve_mass_cap(op):
