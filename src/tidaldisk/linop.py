@@ -29,7 +29,7 @@ from .coeffs import (DEFAULT_N_MODES, ModeTable, build_mode_table,
 from .errors import DegenerateBaseError, ResonanceError
 from .potential import BaseState, particle_potential_at, u0_d2
 # eval_h_at is not called here; perfbench/tracing.py wraps it under this name
-from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, boundary_grid,
+from .spectral import (BoundarySpectrum, ShapeCoeffs, _unit_circle, analyze,
                        boundary_points, eval_h_at)
 
 _RESONANCE_TOL = 1e-8
@@ -141,7 +141,7 @@ def _w_weights(base: BaseState, N: int) -> np.ndarray:
     dt, here 2 pi Re rfft(k)_n / M on M = boundary_points(N) points.
     """
     M = boundary_points(N)
-    z = np.exp(1j * boundary_grid(M))
+    z = _unit_circle(M)
     strength, p = base.case.force_law
     k = strength * (base.a0 - z.real) * np.abs(base.a0 - z) ** (-(p + 2.0))
     w = 2.0 * np.pi / M * np.fft.rfft(k)[:N + 1].real
@@ -208,7 +208,7 @@ def apply_forward(op: LinearizedOperator, g: ShapeCoeffs, b: float, mu: float):
 # --------------------------------------------------------------------------
 
 def particle_source_spectrum(op: LinearizedOperator) -> BoundarySpectrum:
-    z = np.exp(1j * boundary_grid(boundary_points(op.N)))
+    z = _unit_circle(boundary_points(op.N))
     return analyze(particle_potential_at(op.base.case, op.base.a0, z), N=op.N)
 
 

@@ -319,12 +319,14 @@ def particle_potential_at(case: InteractionCase, a: float,
 # base state
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BaseState:
     """The unperturbed (zero-mass) rotating configuration.
 
     The fluid body is the unit disk with radial stream profile phi0; the
     particle sits at (a0, 0) and the rotation speed makes it force free.
+    It hashes by identity: radial_ode.mode_profiles caches per base object,
+    so two bases of one profile never share a table.
     """
 
     case: InteractionCase

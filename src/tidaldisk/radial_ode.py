@@ -272,8 +272,11 @@ def _shifted_back_substitution(T: np.ndarray, s: np.ndarray,
     return B
 
 
-def mode_derivatives(base, N: int, n_nodes: int = DEFAULT_RADIAL) -> np.ndarray:
-    """A_n'(1) for n = 0..N, all on one grid with one set of G tables.
+@functools.lru_cache(maxsize=1)
+def mode_profiles(base, N: int, n_nodes: int = DEFAULT_RADIAL) -> np.ndarray:
+    """alpha_n = A_n / r^n, n = 0..N, at the interior nodes of the even
+    block (alpha_n(1) = 0 is dropped): one read-only (n_nodes - 1) x (N + 1)
+    array, all on one grid with one set of G tables.
 
     The systems (L + 2n C) alpha_n = g0 differ only by the shift 2n, so
     they share one real Schur form C^-1 L = Q T Q^T: alpha_n =
@@ -283,11 +286,11 @@ def mode_derivatives(base, N: int, n_nodes: int = DEFAULT_RADIAL) -> np.ndarray:
     C^-1 L for the Schur form, and Q^T C^-1, formed once per table, on g0
     and on the residual.  Forming C^-1 L costs accuracy in cond(C) (about
     3e3 at 64 radii), so one step of iterative refinement against L and C
-    follows.  Per-mode solves refined with long-double residuals match the
-    result to 2e-14 relative up to 128 radii (n <= 256); ``solve_An``'s
-    single LU solve reads up to 1.3e-13 there.  No profile is built.
+    follows.  The last result is cached per base object (BaseState hashes
+    by identity), so a table and residual.first_order_field on its grid
+    share one Schur form; callers pass the arguments positionally, one key.
     """
-    _, L, C, row, g0 = _mode_grid(base, n_nodes)
+    _, L, C, _, g0 = _mode_grid(base, n_nodes)
     C_inv = _grid_operators(n_nodes)[1]
     T, Q = schur(C_inv @ L, overwrite_a=True)
     s = 2.0 * np.arange(N + 1)
@@ -302,7 +305,16 @@ def mode_derivatives(base, N: int, n_nodes: int = DEFAULT_RADIAL) -> np.ndarray:
     R -= L @ alpha
     R += g0[:, None]
     alpha += sweep(P @ R)
-    return row @ alpha
+    alpha.setflags(write=False)
+    return alpha
+
+
+def mode_derivatives(base, N: int, n_nodes: int = DEFAULT_RADIAL) -> np.ndarray:
+    """A_n'(1) = alpha_n'(1), n = 0..N: the r = 1 row of d_r times
+    mode_profiles.  Per-mode solves refined with long-double residuals match
+    it to 2e-14 relative up to 128 radii (n <= 256); ``solve_An``'s single
+    LU solve reads up to 1.3e-13 there.  No profile is built."""
+    return _grid_operators(n_nodes)[2] @ mode_profiles(base, N, n_nodes)
 
 
 def solve_An(n: int, base, n_nodes: int = DEFAULT_RADIAL):

@@ -24,7 +24,8 @@ eigenbasis, and the iteration stops on an a-posteriori bound of its error
 (solve_phi_h).  residual_F starts the iteration from a given field: the
 quasi-Newton solve passes the first-order field phi0 + m psi
 (first_order_field) to its first call at m != 0 and the previous iterate's
-to the later ones, and the default is the base-state field phi0(r).
+to the later ones, and the default is the base-state field phi0(r).  psi
+is one inverse FFT of the mode table's own profiles, not a grid solve.
 
 Where G is constant on the range of phi_h (constant_vorticity), as for
 rigid rotation, residual_F solves nothing on the grid: phi_h is
@@ -52,18 +53,16 @@ from .kernel import VorticityProfile
 from .linop import LinearizedOperator, first_order_response, solve_linearized
 from .potential import (_A0_MIN, BaseState, particle_potential_at,
                         sine_power_coeffs)
+from .radial_ode import mode_profiles
 # eval_h_at is not called here; perfbench/tracing.py wraps it under this name
-from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
-                       boundary_curve, boundary_grid, boundary_points,
-                       boundary_sample, conformal_factor_grid,
-                       conformal_factor_variation, eval_h_at,
+from .spectral import (BoundarySpectrum, ShapeCoeffs, _h_coeffs,
+                       _radial_powers, analyze, area, boundary_curve,
+                       boundary_grid, boundary_points, boundary_sample,
+                       check_grid, conformal_factor_grid, eval_h_at,
                        injectivity_margin, on_boundary_points, sample_curve)
 
 # grid of the Picard damping, so that nearby shapes share one _mode_eigs entry
 _LAM_STEP = 1.0 / 16.0
-# solve_phi_h's default stop tolerance and step limit
-_PICARD_TOL = 1e-12
-_PICARD_MAX_ITER = 200
 
 
 # --------------------------------------------------------------------------
@@ -167,7 +166,7 @@ def _require_certified(margin: float):
 def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
                 n_radial: int = DEFAULT_RADIAL,
                 n_angular: Optional[int] = None,
-                tol: float = _PICARD_TOL, max_iter: int = _PICARD_MAX_ITER,
+                tol: float = 1e-12, max_iter: int = 200,
                 u_init=None, margin: Optional[float] = None) -> DiskField:
     """Damped Picard solution of Delta u = |f'|^2 G(u), u = 0 on the circle.
 
@@ -210,37 +209,21 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
     w = conformal_factor_grid(h, n_radial, n_angular)
     u = np.broadcast_to(np.asarray(0.0 if u_init is None else u_init,
                                    dtype=float), (n_radial, n_angular))
-
-    u, u_hat, steps = _damped_picard(
-        lambda v: w * np.asarray(profile.eval(v), dtype=float),
-        lambda v: w * profile.d1(v), u, n_radial, tol, max_iter)
-    return DiskField(r=grid.r, phi=boundary_grid(n_angular), values=u,
-                     spectrum=u_hat, grid=grid, picard_steps=steps)
-
-
-def _damped_picard(rhs, slope, u: np.ndarray, n_radial: int, tol: float,
-                   max_iter: int):
-    """Solve Delta u = rhs(u), u = 0 on the circle, from the iterate u on
-    the polar grid, by solve_phi_h's damped Picard step, damping rule and
-    stop rule; slope(u) is d rhs / du.  Returns (u, its rfft modes, the
-    number of steps); slope is evaluated once at the start and once per
-    step.
-    """
-    n_angular = u.shape[1]
-    s = slope(u)
+    s = w * profile.d1(u)
     for steps in range(1, max_iter + 1):
         lo, hi = float(np.min(s)), float(np.max(s))
         lam = max(round(0.5 * (lo + hi) / _LAM_STEP) * _LAM_STEP, 0.0)
-        u_hat = _solve_modes(n_radial, lam,
-                             np.fft.rfft(rhs(u) - lam * u, axis=1))
+        rhs = w * np.asarray(profile.eval(u), dtype=float) - lam * u
+        u_hat = _solve_modes(n_radial, lam, np.fft.rfft(rhs, axis=1))
         u_new = np.fft.irfft(u_hat, n=n_angular, axis=1)
         delta = float(np.max(np.abs(u_new - u)))
         u = u_new
-        s = slope(u)
+        s = w * profile.d1(u)
         lo, hi = min(lo, float(np.min(s))), max(hi, float(np.max(s)))
         q = max(hi - lam, lam - lo) / max(4.0, lam)
         if (delta * q / (1.0 - q) if q < 0.5 else delta) < tol:
-            return u, u_hat, steps
+            return DiskField(r=grid.r, phi=boundary_grid(n_angular), values=u,
+                             spectrum=u_hat, grid=grid, picard_steps=steps)
     raise DivergenceError(
         f"stream-function iteration did not converge (last step {delta:.2e})")
 
@@ -252,28 +235,32 @@ def first_order_field(op: LinearizedOperator, n_radial: int = DEFAULT_RADIAL,
 
     With h = m h1, h1 the first-order shape per unit mass, |f'|^2 is
     1 + m w1 + O(m^2) with w1 = 2 Re h1', so phi_h = phi0 + m psi + O(m^2)
-    where (Delta - G'(phi0)) psi = w1 G(phi0) and psi = 0 at r = 1.  psi
-    comes from solve_phi_h's Picard step (_damped_picard) with its damping
-    and stop rules, in one step when G' is constant on the damping grid.
-    Where G'(phi0) = 0 on the grid, one Picard step is exact from any
-    start, so no psi is made.  Made once per operator and grid, by the
-    first solve at m != 0, and kept on op; read-only.
+    where (Delta - G'(phi0)) psi = w1 G(phi0) and psi = 0 at r = 1.  With
+    h1' = sum_k d_k z^k, mode k of the source is d_k r^k G(phi0), the
+    table's right-hand side for A_k = r^k alpha_k, so psi =
+    2 Re sum_k d_k r^k alpha_k e^{ik theta}: one irfft of mode_profiles,
+    which is cached when the table was built on this radial grid.  The grid
+    must hold 2N + 2 angles (ConfigError).  Where G'(phi0) = 0 on the grid,
+    one Picard step is exact from any start, so no psi is made.  Made once
+    per operator and grid, by the first solve at m != 0, and kept on op;
+    read-only.
     """
     if n_angular is None:
         n_angular = boundary_points(op.N)
     key = (n_radial, n_angular)
     if key not in op.stream_fields:
-        profile = op.base.profile
-        phi0 = op.base.phi0.grid_values(n_radial)[:, None]
-        g1 = np.asarray(profile.d1(phi0), dtype=float)
+        base = op.base
         psi = None
-        if np.any(g1):
+        if np.any(base.profile.d1(base.phi0.grid_values(n_radial))):
+            check_grid(n_angular, op.N)
             h1, _, _ = first_order_response(op, 1.0)
-            source = (conformal_factor_variation(h1, n_radial, n_angular)
-                      * np.asarray(profile.eval(phi0), dtype=float))
-            psi = _damped_picard(lambda v: g1 * v + source, lambda v: g1,
-                                 np.zeros((n_radial, n_angular)), n_radial,
-                                 _PICARD_TOL, _PICARD_MAX_ITER)[0]
+            modes = np.zeros((n_radial, op.N + 1), dtype=complex)
+            # alpha(1) = 0 at r[0] = 1
+            modes[1:] = (_h_coeffs(h1)[1, :-1]
+                         * _radial_powers(n_radial, op.N)[1:]
+                         * mode_profiles(base, op.N, n_radial))
+            modes[:, 0] = 2.0 * modes[:, 0].real
+            psi = np.fft.irfft(modes, n=n_angular, axis=1, norm="forward")
             psi.setflags(write=False)
         op.stream_fields[key] = psi
     return op.stream_fields[key]

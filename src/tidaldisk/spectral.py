@@ -138,11 +138,6 @@ def on_boundary_points(rows, N: int):
     return [row[::len(row) // M] for row in rows]
 
 
-def eval_h_boundary(h: ShapeCoeffs, M: int):
-    """Samples of h and h' on the uniform boundary grid (boundary_sample)."""
-    return tuple(boundary_sample(h, M)[:2])
-
-
 @functools.lru_cache(maxsize=4)
 def _radial_powers(n_radial: int, N: int) -> np.ndarray:
     """r_i^k, k = 0..N, on the radial grid of n_radial nodes.  Cached, so
@@ -175,13 +170,6 @@ def conformal_factor_grid(h: ShapeCoeffs, n_radial: int, M: int):
     pairs = _polar_series(cdf, n_radial, M)
     np.square(pairs, out=pairs)
     return pairs[:, 0::2] + pairs[:, 1::2]
-
-
-def conformal_factor_variation(h: ShapeCoeffs, n_radial: int, M: int):
-    """2 Re h' on the polar grid of conformal_factor_grid: the first-order
-    change of |f'|^2 = |1 + t h'|^2 in t at the disk."""
-    check_grid(M, h.N)
-    return 2.0 * _polar_series(_h_coeffs(h)[1, :-1], n_radial, M)[:, 0::2]
 
 
 @functools.lru_cache(maxsize=4)

@@ -21,7 +21,7 @@ from .radial_ode import mode_derivatives
 from .residual import (boundary_potential, quasi_newton_solve, residual_F,
                        residual_norm)
 from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, boundary_curve,
-                       eval_h_boundary, injectivity_margin,
+                       boundary_sample, injectivity_margin,
                        self_intersection_oracle)
 
 _SQRT_PI = float(np.sqrt(np.pi))
@@ -248,7 +248,7 @@ def criterion_10_conformal_certification(seed=0):
         return ShapeCoeffs(float(rng.normal()) * 0.1, 0.05 * gn)
 
     def rescale_to_sup(h, target):
-        hv, dhv = eval_h_boundary(h, 512)
+        hv, dhv = boundary_sample(h, 512)[:2]
         sup = float(np.max(np.abs(hv) + np.abs(dhv)))
         return h.scaled(target / sup)
 

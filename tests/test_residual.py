@@ -9,7 +9,8 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gamma, rgamma
 
 from disk_quadrature import disk_rule
-from tidaldisk.chebyshev import HalfDiameterGrid
+from tidaldisk.chebyshev import DEFAULT_RADIAL, HalfDiameterGrid
+from tidaldisk.config import parse_config_text
 from tidaldisk.errors import (ConfigError, DegenerateBaseError, DivergenceError,
                               ResonanceError, TidaldiskError)
 from tidaldisk.kernel import (VorticityProfile, linear_preset,
@@ -17,7 +18,7 @@ from tidaldisk.kernel import (VorticityProfile, linear_preset,
                               rigid_preset, zero_preset)
 from tidaldisk.linop import (apply_forward, first_order_response,
                              make_operator, nonresonance_scan)
-from tidaldisk import linop, residual, spectral
+from tidaldisk import linop, radial_ode, residual, spectral
 from tidaldisk.potential import case_a, case_b, make_base_state, u0, u0_d1
 from tidaldisk.radial_ode import _mode_grid, _solve_mode
 from tidaldisk.residual import (_mode_eigs, _product_weights, _solve_modes,
@@ -385,6 +386,102 @@ def test_first_order_field_matches_mode_profiles(case, profile):
     modal = 2.0 * np.fft.ifft(modes, n=256, axis=1, norm="forward").real
     assert np.max(np.abs(psi)) > 0.3
     assert np.max(np.abs(modal - psi)) < 1e-12
+
+
+def _picard_first_order_field(op, n_radial, n_angular):
+    """psi by the damped Picard route on the polar grid: the linear psi
+    equation (Delta - G'(phi0)) psi = 2 Re h1' G(phi0) under solve_phi_h's
+    damping and stop rules, with 2 Re h1' summed by _polar_series."""
+    profile = op.base.profile
+    phi0 = op.base.phi0.grid_values(n_radial)[:, None]
+    g1 = np.asarray(profile.d1(phi0), dtype=float)
+    h1, _, _ = first_order_response(op, 1.0)
+    w1 = 2.0 * spectral._polar_series(_h_coeffs(h1)[1, :-1], n_radial,
+                                      n_angular)[:, 0::2]
+    source = w1 * np.asarray(profile.eval(phi0), dtype=float)
+    lo, hi = float(np.min(g1)), float(np.max(g1))
+    lam = max(round(0.5 * (lo + hi) / residual._LAM_STEP)
+              * residual._LAM_STEP, 0.0)
+    q = max(hi - lam, lam - lo) / max(4.0, lam)
+    psi = np.zeros((n_radial, n_angular))
+    for _ in range(200):
+        rhs = g1 * psi + source - lam * psi
+        new = np.fft.irfft(_solve_modes(n_radial, lam,
+                                        np.fft.rfft(rhs, axis=1)),
+                           n=n_angular, axis=1)
+        delta = float(np.max(np.abs(new - psi)))
+        psi = new
+        if (delta * q / (1.0 - q) if q < 0.5 else delta) < 1e-12:
+            return psi
+    raise AssertionError("reference Picard psi did not converge")
+
+
+def _tanh_profile():
+    """G(u) = 5 tanh(3u) - 4, whose slope 15 / cosh^2(3u) varies across
+    the field."""
+    return VorticityProfile(eval=lambda u: 5.0 * np.tanh(3.0 * u) - 4.0,
+                            d1=lambda u: 15.0 / np.cosh(3.0 * u) ** 2,
+                            name="tanh")
+
+
+@pytest.mark.parametrize("profile_name, tol", [
+    ("linear", 1e-12), ("tanh", 1e-12), ("table", 1e-9)],
+    ids=["linear", "tanh", "table"])
+@pytest.mark.parametrize("case_name", ["B", "A"])
+def test_first_order_field_matches_picard_reference(case_name, profile_name,
+                                                    tol):
+    # the modal psi against the damped Picard route on the polar grid; the
+    # C^1 PCHIP table's two discretizations differ algebraically, at 1e-10.
+    # Either psi starts the solves with the same Picard steps
+    case = case_b() if case_name == "B" else case_a(0.5)
+    slope = 1.0 if case_name == "B" else 4.0
+    profile = {"linear": linear_preset(slope, -2.0), "tanh": _tanh_profile(),
+               "table": _table_profile()}[profile_name]
+    modal = make_operator(make_base_state(case, 2.0, profile), N=32)
+    psi = first_order_field(modal, 64, 256)
+    ref = _picard_first_order_field(modal, 64, 256)
+    assert np.max(np.abs(psi)) > 0.1
+    assert np.max(np.abs(psi - ref)) < tol
+    picard = make_operator(modal.base, table=modal.table)
+    picard.stream_fields[(64, 256)] = ref
+    for frac in (0.2, 0.5, 0.9):
+        m = frac * _linear_cap(modal)
+        a, b = (quasi_newton_solve(op, m, n_radial=64, n_angular=256)
+                for op in (modal, picard))
+        assert a.diagnostics["picard_steps"] == b.diagnostics["picard_steps"]
+        assert a.iterations == b.iterations
+
+
+def test_mode_profiles_one_schur_per_base(monkeypatch, base_linear):
+    # the table and the first solve on its radial grid share one Schur
+    # form; another radial grid, or another base of the same profile, makes
+    # its own, and a cached table is bit-identical to an uncached one
+    schurs = []
+    real = radial_ode.schur
+    monkeypatch.setattr(radial_ode, "schur",
+                        lambda *a, **k: schurs.append(1) or real(*a, **k))
+    radial_ode.mode_profiles.cache_clear()
+    op = make_operator(base_linear, N=16)  # on DEFAULT_RADIAL radii
+    m = 0.5 * _linear_cap(op)
+    quasi_newton_solve(op, m, n_radial=DEFAULT_RADIAL, n_angular=64)
+    assert len(schurs) == 1
+    quasi_newton_solve(op, m, n_radial=32, n_angular=64)
+    assert len(schurs) == 2
+    alpha = radial_ode.mode_profiles(base_linear, 16, 32)
+    assert not alpha.flags.writeable
+    with pytest.raises(ValueError):
+        alpha[0, 0] = 0.0
+    text = "case = B\na0 = 2.0\nprofile = linear:1,-2\n"
+    profile = parse_config_text(text).profile
+    del schurs[:]
+    for a0 in (2.0, 3.0, 4.0):
+        b = make_base_state(case_b(), a0, profile)
+        table = make_operator(b, N=16).table
+        uncached = radial_ode.mode_profiles.__wrapped__(b, 16, DEFAULT_RADIAL)
+        assert np.array_equal(table.a_deriv,
+                              radial_ode._grid_operators(DEFAULT_RADIAL)[2]
+                              @ uncached)
+    assert len(schurs) == 3 + 3  # one per base, one per uncached call
 
 
 def test_first_order_field_made_once_where_needed(base, base_linear):

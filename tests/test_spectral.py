@@ -7,7 +7,7 @@ from tidaldisk.spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
                                 boundary_curve, boundary_grid,
                                 boundary_points, boundary_sample,
                                 conformal_factor_grid,
-                                eval_h_at, eval_h_boundary,
+                                eval_h_at,
                                 injectivity_margin, sample_curve,
                                 self_intersection_oracle, synthesize)
 
@@ -39,7 +39,7 @@ def test_shape_json_round_trip():
 def test_eval_consistency():
     h = _shape(0.05, 0.02 - 0.01j, 0.0, 0.004j)
     M = 32
-    hv, dhv = eval_h_boundary(h, M)
+    hv, dhv = boundary_sample(h, M)[:2]
     z = np.exp(1j * boundary_grid(M))
     hv2, dhv2 = eval_h_at(h, z)
     assert np.max(np.abs(hv - hv2)) < 1e-14
@@ -60,7 +60,7 @@ def test_eval_consistency():
     ddt = np.fft.ifft(1j * np.arange(M) * np.fft.fft(yp))
     assert np.max(np.abs(ypp - ddt)) < 1e-13
     with pytest.raises(ConfigError):
-        eval_h_boundary(h, 4)
+        boundary_sample(h, 4)
 
 
 @pytest.mark.parametrize("N, M", [
@@ -72,7 +72,7 @@ def test_eval_h_boundary_matches_direct_summation(N, M):
     decay = 0.05 / np.arange(1, N + 1) ** 2
     h = ShapeCoeffs(0.03, decay * (rng.standard_normal(N)
                                   + 1j * rng.standard_normal(N)))
-    hv, dhv = eval_h_boundary(h, M)
+    hv, dhv = boundary_sample(h, M)[:2]
     hv2, dhv2 = eval_h_at(h, np.exp(1j * boundary_grid(M)))
     assert hv.shape == dhv.shape == (M,)
     assert np.max(np.abs(hv - hv2)) < 1e-14
@@ -81,7 +81,7 @@ def test_eval_h_boundary_matches_direct_summation(N, M):
 
 _N_FLOOR = 12
 _SAMPLERS = {
-    "eval_h_boundary": eval_h_boundary,
+    "boundary_sample": boundary_sample,
     "conformal_factor_grid": lambda h, M: conformal_factor_grid(h, 16, M),
     "synthesize": lambda h, M: synthesize(BoundarySpectrum.zero(h.N), M),
     "analyze": lambda h, M: analyze(np.zeros(M), N=h.N),
@@ -102,7 +102,7 @@ def test_interior_bounded_by_boundary():
     # boundary maximum
     rng = np.random.default_rng(7)
     h = ShapeCoeffs(0.03, 0.02 * (rng.standard_normal(6) + 1j * rng.standard_normal(6)))
-    hv, dhv = eval_h_boundary(h, 256)
+    hv, dhv = boundary_sample(h, 256)[:2]
     bmax = np.max(np.abs(hv)), np.max(np.abs(dhv))
     z = 0.95 * np.exp(1j * rng.uniform(0, 2 * np.pi, 200))
     hi, dhi = eval_h_at(h, z)
