@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,6 +36,26 @@ def _constant_profile(value: float, name: str) -> VorticityProfile:
         return np.zeros_like(np.asarray(u, dtype=float))
 
     return VorticityProfile(eval=ev, d1=zero, name=name)
+
+
+def constant_value(profile: VorticityProfile,
+                   radius: float = 1.0) -> Optional[float]:
+    """G0 = G(0) where G takes that one value wherever the stream function
+    of a body f(D) inside |z| <= radius lies, and otherwise None.
+
+    For G = G0 that stream function is (G0/4)(|f|^2 - P[|f|^2]), P the
+    Poisson extension, and |f|^2 <= P[|f|^2] <= radius^2 puts it between
+    0 and -G0 radius^2/4; on the unit disk it is (G0/4)(r^2 - 1).  Where
+    G equals G0 at both ends of that interval in floating point, a
+    non-decreasing G is G0 on all of it, and that field is the solution:
+    so for the rigid and zero presets and for tables flat there.  A G that
+    rises on the interval, as a linear G with a slope and G(0) != 0 does,
+    gives None.
+    """
+    g0 = float(profile.eval(0.0))
+    if float(profile.eval(-0.25 * g0 * radius * radius)) == g0:
+        return g0
+    return None
 
 
 def rigid_preset(omega0: float) -> VorticityProfile:

@@ -354,6 +354,8 @@ class BaseState:
             "a0": self.a0,
             "lambda0": self.lambda0,
             "dphi0_at_1": self.dphi0_at_1,
+            "phi0_solver": self.phi0.solver,
+            "phi0_mismatch": self.phi0.residual,
             "g_at_boundary": self.g_at_boundary,
             "u0_at_1": self.case.u0_at_1,
             "profile": self.profile.name,

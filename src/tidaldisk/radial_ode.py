@@ -4,7 +4,8 @@ Two solvers live here:
 
 * the nonlinear profile phi0 of the unperturbed stream function,
   (1/r)(r phi')' = G(phi), phi(1) = 0, regular at the origin, solved by
-  shooting on the center value with a monotone bracketing search;
+  shooting on the center value with a monotone bracketing search, or in
+  closed form, (G0/4)(r^2 - 1), where G is the constant G0 on its range;
 
 * the linear mode profiles A_n driven by the boundary perturbation,
   (1/r)(r A_n')' - n^2/r^2 A_n - G'(phi0) A_n = r^n G(phi0), A_n(1) = 0,
@@ -28,7 +29,7 @@ from scipy.optimize import brentq
 
 from .chebyshev import DEFAULT_RADIAL, _radial_basis
 from .errors import TidaldiskError
-from .kernel import VorticityProfile
+from .kernel import VorticityProfile, constant_value
 
 
 @dataclass
@@ -37,7 +38,8 @@ class RadialProfile:
 
     ``deriv_at_1`` is the derivative at the boundary, extracted from the
     solver.  ``residual`` records the boundary-condition mismatch of the
-    solve that produced the profile.
+    solve that produced the profile, and ``solver`` names it: "shooting"
+    or "closed_form" for phi0, "collocation" for a mode.
     """
 
     nodes: np.ndarray
@@ -45,6 +47,7 @@ class RadialProfile:
     deriv_at_1: float
     evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     residual: float = 0.0
+    solver: str = "collocation"
     _samples: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -76,7 +79,7 @@ class RadialProfile:
 
 
 # --------------------------------------------------------------------------
-# unperturbed profile by shooting
+# unperturbed profile by shooting, or in closed form for constant G
 # --------------------------------------------------------------------------
 
 _R_CORE = 1e-6  # series start radius; below this the ODE is singular
@@ -113,18 +116,46 @@ def _integrate_from_center(c: float, profile: VorticityProfile,
     return sol
 
 
+def _phi0_on_grid(evaluate, n_radial: int, deriv_at_1: float,
+                  residual: float, solver: str) -> RadialProfile:
+    """phi0 sampled at r = 0 and at the radii of the half-diameter grid of
+    n_radial nodes, ascending, with phi0(1) = 0 exact; the samples are
+    also its grid_values on that grid.  A boundary mismatch (residual)
+    above _MISMATCH_BOUND of max|phi0| is a TidaldiskError."""
+    radii = _radial_basis(n_radial)[0].r  # descending, radii[0] = 1
+    nodes = np.concatenate([[0.0], radii[::-1]])
+    values = evaluate(nodes)
+    peak = float(np.max(np.abs(values)))
+    if not residual <= _MISMATCH_BOUND * peak:
+        raise TidaldiskError(f"the shot phi0 misses phi0(1) = 0 by "
+                             f"{residual:.3e}, more than {_MISMATCH_BOUND:g} "
+                             f"of max|phi0| = {peak:.3e}")
+    values[-1] = 0.0  # Dirichlet value, exact by construction
+    values.setflags(write=False)  # shared with grid_values
+    prof = RadialProfile(nodes=nodes, values=values, deriv_at_1=deriv_at_1,
+                         evaluate=evaluate, residual=residual, solver=solver)
+    prof._samples[n_radial] = values[:0:-1]
+    return prof
+
+
 def solve_phi0(profile: VorticityProfile,
                n_radial: int = DEFAULT_RADIAL) -> RadialProfile:
-    """Shoot on the center value so that the profile vanishes at r = 1.
+    """phi0, vanishing at r = 1: by shooting on the center value, or in
+    closed form where G is constant on phi0's range.
 
-    For non-decreasing G the shooting map c -> phi(1; c) is monotone, so a
-    sign change bracket plus Brent iteration is reliable.  The maximum
-    principle places phi0 between 0 and -G(0)/4: G(phi0) - G(0) has the
-    sign of phi0, so phi0 is compared with 0 and with G(0)(r^2 - 1)/4.
-    Every profile is spot-checked on 1000 points of that interval: G and G'
-    must be finite there (else TidaldiskError), and neither the steps of G
-    nor G' may fall below -1e-12 of max|G| or max|G'| (else ValueError).
-    The scan covers +-_BRACKET_SCALE (1 + |G(0)|); a bracket that Brent's
+    The maximum principle places phi0 between 0 and -G(0)/4: G(phi0) - G(0)
+    has the sign of phi0, so phi0 is compared with 0 and with
+    G(0)(r^2 - 1)/4.  Every profile is spot-checked on 1000 points of that
+    interval: G and G' must be finite there (else TidaldiskError), and
+    neither the steps of G nor G' may fall below -1e-12 of max|G| or
+    max|G'| (else ValueError).  Where G is G(0) on all of it
+    (kernel.constant_value with radius 1, the rule residual_F's flux
+    follows: the rigid and zero presets and tables flat there), phi0 is
+    exactly (G(0)/4)(r^2 - 1), with phi0'(1) = G(0)/2 and residual 0.
+
+    Otherwise the shooting map c -> phi(1; c) is monotone for
+    non-decreasing G, so a sign change bracket plus Brent iteration is
+    reliable.  The scan covers +-_BRACKET_SCALE (1 + |G(0)|); a bracket that Brent's
     method does not close within its iteration cap is a TidaldiskError.
     The shot must meet phi(1) = 0 to within _MISMATCH_BOUND = 1e-8 of
     max|phi0|, or TidaldiskError: on G = s u - 2 that ratio is phi0'(1)'s
@@ -146,6 +177,12 @@ def solve_phi0(profile: VorticityProfile,
         if not (np.all(np.diff(g) >= -1e-12 * np.max(np.abs(g), initial=1.0))
                 and np.all(g1 >= -1e-12 * np.max(np.abs(g1), initial=1.0))):
             raise ValueError("vorticity profile must be non-decreasing")
+
+    if constant_value(profile) is not None:
+        def exact(r):
+            r = np.asarray(r, dtype=float)
+            return 0.25 * g_0 * (r * r - 1.0)
+        return _phi0_on_grid(exact, n_radial, 0.5 * g_0, 0.0, "closed_form")
 
     def shoot(c):
         return float(_integrate_from_center(c, profile).y[0][-1])
@@ -173,8 +210,6 @@ def solve_phi0(profile: VorticityProfile,
                              f"{cs[idx + 1]:g}]: {exc}") from exc
 
     sol = _integrate_from_center(c_star, profile, dense=True)
-    radii = _radial_basis(n_radial)[0].r  # descending, radii[0] = 1
-    nodes = np.concatenate([[0.0], radii[::-1]])
     dense_sol = sol.sol
 
     def dense(r):
@@ -185,20 +220,8 @@ def solve_phi0(profile: VorticityProfile,
         core = c_star + 0.25 * float(profile.eval(c_star)) * r * r
         return np.where(r < _R_CORE, core, out)
 
-    values = dense(nodes)
-    residual = abs(float(sol.y[0][-1]))
-    peak = float(np.max(np.abs(values)))
-    if not residual <= _MISMATCH_BOUND * peak:
-        raise TidaldiskError(f"the shot phi0 misses phi0(1) = 0 by "
-                             f"{residual:.3e}, more than {_MISMATCH_BOUND:g} "
-                             f"of max|phi0| = {peak:.3e}")
-    values[-1] = 0.0  # Dirichlet value, exact by construction
-    values.setflags(write=False)  # shared with grid_values
-    prof = RadialProfile(nodes=nodes, values=values,
-                         deriv_at_1=float(sol.y[1][-1]), evaluate=dense,
-                         residual=residual)
-    prof._samples[n_radial] = values[:0:-1]
-    return prof
+    return _phi0_on_grid(dense, n_radial, float(sol.y[1][-1]),
+                         abs(float(sol.y[0][-1])), "shooting")
 
 
 # --------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from scipy.linalg import lu_factor, lu_solve
 # HalfDiameterGrid types DiskField.grid; perfbench/tracing.py wraps the name
 from .chebyshev import DEFAULT_RADIAL, HalfDiameterGrid, _radial_basis
 from .errors import ConfigError, DivergenceError, TidaldiskError
-from .kernel import VorticityProfile
+from .kernel import VorticityProfile, constant_value
 from .linop import LinearizedOperator, first_order_response, solve_linearized
 from .potential import (_A0_MIN, BaseState, particle_potential_at,
                         sine_power_coeffs)
@@ -269,22 +269,11 @@ def first_order_field(op: LinearizedOperator, n_radial: int = DEFAULT_RADIAL,
 def constant_vorticity(h: ShapeCoeffs,
                        profile: VorticityProfile) -> Optional[float]:
     """G0 = G(0) where G takes that one value wherever h's stream function
-    lies, and otherwise None.
-
-    On the closed disk |f| <= R = 1 + |g0| + sum |g_n|.  For G = G0 the
-    stream function is (G0/4)(|f|^2 - P[|f|^2]) (closed_form_flux), and
-    |f|^2 <= P[|f|^2] <= R^2 puts it between 0 and -G0 R^2/4.  Where G
-    equals G0 at both ends of that interval in floating point, a
-    non-decreasing G is G0 on all of it, and that field is the solution:
-    so for the rigid and zero presets and for tables flat there.  A G that
-    rises on the interval, as a linear G with a slope and G(0) != 0 does,
-    gives None.
+    lies, and otherwise None: kernel.constant_value on the disk of radius
+    R = 1 + |g0| + sum |g_n|, which holds the closed disk's image |f| <= R.
     """
-    g0 = float(profile.eval(0.0))
-    R = 1.0 + abs(h.g0) + float(np.sum(np.abs(h.gn)))
-    if float(profile.eval(-0.25 * g0 * R * R)) == g0:
-        return g0
-    return None
+    return constant_value(profile,
+                          1.0 + abs(h.g0) + float(np.sum(np.abs(h.gn))))
 
 
 def closed_form_flux(f: np.ndarray, yp: np.ndarray, g0: float) -> np.ndarray:

@@ -59,6 +59,22 @@ def test_base_outputs(tmp_path):
     assert [float(v) for _, v in rows] == base["phi0_values"]
 
 
+@pytest.mark.parametrize("profile, solver", [("rigid:1.0", "closed_form"),
+                                              ("linear:1,-2", "shooting")])
+def test_base_json_names_phi0_solver(tmp_path, profile, solver):
+    # a constant G takes phi0 = (G0/4)(r^2 - 1) exactly, with no boundary
+    # mismatch; a rising G is shot and records the shot's |phi(1)|
+    cfg = _write_cfg(tmp_path, BASE_CFG.replace("rigid:1.0", profile))
+    out = tmp_path / "out"
+    assert main(["base", "--config", cfg, "--out", str(out)]) == 0
+    base = _read_json(out / "base.json")
+    assert base["phi0_solver"] == solver
+    if solver == "closed_form":
+        assert base["phi0_mismatch"] == 0.0 and base["dphi0_at_1"] == -1.0
+    else:
+        assert 0.0 <= base["phi0_mismatch"] < 1e-12
+
+
 def test_base_deterministic(tmp_path):
     cfg = _write_cfg(tmp_path, BASE_CFG)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -345,14 +361,15 @@ def test_steep_profile_shooting_mismatch_exit_code(tmp_path, capsys, spec,
 
 def test_brent_failure_exit_code(tmp_path, capsys, monkeypatch):
     # a Brent step that hits its iteration cap (as on some steep tables)
-    # leaves as a package error with error.json, not a traceback
+    # leaves as a package error with error.json, not a traceback; the G
+    # rises, since a constant G takes phi0 in closed form and shoots nothing
     def capped(*args, **kwargs):
         raise RuntimeError("Failed to converge after 100 iterations")
 
     monkeypatch.setattr(radial_ode, "brentq", capped)
     out = tmp_path / "o"
-    assert main(["base", "--config", _write_cfg(tmp_path, BASE_CFG),
-                 "--out", str(out)]) == 1
+    cfg = _write_cfg(tmp_path, BASE_CFG.replace("rigid:1.0", "linear:1,-2"))
+    assert main(["base", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Failed to converge" in err
     assert "Traceback" not in err

@@ -11,10 +11,12 @@ from tidaldisk.coeffs import build_mode_table
 from tidaldisk.errors import TidaldiskError
 from tidaldisk.kernel import (VorticityProfile, linear_preset,
                               profile_from_table, rigid_preset, zero_preset)
+from tidaldisk.linop import make_operator
 from tidaldisk import radial_ode
 from tidaldisk.potential import case_a, case_b, make_base_state
 from tidaldisk.radial_ode import (RadialProfile, _grid_operators, _mode_grid,
                                   mode_derivatives, solve_An, solve_phi0)
+from tidaldisk.residual import quasi_newton_solve
 
 
 def test_profile_validation():
@@ -130,6 +132,84 @@ def test_phi0_monotone_check_at_the_scale_of_g():
     prof = solve_phi0(VorticityProfile(g, np.zeros_like))
     r = np.linspace(0.0, 1.0, 101)
     assert np.max(np.abs(prof(r) - 2.5e5 * (1.0 - r * r))) < 1e-12 * 2.5e5
+
+
+# flat on [-1, 2] and rising outside it: G(0) = -4 puts phi0 in [0, 1],
+# where G is G(0)
+_FLAT_TABLE = profile_from_table(np.arange(-3.0, 5.0),
+                                 [-6.0, -5.0, -4.0, -4.0, -4.0, -4.0, -3.0, -2.0])
+
+
+def _no_shot(*args, **kwargs):
+    raise AssertionError("shot phi0 where G is constant")
+
+
+@pytest.mark.parametrize("profile", [rigid_preset(1.3), zero_preset(),
+                                     _FLAT_TABLE],
+                         ids=["rigid", "zero", "flat table"])
+def test_phi0_closed_form_for_constant_g(profile, monkeypatch):
+    # phi0 = (G0/4)(r^2 - 1) on r = 0 and the grid radii, with no shot
+    monkeypatch.setattr(radial_ode, "_integrate_from_center", _no_shot)
+    g0 = float(profile.eval(0.0))
+    prof = solve_phi0(profile)
+    assert prof.solver == "closed_form" and prof.residual == 0.0
+    assert prof.deriv_at_1 == 0.5 * g0
+    r = _radial_basis(DEFAULT_RADIAL)[0].r
+    assert np.array_equal(prof.nodes, np.concatenate([[0.0], r[::-1]]))
+    exact = 0.25 * g0 * (prof.nodes ** 2 - 1.0)
+    assert np.array_equal(prof.values[:-1], exact[:-1])
+    assert prof.values[-1] == 0.0
+    assert not prof.values.flags.writeable
+    for n_radial in (DEFAULT_RADIAL, 32):
+        radii = _radial_basis(n_radial)[0].r
+        samples = prof.grid_values(n_radial)
+        assert samples[0] == 0.0
+        assert np.array_equal(samples[1:], 0.25 * g0 * (radii[1:] ** 2 - 1.0))
+    assert np.array_equal(prof.grid_values(DEFAULT_RADIAL),
+                          prof.values[:0:-1])
+    x = np.linspace(0.0, 1.0, 11)
+    assert np.array_equal(prof(x), 0.25 * g0 * (x * x - 1.0))
+
+
+def _rounded_constant(u):
+    # -1e6 up to rounding: G(0) = -1e6 but G(2.5e5) = -1e6 - 1.2e-10
+    u = np.asarray(u, dtype=float)
+    return 1e6 * (np.sin(u) ** 2 + np.cos(u) ** 2) - 2e6
+
+
+@pytest.mark.parametrize("profile", [
+    VorticityProfile(_rounded_constant, np.zeros_like),
+    linear_preset(1.0, -2.0),
+], ids=["constant up to rounding", "linear"])
+def test_phi0_shoots_where_g_is_not_constant(profile, monkeypatch):
+    shots = []
+    integrate = radial_ode._integrate_from_center
+    monkeypatch.setattr(radial_ode, "_integrate_from_center",
+                        lambda *a, **kw: shots.append(1) or integrate(*a, **kw))
+    prof = solve_phi0(profile)
+    assert prof.solver == "shooting" and len(shots) > 33
+
+
+@pytest.mark.parametrize("case, N, m", [(case_a(0.5), 64, 5e-5),
+                                        (case_b(), 16, 1e-5)],
+                         ids=["A", "B"])
+def test_rigid_solve_on_closed_form_phi0_matches_shot(case, N, m,
+                                                      monkeypatch):
+    # the base and the solve from the exact phi0 agree with those from the
+    # shot phi0 (constant_value forced to None in solve_phi0 alone)
+    exact = make_base_state(case, 2.0, rigid_preset(1.0))
+    monkeypatch.setattr(radial_ode, "constant_value", lambda *a, **kw: None)
+    shot = make_base_state(case, 2.0, rigid_preset(1.0))
+    monkeypatch.undo()
+    assert (exact.phi0.solver, shot.phi0.solver) == ("closed_form", "shooting")
+    assert abs(exact.dphi0_at_1 - shot.dphi0_at_1) < 1e-14
+    assert np.max(np.abs(exact.phi0.values - shot.phi0.values)) < 1e-14
+    a, b = (quasi_newton_solve(make_operator(base, N=N), m)
+            for base in (exact, shot))
+    assert a.iterations == b.iterations
+    assert abs(a.a - b.a) < 1e-14 and abs(a.lam - b.lam) < 1e-14
+    assert abs(a.h.g0 - b.h.g0) < 1e-14
+    assert np.max(np.abs(a.h.gn - b.h.gn)) < 1e-14
 
 
 @pytest.mark.parametrize("source", [
