@@ -3,7 +3,8 @@
 Differentiation matrices on Chebyshev-Lobatto points, and the package's
 one radial grid: the folded ("half diameter") grid on (0, 1], where parity
 in r couples the two halves of the diameter (Trefethen, Spectral Methods in
-MATLAB, ch. 11).  The stream-function and mode solvers share _radial_basis.
+MATLAB, ch. 11).  The stream-function and mode solvers share its operators,
+built once per grid by HalfDiameterGrid and cached by _radial_basis.
 """
 
 from __future__ import annotations
@@ -46,6 +47,16 @@ class HalfDiameterGrid:
     number of nodes (so r = 0 is not a node) and only the positive half is
     kept.  Radial derivatives of a Fourier mode of parity (-1)^n are
     evaluated by folding the mirrored columns back onto the kept half.
+
+    Everything that depends on the grid alone is built here, once, and is
+    read-only; each tuple is indexed by the parity p = n % 2:
+
+    * ``r``: the radii, descending, r[0] = 1;
+    * ``d1``: the folded d_r;
+    * ``basis``: d_rr + (1/r) d_r, the mode-n operator before -n^2/r^2;
+    * ``rows``: the r = 1 rows of ``d1``, as (1, n_half) arrays;
+    * ``C`` and ``C_inv``: C = (1/r) d_r of the even block on the interior
+      nodes (r < 1), the mode table's first-order term, and its inverse.
     """
 
     def __init__(self, n_half: int):
@@ -56,29 +67,24 @@ class HalfDiameterGrid:
         D = diff_matrix(x)
         D2 = D @ D
         self.n_half = n_half
-        self.r = x[:n_half]  # descending, r[0] = 1
-        mirror = n_total - 1 - np.arange(n_half)
-        self._D_pos = D[:n_half, :n_half]
-        self._D_neg = D[:n_half, mirror]
-        self._D2_pos = D2[:n_half, :n_half]
-        self._D2_neg = D2[:n_half, mirror]
-
-    def d1(self, parity: int) -> np.ndarray:
-        """First-derivative matrix acting on samples at the positive nodes,
-        for angular modes with u(-r) = parity-sign * u(r)."""
-        sgn = 1.0 if parity % 2 == 0 else -1.0
-        return self._D_pos + sgn * self._D_neg
-
-    def d2(self, parity: int) -> np.ndarray:
-        sgn = 1.0 if parity % 2 == 0 else -1.0
-        return self._D2_pos + sgn * self._D2_neg
+        self.r = r = x[:n_half]  # descending, r[0] = 1
+        half, mirror = slice(n_half), n_total - 1 - np.arange(n_half)
+        signs = (1.0, -1.0)  # u(-r) = u(r) for parity 0, -u(r) for 1
+        self.d1 = tuple(D[half, half] + s * D[half, mirror] for s in signs)
+        inv_r = (1.0 / r)[:, None]
+        self.basis = tuple(D2[half, half] + s * D2[half, mirror] + inv_r * d1
+                           for s, d1 in zip(signs, self.d1))
+        self.rows = tuple(d1[:1] for d1 in self.d1)
+        self.C = self.d1[0][1:, 1:] / r[1:, None]
+        self.C_inv = np.linalg.inv(self.C)
+        for arr in (r, *self.d1, *self.basis, *self.rows, self.C,
+                    self.C_inv):
+            arr.setflags(write=False)
 
     def laplacian_mode(self, n: int) -> np.ndarray:
         """Radial part of the Laplacian for angular wavenumber n:
         d_rr + (1/r) d_r - n^2/r^2, folded for the parity of n."""
-        L = self.d2(n) + np.diag(1.0 / self.r) @ self.d1(n)
-        L -= np.diag(n * n / self.r**2)
-        return L
+        return self.basis[n % 2] - np.diag(n * n / self.r**2)
 
     def even_interpolant(self, values: np.ndarray):
         """Chebyshev interpolant of the even extension over the diameter of
@@ -95,15 +101,8 @@ class HalfDiameterGrid:
 
 
 @functools.lru_cache(maxsize=4)
-def _radial_basis(n_radial: int):
-    """The half-diameter grid and, for parity p = 0, 1, the matrix
-    d_rr + (1/r) d_r of the modes n = p (mod 2), before the -n^2/r^2 term.
-
-    Shared between calls, so the arrays are read-only.
-    """
-    grid = HalfDiameterGrid(n_radial)
-    inv_r = np.diag(1.0 / grid.r)
-    basis = tuple(grid.d2(p) + inv_r @ grid.d1(p) for p in (0, 1))
-    for arr in (grid.r, *basis):
-        arr.setflags(write=False)
-    return grid, basis
+def _radial_basis(n_radial: int) -> HalfDiameterGrid:
+    """The half-diameter grid of n_radial nodes with all its operators:
+    the package's one cache of them, one entry per grid, shared between
+    calls (so every array is read-only)."""
+    return HalfDiameterGrid(n_radial)

@@ -68,7 +68,7 @@ class RadialProfile:
         r[0] = 1.  Cached per n_radial, so read-only."""
         out = self._samples.get(n_radial)
         if out is None:
-            out = self(_radial_basis(n_radial)[0].r)
+            out = self(_radial_basis(n_radial).r)
             out[0] = 0.0
             out.setflags(write=False)
             self._samples[n_radial] = out
@@ -122,7 +122,7 @@ def _phi0_on_grid(evaluate, n_radial: int, deriv_at_1: float,
     n_radial nodes, ascending, with phi0(1) = 0 exact; the samples are
     also its grid_values on that grid.  A boundary mismatch (residual)
     above _MISMATCH_BOUND of max|phi0| is a TidaldiskError."""
-    radii = _radial_basis(n_radial)[0].r  # descending, radii[0] = 1
+    radii = _radial_basis(n_radial).r  # descending, radii[0] = 1
     nodes = np.concatenate([[0.0], radii[::-1]])
     values = evaluate(nodes)
     peak = float(np.max(np.abs(values)))
@@ -228,42 +228,26 @@ def solve_phi0(profile: VorticityProfile,
 # linear modes by collocation
 # --------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=4)
-def _grid_operators(n_nodes: int):
-    """(C, C^-1, row) on the interior nodes of the even block of the
-    half-diameter grid: C = (1/r) d_r, and row the r = 1 row of d_r.  They
-    depend on the grid alone, so every table on it shares them; the arrays
-    are read-only."""
-    grid, _ = _radial_basis(n_nodes)
-    d1 = grid.d1(0)
-    C = d1[1:, 1:] / grid.r[1:, None]
-    ops = (C, np.linalg.inv(C), d1[0, 1:])
-    for arr in ops:
-        arr.setflags(write=False)
-    return ops
-
-
 def _mode_grid(base, n_nodes: int):
-    """(grid, L, C, row, g0), shared by every mode of one table: on the
-    interior nodes (dropping r = 1 imposes alpha(1) = 0) of the even block,
-    L = d_rr + (1/r) d_r - G'(phi0), C and row from _grid_operators, and
-    g0 = G(phi0)."""
-    grid, basis = _radial_basis(n_nodes)
+    """(grid, L, g0), shared by every mode of one table: on the interior
+    nodes (dropping r = 1 imposes alpha(1) = 0) of the even block,
+    L = d_rr + (1/r) d_r - G'(phi0) and g0 = G(phi0); C, C^-1 and the
+    r = 1 row come from the grid."""
+    grid = _radial_basis(n_nodes)
     phi = base.phi0.grid_values(n_nodes)
     g0 = np.asarray(base.profile.eval(phi), dtype=float)
     g1 = np.asarray(base.profile.d1(phi), dtype=float)
-    L = basis[0][1:, 1:] - np.diag(g1[1:])
-    C, _, row = _grid_operators(n_nodes)
-    return grid, L, C, row, g0[1:]
+    L = grid.basis[0][1:, 1:] - np.diag(g1[1:])
+    return grid, L, g0[1:]
 
 
-def _solve_mode(n: int, grid):
+def _solve_mode(n: int, mode_grid):
     """alpha = A_n / r^n at the interior nodes and A_n'(1) = alpha'(1), from
     alpha'' + ((2n+1)/r) alpha' - G1 alpha = G0, alpha(1) = 0, i.e.
     (L + 2n C) alpha = g0, by one LU solve."""
-    _, L, C, row, g0 = grid
-    alpha = np.linalg.solve(L + 2 * n * C, g0)
-    return alpha, float(row @ alpha)
+    grid, L, g0 = mode_grid
+    alpha = np.linalg.solve(L + 2 * n * grid.C, g0)
+    return alpha, float(grid.rows[0][0, 1:] @ alpha)  # r = 1 row of d_r
 
 
 def _shifted_back_substitution(T: np.ndarray, s: np.ndarray,
@@ -304,8 +288,8 @@ def mode_profiles(base, N: int, n_nodes: int = DEFAULT_RADIAL) -> np.ndarray:
     The systems (L + 2n C) alpha_n = g0 differ only by the shift 2n, so
     they share one real Schur form C^-1 L = Q T Q^T: alpha_n =
     Q (T + 2n I)^-1 Q^T C^-1 g0, one back-substitution sweep over all n
-    (Laub, IEEE TAC 26 (1981) 407).  C^-1 is kept per grid
-    (_grid_operators), so every C^-1 product is one matrix product:
+    (Laub, IEEE TAC 26 (1981) 407).  C^-1 is kept on the grid
+    (HalfDiameterGrid.C_inv), so every C^-1 product is one matrix product:
     C^-1 L for the Schur form, and Q^T C^-1, formed once per table, on g0
     and on the residual.  Forming C^-1 L costs accuracy in cond(C) (about
     3e3 at 64 radii), so one step of iterative refinement against L and C
@@ -313,17 +297,16 @@ def mode_profiles(base, N: int, n_nodes: int = DEFAULT_RADIAL) -> np.ndarray:
     by identity), so a table and residual.first_order_field on its grid
     share one Schur form; callers pass the arguments positionally, one key.
     """
-    _, L, C, _, g0 = _mode_grid(base, n_nodes)
-    C_inv = _grid_operators(n_nodes)[1]
-    T, Q = schur(C_inv @ L, overwrite_a=True)
+    grid, L, g0 = _mode_grid(base, n_nodes)
+    T, Q = schur(grid.C_inv @ L, overwrite_a=True)
     s = 2.0 * np.arange(N + 1)
-    P = Q.T @ C_inv  # Q^T C^-1, on g0 and on the residual
+    P = Q.T @ grid.C_inv  # Q^T C^-1, on g0 and on the residual
 
     def sweep(V):  # Q (T + s_j I)^-1 V[:, j] for every j; overwrites V
         return Q @ _shifted_back_substitution(T, s, V)
 
     alpha = sweep(np.repeat((P @ g0)[:, None], N + 1, axis=1))
-    R = C @ alpha  # the residual g0 - L alpha - 2n C alpha, built in place
+    R = grid.C @ alpha  # the residual g0 - L alpha - 2n C alpha, in place
     R *= -s
     R -= L @ alpha
     R += g0[:, None]
@@ -337,7 +320,8 @@ def mode_derivatives(base, N: int, n_nodes: int = DEFAULT_RADIAL) -> np.ndarray:
     mode_profiles.  Per-mode solves refined with long-double residuals match
     it to 2e-14 relative up to 128 radii (n <= 256); ``solve_An``'s single
     LU solve reads up to 1.3e-13 there.  No profile is built."""
-    return _grid_operators(n_nodes)[2] @ mode_profiles(base, N, n_nodes)
+    row = _radial_basis(n_nodes).rows[0][0, 1:]  # alpha(1) = 0: no column 0
+    return row @ mode_profiles(base, N, n_nodes)
 
 
 def solve_An(n: int, base, n_nodes: int = DEFAULT_RADIAL):
@@ -350,10 +334,10 @@ def solve_An(n: int, base, n_nodes: int = DEFAULT_RADIAL):
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    grid = _mode_grid(base, n_nodes)
-    alpha, d1 = _solve_mode(n, grid)
+    mode_grid = _mode_grid(base, n_nodes)
+    alpha, d1 = _solve_mode(n, mode_grid)
     alpha = np.concatenate([[0.0], alpha])  # alpha(1) = 0
-    r, even = grid[0].r, grid[0].even_interpolant(alpha)
+    r, even = mode_grid[0].r, mode_grid[0].even_interpolant(alpha)
     prof = RadialProfile(nodes=r[::-1], values=(r**n * alpha)[::-1],
                          deriv_at_1=d1,
                          evaluate=lambda x: np.power(x, n) * even(x))

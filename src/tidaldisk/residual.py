@@ -82,11 +82,11 @@ def _mode_eigs(n_radial: int, lam: float):
     of multiples of _LAM_STEP, so the shapes of a solve share an entry; a
     profile with G' = 0 always has lam = 0.
     """
-    grid, basis = _radial_basis(n_radial)
+    grid = _radial_basis(n_radial)
     r2 = grid.r[1:] ** 2
     eye = np.eye(n_radial - 1)
     out = []
-    for B in basis:
+    for B in grid.basis:
         ev, V = np.linalg.eig(r2[:, None] * (B[1:, 1:] - lam * eye))
         Vinv_r2 = np.linalg.inv(V) * r2
         for arr in (ev, V, Vinv_r2):
@@ -133,27 +133,14 @@ class DiskField:
     phi: np.ndarray            # uniform angular grid
     values: np.ndarray         # shape (len(r), len(phi))
     spectrum: np.ndarray = field(repr=False)  # rfft of values along phi
-    grid: HalfDiameterGrid = field(repr=False, default=None)
+    grid: HalfDiameterGrid = field(repr=False)  # the radial grid of r
     picard_steps: int = 0      # steps of the solve that made the field
 
     def boundary_normal_deriv(self) -> np.ndarray:
         """Radial derivative at r = 1, mode by mode with the correct parity
-        fold of the half-diameter discretization (_boundary_rows)."""
-        return np.fft.irfft(
-            _parity_fold(_boundary_rows(len(self.r)), self.spectrum)[0],
-            n=len(self.phi))
-
-
-@functools.lru_cache(maxsize=4)
-def _boundary_rows(n_radial: int):
-    """The r = 1 rows of d_r for parity 0 and 1 on the half-diameter grid
-    of n_radial nodes, as (1, n_radial) arrays.  They depend on the grid
-    alone; cached, so read-only."""
-    grid, _ = _radial_basis(n_radial)
-    rows = tuple(grid.d1(p)[:1] for p in (0, 1))
-    for row in rows:
-        row.setflags(write=False)
-    return rows
+        fold of the half-diameter discretization (the grid's rows)."""
+        return np.fft.irfft(_parity_fold(self.grid.rows, self.spectrum)[0],
+                            n=len(self.phi))
 
 
 def _require_certified(margin: float):
@@ -205,7 +192,7 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
     _require_certified(margin)
     if n_angular is None:
         n_angular = boundary_points(h.N)
-    grid, _ = _radial_basis(n_radial)
+    grid = _radial_basis(n_radial)
     w = conformal_factor_grid(h, n_radial, n_angular)
     u = np.broadcast_to(np.asarray(0.0 if u_init is None else u_init,
                                    dtype=float), (n_radial, n_angular))
@@ -231,7 +218,7 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
 def first_order_field(op: LinearizedOperator, n_radial: int = DEFAULT_RADIAL,
                       n_angular: Optional[int] = None):
     """d phi_h / dm at m = 0 along the first-order shape, on the solver grid
-    of (n_radial, n_angular), or None where G'(phi0) vanishes on it.
+    of (n_radial, n_angular), or None where G is constant on phi0's range.
 
     With h = m h1, h1 the first-order shape per unit mass, |f'|^2 is
     1 + m w1 + O(m^2) with w1 = 2 Re h1', so phi_h = phi0 + m psi + O(m^2)
@@ -240,10 +227,11 @@ def first_order_field(op: LinearizedOperator, n_radial: int = DEFAULT_RADIAL,
     table's right-hand side for A_k = r^k alpha_k, so psi =
     2 Re sum_k d_k r^k alpha_k e^{ik theta}: one irfft of mode_profiles,
     which is cached when the table was built on this radial grid.  The grid
-    must hold 2N + 2 angles (ConfigError).  Where G'(phi0) = 0 on the grid,
-    one Picard step is exact from any start, so no psi is made.  Made once
-    per operator and grid, by the first solve at m != 0, and kept on op;
-    read-only.
+    must hold 2N + 2 angles (ConfigError).  Where G is G(0) on phi0's range
+    (kernel.constant_value, the rule by which solve_phi0 takes phi0 in
+    closed form), G'(phi0) = 0, one Picard step is exact from any start,
+    and no psi is made.  Made once per operator and grid, by the first
+    solve at m != 0, and kept on op; read-only.
     """
     if n_angular is None:
         n_angular = boundary_points(op.N)
@@ -251,7 +239,7 @@ def first_order_field(op: LinearizedOperator, n_radial: int = DEFAULT_RADIAL,
     if key not in op.stream_fields:
         base = op.base
         psi = None
-        if np.any(base.profile.d1(base.phi0.grid_values(n_radial))):
+        if constant_value(base.profile) is None:
             check_grid(n_angular, op.N)
             h1, _, _ = first_order_response(op, 1.0)
             modes = np.zeros((n_radial, op.N + 1), dtype=complex)
@@ -300,10 +288,10 @@ def field_equation_residual(fieldv: DiskField, h: ShapeCoeffs,
     r = fieldv.r
     M = len(fieldv.phi)
     w = conformal_factor_grid(h, len(r), M)
-    _, basis = _radial_basis(len(r))
     vh = np.fft.rfft(fieldv.values, axis=1)
     n = np.arange(vh.shape[1])
-    lap_hat = _parity_fold(basis, vh) - (n * n)[None, :] / (r * r)[:, None] * vh
+    lap_hat = _parity_fold(fieldv.grid.basis, vh)
+    lap_hat -= (n * n)[None, :] / (r * r)[:, None] * vh
     lap = np.fft.irfft(lap_hat, n=M, axis=1)
     res = lap - w * np.asarray(profile.eval(fieldv.values), dtype=float)
     return float(np.max(np.abs(res[1:, :])))

@@ -142,7 +142,7 @@ def on_boundary_points(rows, N: int):
 def _radial_powers(n_radial: int, N: int) -> np.ndarray:
     """r_i^k, k = 0..N, on the radial grid of n_radial nodes.  Cached, so
     read-only."""
-    powers = _radial_basis(n_radial)[0].r[:, None] ** np.arange(N + 1)
+    powers = _radial_basis(n_radial).r[:, None] ** np.arange(N + 1)
     powers.setflags(write=False)
     return powers
 

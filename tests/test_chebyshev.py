@@ -54,7 +54,7 @@ def test_half_diameter_poisson_mode0():
     rhs[0] = 0.0
     u = np.linalg.solve(A, rhs)
     assert np.max(np.abs(u - (1.0 - grid.r**2))) < 1e-10
-    d1 = grid.d1(0)
+    d1 = grid.d1[0]
     assert abs((d1 @ u)[0] + 2.0) < 1e-9
 
 

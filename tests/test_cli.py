@@ -14,6 +14,7 @@ from tidaldisk import cli, radial_ode
 from tidaldisk.chebyshev import DEFAULT_RADIAL, _radial_basis
 from tidaldisk.cli import main
 from tidaldisk.coeffs import build_mode_table
+from tidaldisk.verify import _linear_closed_forms
 
 BASE_CFG = """
 case = B
@@ -51,7 +52,7 @@ def test_base_outputs(tmp_path):
     assert header == ["r", "phi0"]
     assert float(rows[0][0]) == 0.0 and float(rows[-1][1]) == 0.0
     # both carry r = 0, then the solver grid's radii, ascending
-    nodes = [0.0, *_radial_basis(DEFAULT_RADIAL)[0].r[::-1]]
+    nodes = [0.0, *_radial_basis(DEFAULT_RADIAL).r[::-1]]
     assert base["phi0_nodes"] == nodes
     assert len(base["phi0_values"]) == DEFAULT_RADIAL + 1
     assert base["phi0_values"][-1] == 0.0
@@ -85,11 +86,17 @@ def test_base_deterministic(tmp_path):
 
 
 def test_base_strong_rigid_rotation(tmp_path):
-    # the shooting range scales with |G(0)| = 1e5
-    cfg = _write_cfg(tmp_path, "case = B\nprofile = rigid:50000\na0 = 2.0\n")
+    # nearly rigid, G = 1e-6 u - 1e5: G rises, so phi0 is shot, in a range
+    # that scales with |G(0)| = 1e5; phi0'(1) is 5e4 times that of
+    # G = 1e-6 u - 2
+    cfg = _write_cfg(tmp_path,
+                     "case = B\nprofile = linear:1e-6,-1e5\na0 = 2.0\n")
     out = tmp_path / "out"
     assert main(["base", "--config", cfg, "--out", str(out)]) == 0
-    assert abs(_read_json(out / "base.json")["dphi0_at_1"] + 5e4) < 1e-7
+    base = _read_json(out / "base.json")
+    assert base["phi0_solver"] == "shooting"
+    dphi0 = 5e4 * _linear_closed_forms(1e-6, np.ones(1), 0)[1]
+    assert abs(base["dphi0_at_1"] - dphi0) < 1e-7
 
 
 def test_omega0_route_matches_a0_route(tmp_path):

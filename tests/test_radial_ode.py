@@ -14,9 +14,10 @@ from tidaldisk.kernel import (VorticityProfile, linear_preset,
 from tidaldisk.linop import make_operator
 from tidaldisk import radial_ode
 from tidaldisk.potential import case_a, case_b, make_base_state
-from tidaldisk.radial_ode import (RadialProfile, _grid_operators, _mode_grid,
-                                  mode_derivatives, solve_An, solve_phi0)
+from tidaldisk.radial_ode import (RadialProfile, _mode_grid, mode_derivatives,
+                                  solve_An, solve_phi0)
 from tidaldisk.residual import quasi_newton_solve
+from tidaldisk.verify import _linear_closed_forms
 
 
 def test_profile_validation():
@@ -48,7 +49,7 @@ def test_phi0_samples_on_solver_grid():
     # r = 0, then the radii of the solver's half-diameter grid, ascending;
     # the Dirichlet value is imposed exactly
     prof = solve_phi0(linear_preset(1.0, -2.0))
-    r = _radial_basis(DEFAULT_RADIAL)[0].r
+    r = _radial_basis(DEFAULT_RADIAL).r
     assert len(prof.nodes) == len(prof.values) == DEFAULT_RADIAL + 1
     assert prof.nodes[0] == 0.0
     assert np.array_equal(prof.nodes[1:], r[::-1])
@@ -63,7 +64,7 @@ def test_phi0_grid_values_one_sample(n_radial):
     # ones base.json and phi0.csv write; on any grid phi0(1) = 0 exactly
     prof = solve_phi0(linear_preset(1.0, -2.0))
     samples = prof.grid_values(n_radial)
-    r = _radial_basis(n_radial)[0].r
+    r = _radial_basis(n_radial).r
     assert samples.shape == (n_radial,) and samples[0] == 0.0
     assert not samples.flags.writeable
     assert prof.grid_values(n_radial) is samples
@@ -73,13 +74,16 @@ def test_phi0_grid_values_one_sample(n_radial):
 
 
 def test_phi0_strong_rigid_rotation():
-    # G(0) = -1e5: phi0(0) = -G(0)/4 lies inside the shooting range
-    # +-10 (1 + |G(0)|)
-    w = 5e4
-    prof = solve_phi0(rigid_preset(w))
+    # nearly rigid, G = 1e-6 u - 1e5: the slope makes G rise, so phi0 is
+    # shot, and phi0(0) = 2.5e4 lies inside the shooting range
+    # +-10 (1 + |G(0)|); phi0 is 5e4 times that of G = 1e-6 u - 2
+    prof = solve_phi0(linear_preset(1e-6, -1e5))
+    assert prof.solver == "shooting"
     r = np.linspace(0.0, 1.0, 101)
-    exact = 0.5 * w * (1.0 - r * r)
+    phi0, dphi0, _ = _linear_closed_forms(1e-6, r, 0)
+    exact = 5e4 * phi0
     assert np.max(np.abs(prof(r) - exact)) < 1e-12 * exact[0]
+    assert abs(prof.deriv_at_1 - 5e4 * dphi0) < 1e-12 * 5e4
 
 
 def test_phi0_table_far_from_zero():
@@ -144,9 +148,9 @@ def _no_shot(*args, **kwargs):
     raise AssertionError("shot phi0 where G is constant")
 
 
-@pytest.mark.parametrize("profile", [rigid_preset(1.3), zero_preset(),
-                                     _FLAT_TABLE],
-                         ids=["rigid", "zero", "flat table"])
+@pytest.mark.parametrize("profile", [rigid_preset(1.3), rigid_preset(5e4),
+                                     zero_preset(), _FLAT_TABLE],
+                         ids=["rigid", "strong rigid", "zero", "flat table"])
 def test_phi0_closed_form_for_constant_g(profile, monkeypatch):
     # phi0 = (G0/4)(r^2 - 1) on r = 0 and the grid radii, with no shot
     monkeypatch.setattr(radial_ode, "_integrate_from_center", _no_shot)
@@ -154,14 +158,14 @@ def test_phi0_closed_form_for_constant_g(profile, monkeypatch):
     prof = solve_phi0(profile)
     assert prof.solver == "closed_form" and prof.residual == 0.0
     assert prof.deriv_at_1 == 0.5 * g0
-    r = _radial_basis(DEFAULT_RADIAL)[0].r
+    r = _radial_basis(DEFAULT_RADIAL).r
     assert np.array_equal(prof.nodes, np.concatenate([[0.0], r[::-1]]))
     exact = 0.25 * g0 * (prof.nodes ** 2 - 1.0)
     assert np.array_equal(prof.values[:-1], exact[:-1])
     assert prof.values[-1] == 0.0
     assert not prof.values.flags.writeable
     for n_radial in (DEFAULT_RADIAL, 32):
-        radii = _radial_basis(n_radial)[0].r
+        radii = _radial_basis(n_radial).r
         samples = prof.grid_values(n_radial)
         assert samples[0] == 0.0
         assert np.array_equal(samples[1:], 0.25 * g0 * (radii[1:] ** 2 - 1.0))
@@ -275,23 +279,27 @@ def test_mode_derivatives_rigid_closed_form(rigid_base):
 
 
 def test_grid_operators_read_only(rigid_base):
-    # one cache entry per grid, shared by every table: no caller may write
-    for arr in _grid_operators(DEFAULT_RADIAL):
+    # one cache entry per grid, shared by every solver: no caller may write
+    grid = _radial_basis(DEFAULT_RADIAL)
+    arrays = [a for v in vars(grid).values()
+              for a in (v if isinstance(v, tuple) else (v,))
+              if isinstance(a, np.ndarray)]
+    assert len(arrays) == 9  # r, d1 x 2, basis x 2, rows x 2, C, C_inv
+    for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    _, _, C, row, _ = _mode_grid(rigid_base, DEFAULT_RADIAL)
-    assert not C.flags.writeable and not row.flags.writeable
+    assert _mode_grid(rigid_base, DEFAULT_RADIAL)[0] is grid
 
 
 def test_grid_operators_one_entry_per_grid(rigid_base):
     # repeated tables on one grid build its operators at most once
-    ops = _grid_operators(24)
-    misses = _grid_operators.cache_info().misses
+    grid = _radial_basis(24)
+    misses = _radial_basis.cache_info().misses
     first = mode_derivatives(rigid_base, 32, n_nodes=24)
     second = mode_derivatives(rigid_base, 32, n_nodes=24)
-    assert _grid_operators.cache_info().misses == misses
-    assert _grid_operators(24) is ops
+    assert _radial_basis.cache_info().misses == misses
+    assert _radial_basis(24) is grid
     assert np.array_equal(first, second)
 
 
@@ -299,9 +307,10 @@ def test_grid_operators_one_entry_per_grid(rigid_base):
 def test_grid_operators_inverse(n_nodes):
     # C^-1 C is the identity to rounding: below eps cond(C), which is 40 at
     # 8 radii and 1.1e4 at 128 (measured 0.11 and 0.012 of the bound)
-    C, C_inv, row = _grid_operators(n_nodes)
+    grid = _radial_basis(n_nodes)
+    C, C_inv = grid.C, grid.C_inv
     assert C.shape == C_inv.shape == (n_nodes - 1, n_nodes - 1)
-    assert row.shape == (n_nodes - 1,)
+    assert all(row.shape == (1, n_nodes) for row in grid.rows)
     bound = np.finfo(float).eps * np.linalg.cond(C)
     assert np.max(np.abs(C_inv @ C - np.eye(n_nodes - 1))) < bound
 
@@ -343,7 +352,7 @@ def test_mode_table_reads_phi0_samples():
     build_mode_table(base, N=64)
     assert calls == []
     samples = base.phi0.grid_values(DEFAULT_RADIAL)
-    fresh = evaluate(_radial_basis(DEFAULT_RADIAL)[0].r)
+    fresh = evaluate(_radial_basis(DEFAULT_RADIAL).r)
     assert np.array_equal(samples[1:], fresh[1:]) and samples[0] == 0.0
     assert not samples.flags.writeable
     for _ in range(2):
@@ -416,7 +425,8 @@ def _refined_mode_derivatives(base, N, n_nodes):
     """Per-mode solves of (L + 2n C) alpha = g0, refined three times with
     residuals formed in long double (80-bit on x86-64): the discrete
     A_n'(1) to well below double rounding."""
-    _, L, C, row, g0 = _mode_grid(base, n_nodes)
+    grid, L, g0 = _mode_grid(base, n_nodes)
+    C, row = grid.C, grid.rows[0][0, 1:]
     ld = np.longdouble
     Ll, Cl, gl, rl = (v.astype(ld) for v in (L, C, g0, row))
     out = np.empty(N + 1)

@@ -9,7 +9,9 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gamma, rgamma
 
 from disk_quadrature import disk_rule
-from tidaldisk.chebyshev import DEFAULT_RADIAL, HalfDiameterGrid
+from tidaldisk.chebyshev import (DEFAULT_RADIAL, HalfDiameterGrid, _radial_basis,
+                                 diff_matrix, lobatto_points)
+from tidaldisk.coeffs import build_mode_table
 from tidaldisk.config import parse_config_text
 from tidaldisk.errors import (ConfigError, DegenerateBaseError, DivergenceError,
                               ResonanceError, TidaldiskError)
@@ -272,7 +274,7 @@ def test_disk_field_spectrum_is_rfft(base_linear):
     assert fld.picard_steps > 1
     ref = np.fft.rfft(fld.values, axis=1)
     assert np.max(np.abs(fld.spectrum - ref)) <= 1e-14
-    rows = [fld.grid.d1(p)[:1] for p in (0, 1)]
+    rows = [fld.grid.d1[p][:1] for p in (0, 1)]
     dn = np.fft.irfft(residual._parity_fold(rows, ref)[0], n=64)
     assert np.max(np.abs(fld.boundary_normal_deriv() - dn)) <= 1e-14
 
@@ -478,9 +480,8 @@ def test_mode_profiles_one_schur_per_base(monkeypatch, base_linear):
         b = make_base_state(case_b(), a0, profile)
         table = make_operator(b, N=16).table
         uncached = radial_ode.mode_profiles.__wrapped__(b, 16, DEFAULT_RADIAL)
-        assert np.array_equal(table.a_deriv,
-                              radial_ode._grid_operators(DEFAULT_RADIAL)[2]
-                              @ uncached)
+        row = _radial_basis(DEFAULT_RADIAL).rows[0][0, 1:]
+        assert np.array_equal(table.a_deriv, row @ uncached)
     assert len(schurs) == 3 + 3  # one per base, one per uncached call
 
 
@@ -623,17 +624,34 @@ def test_rigid_solve_makes_no_grid_solve(monkeypatch):
 
 
 def test_boundary_rows_cached_bit_identical(base_linear):
-    # the r = 1 rows of d_r are made once per grid, read-only, and give the
-    # normal derivative of rows taken from the full matrices
+    # the r = 1 rows of d_r are made once per grid, read-only, are the
+    # first rows of d_r folded from the full diameter's matrix, and give
+    # the field's normal derivative
     fld = solve_phi_h(_small_shape(), base_linear.profile, n_radial=32,
                       n_angular=64)
-    rows = residual._boundary_rows(32)
-    assert residual._boundary_rows(32) is rows
+    assert fld.grid is _radial_basis(32)
+    rows = fld.grid.rows
     assert not any(row.flags.writeable for row in rows)
-    grid = HalfDiameterGrid(32)
-    full = [grid.d1(p)[:1] for p in (0, 1)]
-    ref = np.fft.irfft(residual._parity_fold(full, fld.spectrum)[0], n=64)
+    D = diff_matrix(lobatto_points(64))[:1]  # r = 1, on the full diameter
+    full_rows = [D[:, :32] + s * D[:, :31:-1] for s in (1.0, -1.0)]
+    for row, full_row in zip(rows, full_rows):
+        assert np.array_equal(row, full_row)
+    ref = np.fft.irfft(residual._parity_fold(full_rows, fld.spectrum)[0],
+                       n=64)
     assert np.array_equal(fld.boundary_normal_deriv(), ref)
+
+
+def test_one_radial_basis_miss_per_grid():
+    # a stream-function solve, a mode table and the first-order field on
+    # one n_radial share one grid object: the grid is built once
+    base = make_base_state(case_b(), 2.0, linear_preset(1.0, -2.0))
+    _radial_basis.cache_clear()
+    op = make_operator(base, build_mode_table(base, 16, n_nodes=24), N=16)
+    fld = solve_phi_h(_small_shape(), base.profile, n_radial=24,
+                      n_angular=64)
+    assert first_order_field(op, 24, 64) is not None
+    assert _radial_basis.cache_info().misses == 1
+    assert fld.grid is _radial_basis(24) is _mode_grid(base, 24)[0]
 
 
 # --------------------------------------------------------------------------
