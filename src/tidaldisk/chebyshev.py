@@ -81,11 +81,6 @@ class HalfDiameterGrid:
                     self.C_inv):
             arr.setflags(write=False)
 
-    def laplacian_mode(self, n: int) -> np.ndarray:
-        """Radial part of the Laplacian for angular wavenumber n:
-        d_rr + (1/r) d_r - n^2/r^2, folded for the parity of n."""
-        return self.basis[n % 2] - np.diag(n * n / self.r**2)
-
     def even_interpolant(self, values: np.ndarray):
         """Chebyshev interpolant of the even extension over the diameter of
         ``values`` at the nodes r, a scipy BarycentricInterpolator.  With wi

@@ -102,7 +102,9 @@ def nonresonance_scan(op: LinearizedOperator) -> dict:
     The certificate records the first index n_T from which the leading term
     -(1/2) phi0'(1)^2 (n+1) dominates the sum of the magnitudes of the
     other three terms of omega_n; past that point omega_n cannot vanish,
-    and the dominance only improves with n.
+    and the dominance only improves with n.  ``mode_table_solver`` names
+    the route of A_n'(1): "closed_form" where G is constant on phi0's
+    range (BaseState.constant_g), else "collocation".
     """
     t = op.table
     n_arr = np.arange(1, t.N + 1)
@@ -123,6 +125,8 @@ def nonresonance_scan(op: LinearizedOperator) -> dict:
         "argmin_n": int(np.argmin(om)) + 2,
         "tail_certified_from": tail_from,
         "resonances": resonant_modes(t),
+        "mode_table_solver": ("collocation" if op.base.constant_g is None
+                              else "closed_form"),
     }
 
 

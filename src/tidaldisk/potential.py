@@ -21,6 +21,7 @@ forms (verify criterion 9).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -344,6 +345,14 @@ class BaseState:
     def g_at_boundary(self) -> float:
         """G(0), the vorticity on the boundary, where phi0 vanishes."""
         return float(self.profile.eval(0.0))
+
+    @property
+    def constant_g(self) -> Optional[float]:
+        """G0 = G(0) where G is G0 on phi0's range, and otherwise None: the
+        base's one constant-G decision, made by solve_phi0 when it took
+        phi0 in closed form.  The mode table and the first-order field
+        read it; residual_F's flux tests its own, shape-dependent range."""
+        return self.g_at_boundary if self.phi0.solver == "closed_form" else None
 
     def to_json_dict(self) -> dict:
         return {

@@ -14,6 +14,13 @@ Two solvers live here:
   collocated on the even block of the half-diameter grid (no node at r = 0).
   The mode table takes every n from one real Schur form; solve_An solves
   one mode directly and is the reference the table is tested against.
+  Where G is the constant G0 on phi0's range, A_n'(1) = G0 / (2(n+1)) in
+  closed form.
+
+Whether G is constant is decided once per base: solve_phi0 decides it when
+it takes phi0 in closed form, and BaseState.constant_g reads that back for
+the mode table (mode_derivatives) and the first-order field.  mode_profiles
+and solve_An always collocate.
 """
 
 from __future__ import annotations
@@ -151,7 +158,9 @@ def solve_phi0(profile: VorticityProfile,
     max|G'| (else ValueError).  Where G is G(0) on all of it
     (kernel.constant_value with radius 1, the rule residual_F's flux
     follows: the rigid and zero presets and tables flat there), phi0 is
-    exactly (G(0)/4)(r^2 - 1), with phi0'(1) = G(0)/2 and residual 0.
+    exactly (G(0)/4)(r^2 - 1), with phi0'(1) = G(0)/2 and residual 0;
+    its solver "closed_form" is the base's constant-G decision, which
+    BaseState.constant_g reads back.
 
     Otherwise the shooting map c -> phi(1; c) is monotone for
     non-decreasing G, so a sign change bracket plus Brent iteration is
@@ -316,10 +325,17 @@ def mode_profiles(base, N: int, n_nodes: int = DEFAULT_RADIAL) -> np.ndarray:
 
 
 def mode_derivatives(base, N: int, n_nodes: int = DEFAULT_RADIAL) -> np.ndarray:
-    """A_n'(1) = alpha_n'(1), n = 0..N: the r = 1 row of d_r times
+    """A_n'(1) = alpha_n'(1), n = 0..N.
+
+    Where G is the constant G0 on phi0's range (base.constant_g), G' = 0
+    and A_n = G0 (r^{n+2} - r^n) / (4(n+1)) exactly, so A_n'(1) =
+    G0 / (2(n+1)), on no grid.  Otherwise it is the r = 1 row of d_r times
     mode_profiles.  Per-mode solves refined with long-double residuals match
     it to 2e-14 relative up to 128 radii (n <= 256); ``solve_An``'s single
     LU solve reads up to 1.3e-13 there.  No profile is built."""
+    g0 = base.constant_g
+    if g0 is not None:
+        return g0 / (2.0 * np.arange(1, N + 2))
     row = _radial_basis(n_nodes).rows[0][0, 1:]  # alpha(1) = 0: no column 0
     return row @ mode_profiles(base, N, n_nodes)
 

@@ -129,11 +129,10 @@ def _parity_fold(mats, vh: np.ndarray) -> np.ndarray:
 class DiskField:
     """Real scalar field on the polar grid (radial half-nodes x angles)."""
 
-    r: np.ndarray              # descending, r[0] = 1
     phi: np.ndarray            # uniform angular grid
-    values: np.ndarray         # shape (len(r), len(phi))
+    values: np.ndarray         # shape (len(grid.r), len(phi))
     spectrum: np.ndarray = field(repr=False)  # rfft of values along phi
-    grid: HalfDiameterGrid = field(repr=False)  # the radial grid of r
+    grid: HalfDiameterGrid = field(repr=False)  # radii grid.r, descending
     picard_steps: int = 0      # steps of the solve that made the field
 
     def boundary_normal_deriv(self) -> np.ndarray:
@@ -209,7 +208,7 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
         lo, hi = min(lo, float(np.min(s))), max(hi, float(np.max(s)))
         q = max(hi - lam, lam - lo) / max(4.0, lam)
         if (delta * q / (1.0 - q) if q < 0.5 else delta) < tol:
-            return DiskField(r=grid.r, phi=boundary_grid(n_angular), values=u,
+            return DiskField(phi=boundary_grid(n_angular), values=u,
                              spectrum=u_hat, grid=grid, picard_steps=steps)
     raise DivergenceError(
         f"stream-function iteration did not converge (last step {delta:.2e})")
@@ -228,7 +227,7 @@ def first_order_field(op: LinearizedOperator, n_radial: int = DEFAULT_RADIAL,
     2 Re sum_k d_k r^k alpha_k e^{ik theta}: one irfft of mode_profiles,
     which is cached when the table was built on this radial grid.  The grid
     must hold 2N + 2 angles (ConfigError).  Where G is G(0) on phi0's range
-    (kernel.constant_value, the rule by which solve_phi0 takes phi0 in
+    (BaseState.constant_g, the base's decision when solve_phi0 took phi0 in
     closed form), G'(phi0) = 0, one Picard step is exact from any start,
     and no psi is made.  Made once per operator and grid, by the first
     solve at m != 0, and kept on op; read-only.
@@ -239,7 +238,7 @@ def first_order_field(op: LinearizedOperator, n_radial: int = DEFAULT_RADIAL,
     if key not in op.stream_fields:
         base = op.base
         psi = None
-        if constant_value(base.profile) is None:
+        if base.constant_g is None:
             check_grid(n_angular, op.N)
             h1, _, _ = first_order_response(op, 1.0)
             modes = np.zeros((n_radial, op.N + 1), dtype=complex)
@@ -285,7 +284,7 @@ def closed_form_flux(f: np.ndarray, yp: np.ndarray, g0: float) -> np.ndarray:
 def field_equation_residual(fieldv: DiskField, h: ShapeCoeffs,
                             profile: VorticityProfile) -> float:
     """Sup norm of Delta u - |f'|^2 G(u) at the interior collocation nodes."""
-    r = fieldv.r
+    r = fieldv.grid.r
     M = len(fieldv.phi)
     w = conformal_factor_grid(h, len(r), M)
     vh = np.fft.rfft(fieldv.values, axis=1)

@@ -88,7 +88,9 @@ def _linear_closed_forms(s, r, n_max):
 def criterion_2_rigid_mode_derivatives(seed=0):
     """A_n'(1) against -Omega0/(n+1) for rigid G, and A_n'(1), phi0 and
     phi0'(1) against their closed forms for G = s u - 2, of which rigid is
-    the s -> 0 limit, all relative to their size."""
+    the s -> 0 limit, all relative to their size.  The rigid table takes
+    its closed form G0/(2(n+1)) (BaseState.constant_g), so its arm checks
+    that route; the collocation near rigid is the s = 1e-6 linear arm."""
     base = _matched_rigid_base()
     om = base.omega0
     target = -om / (np.arange(65) + 1)

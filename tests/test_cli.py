@@ -76,6 +76,21 @@ def test_base_json_names_phi0_solver(tmp_path, profile, solver):
         assert 0.0 <= base["phi0_mismatch"] < 1e-12
 
 
+@pytest.mark.parametrize("profile, solver", [("rigid:1.0", "closed_form"),
+                                              ("linear:1,-2", "collocation")])
+def test_scan_json_names_mode_table_solver(tmp_path, profile, solver):
+    # a constant G takes A_n'(1) = G0/(2(n+1)) exactly; a rising G is
+    # collocated
+    cfg = _write_cfg(tmp_path, BASE_CFG.replace("rigid:1.0", profile))
+    out = tmp_path / "out"
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+    assert _read_json(out / "scan.json")["mode_table_solver"] == solver
+    if solver == "closed_form":
+        _, rows = _read_csv(out / "modes.csv")
+        assert [float(r[1]) for r in rows] == [-1.0 / (n + 1)
+                                               for n in range(len(rows))]
+
+
 def test_base_deterministic(tmp_path):
     cfg = _write_cfg(tmp_path, BASE_CFG)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -241,7 +256,8 @@ def test_repeated_mass_exit_code(tmp_path, capsys):
 
 def test_operator_on_configured_radial_grid(tmp_path, monkeypatch):
     # the frozen linearization's mode table sits on the n_radial grid that
-    # the residual uses, not on the default 64 radii
+    # the residual uses, not on the default 64 radii; on a linear G, which
+    # is collocated (a constant G's closed-form table has no grid)
     ops = []
     make_operator = cli.make_operator
 
@@ -250,9 +266,11 @@ def test_operator_on_configured_radial_grid(tmp_path, monkeypatch):
         return ops[-1]
 
     monkeypatch.setattr(cli, "make_operator", spy)
-    cfg = _write_cfg(tmp_path, BASE_CFG + "n_radial = 48\nm = 1e-5\n")
+    text = BASE_CFG.replace("rigid:1.0", "linear:1,-2")
+    cfg = _write_cfg(tmp_path, text + "n_radial = 48\nm = 1e-5\n")
     assert main(["perturb", "--config", cfg, "--out", str(tmp_path)]) == 0
     base = ops[0].base
+    assert base.constant_g is None
     want = build_mode_table(base, N=16, n_nodes=48).a_deriv
     assert np.array_equal(ops[0].table.a_deriv, want)
     assert not np.array_equal(build_mode_table(base, N=16).a_deriv, want)

@@ -200,7 +200,8 @@ def test_phi0_shoots_where_g_is_not_constant(profile, monkeypatch):
 def test_rigid_solve_on_closed_form_phi0_matches_shot(case, N, m,
                                                       monkeypatch):
     # the base and the solve from the exact phi0 agree with those from the
-    # shot phi0 (constant_value forced to None in solve_phi0 alone)
+    # shot phi0 (constant_value forced to None in solve_phi0 alone, so the
+    # shot base also collocates its mode table)
     exact = make_base_state(case, 2.0, rigid_preset(1.0))
     monkeypatch.setattr(radial_ode, "constant_value", lambda *a, **kw: None)
     shot = make_base_state(case, 2.0, rigid_preset(1.0))
@@ -255,6 +256,11 @@ def rigid_base():
     return make_base_state(case_b(), 2.0, rigid_preset(1.0))
 
 
+@pytest.fixture(scope="module")
+def linear_base():
+    return make_base_state(case_b(), 2.0, linear_preset(1.0, -2.0))
+
+
 def test_mode_closed_form_small_n(rigid_base):
     # constant G = -2 w, G' = 0: A_n = -w/(2n+2) (r^(n+2) - r^n),
     # so A_n'(1) = -w / (n + 1)
@@ -273,9 +279,37 @@ def test_mode_closed_form_large_n(rigid_base):
 
 
 def test_mode_derivatives_rigid_closed_form(rigid_base):
+    # G = -2 is constant on phi0's range: the table is -1/(n+1) exactly
     n = np.arange(257)
     d = mode_derivatives(rigid_base, 256)
-    assert np.max(np.abs(d * (n + 1) + 1.0)) < 1e-12
+    assert np.array_equal(d, -1.0 / (n + 1))
+
+
+@pytest.mark.parametrize("profile, schurs", [
+    (rigid_preset(1.3), 0), (rigid_preset(5e4), 0), (_FLAT_TABLE, 0),
+    (linear_preset(1.0, -2.0), 1),
+    (VorticityProfile(_rounded_constant, np.zeros_like), 1),
+], ids=["rigid", "strong rigid", "flat table", "linear",
+        "constant up to rounding"])
+def test_constant_g_operator_makes_no_schur_form(profile, schurs,
+                                                 monkeypatch):
+    # where G is constant on phi0's range the operator's table is
+    # G0/(2(n+1)) with no Schur form and no radial grid; any other G
+    # collocates, with one Schur form per base
+    made, grids = [], []
+    real_schur, real_grid = radial_ode.schur, radial_ode._radial_basis
+    monkeypatch.setattr(radial_ode, "schur",
+                        lambda *a, **k: made.append(1) or real_schur(*a, **k))
+    base = make_base_state(case_b(), 2.0, profile)
+    monkeypatch.setattr(radial_ode, "_radial_basis",
+                        lambda n: grids.append(n) or real_grid(n))
+    g0 = float(profile.eval(0.0))
+    assert base.constant_g == (g0 if schurs == 0 else None)
+    op = make_operator(base, N=64)
+    assert len(made) == schurs
+    if schurs == 0:
+        assert grids == []
+        assert np.array_equal(op.table.a_deriv, g0 / (2 * np.arange(1, 66)))
 
 
 def test_grid_operators_read_only(rigid_base):
@@ -292,12 +326,13 @@ def test_grid_operators_read_only(rigid_base):
     assert _mode_grid(rigid_base, DEFAULT_RADIAL)[0] is grid
 
 
-def test_grid_operators_one_entry_per_grid(rigid_base):
-    # repeated tables on one grid build its operators at most once
+def test_grid_operators_one_entry_per_grid(linear_base):
+    # repeated tables on one grid build its operators at most once; on a
+    # linear G, which is collocated (a constant G reads no grid)
     grid = _radial_basis(24)
     misses = _radial_basis.cache_info().misses
-    first = mode_derivatives(rigid_base, 32, n_nodes=24)
-    second = mode_derivatives(rigid_base, 32, n_nodes=24)
+    first = mode_derivatives(linear_base, 32, n_nodes=24)
+    second = mode_derivatives(linear_base, 32, n_nodes=24)
     assert _radial_basis.cache_info().misses == misses
     assert _radial_basis(24) is grid
     assert np.array_equal(first, second)
@@ -450,7 +485,12 @@ def profile_base(request):
 @pytest.mark.parametrize("n_nodes", [16, 64, 128])
 def test_mode_derivatives_accuracy(profile_base, n_nodes):
     # the Schur route with its one refinement step against a refined
-    # per-mode reference; the unrefined route misses by up to 3e-11 at 128
-    ref = _refined_mode_derivatives(profile_base, 256, n_nodes)
+    # per-mode reference; the unrefined route misses by up to 3e-11 at 128.
+    # Rigid G = -2 takes the closed form, held to the exact -1/(n+1): the
+    # refined collocation is itself 1.7e-13 from it at 128 radii
+    if profile_base.phi0.solver == "closed_form":
+        ref = -1.0 / np.arange(1, 258)
+    else:
+        ref = _refined_mode_derivatives(profile_base, 256, n_nodes)
     d = mode_derivatives(profile_base, 256, n_nodes=n_nodes)
     assert np.max(np.abs(d - ref) / np.abs(ref)) < 1e-13

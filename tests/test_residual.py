@@ -9,6 +9,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gamma, rgamma
 
 from disk_quadrature import disk_rule
+from radial_reference import laplacian_mode
 from tidaldisk.chebyshev import (DEFAULT_RADIAL, HalfDiameterGrid, _radial_basis,
                                  diff_matrix, lobatto_points)
 from tidaldisk.coeffs import build_mode_table
@@ -61,7 +62,7 @@ def test_stream_function_disk_closed_form(base):
     # at h = 0 with G = -2 the solution is (1 - r^2)/2
     fld = solve_phi_h(ShapeCoeffs.zero(4), base.profile,
                       n_radial=32, n_angular=64)
-    exact = 0.5 * (1.0 - fld.r**2)
+    exact = 0.5 * (1.0 - fld.grid.r**2)
     assert np.max(np.abs(fld.values - exact[:, None])) < 1e-12
     assert np.max(np.abs(fld.values[0])) < 1e-13
     assert np.max(np.abs(fld.boundary_normal_deriv() + 1.0)) < 1e-10
@@ -87,7 +88,7 @@ def test_mode_operators_match_laplacian_mode():
         for lam in (0.0, 0.7, 30.0):
             u = _solve_modes(n_radial, lam, rhs)
             for n in range(n_modes):
-                A = grid.laplacian_mode(n) - lam * np.eye(n_radial)
+                A = laplacian_mode(grid, n) - lam * np.eye(n_radial)
                 A[0, :] = 0.0
                 A[0, 0] = 1.0  # Dirichlet at r = 1
                 x, b = u[:, n], rhs[:, n]
@@ -142,7 +143,7 @@ def _seed_solve_phi_h(h, profile, n_radial, n_angular, tol=1e-12):
             lam = 1.5 * lam_needed if lam_needed > 0 else 0.0
             factors = {}
             for n in range(n_angular // 2 + 1):
-                A = grid.laplacian_mode(n) - lam * np.eye(n_radial)
+                A = laplacian_mode(grid, n) - lam * np.eye(n_radial)
                 A[0, :] = 0.0
                 A[0, 0] = 1.0
                 factors[n] = lu_factor(A)
@@ -189,7 +190,7 @@ def test_stream_function_warm_start(base_linear):
     fld = solve_phi_h(h, base_linear.profile, n_radial=32, n_angular=64)
     cold, cold_calls = _counting_d1(base_linear.profile)
     cold_fld = solve_phi_h(h, cold, n_radial=32, n_angular=64)
-    phi0 = (base_linear.phi0(fld.r) - base_linear.phi0(1.0))[:, None]
+    phi0 = (base_linear.phi0(fld.grid.r) - base_linear.phi0(1.0))[:, None]
     warm_fld = solve_phi_h(h, base_linear.profile, n_radial=32, n_angular=64,
                            u_init=phi0)
     assert np.max(np.abs(warm_fld.values - cold_fld.values)) < 1e-11
@@ -560,7 +561,7 @@ def test_closed_form_field_solves_field_equation(base):
         P = np.fft.irfft(np.fft.rfft(np.abs(f) ** 2) * grid.r[:, None] ** p,
                          n=M, axis=1)
         u = -0.5 * (np.abs(z + eval_h_at(h, z)[0]) ** 2 - P)
-        fld = residual.DiskField(r=grid.r, phi=phi, values=u,
+        fld = residual.DiskField(phi=phi, values=u,
                                  spectrum=np.fft.rfft(u, axis=1), grid=grid)
         assert field_equation_residual(fld, h, base.profile) < 1e-10
         assert np.max(np.abs(u[0])) < 1e-15
