@@ -105,6 +105,8 @@ def profile_from_table(u: np.ndarray, g: np.ndarray) -> VorticityProfile:
     g = np.asarray(g, dtype=float)
     if u.ndim != 1 or u.shape != g.shape or len(u) < 4:
         raise ValueError("need matching 1-d arrays with at least 4 samples")
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(g))):
+        raise ValueError("profile table has a non-finite entry (NaN or inf)")
     order = np.argsort(u)
     u, g = u[order], g[order]
     if np.any(np.diff(u) <= 0):

@@ -32,6 +32,11 @@ rigid rotation, residual_F solves nothing on the grid: phi_h is
 (G0/4)(|f|^2 - P[|f|^2]), P the Poisson extension, and its normal
 derivative comes from the boundary sample in closed form
 (closed_form_flux).
+
+A shape is read from one spectral.sample_shape: solve_phi_h takes its grid
+and injectivity margin, boundary_potential its curve, and particle_force
+and center_of_mass its boundary_points(N) grid.  The quasi-Newton loop
+takes one per iterate and keeps none on the solution.
 """
 
 from __future__ import annotations
@@ -55,11 +60,11 @@ from .potential import (_A0_MIN, BaseState, particle_potential_at,
                         sine_power_coeffs)
 from .radial_ode import mode_profiles
 # eval_h_at is not called here; perfbench/tracing.py wraps it under this name
-from .spectral import (BoundarySpectrum, ShapeCoeffs, _h_coeffs,
-                       _radial_powers, analyze, area, boundary_curve,
-                       boundary_grid, boundary_points, boundary_sample,
-                       check_grid, conformal_factor_grid, eval_h_at,
-                       injectivity_margin, on_boundary_points, sample_curve)
+from .spectral import (BoundarySpectrum, ShapeCoeffs, ShapeSample,
+                       _h_coeffs, _radial_powers, analyze, area,
+                       boundary_grid, boundary_points, check_grid,
+                       conformal_factor_grid, eval_h_at, sample_curve,
+                       sample_shape)
 
 # grid of the Picard damping, so that nearby shapes share one _mode_eigs entry
 _LAM_STEP = 1.0 / 16.0
@@ -149,11 +154,10 @@ def _require_certified(margin: float):
                              "to solve on a possibly folded domain")
 
 
-def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
+def solve_phi_h(shape: ShapeSample, profile: VorticityProfile,
                 n_radial: int = DEFAULT_RADIAL,
-                n_angular: Optional[int] = None,
                 tol: float = 1e-12, max_iter: int = 200,
-                u_init=None, margin: Optional[float] = None) -> DiskField:
+                u_init=None) -> DiskField:
     """Damped Picard solution of Delta u = |f'|^2 G(u), u = 0 on the circle.
 
     Each step solves (Delta - lam) u_next = w G(u) - lam u with w = |f'|^2.
@@ -179,20 +183,16 @@ def solve_phi_h(h: ShapeCoeffs, profile: VorticityProfile,
     iterate; a solve of k steps evaluates it k + 1 times.  The iteration
     starts from u_init, or from zero, as a read-only view broadcast to the
     grid (the steps only read it).  The field keeps the last step's modes
-    as its spectrum.  The grid must hold 2N + 2 angles (ConfigError); by
-    default it has boundary_points(N).
+    as its spectrum.
 
-    The shape must be certified injective (TidaldiskError otherwise): margin
-    is its injectivity_margin, which residual_F passes on from its boundary
-    sample, and which is computed here when it is not given.
+    shape is spectral.sample_shape(h, M): the field is solved on its M
+    angles, and its margin must certify h injective (TidaldiskError
+    otherwise).
     """
-    if margin is None:
-        margin = injectivity_margin(h)
-    _require_certified(margin)
-    if n_angular is None:
-        n_angular = boundary_points(h.N)
+    _require_certified(shape.margin)
+    n_angular = shape.rows.shape[1]
     grid = _radial_basis(n_radial)
-    w = conformal_factor_grid(h, n_radial, n_angular)
+    w = conformal_factor_grid(shape.h, n_radial, n_angular)
     u = np.broadcast_to(np.asarray(0.0 if u_init is None else u_init,
                                    dtype=float), (n_radial, n_angular))
     s = w * profile.d1(u)
@@ -341,13 +341,12 @@ def _circulant_rows(M: int, nu: Optional[float] = None) -> np.ndarray:
 _OFFSET_BLOCK_ELEMS = 2**14
 
 
-def boundary_potential(f: np.ndarray, yp: np.ndarray, case,
-                       ypp: Optional[np.ndarray] = None) -> np.ndarray:
+def boundary_potential(f: np.ndarray, yp: np.ndarray, ypp: np.ndarray,
+                       case) -> np.ndarray:
     """Samples of (U_h o f)(e^{i phi_j}) on the uniform M-grid, from the
-    curve f, its tangent yp and, for the power kernel, y'' there
-    (spectral.sample_curve); without ypp, y'' is taken from yp by an FFT
-    pair.  residual_F passes its n_angular sample, of a shape that
-    solve_phi_h has certified.
+    curve f, its tangent yp and y'' there (spectral.sample_curve), which
+    only the power kernel reads.  residual_F passes the curve of its
+    certified shape sample.
 
     With w chosen so that div[(y - x) w(|y - x|)] is the interaction kernel,
     w = (1/2) ln rho - 1/4 (log) or -rho^(-nu) / (2 - nu) (power), the area
@@ -419,9 +418,6 @@ def boundary_potential(f: np.ndarray, yp: np.ndarray, case,
         out[rows] = a - (x[rows] - x0) * by + (y[rows] - y0) * bx
     if case.is_log:
         return np.pi / (2.0 * M) * out
-    if ypp is None:
-        # y' holds the powers 1..N+1 < M of e^{it} only, so one FFT gives y''
-        ypp = np.fft.ifft(1j * np.arange(M) * np.fft.fft(yp))
     diag = 0.5 * (ypp * yp.conj()).imag * np.abs(yp) ** (-nu)
     return -(out + _product_weights(M, nu)[0] * diag) / (2.0 - nu)
 
@@ -435,44 +431,37 @@ def boundary_potential(f: np.ndarray, yp: np.ndarray, case,
 _PF_CLEARANCE = 0.3
 
 
-def particle_force(h: ShapeCoeffs, case, a: float, curve=None) -> complex:
+def particle_force(shape: ShapeSample, case, a: float) -> complex:
     """Gradient of the body's attraction potential at the particle site
     (a, 0), as the complex number d/dx1 + i d/dx2.
 
     By the divergence theorem grad U_h(X) = -int_bdry K(|X - y|) n dS(y),
     and on y(t) = f(e^{it}) the outward n dS is -i y'(t) dt, so in complex
     form the force is int K(|X - f|) i y' dt.  The integrand is smooth and
-    periodic, and the trapezoid rule on boundary_points(N) points converges
-    geometrically, whatever grid the residual uses.  The rule is measured:
-    at the disk the error falls like a^-M, 1.5^-M near the closest
-    particle; at N = 128 with |g_n| ~ 1e-3/n, 2N + 2 points leave errors up
-    to 6e-9 and 4N points 4e-16.
-
-    curve, a sample (f, y') of h on a uniform grid (spectral.boundary_curve),
-    is used at every k-th point when boundary_points(N) divides its size
-    (spectral.on_boundary_points); otherwise the curve is sampled afresh.
+    periodic, and the trapezoid rule on the boundary_points(N) points of
+    shape (spectral.sample_shape) converges geometrically, whatever grid
+    the residual uses.  The rule is measured: at the disk the error falls
+    like a^-M, 1.5^-M near the closest particle; at N = 128 with
+    |g_n| ~ 1e-3/n, 2N + 2 points leave errors up to 6e-9 and 4N points
+    4e-16.
     """
     a = float(a)
     if a < _A0_MIN:
         raise ConfigError(f"particle distance must be at least {_A0_MIN}")
-    f, yp = (on_boundary_points(curve, h.N)
-             or boundary_curve(h, boundary_points(h.N)))
+    f, yp, _ = sample_curve(shape.points)
     if float(np.max(np.abs(f))) > a - _PF_CLEARANCE:
         raise TidaldiskError(
             "shape reaches too close to the particle for smooth quadrature")
     return np.mean(particle_potential_at(case, a, f) * 1j * yp) * 2.0 * np.pi
 
 
-def center_of_mass(h: ShapeCoeffs, m: float, a: float, curve=None):
+def center_of_mass(shape: ShapeSample, m: float, a: float):
     """(integral of x over the body + m X) / (pi + m), as a 2-vector.
 
     The body integral of z is (1/2i) int_bdry |z|^2 dz; |f|^2 y' is a
     trigonometric polynomial of degrees -N + 1..2N + 1, so the trapezoid
-    rule on boundary_points(N) >= 4N points is exact.  Those points are
-    taken from curve by particle_force's rule, the quasi-Newton loop's
-    sample of the final iterate, or sampled afresh."""
-    f, yp = (on_boundary_points(curve, h.N)
-             or boundary_curve(h, boundary_points(h.N)))
+    rule on the boundary_points(N) >= 4N points of shape is exact."""
+    f, yp, _ = sample_curve(shape.points)
     mom = np.mean(np.abs(f) ** 2 * yp) * np.pi / 1j
     total = mom + m * a
     return np.array([total.real, total.imag]) / (np.pi + m)
@@ -486,8 +475,8 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
                base: BaseState,
                n_radial: int = DEFAULT_RADIAL,
                n_angular: Optional[int] = None,
-               return_field: bool = False, u_init=None, sample=None,
-               margin: Optional[float] = None, points=None):
+               return_field: bool = False, u_init=None,
+               shape: Optional[ShapeSample] = None):
     """The three components of the reduced system at state (h, a, lam).
 
     Returns (S_res, r2, r3) where S_res is the boundary spectrum of the
@@ -503,32 +492,24 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
     field phi0(r), and the field carries its own rfft for the normal
     derivative.
 
-    The shape is sampled once: sample is h, h' and h'' on the n_angular grid
-    (spectral.boundary_sample), which the quasi-Newton loop takes once per
-    iterate and which is taken here when not given.  The grid must hold at
-    least 2N + 2 points (ConfigError) and by default has boundary_points(N).
-    The curve, its tangent and y'' for the boundary potential come from
-    it, and so do margin, h's injectivity margin, when not given, and the
-    particle force, both at every k-th point when boundary_points(N)
-    divides n_angular.  Where it does not, points, a boundary_sample on
-    boundary_points(N), gives the force its curve; without it the force
-    samples that grid itself.  A non-positive margin is refused
-    (TidaldiskError) on either path.
+    h is read from one sample, shape = spectral.sample_shape(h, n_angular),
+    which the quasi-Newton loop takes once per iterate and which is taken
+    here when not given.  The grid must hold at least 2N + 2 points
+    (ConfigError) and by default has boundary_points(N).  The stream
+    function's grid, the curve, its tangent and y'' come from its rows, the
+    particle force from its points; a non-positive margin is refused
+    (TidaldiskError) on either flux path.
     """
-    if n_angular is None:
-        n_angular = boundary_points(h.N)
-    if sample is None:
-        sample = boundary_sample(h, n_angular)
-    if margin is None:
-        margin = injectivity_margin(h, sample)
-    _require_certified(margin)
-    f, yp, ypp = sample_curve(sample)
+    if shape is None:
+        shape = sample_shape(h, n_angular)
+    _require_certified(shape.margin)
+    f, yp, ypp = sample_curve(shape.rows)
     g0 = constant_vorticity(h, base.profile)
     if g0 is None:
         if u_init is None:
             u_init = base.phi0.grid_values(n_radial)[:, None]
-        fieldv = solve_phi_h(h, base.profile, n_radial=n_radial,
-                             n_angular=n_angular, u_init=u_init, margin=margin)
+        fieldv = solve_phi_h(shape, base.profile, n_radial=n_radial,
+                             u_init=u_init)
         dn = fieldv.boundary_normal_deriv()
     else:
         fieldv = None
@@ -536,15 +517,14 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
 
     grad2 = dn ** 2 / np.abs(yp) ** 2  # tangential part vanishes (Dirichlet)
 
-    u_self = boundary_potential(f, yp, base.case, ypp)
+    u_self = boundary_potential(f, yp, ypp, base.case)
     u_part = particle_potential_at(base.case, a, f)
 
     samples = (0.5 * grad2 - 0.5 * base.omega0**2 * np.abs(f) ** 2
                + u_self + m * u_part - lam)
     S_res = analyze(samples, N=h.N)
 
-    curve = (f, yp) if points is None else sample_curve(points)[:2]
-    r2 = base.omega0**2 * a - particle_force(h, base.case, a, curve).real
+    r2 = base.omega0**2 * a - particle_force(shape, base.case, a).real
     r3 = area(h) - np.pi
     if return_field:
         return S_res, float(r2), float(r3), fieldv
@@ -585,15 +565,15 @@ class EquilibriumSolution:
         }
 
 
-def _diagnostics(h: ShapeCoeffs, a: float, m: float, S: BoundarySpectrum,
-                 picard_steps: list, margin: float, sample: np.ndarray,
-                 history: list, correction: tuple) -> dict:
+def _diagnostics(shape: ShapeSample, a: float, m: float, S: BoundarySpectrum,
+                 picard_steps: list, history: list, correction: tuple) -> dict:
     """Diagnostics of a converged state.  The quasi-Newton loop passes its
-    boundary sample of the iterate that holds the boundary_points(N) grid,
-    the margin it computed from it, the residual norms of every iterate and
-    the correction (g, b, mu) that the iterate's residual would take
-    next."""
-    com = center_of_mass(h, m, a, sample_curve(sample)[:2])
+    sample of the iterate (spectral.sample_shape), whose margin and points
+    are read, the residual norms of every iterate and the correction
+    (g, b, mu) that the iterate's residual would take next.  Only numbers
+    are kept, not the sample."""
+    h = shape.h
+    com = center_of_mass(shape, m, a)
     # Pressure continuity on the free boundary: the interior pressure at the
     # boundary is -(1/2)|grad psi|^2 + (Omega0^2/2)|x|^2 + lambda (the
     # primitive F vanishes there since psi = 0 and F(0) = 0), and matching
@@ -613,7 +593,7 @@ def _diagnostics(h: ShapeCoeffs, a: float, m: float, S: BoundarySpectrum,
         "area_error": abs(area(h) - np.pi),
         "center_of_mass": [float(com[0]), float(com[1])],
         "symmetry_defect": h.symmetry_defect(),
-        "injectivity_margin": margin,
+        "injectivity_margin": shape.margin,
         "pressure_jump_sup": jump_sup,
         # stream-function Picard steps of each residual_F call, 0 where
         # the flux has the closed form
@@ -640,14 +620,12 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
     rn < tol * max(1, phi0'(1)^2), the scale of the Bernoulli terms and
     so of their rounding.
 
-    Each iterate is sampled once (spectral.boundary_sample, on n_angular):
+    Each iterate is sampled once (spectral.sample_shape, on n_angular):
     its injectivity margin, every residual_F boundary value and, for the
-    final iterate, the center of mass read that sample.  Where
-    boundary_points(N) does not divide n_angular, the iterate is sampled
-    once more on boundary_points(N), for the margin, the particle force and
-    the center of mass.  Where G is constant on the stream function's range
-    (rigid rotation), residual_F solves no field, so none is carried from
-    one iterate to the next and picard_steps records 0.  The diagnostics
+    final iterate, the center of mass read that sample.  Where G is
+    constant on the stream function's range (rigid rotation), residual_F
+    solves no field, so none is carried from one iterate to the next and
+    picard_steps records 0.  The diagnostics
     list the ratios of successive residual norms (contraction_ratios) and
     an error_bound: the next correction's norm over 1 - q, q the last
     ratio, or None with one iteration or q >= 1.
@@ -656,10 +634,6 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
     if m_cap is not None and abs(m) > m_cap:
         raise TidaldiskError(f"m={m:g} exceeds m_cap={m_cap:g}")
     stop = tol * max(1.0, base.dphi0_at_1 ** 2)
-    n_points = boundary_points(op.N)
-    if n_angular is None:
-        n_angular = n_points
-    nested = n_angular % n_points == 0
 
     h, a1, l1 = first_order_response(op, m)
     a = base.a0 + a1
@@ -678,22 +652,18 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
             raise DivergenceError(
                 f"iterate moved the particle to a={a:.6g}, inside the "
                 f"admissible distance {_A0_MIN}", history=history)
-        # one boundary sample per iterate, which residual_F reads, and one
-        # on boundary_points(N) where that grid is not nested in it; an
-        # iterate that leaves the certified set is a divergence (exit 4),
-        # where residual_F refuses such a shape with TidaldiskError (exit 1)
-        sample = boundary_sample(h, n_angular)
-        points = None if nested else boundary_sample(h, n_points)
-        margin = injectivity_margin(h, sample if nested else points)
-        if not margin > 0:
+        # one sample per iterate, which residual_F reads; an iterate that
+        # leaves the certified set is a divergence (exit 4), where
+        # residual_F refuses such a shape with TidaldiskError (exit 1)
+        shape = sample_shape(h, n_angular)
+        if not shape.margin > 0:
             raise DivergenceError("iterate lost certified injectivity",
                                   history=history)
         if it == 1 and psi is not None:
             u_prev = base.phi0.grid_values(n_radial)[:, None] + m * psi
         S, r2, r3, fieldv = residual_F(h, a, lam, m, base, n_radial,
                                        n_angular, return_field=True,
-                                       u_init=u_prev, sample=sample,
-                                       margin=margin, points=points)
+                                       u_init=u_prev, shape=shape)
         u_prev = None if fieldv is None else fieldv.values
         picard_steps.append(0 if fieldv is None else fieldv.picard_steps)
         rn = residual_norm(S, r2, r3)
@@ -702,8 +672,7 @@ def quasi_newton_solve(op: LinearizedOperator, m: float,
         if rn < stop:
             return EquilibriumSolution(
                 h, a, lam, m, rn, it, history,
-                _diagnostics(h, a, m, S, picard_steps, margin,
-                             sample if nested else points, history,
+                _diagnostics(shape, a, m, S, picard_steps, history,
                              (g, b, mu)))
         if len(history) > 1 and rn > history[-2]:
             bad_streak += 1

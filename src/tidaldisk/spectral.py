@@ -7,15 +7,18 @@ The fluid domain is the image of the unit disk under f(z) = z + h(z) with
 g0 real, so that h(0) = 0 and h'(0) is real.  This module holds the
 coefficient container, the sampling of the shape (h, h' and h'' on the
 boundary, and |f'|^2 on a polar grid, by FFT) with its 2N + 2 grid floor,
-the curve read from the boundary sample, the injectivity
-margin certificate, the closed-form area, and the discrete Fourier
-transform pair used to move between boundary samples and mode coefficients.
+the one sample of a shape that the residual reads (sample_shape: the
+sample, its boundary_points(N) grid and the injectivity margin
+certificate), the curve read from a boundary sample, the closed-form area,
+and the discrete Fourier transform pair used to move between boundary
+samples and mode coefficients.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -127,15 +130,41 @@ def boundary_sample(h: ShapeCoeffs, M: int) -> np.ndarray:
         return np.fft.ifft(_h_coeffs(h), n=M, axis=1, norm="forward")
 
 
-def on_boundary_points(rows, N: int):
-    """Every k-th point of rows, samples on one uniform grid, where these
-    points are the boundary_points(N) grid; None where boundary_points(N)
-    does not divide the grid's size (or rows is None), and the caller
-    samples that grid afresh."""
-    M = boundary_points(N)
-    if rows is None or len(rows[0]) % M:
-        return None
-    return [row[::len(row) // M] for row in rows]
+@dataclass(frozen=True)
+class ShapeSample:
+    """One sample of the shape h (sample_shape): rows is h, h' and h'' on a
+    uniform grid (a boundary_sample), points the same on the
+    boundary_points(N) grid and margin h's injectivity margin, read from
+    points.  The arrays are read-only."""
+
+    h: ShapeCoeffs
+    rows: np.ndarray = field(repr=False)
+    points: np.ndarray = field(repr=False)
+    margin: float
+
+
+def sample_shape(h: ShapeCoeffs, M: Optional[int] = None) -> ShapeSample:
+    """Sample h once, on the uniform M-grid (by default boundary_points(N)).
+
+    The points are every k-th column of the rows where boundary_points(N)
+    divides M, and otherwise a boundary_sample of their own: the one place
+    where that grid is nested.  The margin is 1/sqrt(2) minus the maximum
+    of |h| + |h'| over the points; a positive value certifies that
+    f = id + h is injective on the closed disk, since h and h' are analytic
+    and the boundary maximum bounds the interior one.  A negative value is
+    not a proof of non-injectivity.
+    """
+    n = boundary_points(h.N)
+    rows = boundary_sample(h, n if M is None else M)
+    M = rows.shape[1]
+    points = boundary_sample(h, n) if M % n else rows[:, ::M // n]
+    for arr in (rows, points):
+        arr.setflags(write=False)
+    hv, dhv, _ = points
+    # a shape near the float maximum overflows to a margin of -inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = float(1.0 / np.sqrt(2.0) - np.max(np.abs(hv) + np.abs(dhv)))
+    return ShapeSample(h, rows, points, margin)
 
 
 @functools.lru_cache(maxsize=4)
@@ -225,21 +254,9 @@ def eval_h_at(h: ShapeCoeffs, z: np.ndarray):
 # certificates and area
 # --------------------------------------------------------------------------
 
-def injectivity_margin(h: ShapeCoeffs, sample=None) -> float:
-    """1/sqrt(2) minus the maximum of |h| + |h'| on boundary_points(N) points.
-
-    The points are every k-th point of sample, a boundary_sample of h, when
-    boundary_points(N) divides its size (on_boundary_points), and otherwise
-    a fresh sample.  A positive value certifies that f = id + h is injective
-    on the closed disk; the boundary maximum bounds the interior one since
-    h and h' are analytic.  A negative value is not a proof of
-    non-injectivity.
-    """
-    hv, dhv, _ = (on_boundary_points(sample, h.N)
-                  or boundary_sample(h, boundary_points(h.N)))
-    # a shape near the float maximum overflows to a margin of -inf or NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(1.0 / np.sqrt(2.0) - np.max(np.abs(hv) + np.abs(dhv)))
+def injectivity_margin(h: ShapeCoeffs) -> float:
+    """h's injectivity margin on boundary_points(N) points (sample_shape)."""
+    return sample_shape(h).margin
 
 
 def self_intersection_oracle(h: ShapeCoeffs, M: int = 512) -> bool:

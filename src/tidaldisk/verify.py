@@ -20,8 +20,8 @@ from .potential import (_u0_case_a, case_a, case_b, make_base_state, u0,
 from .radial_ode import mode_derivatives
 from .residual import (boundary_potential, quasi_newton_solve, residual_F,
                        residual_norm)
-from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze, boundary_curve,
-                       boundary_sample, injectivity_margin,
+from .spectral import (BoundarySpectrum, ShapeCoeffs, analyze,
+                       boundary_sample, injectivity_margin, sample_curve,
                        self_intersection_oracle)
 
 _SQRT_PI = float(np.sqrt(np.pi))
@@ -289,8 +289,9 @@ def criterion_11_linear_response(seed=0):
     for case in (case_b(), case_a(0.5), case_a(1.0)):
         base = make_base_state(case, 2.0, rigid_preset(1.0))
         c2 = 2.0 * build_mode_table(base, N=N).c[n]
-        du = (boundary_potential(*boundary_curve(h, M), case)
-              - boundary_potential(*boundary_curve(h.scaled(-1.0), M), case))
+        du = (boundary_potential(*sample_curve(boundary_sample(h, M)), case)
+              - boundary_potential(*sample_curve(boundary_sample(
+                  h.scaled(-1.0), M)), case))
         S = analyze(0.5 * du, N=M // 2 - 1).coeffs
         err = max(np.max(np.abs(np.where(n == 0, 1.0, 2.0) * S[n] / e - c2)),
                   2.0 * np.max(np.abs(S[N // 2 + 1:])) / eps)

@@ -222,6 +222,20 @@ def test_solve_zero_mass_above_tol(tmp_path, capsys):
     assert 1e-10 < sol["history"][0] < 1e-7
 
 
+@pytest.mark.parametrize("u, g", [
+    ("nan", "-1.5"), ("inf", "-1.5"), ("-0.5", "nan")],
+    ids=["nan-u", "inf-u", "nan-g"])
+def test_profile_table_non_finite_entry(tmp_path, capsys, u, g):
+    # refused as non-finite with exit 2, where a NaN or infinite u read as
+    # "not non-decreasing" and a NaN G reached scipy's own check
+    table = tmp_path / "g.csv"
+    table.write_text(f"-1.0,-2.0\n{u},{g}\n0.0,-1.0\n0.5,-0.5\n")
+    cfg = _write_cfg(tmp_path, f"case = B\nprofile = csv:{table}\na0 = 2.0\n")
+    assert main(["base", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite entry" in err and "non-decreasing" not in err
+
+
 def test_perturb_outputs(tmp_path):
     cfg = _write_cfg(tmp_path, BASE_CFG + "m = 1e-5\n")
     out = tmp_path / "out"

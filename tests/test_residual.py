@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -31,10 +32,12 @@ from tidaldisk.residual import (_mode_eigs, _product_weights, _solve_modes,
                                 particle_force, particle_potential_at,
                                 quasi_newton_solve, residual_F,
                                 residual_norm, solve_phi_h)
-from tidaldisk.spectral import (BoundarySpectrum, ShapeCoeffs, _h_coeffs,
-                               boundary_curve, boundary_grid, boundary_rows,
+from tidaldisk.spectral import (BoundarySpectrum, ShapeCoeffs, ShapeSample,
+                               _h_coeffs, boundary_curve, boundary_grid,
+                               boundary_points, boundary_rows,
                                boundary_sample, conformal_factor_grid,
-                               eval_h_at, injectivity_margin, sample_curve)
+                               eval_h_at, injectivity_margin, sample_curve,
+                               sample_shape)
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +63,8 @@ def _small_shape(N=8):
 
 def test_stream_function_disk_closed_form(base):
     # at h = 0 with G = -2 the solution is (1 - r^2)/2
-    fld = solve_phi_h(ShapeCoeffs.zero(4), base.profile,
-                      n_radial=32, n_angular=64)
+    fld = solve_phi_h(sample_shape(ShapeCoeffs.zero(4), 64), base.profile,
+                      n_radial=32)
     exact = 0.5 * (1.0 - fld.grid.r**2)
     assert np.max(np.abs(fld.values - exact[:, None])) < 1e-12
     assert np.max(np.abs(fld.values[0])) < 1e-13
@@ -70,7 +73,7 @@ def test_stream_function_disk_closed_form(base):
 
 def test_stream_function_field_residual(base):
     h = _small_shape()
-    fld = solve_phi_h(h, base.profile, n_radial=32, n_angular=64)
+    fld = solve_phi_h(sample_shape(h, 64), base.profile, n_radial=32)
     assert field_equation_residual(fld, h, base.profile) < 1e-10
 
 
@@ -180,19 +183,19 @@ def _counting_d1(profile):
 
 def test_stream_function_matches_per_column_loop(base_linear):
     h = _small_shape()
-    fld = solve_phi_h(h, base_linear.profile, n_radial=16, n_angular=32)
+    fld = solve_phi_h(sample_shape(h, 32), base_linear.profile, n_radial=16)
     ref = _seed_solve_phi_h(h, base_linear.profile, 16, 32)
     assert np.max(np.abs(fld.values - ref)) < 1e-13
 
 
 def test_stream_function_warm_start(base_linear):
     h = _small_shape()
-    fld = solve_phi_h(h, base_linear.profile, n_radial=32, n_angular=64)
+    fld = solve_phi_h(sample_shape(h, 64), base_linear.profile, n_radial=32)
     cold, cold_calls = _counting_d1(base_linear.profile)
-    cold_fld = solve_phi_h(h, cold, n_radial=32, n_angular=64)
+    cold_fld = solve_phi_h(sample_shape(h, 64), cold, n_radial=32)
     phi0 = (base_linear.phi0(fld.grid.r) - base_linear.phi0(1.0))[:, None]
-    warm_fld = solve_phi_h(h, base_linear.profile, n_radial=32, n_angular=64,
-                           u_init=phi0)
+    warm_fld = solve_phi_h(sample_shape(h, 64), base_linear.profile,
+                           n_radial=32, u_init=phi0)
     assert np.max(np.abs(warm_fld.values - cold_fld.values)) < 1e-11
     assert np.array_equal(cold_fld.values, fld.values)
     # G' is evaluated at the start and once per step; the benchmark's
@@ -203,10 +206,10 @@ def test_stream_function_warm_start(base_linear):
     # start saves a step
     for scale in (0.1, 0.01):
         hs = h.scaled(scale)
-        cold_steps = solve_phi_h(hs, base_linear.profile, n_radial=32,
-                                 n_angular=64).picard_steps
-        warm_steps = solve_phi_h(hs, base_linear.profile, n_radial=32,
-                                 n_angular=64, u_init=phi0).picard_steps
+        cold_steps = solve_phi_h(sample_shape(hs, 64), base_linear.profile,
+                                 n_radial=32).picard_steps
+        warm_steps = solve_phi_h(sample_shape(hs, 64), base_linear.profile,
+                                 n_radial=32, u_init=phi0).picard_steps
         assert warm_steps < cold_steps, (scale, warm_steps, cold_steps)
 
 
@@ -218,7 +221,7 @@ def test_stream_function_stop_rule_uniform_start(n):
     profile = VorticityProfile(lambda u: -2.0 + u + 4.0 * np.asarray(u) ** 3,
                                lambda u: 1.0 + 12.0 * np.asarray(u) ** 2)
     h = ShapeCoeffs.zero(n)
-    fld = solve_phi_h(h, profile)
+    fld = solve_phi_h(sample_shape(h), profile)
     assert fld.picard_steps > 1
     assert field_equation_residual(fld, h, profile) < 1e-10
 
@@ -253,8 +256,8 @@ def test_stream_function_stop_rule_accuracy(slope, monkeypatch):
     steps = []
     for amp in (1e-4, 1e-2, 5e-2):
         h = _small_shape().scaled(amp / 0.01)
-        fld = solve_phi_h(h, profile, n_radial=32, n_angular=64, tol=1e-12)
-        ref = solve_phi_h(h, profile, n_radial=32, n_angular=64, tol=1e-15)
+        fld = solve_phi_h(sample_shape(h, 64), profile, n_radial=32, tol=1e-12)
+        ref = solve_phi_h(sample_shape(h, 64), profile, n_radial=32, tol=1e-15)
         err = np.max(np.abs(fld.values - ref.values))
         assert err <= 1e-12, (slope, amp, err)
         steps.append(fld.picard_steps)
@@ -270,8 +273,8 @@ def test_stream_function_stop_rule_accuracy(slope, monkeypatch):
 def test_disk_field_spectrum_is_rfft(base_linear):
     # the field keeps the modes of its last Picard step, which
     # boundary_normal_deriv reads in place of an rfft of the values
-    fld = solve_phi_h(_small_shape(), base_linear.profile, n_radial=32,
-                      n_angular=64)
+    fld = solve_phi_h(sample_shape(_small_shape(), 64), base_linear.profile,
+                      n_radial=32)
     assert fld.picard_steps > 1
     ref = np.fft.rfft(fld.values, axis=1)
     assert np.max(np.abs(fld.spectrum - ref)) <= 1e-14
@@ -294,7 +297,8 @@ def test_conformal_factor_grid_matches_polar_sum(N, M):
 def test_stream_function_rigid_one_step(base, monkeypatch):
     # G' = 0: no damping, and the first step solves the equation exactly
     dampings = _recording_dampings(monkeypatch)
-    fld = solve_phi_h(_small_shape(), base.profile, n_radial=32, n_angular=64)
+    fld = solve_phi_h(sample_shape(_small_shape(), 64), base.profile,
+                      n_radial=32)
     assert fld.picard_steps == 1 and dampings == [0.0]
 
 
@@ -321,8 +325,8 @@ def test_solve_warm_start_across_iterates(op_linear, monkeypatch):
     solve = residual.solve_phi_h
     calls = []
 
-    def recording(h, profile, **kw):
-        fld = solve(h, profile, **kw)
+    def recording(shape, profile, **kw):
+        fld = solve(shape, profile, **kw)
         calls.append((kw["u_init"], fld.values))
         return fld
 
@@ -335,8 +339,8 @@ def test_solve_warm_start_across_iterates(op_linear, monkeypatch):
     # a step: started from phi0, the same shape takes more
     assert calls[1][0] is calls[0][1]
     phi0 = op_linear.base.phi0.grid_values(32)[:, None]
-    cold = solve(sol.h, op_linear.base.profile, n_radial=32, n_angular=64,
-                 u_init=phi0)
+    cold = solve(sample_shape(sol.h, 64), op_linear.base.profile,
+                 n_radial=32, u_init=phi0)
     assert cold.picard_steps > steps[1]
 
 
@@ -360,8 +364,8 @@ def test_first_order_field_central_difference(profile):
     psi = first_order_field(op, 32, 64)
     h1, _, _ = first_order_response(op, 1.0)
     eps = 1e-4
-    plus, minus = (solve_phi_h(h1.scaled(s * eps), profile, n_radial=32,
-                               n_angular=64, tol=1e-15).values
+    plus, minus = (solve_phi_h(sample_shape(h1.scaled(s * eps), 64), profile,
+                               n_radial=32, tol=1e-15).values
                    for s in (1.0, -1.0))
     fd = (plus - minus) / (2.0 * eps)
     assert np.max(np.abs(psi)) > 0.1
@@ -517,8 +521,8 @@ def test_zero_mass_solve_makes_no_first_order_field(base_linear):
 
 def test_stream_function_rejects_folded_shape(base):
     with pytest.raises(TidaldiskError):
-        solve_phi_h(ShapeCoeffs(0.8, np.zeros(0, dtype=complex)),
-                    base.profile, n_radial=16, n_angular=32)
+        solve_phi_h(sample_shape(ShapeCoeffs(0.8, np.zeros(0, dtype=complex)),
+                                 32), base.profile, n_radial=16)
 
 
 # --------------------------------------------------------------------------
@@ -541,7 +545,7 @@ def test_closed_form_flux_matches_grid_solve(base, n_radial):
         g0 = constant_vorticity(h, base.profile)
         assert g0 == -2.0
         f, yp, _ = sample_curve(boundary_sample(h, M))
-        fld = solve_phi_h(h, base.profile, n_radial=n_radial, n_angular=M)
+        fld = solve_phi_h(sample_shape(h, M), base.profile, n_radial=n_radial)
         dn = fld.boundary_normal_deriv()
         assert np.max(np.abs(closed_form_flux(f, yp, g0) - dn)) < 1e-12, h.N
 
@@ -608,7 +612,7 @@ def test_closed_form_path_by_profile(base, base_linear, monkeypatch):
                                 return_field=True)
     assert calls == [1]
     monkeypatch.undo()
-    ref = solve_phi_h(h, base_linear.profile, n_radial=32, n_angular=64,
+    ref = solve_phi_h(sample_shape(h, 64), base_linear.profile, n_radial=32,
                       u_init=base_linear.phi0.grid_values(32)[:, None])
     assert np.array_equal(fld.values, ref.values)
 
@@ -628,8 +632,8 @@ def test_boundary_rows_cached_bit_identical(base_linear):
     # the r = 1 rows of d_r are made once per grid, read-only, are the
     # first rows of d_r folded from the full diameter's matrix, and give
     # the field's normal derivative
-    fld = solve_phi_h(_small_shape(), base_linear.profile, n_radial=32,
-                      n_angular=64)
+    fld = solve_phi_h(sample_shape(_small_shape(), 64), base_linear.profile,
+                      n_radial=32)
     assert fld.grid is _radial_basis(32)
     rows = fld.grid.rows
     assert not any(row.flags.writeable for row in rows)
@@ -648,8 +652,8 @@ def test_one_radial_basis_miss_per_grid():
     base = make_base_state(case_b(), 2.0, linear_preset(1.0, -2.0))
     _radial_basis.cache_clear()
     op = make_operator(base, build_mode_table(base, 16, n_nodes=24), N=16)
-    fld = solve_phi_h(_small_shape(), base.profile, n_radial=24,
-                      n_angular=64)
+    fld = solve_phi_h(sample_shape(_small_shape(), 64), base.profile,
+                      n_radial=24)
     assert first_order_field(op, 24, 64) is not None
     assert _radial_basis.cache_info().misses == 1
     assert fld.grid is _radial_basis(24) is _mode_grid(base, 24)[0]
@@ -660,7 +664,7 @@ def test_one_radial_basis_miss_per_grid():
 # --------------------------------------------------------------------------
 
 def _potential(h, case, M):
-    return boundary_potential(*boundary_curve(h, M), case)
+    return boundary_potential(*sample_curve(boundary_sample(h, M)), case)
 
 
 def test_boundary_potential_disk_values():
@@ -797,8 +801,9 @@ def _offset_form_potential(f, yp, case, dtype=np.float64):
 def test_boundary_potential_matches_offset_form(nu, M):
     # odd M, and at M = 65 and 600 a partial last block of target rows
     case = case_b() if nu is None else case_a(nu)
-    f, yp = boundary_curve(_rough_shape(min(24, M // 2 - 1), 0.05, 11), M)
-    U = boundary_potential(f, yp, case)
+    f, yp, ypp = sample_curve(boundary_sample(
+        _rough_shape(min(24, M // 2 - 1), 0.05, 11), M))
+    U = boundary_potential(f, yp, ypp, case)
     ref = _offset_form_potential(f, yp, case)
     assert np.max(np.abs(U - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -811,25 +816,23 @@ def test_boundary_potential_rounding(case):
     # the separated products sum about each block's middle target: 5.2e-16
     # (log), 2.0e-15 (nu = 0.5) and 3.6e-15 (nu = 1) on this shape, where
     # sums about the origin measured 1.1e-15, 2.4e-15 and 6.5e-15 and the
-    # offset form 5.9e-16, 3.6e-15 and 4.5e-15; y'' by an FFT pair of y'
-    # or from the shape's boundary sample
+    # offset form 5.9e-16, 3.6e-15 and 4.5e-15; y'' from the shape's
+    # boundary sample
     f, yp, ypp = sample_curve(boundary_sample(_rough_shape(64, 0.1, 1), 256))
     ref = _offset_form_potential(f, yp, case, np.longdouble)
-    for given in (None, ypp):
-        err = float(np.max(np.abs(boundary_potential(f, yp, case, given)
-                                  - ref)))
-        assert err <= 8e-16 * max(1.0, float(np.max(np.abs(ref))))
+    err = float(np.max(np.abs(boundary_potential(f, yp, ypp, case) - ref)))
+    assert err <= 8e-16 * max(1.0, float(np.max(np.abs(ref))))
 
 
 def test_boundary_potential_memory_bounded():
     # blocks of 2^14 // M target rows: at M = 1024 one call peaks at
     # 0.45 MB (the offset form at 1.2 MB), where one M x M array takes 8 MB
-    f, yp = boundary_curve(_rough_shape(64, 0.01, 2), 1024)
+    curve = sample_curve(boundary_sample(_rough_shape(64, 0.01, 2), 1024))
     for case in (case_b(), case_a(0.5)):
-        boundary_potential(f, yp, case)  # fill the weight cache
+        boundary_potential(*curve, case)  # fill the weight cache
         tracemalloc.start()
         try:
-            boundary_potential(f, yp, case)
+            boundary_potential(*curve, case)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -860,35 +863,36 @@ def test_product_weights_exact_on_cosines(M):
 # --------------------------------------------------------------------------
 
 def test_particle_force_disk(base):
-    zero = ShapeCoeffs.zero(2)
+    zero = sample_shape(ShapeCoeffs.zero(2))
     assert abs(particle_force(zero, case_b(), 2.0) - np.pi / 2.0) < 1e-12
     assert abs(particle_force(zero, case_a(1.0), 2.5)
                - u0_d1(case_a(1.0), 2.5)) < 1e-10
     # symmetric shapes exert no transverse force
     h = ShapeCoeffs(0.01, np.array([0.02 + 0j, 0.005 + 0j]))
-    assert abs(particle_force(h, case_b(), 2.0).imag) < 1e-14
+    assert abs(particle_force(sample_shape(h), case_b(), 2.0).imag) < 1e-14
 
 
 @pytest.mark.parametrize("case", [case_b(), case_a(0.5)], ids=["log", "nu0.5"])
 def test_particle_force_from_residual_curve(case):
-    # boundary_points(8) = 256: every 2nd or 3rd point of a 512- or 768-point
-    # sample is the force grid; a 300-point sample is not used
+    # the force reads the boundary_points(8) = 256 points of the residual's
+    # sample, whatever its grid (the nesting rule: test_spectral)
     h = _decaying_shape(8, 2, 1e-2, seed=4)
-    fresh = particle_force(h, case, 2.0)
+    fresh = particle_force(sample_shape(h), case, 2.0)
     for M in (256, 512, 768, 300):
-        got = particle_force(h, case, 2.0, boundary_curve(h, M))
+        got = particle_force(sample_shape(h, M), case, 2.0)
         assert abs(got - fresh) <= 1e-15, M
 
 
 @pytest.mark.parametrize("n_angular, samples", [(256, 1), (512, 1), (300, 2)])
 def test_residual_samples_curve_once(base, monkeypatch, n_angular, samples):
-    # residual_F samples the shape once, on n_angular; particle_force takes
-    # every k-th point of that sample when boundary_points(N) divides
-    # n_angular, and samples the curve afresh when it does not
+    # residual_F samples the shape once, on n_angular (sample_shape);
+    # particle_force takes every k-th point of that sample when
+    # boundary_points(N) divides n_angular, and a sample of its own points
+    # when it does not
     calls = []
     for name in ("boundary_sample", "boundary_curve"):
-        monkeypatch.setattr(residual, name, lambda h, M, fn=getattr(
-            residual, name): calls.append(M) or fn(h, M))
+        monkeypatch.setattr(spectral, name, lambda h, M, fn=getattr(
+            spectral, name): calls.append(M) or fn(h, M))
     residual_F(_small_shape(), base.a0, base.lambda0, 0.0, base,
                n_radial=16, n_angular=n_angular)
     assert calls == [n_angular, 256][:samples]
@@ -896,10 +900,10 @@ def test_residual_samples_curve_once(base, monkeypatch, n_angular, samples):
 
 def test_particle_force_guards():
     with pytest.raises(ConfigError):
-        particle_force(ShapeCoeffs.zero(1), case_b(), 1.2)
+        particle_force(sample_shape(ShapeCoeffs.zero(1)), case_b(), 1.2)
     with pytest.raises(TidaldiskError):
-        particle_force(ShapeCoeffs(0.4, np.zeros(0, dtype=complex)),
-                       case_b(), 1.6)
+        bulging = ShapeCoeffs(0.4, np.zeros(0, dtype=complex))
+        particle_force(sample_shape(bulging), case_b(), 1.6)
 
 
 def test_particle_side_error_classes(op, monkeypatch):
@@ -938,11 +942,12 @@ def test_particle_force_matches_body_integral(case):
     strength, p = case.force_law
     for N in (8, 64, 128):
         h = _decaying_shape(N, 2, 1e-3, seed=3)
+        shape = sample_shape(h)
         f, wf = _body_rule(h, 128, 512)
         for a in (1.6, 2.0, 4.0):
             af = a - f
             ref = np.sum(strength * af * np.abs(af) ** (-(p + 2.0)) * wf)
-            force = particle_force(h, case, a)
+            force = particle_force(shape, case, a)
             assert abs(force.real - ref.real) < 1e-13, (N, a)
             assert abs(force.imag - ref.imag) < 1e-13, (N, a)
 
@@ -951,15 +956,16 @@ def test_center_of_mass_matches_body_integral():
     h = _decaying_shape(80, 1, 0.02, seed=7)
     f, wf = _body_rule(h, 128, 512)
     ref = np.sum(f * wf) / np.pi
-    com = center_of_mass(h, 0.0, 2.0)
+    com = center_of_mass(sample_shape(h), 0.0, 2.0)
     assert abs(ref.imag) > 1e-3  # asymmetric
     assert abs(com[0] - ref.real) < 1e-13 and abs(com[1] - ref.imag) < 1e-13
 
 
 def test_center_of_mass_disk():
-    com = center_of_mass(ShapeCoeffs.zero(2), 0.0, 2.0)
+    disk = sample_shape(ShapeCoeffs.zero(2))
+    com = center_of_mass(disk, 0.0, 2.0)
     assert np.max(np.abs(com)) < 1e-14
-    com_m = center_of_mass(ShapeCoeffs.zero(2), 0.1, 2.0)
+    com_m = center_of_mass(disk, 0.1, 2.0)
     assert abs(com_m[0] - 0.1 * 2.0 / (np.pi + 0.1)) < 1e-13
 
 
@@ -971,7 +977,7 @@ def test_injectivity_guards(base, monkeypatch):
     # |h| + |h'| = 0.8 + 1.6 at z = 1: the certificate fails
     folded = ShapeCoeffs(0.0, np.array([0.8 + 0j]))
     with pytest.raises(TidaldiskError, match="injective"):
-        solve_phi_h(folded, base.profile, n_radial=32, n_angular=64)
+        solve_phi_h(sample_shape(folded, 64), base.profile, n_radial=32)
     # rigid G takes the closed-form flux, which solves no field and still
     # refuses the shape with exit 1
     monkeypatch.setattr(residual, "solve_phi_h", None)
@@ -979,12 +985,14 @@ def test_injectivity_guards(base, monkeypatch):
         residual_F(folded, base.a0, base.lambda0, 0.0, base, n_radial=32,
                    n_angular=64)
     assert info.value.exit_code == 1
-    # a margin passed on is checked as one computed: exit 1, not 4
+    # the margin of a sample passed on is checked as one computed: exit 1,
+    # not 4
     zero = ShapeCoeffs.zero(8)
     for margin in (0.0, -1.0, np.nan):
+        shape = dataclasses.replace(sample_shape(zero, 64), margin=margin)
         with pytest.raises(TidaldiskError, match="injective") as info:
             residual_F(zero, base.a0, base.lambda0, 0.0, base, n_radial=32,
-                       n_angular=64, margin=margin)
+                       n_angular=64, shape=shape)
         assert info.value.exit_code == 1
 
 
@@ -1004,7 +1012,7 @@ def test_nan_shape_is_not_certified(base, op, monkeypatch):
     # folded one, both in solve_phi_h and in the quasi-Newton loop
     nan_shape = ShapeCoeffs(np.nan, np.zeros(op.N, dtype=complex))
     with pytest.raises(TidaldiskError, match="injective"):
-        solve_phi_h(nan_shape, base.profile, n_radial=32, n_angular=64)
+        solve_phi_h(sample_shape(nan_shape), base.profile, n_radial=32)
     monkeypatch.setattr(residual, "first_order_response",
                         lambda op, m: (nan_shape, 0.0, 0.0))
     with pytest.raises(DivergenceError, match="lost certified injectivity"):
@@ -1014,16 +1022,14 @@ def test_nan_shape_is_not_certified(base, op, monkeypatch):
 @pytest.mark.parametrize("nu, n_angular", [(None, 256), (0.5, 256),
                                            (0.5, 300)])
 def test_residual_supplied_sample_bit_identical(nu, n_angular):
-    # the quasi-Newton loop's sample and margin give what residual_F takes
-    # by itself, bit for bit, on a nested grid and on one that is not
+    # the quasi-Newton loop's sample gives what residual_F takes by itself,
+    # bit for bit, on a nested grid and on one that is not
     base = make_base_state(case_b() if nu is None else case_a(nu), 2.0,
                            rigid_preset(1.0))
     h = _decaying_shape(16, 2, 1e-3, seed=5)
-    sample = boundary_sample(h, n_angular)
     args = (h, base.a0, base.lambda0, 1e-4, base, 32, n_angular)
     own = residual_F(*args)
-    given = residual_F(*args, sample=sample,
-                       margin=injectivity_margin(h, sample))
+    given = residual_F(*args, shape=sample_shape(h, n_angular))
     assert np.array_equal(own[0].coeffs, given[0].coeffs)
     assert own[1:] == given[1:]
 
@@ -1187,20 +1193,20 @@ def test_solve_contraction_diagnostics(op):
 
 
 def test_solve_margin_on_unnested_grid(op, monkeypatch):
-    # boundary_points(64) = 256 does not divide 300: each iterate takes
-    # one 256-point sample, which the margin, the force and the center of
-    # mass share
+    # boundary_points(64) = 256 does not divide 300: each iterate's
+    # sample_shape takes one 256-point sample, which the margin, the force
+    # and the center of mass share
     sizes = []
-    for module in (residual, spectral):
-        monkeypatch.setattr(module, "boundary_sample", lambda h, M, fn=(
-            spectral.boundary_sample): sizes.append(M) or fn(h, M))
+    monkeypatch.setattr(spectral, "boundary_sample", lambda h, M, fn=(
+        spectral.boundary_sample): sizes.append(M) or fn(h, M))
     m = 5e-5
     sol = quasi_newton_solve(op, m, n_angular=300)
     assert sol.residual_norm < 1e-10
     assert sizes == [300, 256] * sol.iterations
     d = sol.diagnostics
     assert d["injectivity_margin"] == injectivity_margin(sol.h)
-    assert d["center_of_mass"] == list(center_of_mass(sol.h, m, sol.a))
+    assert d["center_of_mass"] == list(center_of_mass(sample_shape(sol.h),
+                                                      m, sol.a))
 
 
 @pytest.mark.parametrize("case, profile, N, n_angular, picard, transforms", [
@@ -1270,6 +1276,32 @@ def test_solution_serialization(op):
     assert d["m"] == 5e-5
     rows = list(boundary_rows(sol.h))
     assert len(rows) == 512
+
+
+@pytest.mark.parametrize("n_angular", [None, 300])
+def test_solution_keeps_no_shape_sample(op, n_angular):
+    # a benchmark run keeps every solution: neither the loop's ShapeSample
+    # nor an array or list of a boundary grid's size may be reachable from
+    # one (the lists it keeps have one entry per iteration)
+    sol = quasi_newton_solve(op, 5e-5, n_angular=n_angular)
+
+    def walk(x):
+        assert not isinstance(x, ShapeSample)
+        if isinstance(x, np.ndarray):
+            assert x.size < boundary_points(op.N), x.shape
+        elif isinstance(x, dict):
+            for v in x.values():
+                walk(v)
+        elif isinstance(x, (list, tuple)):
+            assert len(x) < boundary_points(op.N)
+            for v in x:
+                walk(v)
+        elif dataclasses.is_dataclass(x):
+            walk(vars(x))
+
+    walk(vars(sol))
+    walk(sol.diagnostics)
+    assert json.loads(json.dumps(sol.to_json_dict()))["m"] == 5e-5
 
 
 def test_boundary_csv_rows_at_n256():

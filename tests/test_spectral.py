@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from disk_quadrature import area_quadrature
+from tidaldisk import spectral
 from tidaldisk.errors import ConfigError
 from tidaldisk.spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
                                 boundary_curve, boundary_grid,
@@ -9,7 +10,8 @@ from tidaldisk.spectral import (BoundarySpectrum, ShapeCoeffs, analyze, area,
                                 conformal_factor_grid,
                                 eval_h_at,
                                 injectivity_margin, sample_curve,
-                                self_intersection_oracle, synthesize)
+                                sample_shape, self_intersection_oracle,
+                                synthesize)
 
 
 def _shape(g0, *gn):
@@ -121,6 +123,38 @@ def test_injectivity_margin():
     # |h| + |h'| = 0.8 + 0.8 for a pure dilation g0 = 0.8
     assert injectivity_margin(_shape(0.8)) < 0.0
     assert injectivity_margin(_shape(0.1, 0.05)) > 0.0
+
+
+def test_sample_shape_nesting_rule(monkeypatch):
+    # boundary_points(8) = 256: the points are all of a 256-point sample,
+    # every 2nd or 3rd column of a 512- or 768-point one, and a sample of
+    # their own on 300 points; a fresh 256-point sample agrees to rounding
+    # (FFTs of other sizes round otherwise: 1.4e-15 measured, on h'')
+    rng = np.random.default_rng(4)
+    h = ShapeCoeffs(0.01 * rng.standard_normal(), 0.01 * (
+        rng.standard_normal(8) + 1j * rng.standard_normal(8)))
+    refs = {M: boundary_sample(h, M) for M in (256, 512, 768, 300)}
+    sizes = []
+    monkeypatch.setattr(spectral, "boundary_sample", lambda h, M, fn=(
+        spectral.boundary_sample): sizes.append(M) or fn(h, M))
+    for M, rows in refs.items():
+        sizes.clear()
+        shape = sample_shape(h, M)
+        assert shape.h is h and np.array_equal(shape.rows, rows)
+        if M % 256:
+            assert sizes == [M, 256]
+            assert np.array_equal(shape.points, refs[256])
+        else:
+            assert sizes == [M]
+            assert np.array_equal(shape.points, rows[:, ::M // 256])
+            assert np.max(np.abs(shape.points - refs[256])) < 1e-14
+        assert not (shape.rows.flags.writeable or shape.points.flags.writeable)
+        hv, dhv, _ = shape.points
+        assert shape.margin == float(1.0 / np.sqrt(2.0)
+                                     - np.max(np.abs(hv) + np.abs(dhv)))
+    # by default the grid is boundary_points(N), and the points its rows
+    assert sample_shape(h).rows.shape == (3, 256)
+    assert sample_shape(h).margin == injectivity_margin(h)
 
 
 def test_self_intersection_oracle():
