@@ -35,13 +35,28 @@ derivative comes from the boundary sample in closed form
 
 A shape is read from one spectral.sample_shape: solve_phi_h takes its grid
 and injectivity margin, boundary_potential its curve, and particle_force
-and center_of_mass its boundary_points(N) grid.  The quasi-Newton loop
-takes one per iterate and keeps none on the solution.
+and center_of_mass the curve of its boundary_points(N) grid.  The
+quasi-Newton loop takes one per iterate and keeps none on the solution.
+
+Where a field is solved, the boundary potential does not depend on it, and
+both spend their time in numpy and BLAS calls that release the GIL.  With
+BLAS pinned to one thread, at least 2 CPUs and 512 or more angles
+(_overlaps), residual_F computes the potential on a one-worker thread while
+solve_phi_h runs; each stays single-threaded on its own read-only data, so
+every state is bit-identical to the inline order.  On the solve-B-linear
+workload's 64 x 512 grid a mass then takes 0.78-0.84 of the inline time
+(2-vCPU KVM guest, OpenBLAS 0.3.31).  Grids of fewer angles gained 7%
+at most or lost, unpinned BLAS and the closed-form flux measured slower
+overlapped, and one CPU has no second to run on, so these stay inline;
+the README's BLAS-threads paragraph lists the measurements.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
+import os
+from concurrent import futures
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -63,8 +78,7 @@ from .radial_ode import mode_profiles
 from .spectral import (BoundarySpectrum, ShapeCoeffs, ShapeSample,
                        _h_coeffs, _radial_powers, analyze, area,
                        boundary_grid, boundary_points, check_grid,
-                       conformal_factor_grid, eval_h_at, sample_curve,
-                       sample_shape)
+                       conformal_factor_grid, eval_h_at, sample_shape)
 
 # grid of the Picard damping, so that nearby shapes share one _mode_eigs entry
 _LAM_STEP = 1.0 / 16.0
@@ -281,21 +295,6 @@ def closed_form_flux(f: np.ndarray, yp: np.ndarray, g0: float) -> np.ndarray:
     return 0.25 * g0 * (2.0 * (f.conj() * yp).imag - harmonic)
 
 
-def field_equation_residual(fieldv: DiskField, h: ShapeCoeffs,
-                            profile: VorticityProfile) -> float:
-    """Sup norm of Delta u - |f'|^2 G(u) at the interior collocation nodes."""
-    r = fieldv.grid.r
-    M = len(fieldv.phi)
-    w = conformal_factor_grid(h, len(r), M)
-    vh = np.fft.rfft(fieldv.values, axis=1)
-    n = np.arange(vh.shape[1])
-    lap_hat = _parity_fold(fieldv.grid.basis, vh)
-    lap_hat -= (n * n)[None, :] / (r * r)[:, None] * vh
-    lap = np.fft.irfft(lap_hat, n=M, axis=1)
-    res = lap - w * np.asarray(profile.eval(fieldv.values), dtype=float)
-    return float(np.max(np.abs(res[1:, :])))
-
-
 # --------------------------------------------------------------------------
 # boundary value of the self-attraction
 # --------------------------------------------------------------------------
@@ -448,7 +447,7 @@ def particle_force(shape: ShapeSample, case, a: float) -> complex:
     a = float(a)
     if a < _A0_MIN:
         raise ConfigError(f"particle distance must be at least {_A0_MIN}")
-    f, yp, _ = sample_curve(shape.points)
+    f, yp, _ = shape.points_curve
     if float(np.max(np.abs(f))) > a - _PF_CLEARANCE:
         raise TidaldiskError(
             "shape reaches too close to the particle for smooth quadrature")
@@ -461,7 +460,7 @@ def center_of_mass(shape: ShapeSample, m: float, a: float):
     The body integral of z is (1/2i) int_bdry |z|^2 dz; |f|^2 y' is a
     trigonometric polynomial of degrees -N + 1..2N + 1, so the trapezoid
     rule on the boundary_points(N) >= 4N points of shape is exact."""
-    f, yp, _ = sample_curve(shape.points)
+    f, yp, _ = shape.points_curve
     mom = np.mean(np.abs(f) ** 2 * yp) * np.pi / 1j
     total = mom + m * a
     return np.array([total.real, total.imag]) / (np.pi + m)
@@ -470,6 +469,64 @@ def center_of_mass(shape: ShapeSample, m: float, a: float):
 # --------------------------------------------------------------------------
 # full residual
 # --------------------------------------------------------------------------
+
+# The least angular grid on which residual_F overlaps the boundary potential
+# with the stream-function solve (_overlaps): every grid measured from 512
+# angles up gained at least 16%, smaller ones 7% at most or lost.
+_OVERLAP_MIN_ANGULAR = 512
+
+# OpenBLAS's thread-count variables, in the order it reads them
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS")
+
+
+def _blas_threads() -> Optional[int]:
+    """The BLAS thread count that the environment sets, as OpenBLAS reads
+    it: the first positive integer among _BLAS_THREAD_VARS, or None."""
+    for var in _BLAS_THREAD_VARS:
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return n
+    return None
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _overlaps(n_angular: int) -> bool:
+    """Whether residual_F computes the boundary potential on its own thread
+    while solve_phi_h runs: on a grid of at least _OVERLAP_MIN_ANGULAR
+    angles, with BLAS pinned to one thread and a second CPU to run on.
+    Elsewhere it gained little or measured slower (README, BLAS
+    threads)."""
+    return (n_angular >= _OVERLAP_MIN_ANGULAR and _blas_threads() == 1
+            and _usable_cpus() >= 2)
+
+
+_pool = None  # (process id, executor) of _potential_pool
+
+
+def _potential_pool() -> futures.ThreadPoolExecutor:
+    """The one worker thread of the overlapped boundary potential, made on
+    first use in each process: a forked child has no copy of its parent's
+    thread, and a pool inherited across the fork would wait for it.  No
+    lock guards the check: callers that race at first use may each make a
+    pool, and each pool serves its callers."""
+    global _pool
+    pid = os.getpid()
+    if _pool is None or _pool[0] != pid:
+        _pool = (pid, futures.ThreadPoolExecutor(
+            1, thread_name_prefix="tidaldisk-potential"))
+    return _pool[1]
+
 
 def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
                base: BaseState,
@@ -490,26 +547,42 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
     sample (closed_form_flux), and no field is solved.  For any other G,
     solve_phi_h solves for the field from u_init, by default the base-state
     field phi0(r), and the field carries its own rfft for the normal
-    derivative.
+    derivative.  Where _overlaps holds, boundary_potential runs meanwhile
+    on a one-worker thread, in a copy of the caller's context (so its
+    np.errstate holds there), on the sample's read-only curve; each call
+    stays single-threaded on its own data, so the result is bit-identical
+    to the two calls in turn.  If the solve raises, the potential is
+    waited for before the exception leaves.
 
     h is read from one sample, shape = spectral.sample_shape(h, n_angular),
     which the quasi-Newton loop takes once per iterate and which is taken
     here when not given.  The grid must hold at least 2N + 2 points
     (ConfigError) and by default has boundary_points(N).  The stream
-    function's grid, the curve, its tangent and y'' come from its rows, the
-    particle force from its points; a non-positive margin is refused
+    function's grid and the curve, its tangent and y'' come from its rows,
+    the particle force from its points; a non-positive margin is refused
     (TidaldiskError) on either flux path.
     """
     if shape is None:
         shape = sample_shape(h, n_angular)
     _require_certified(shape.margin)
-    f, yp, ypp = sample_curve(shape.rows)
+    f, yp, ypp = shape.curve
+    potential = functools.partial(boundary_potential, f, yp, ypp, base.case)
+    pending = None
     g0 = constant_vorticity(h, base.profile)
     if g0 is None:
         if u_init is None:
             u_init = base.phi0.grid_values(n_radial)[:, None]
-        fieldv = solve_phi_h(shape, base.profile, n_radial=n_radial,
-                             u_init=u_init)
+        if _overlaps(len(f)):
+            pending = _potential_pool().submit(
+                contextvars.copy_context().run, potential)
+        try:
+            fieldv = solve_phi_h(shape, base.profile, n_radial=n_radial,
+                                 u_init=u_init)
+        except BaseException:
+            # the solve's exception leaves, not the potential's
+            if pending is not None:
+                futures.wait([pending])
+            raise
         dn = fieldv.boundary_normal_deriv()
     else:
         fieldv = None
@@ -517,8 +590,8 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
 
     grad2 = dn ** 2 / np.abs(yp) ** 2  # tangential part vanishes (Dirichlet)
 
-    u_self = boundary_potential(f, yp, ypp, base.case)
     u_part = particle_potential_at(base.case, a, f)
+    u_self = potential() if pending is None else pending.result()
 
     samples = (0.5 * grad2 - 0.5 * base.omega0**2 * np.abs(f) ** 2
                + u_self + m * u_part - lam)

@@ -1,6 +1,12 @@
 import dataclasses
 import json
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -10,7 +16,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gamma, rgamma
 
 from disk_quadrature import disk_rule
-from radial_reference import laplacian_mode
+from radial_reference import field_equation_residual, laplacian_mode
 from tidaldisk.chebyshev import (DEFAULT_RADIAL, HalfDiameterGrid, _radial_basis,
                                  diff_matrix, lobatto_points)
 from tidaldisk.coeffs import build_mode_table
@@ -28,7 +34,7 @@ from tidaldisk.radial_ode import _mode_grid, _solve_mode
 from tidaldisk.residual import (_mode_eigs, _product_weights, _solve_modes,
                                 boundary_potential, center_of_mass,
                                 closed_form_flux, constant_vorticity,
-                                field_equation_residual, first_order_field,
+                                first_order_field,
                                 particle_force, particle_potential_at,
                                 quasi_newton_solve, residual_F,
                                 residual_norm, solve_phi_h)
@@ -1315,3 +1321,202 @@ def test_boundary_csv_rows_at_n256():
     phi = np.array([p for p, _, _ in rows])
     z = np.exp(1j * phi)
     assert np.max(np.abs(f - z - 1e-3 * (z**2 + z**257))) < 1e-15
+
+
+# --------------------------------------------------------------------------
+# the boundary potential beside the stream-function solve
+# --------------------------------------------------------------------------
+
+def _recording_potential(monkeypatch, delay=0.0):
+    """Record the thread and np.geterr() of every boundary_potential call,
+    and when it finished; delay holds each call back by that many
+    seconds."""
+    calls = []
+    potential = residual.boundary_potential
+
+    def recording(*args):
+        time.sleep(delay)
+        out = potential(*args)
+        calls.append((threading.current_thread(), np.geterr(),
+                      time.perf_counter()))
+        return out
+
+    monkeypatch.setattr(residual, "boundary_potential", recording)
+    return calls
+
+
+def _pchip_operator():
+    # the 41-knot PCHIP table of test_solve_zero_mass_checks_tol
+    u = np.linspace(-1.5, 0.5, 41)
+    base = make_base_state(case_b(), 2.0,
+                           profile_from_table(u, -2.0 + u + 4.0 * u**3))
+    return make_operator(base, N=16)
+
+
+@pytest.mark.parametrize("config", ["B-linear", "pchip"])
+def test_overlap_bit_identical(config, monkeypatch):
+    # the overlapped and the inline residual give the same solutions, bit
+    # for bit: on the solve-B-linear config at three of its masses, and on
+    # a table whose residuals take several Picard steps each
+    if config == "B-linear":
+        op = make_operator(make_base_state(case_b(), 2.0,
+                                           linear_preset(1.0, -2.0)), N=128)
+        kw = dict(n_radial=64, n_angular=512)
+        masses = (2.2e-6, 1.1e-5, 2.2e-5)
+    else:
+        op = _pchip_operator()
+        kw = dict(n_angular=64)
+        masses = (0.0, 3e-4)
+    calls = _recording_potential(monkeypatch)
+    solutions = {}
+    for overlap in (True, False):
+        monkeypatch.setattr(residual, "_overlaps", lambda n, on=overlap: on)
+        calls.clear()
+        solutions[overlap] = [
+            quasi_newton_solve(op, m, tol=1e-10, **kw).to_json_dict()
+            for m in masses]
+        on_main = [t is threading.main_thread() for t, _, _ in calls]
+        assert calls and on_main == [not overlap] * len(calls)
+    assert list(map(repr, solutions[True])) == list(map(repr,
+                                                        solutions[False]))
+    if config == "pchip":
+        assert solutions[True][-1]["diagnostics"]["picard_steps"] == [5, 5, 3]
+
+
+def test_overlap_keeps_callers_errstate(base_linear, monkeypatch):
+    # the worker runs in a copy of the caller's context, where np.errstate
+    # lives under numpy 2
+    calls = _recording_potential(monkeypatch)
+    monkeypatch.setattr(residual, "_overlaps", lambda n: True)
+    with np.errstate(all="raise"):
+        residual_F(_small_shape(), base_linear.a0, base_linear.lambda0, 0.0,
+                   base_linear, n_radial=16, n_angular=64)
+    ((thread, err, _),) = calls
+    assert thread is not threading.main_thread()
+    assert set(err.values()) == {"raise"}
+
+
+def _residual_in_child(base):
+    residual_F(_small_shape(), base.a0, base.lambda0, 0.0, base,
+               n_radial=16, n_angular=64)
+    # the child made a pool of its own
+    sys.exit(0 if residual._pool[0] == os.getpid() else 3)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method")
+def test_overlap_in_forked_child(base_linear, monkeypatch):
+    # a pool used before fork has no worker thread in the child, which
+    # would wait for it forever
+    monkeypatch.setattr(residual, "_overlaps", lambda n: True)
+    residual_F(_small_shape(), base_linear.a0, base_linear.lambda0, 0.0,
+               base_linear, n_radial=16, n_angular=64)
+    assert residual._pool[0] == os.getpid()
+    child = multiprocessing.get_context("fork").Process(
+        target=_residual_in_child, args=(base_linear,))
+    with warnings.catch_warnings():  # fork of a threaded process
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("residual_F hung in a forked child")
+    assert child.exitcode == 0
+
+
+def test_overlap_solve_error_surfaces(base_linear, monkeypatch):
+    # the solve's own exception leaves residual_F once the pending
+    # potential has finished, and the pool serves the next call
+    args = (_small_shape(), base_linear.a0, base_linear.lambda0, 1e-5,
+            base_linear, 16, 64)
+    inline = residual_F(*args)
+    monkeypatch.setattr(residual, "_overlaps", lambda n: True)
+    calls = _recording_potential(monkeypatch, delay=0.05)
+    error = DivergenceError("stream-function iteration did not converge")
+
+    def failing(*args, **kw):
+        raise error
+
+    solve = residual.solve_phi_h
+    monkeypatch.setattr(residual, "solve_phi_h", failing)
+    with pytest.raises(DivergenceError) as info:
+        residual_F(*args)
+    raised = time.perf_counter()
+    assert info.value is error
+    ((thread, _, finished),) = calls
+    assert thread is not threading.main_thread() and finished < raised
+    monkeypatch.setattr(residual, "solve_phi_h", solve)
+    overlapped = residual_F(*args)
+    assert len(calls) == 2 and calls[1][0] is not threading.main_thread()
+    assert np.array_equal(overlapped[0].coeffs, inline[0].coeffs)
+    assert overlapped[1:] == inline[1:]
+
+
+@pytest.mark.parametrize("profile, env, cpus, n_angular, overlaps", [
+    ("linear", {"OPENBLAS_NUM_THREADS": "1"}, 2, 512, True),
+    ("linear", {"OPENBLAS_NUM_THREADS": "1"}, 2, 1024, True),
+    ("linear", {"GOTO_NUM_THREADS": "1"}, 4, 512, True),
+    ("linear", {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2,
+     512, True),
+    ("rigid", {"OPENBLAS_NUM_THREADS": "1"}, 2, 512, False),
+    ("linear", {"OPENBLAS_NUM_THREADS": "1"}, 1, 512, False),
+    ("linear", {}, 2, 512, False),
+    ("linear", {"OPENBLAS_NUM_THREADS": "2"}, 2, 512, False),
+    ("linear", {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2,
+     512, False),
+    ("linear", {"OPENBLAS_NUM_THREADS": "1"}, 2, 256, False)],
+    ids=["pinned", "pinned-1024", "goto", "openblas-0", "closed-form",
+         "one-cpu", "unpinned", "two-threads", "openblas-first",
+         "small-grid"])
+def test_overlap_selection(base, base_linear, monkeypatch, profile, env,
+                           cpus, n_angular, overlaps):
+    # a field solve on 512 or more angles, with BLAS pinned to one thread
+    # (OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS, OMP_NUM_THREADS, the first
+    # positive one) and two CPUs, overlaps; the closed-form flux, one CPU,
+    # unpinned BLAS and smaller grids run the potential inline
+    for var in residual._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    calls = _recording_potential(monkeypatch)
+    b = base_linear if profile == "linear" else base
+    residual_F(_small_shape(), b.a0, b.lambda0, 0.0, b, n_radial=16,
+               n_angular=n_angular)
+    ((thread, _, _),) = calls
+    assert (thread is not threading.main_thread()) == overlaps
+
+
+def test_overlap_concurrent_callers(base_linear, monkeypatch):
+    # more calling threads than CPUs share the one worker, from a fresh
+    # pool, under a short switch interval; every residual stays the inline
+    # one, bit for bit
+    h = [_small_shape().scaled(s) for s in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)]
+
+    def run(hs):
+        return [residual_F(hi, base_linear.a0, base_linear.lambda0, 1e-5,
+                           base_linear, n_radial=16, n_angular=64)
+                for hi in hs]
+
+    inline = run(h)
+    monkeypatch.setattr(residual, "_overlaps", lambda n: True)
+    monkeypatch.setattr(residual, "_pool", None)
+    results = {}
+    threads = [threading.Thread(target=lambda k=k: results.update(
+        {k: run(h[k:] + h[:k])})) for k in range(len(h))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(results) == len(h)
+    for k, got in results.items():
+        for (S, r2, r3), (S0, r20, r30) in zip(got, inline[k:] + inline[:k]):
+            assert np.array_equal(S.coeffs, S0.coeffs) and (r2, r3) == (r20,
+                                                                       r30)

@@ -148,6 +148,13 @@ def test_sample_shape_nesting_rule(monkeypatch):
             assert sizes == [M]
             assert np.array_equal(shape.points, rows[:, ::M // 256])
             assert np.max(np.abs(shape.points - refs[256])) < 1e-14
+        # each grid's curve is formed once, and shared where the points
+        # are the rows
+        assert (shape.points is shape.rows) == (M == 256)
+        assert (shape.points_curve is shape.curve) == (M == 256)
+        for arr, ref in zip(shape.curve + shape.points_curve,
+                            sample_curve(rows) + sample_curve(shape.points)):
+            assert np.array_equal(arr, ref) and not arr.flags.writeable
         assert not (shape.rows.flags.writeable or shape.points.flags.writeable)
         hv, dhv, _ = shape.points
         assert shape.margin == float(1.0 / np.sqrt(2.0)
