@@ -4,7 +4,7 @@ body perturbed by a small external point mass."""
 from .errors import (ConfigError, DegenerateBaseError, DivergenceError,
                      QuadratureError, ResonanceError, TidaldiskError)
 from .kernel import (VorticityProfile, linear_preset, profile_from_csv,
-                     profile_from_table, rigid_preset, zero_preset)
+                     profile_from_table, rigid_preset)
 from .potential import (BaseState, InteractionCase, a0_from_omega, case_a,
                         case_b, make_base_state, omega_from_a0, u0, u0_d1,
                         u0_d2)
@@ -34,5 +34,5 @@ __all__ = [
     "profile_from_csv", "profile_from_table", "quasi_newton_solve",
     "residual_F", "rigid_preset", "sample_shape", "solve_An",
     "solve_linearized", "solve_phi0", "solve_phi_h", "synthesize", "u0",
-    "u0_d1", "u0_d2", "zero_preset",
+    "u0_d1", "u0_d2",
 ]

@@ -31,7 +31,7 @@ from typing import List, Optional
 from .chebyshev import DEFAULT_RADIAL
 from .errors import ConfigError
 from .kernel import (VorticityProfile, linear_preset, profile_from_csv,
-                     rigid_preset, zero_preset)
+                     rigid_preset)
 from .potential import (_A0_MIN, DEGENERATE_TOL, InteractionCase, case_a,
                         case_b, check_omega0)
 from .spectral import boundary_points, check_grid
@@ -108,7 +108,6 @@ def _linear_profile(arg: str) -> VorticityProfile:
 _PROFILE_KINDS = {
     "rigid": lambda arg: rigid_preset(float(arg)),
     "linear": _linear_profile,
-    "zero": lambda arg: zero_preset(),
     "csv": lambda arg: profile_from_csv(arg.strip()),
 }
 

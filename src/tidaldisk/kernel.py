@@ -28,16 +28,6 @@ class VorticityProfile:
     name: str = "custom"
 
 
-def _constant_profile(value: float, name: str) -> VorticityProfile:
-    def ev(u):
-        return np.full_like(np.asarray(u, dtype=float), value)
-
-    def zero(u):
-        return np.zeros_like(np.asarray(u, dtype=float))
-
-    return VorticityProfile(eval=ev, d1=zero, name=name)
-
-
 def constant_value(profile: VorticityProfile,
                    radius: float = 1.0) -> Optional[float]:
     """G0 = G(0) where G takes that one value wherever the stream function
@@ -48,7 +38,7 @@ def constant_value(profile: VorticityProfile,
     0 and -G0 radius^2/4; on the unit disk it is (G0/4)(r^2 - 1).  Where
     G equals G0 at both ends of that interval in floating point, a
     non-decreasing G is G0 on all of it, and that field is the solution:
-    so for the rigid and zero presets and for tables flat there.  A G that
+    so for the rigid preset and for tables flat there.  A G that
     rises on the interval, as a linear G with a slope and G(0) != 0 does,
     gives None.
     """
@@ -66,13 +56,15 @@ def rigid_preset(omega0: float) -> VorticityProfile:
     """
     if not (omega0 > 0 and np.isfinite(omega0)):
         raise ValueError(f"omega0 must be positive and finite, got {omega0}")
-    return _constant_profile(-2.0 * float(omega0), name=f"rigid(omega0={omega0:g})")
+    value = -2.0 * float(omega0)
 
+    def ev(u):
+        return np.full_like(np.asarray(u, dtype=float), value)
 
-def zero_preset() -> VorticityProfile:
-    """G identically zero.  Gives the degenerate motionless profile; useful
-    for exercising error paths."""
-    return _constant_profile(0.0, name="zero")
+    def d1(u):
+        return np.zeros_like(np.asarray(u, dtype=float))
+
+    return VorticityProfile(eval=ev, d1=d1, name=f"rigid(omega0={omega0:g})")
 
 
 def linear_preset(slope: float, offset: float) -> VorticityProfile:

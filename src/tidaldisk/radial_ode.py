@@ -123,13 +123,13 @@ def _integrate_from_center(c: float, profile: VorticityProfile,
     return sol
 
 
-def _phi0_on_grid(evaluate, n_radial: int, deriv_at_1: float,
-                  residual: float, solver: str) -> RadialProfile:
-    """phi0 sampled at r = 0 and at the radii of the half-diameter grid of
-    n_radial nodes, ascending, with phi0(1) = 0 exact; the samples are
-    also its grid_values on that grid.  A boundary mismatch (residual)
-    above _MISMATCH_BOUND of max|phi0| is a TidaldiskError."""
-    radii = _radial_basis(n_radial).r  # descending, radii[0] = 1
+def _phi0_on_grid(evaluate, deriv_at_1: float, residual: float,
+                  solver: str) -> RadialProfile:
+    """phi0 sampled at r = 0 and at the radii of the DEFAULT_RADIAL grid,
+    ascending, with phi0(1) = 0 exact; the samples are also its
+    grid_values on that grid.  A boundary mismatch (residual) above
+    _MISMATCH_BOUND of max|phi0| is a TidaldiskError."""
+    radii = _radial_basis(DEFAULT_RADIAL).r  # descending, radii[0] = 1
     nodes = np.concatenate([[0.0], radii[::-1]])
     values = evaluate(nodes)
     peak = float(np.max(np.abs(values)))
@@ -141,12 +141,11 @@ def _phi0_on_grid(evaluate, n_radial: int, deriv_at_1: float,
     values.setflags(write=False)  # shared with grid_values
     prof = RadialProfile(nodes=nodes, values=values, deriv_at_1=deriv_at_1,
                          evaluate=evaluate, residual=residual, solver=solver)
-    prof._samples[n_radial] = values[:0:-1]
+    prof._samples[DEFAULT_RADIAL] = values[:0:-1]
     return prof
 
 
-def solve_phi0(profile: VorticityProfile,
-               n_radial: int = DEFAULT_RADIAL) -> RadialProfile:
+def solve_phi0(profile: VorticityProfile) -> RadialProfile:
     """phi0, vanishing at r = 1: by shooting on the center value, or in
     closed form where G is constant on phi0's range.
 
@@ -157,9 +156,9 @@ def solve_phi0(profile: VorticityProfile,
     neither the steps of G nor G' may fall below -1e-12 of max|G| or
     max|G'| (else ValueError).  Where G is G(0) on all of it
     (kernel.constant_value with radius 1, the rule residual_F's flux
-    follows: the rigid and zero presets and tables flat there), phi0 is
-    exactly (G(0)/4)(r^2 - 1), with phi0'(1) = G(0)/2 and residual 0;
-    its solver "closed_form" is the base's constant-G decision, which
+    follows: the rigid preset and tables flat there), phi0 is exactly
+    (G(0)/4)(r^2 - 1), with phi0'(1) = G(0)/2 and residual 0; its solver
+    "closed_form" is the base's constant-G decision, which
     BaseState.constant_g reads back.
 
     Otherwise the shooting map c -> phi(1; c) is monotone for
@@ -170,7 +169,7 @@ def solve_phi0(profile: VorticityProfile,
     max|phi0|, or TidaldiskError: on G = s u - 2 that ratio is phi0'(1)'s
     relative error, 3e-16 at s = 1, 7e-9 at s = 300 and 6e-3 at s = 1000.
     The profile is sampled at r = 0 and at the radii of the half-diameter
-    grid of n_radial nodes, ascending, with phi0(1) = 0 exact; those
+    grid of DEFAULT_RADIAL nodes, ascending, with phi0(1) = 0 exact; those
     samples are also its ``grid_values`` on that grid.
     """
     g_0 = float(profile.eval(0.0))
@@ -191,7 +190,7 @@ def solve_phi0(profile: VorticityProfile,
         def exact(r):
             r = np.asarray(r, dtype=float)
             return 0.25 * g_0 * (r * r - 1.0)
-        return _phi0_on_grid(exact, n_radial, 0.5 * g_0, 0.0, "closed_form")
+        return _phi0_on_grid(exact, 0.5 * g_0, 0.0, "closed_form")
 
     def shoot(c):
         return float(_integrate_from_center(c, profile).y[0][-1])
@@ -229,7 +228,7 @@ def solve_phi0(profile: VorticityProfile,
         core = c_star + 0.25 * float(profile.eval(c_star)) * r * r
         return np.where(r < _R_CORE, core, out)
 
-    return _phi0_on_grid(dense, n_radial, float(sol.y[1][-1]),
+    return _phi0_on_grid(dense, float(sol.y[1][-1]),
                          abs(float(sol.y[0][-1])), "shooting")
 
 

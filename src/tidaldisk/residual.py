@@ -77,11 +77,13 @@ from .radial_ode import mode_profiles
 # eval_h_at is not called here; perfbench/tracing.py wraps it under this name
 from .spectral import (BoundarySpectrum, ShapeCoeffs, ShapeSample,
                        _h_coeffs, _radial_powers, analyze, area,
-                       boundary_grid, boundary_points, check_grid,
-                       conformal_factor_grid, eval_h_at, sample_shape)
+                       boundary_points, check_grid, conformal_factor_grid,
+                       eval_h_at, sample_shape)
 
 # grid of the Picard damping, so that nearby shapes share one _mode_eigs entry
 _LAM_STEP = 1.0 / 16.0
+# Picard steps of solve_phi_h before it reports divergence
+_MAX_PICARD_STEPS = 200
 
 
 # --------------------------------------------------------------------------
@@ -146,11 +148,11 @@ def _parity_fold(mats, vh: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DiskField:
-    """Real scalar field on the polar grid (radial half-nodes x angles)."""
+    """Real scalar field on the polar grid (radial half-nodes x uniform
+    angles)."""
 
-    phi: np.ndarray            # uniform angular grid
-    values: np.ndarray         # shape (len(grid.r), len(phi))
-    spectrum: np.ndarray = field(repr=False)  # rfft of values along phi
+    values: np.ndarray         # shape (len(grid.r), number of angles)
+    spectrum: np.ndarray = field(repr=False)  # rfft of values along the angle
     grid: HalfDiameterGrid = field(repr=False)  # radii grid.r, descending
     picard_steps: int = 0      # steps of the solve that made the field
 
@@ -158,7 +160,7 @@ class DiskField:
         """Radial derivative at r = 1, mode by mode with the correct parity
         fold of the half-diameter discretization (the grid's rows)."""
         return np.fft.irfft(_parity_fold(self.grid.rows, self.spectrum)[0],
-                            n=len(self.phi))
+                            n=self.values.shape[1])
 
 
 def _require_certified(margin: float):
@@ -170,8 +172,7 @@ def _require_certified(margin: float):
 
 def solve_phi_h(shape: ShapeSample, profile: VorticityProfile,
                 n_radial: int = DEFAULT_RADIAL,
-                tol: float = 1e-12, max_iter: int = 200,
-                u_init=None) -> DiskField:
+                tol: float = 1e-12, u_init=None) -> DiskField:
     """Damped Picard solution of Delta u = |f'|^2 G(u), u = 0 on the circle.
 
     Each step solves (Delta - lam) u_next = w G(u) - lam u with w = |f'|^2.
@@ -190,7 +191,8 @@ def solve_phi_h(shape: ShapeSample, profile: VorticityProfile,
     whatever G' does further on.)  When q < 1/2 the iteration stops once
     the a-posteriori error bound delta q / (1 - q) of the last step delta is
     below tol, and otherwise once delta < tol.  With G' = 0, q = 0 and one
-    step is exact.
+    step is exact.  A solve that has not stopped after _MAX_PICARD_STEPS
+    steps is a DivergenceError.
 
     The step runs on the rfft modes n = 0..M/2 of the angle, by fast
     diagonalization (_solve_modes), and evaluates G' once, at the new
@@ -204,13 +206,13 @@ def solve_phi_h(shape: ShapeSample, profile: VorticityProfile,
     otherwise).
     """
     _require_certified(shape.margin)
-    n_angular = shape.rows.shape[1]
+    n_angular = len(shape.curve[0])
     grid = _radial_basis(n_radial)
     w = conformal_factor_grid(shape.h, n_radial, n_angular)
     u = np.broadcast_to(np.asarray(0.0 if u_init is None else u_init,
                                    dtype=float), (n_radial, n_angular))
     s = w * profile.d1(u)
-    for steps in range(1, max_iter + 1):
+    for steps in range(1, _MAX_PICARD_STEPS + 1):
         lo, hi = float(np.min(s)), float(np.max(s))
         lam = max(round(0.5 * (lo + hi) / _LAM_STEP) * _LAM_STEP, 0.0)
         rhs = w * np.asarray(profile.eval(u), dtype=float) - lam * u
@@ -222,8 +224,8 @@ def solve_phi_h(shape: ShapeSample, profile: VorticityProfile,
         lo, hi = min(lo, float(np.min(s))), max(hi, float(np.max(s)))
         q = max(hi - lam, lam - lo) / max(4.0, lam)
         if (delta * q / (1.0 - q) if q < 0.5 else delta) < tol:
-            return DiskField(phi=boundary_grid(n_angular), values=u,
-                             spectrum=u_hat, grid=grid, picard_steps=steps)
+            return DiskField(values=u, spectrum=u_hat, grid=grid,
+                             picard_steps=steps)
     raise DivergenceError(
         f"stream-function iteration did not converge (last step {delta:.2e})")
 
@@ -511,21 +513,15 @@ def _overlaps(n_angular: int) -> bool:
             and _usable_cpus() >= 2)
 
 
-_pool = None  # (process id, executor) of _potential_pool
-
-
-def _potential_pool() -> futures.ThreadPoolExecutor:
+@functools.lru_cache(maxsize=1)
+def _potential_pool(pid: int) -> futures.ThreadPoolExecutor:
     """The one worker thread of the overlapped boundary potential, made on
-    first use in each process: a forked child has no copy of its parent's
-    thread, and a pool inherited across the fork would wait for it.  No
-    lock guards the check: callers that race at first use may each make a
-    pool, and each pool serves its callers."""
-    global _pool
-    pid = os.getpid()
-    if _pool is None or _pool[0] != pid:
-        _pool = (pid, futures.ThreadPoolExecutor(
-            1, thread_name_prefix="tidaldisk-potential"))
-    return _pool[1]
+    first use in each process (residual_F passes os.getpid()): a forked
+    child has no copy of its parent's thread, and a pool inherited across
+    the fork would wait for it.  No lock guards the first use: callers that
+    race there may each make a pool, and each pool serves its callers."""
+    return futures.ThreadPoolExecutor(
+        1, thread_name_prefix="tidaldisk-potential")
 
 
 def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
@@ -543,7 +539,7 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
 
     The flux, the stream function's normal derivative, has a closed form
     where G is constant on the stream function's range (constant_vorticity:
-    the rigid and zero presets and flat tables), read from the boundary
+    the rigid preset and flat tables), read from the boundary
     sample (closed_form_flux), and no field is solved.  For any other G,
     solve_phi_h solves for the field from u_init, by default the base-state
     field phi0(r), and the field carries its own rfft for the normal
@@ -558,9 +554,9 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
     which the quasi-Newton loop takes once per iterate and which is taken
     here when not given.  The grid must hold at least 2N + 2 points
     (ConfigError) and by default has boundary_points(N).  The stream
-    function's grid and the curve, its tangent and y'' come from its rows,
-    the particle force from its points; a non-positive margin is refused
-    (TidaldiskError) on either flux path.
+    function's grid and the curve, its tangent and y'' come from its
+    curve, the particle force from its points_curve; a non-positive margin
+    is refused (TidaldiskError) on either flux path.
     """
     if shape is None:
         shape = sample_shape(h, n_angular)
@@ -573,7 +569,7 @@ def residual_F(h: ShapeCoeffs, a: float, lam: float, m: float,
         if u_init is None:
             u_init = base.phi0.grid_values(n_radial)[:, None]
         if _overlaps(len(f)):
-            pending = _potential_pool().submit(
+            pending = _potential_pool(os.getpid()).submit(
                 contextvars.copy_context().run, potential)
         try:
             fieldv = solve_phi_h(shape, base.profile, n_radial=n_radial,
@@ -641,8 +637,8 @@ class EquilibriumSolution:
 def _diagnostics(shape: ShapeSample, a: float, m: float, S: BoundarySpectrum,
                  picard_steps: list, history: list, correction: tuple) -> dict:
     """Diagnostics of a converged state.  The quasi-Newton loop passes its
-    sample of the iterate (spectral.sample_shape), whose margin and points
-    are read, the residual norms of every iterate and the correction
+    sample of the iterate (spectral.sample_shape), whose margin and
+    points_curve are read, the residual norms of every iterate and the correction
     (g, b, mu) that the iterate's residual would take next.  Only numbers
     are kept, not the sample."""
     h = shape.h

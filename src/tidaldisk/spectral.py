@@ -8,7 +8,7 @@ g0 real, so that h(0) = 0 and h'(0) is real.  This module holds the
 coefficient container, the sampling of the shape (h, h' and h'' on the
 boundary, and |f'|^2 on a polar grid, by FFT) with its 2N + 2 grid floor,
 the one sample of a shape that the residual reads (sample_shape: the
-sample, its boundary_points(N) grid, the curve of each and the injectivity
+curve on its grid and on the boundary_points(N) grid, and the injectivity
 margin certificate), the curve read from a boundary sample, the closed-form
 area, and the discrete Fourier transform pair used to move between boundary
 samples and mode coefficients.
@@ -132,15 +132,12 @@ def boundary_sample(h: ShapeCoeffs, M: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShapeSample:
-    """One sample of the shape h (sample_shape): rows is h, h' and h'' on a
-    uniform grid (a boundary_sample), points the same on the
-    boundary_points(N) grid and margin h's injectivity margin, read from
-    points.  curve and points_curve are the curves (y, y', y'') of rows
-    and of points (sample_curve).  The arrays are read-only."""
+    """One sample of the shape h (sample_shape): curve is the curve (y, y',
+    y'') on a uniform grid (sample_curve), points_curve the same on the
+    boundary_points(N) grid, and margin h's injectivity margin, read on
+    that grid.  The arrays are read-only."""
 
     h: ShapeCoeffs
-    rows: np.ndarray = field(repr=False)
-    points: np.ndarray = field(repr=False)
     margin: float
     curve: tuple = field(repr=False)
     points_curve: tuple = field(repr=False)
@@ -149,15 +146,16 @@ class ShapeSample:
 def sample_shape(h: ShapeCoeffs, M: Optional[int] = None) -> ShapeSample:
     """Sample h once, on the uniform M-grid (by default boundary_points(N)).
 
-    The points are the rows where M is boundary_points(N), every k-th
-    column of the rows where boundary_points(N) divides M, and otherwise a
+    The rows (h, h', h'') are a boundary_sample on the M-grid.  The points
+    are the rows where M is boundary_points(N), every k-th column of the
+    rows where boundary_points(N) divides M, and otherwise a
     boundary_sample of their own: the one place where that grid is nested.
     The curve of each is formed once, and the points share the rows' curve
-    where they are the rows.  The margin is 1/sqrt(2) minus the maximum of
-    |h| + |h'| over the points; a positive value certifies that f = id + h
-    is injective on the closed disk, since h and h' are analytic and the
-    boundary maximum bounds the interior one.  A negative value is not a
-    proof of non-injectivity.
+    where they are the rows; neither sample is kept.  The margin is
+    1/sqrt(2) minus the maximum of |h| + |h'| over the points; a positive
+    value certifies that f = id + h is injective on the closed disk, since
+    h and h' are analytic and the boundary maximum bounds the interior one.
+    A negative value is not a proof of non-injectivity.
     """
     n = boundary_points(h.N)
     rows = boundary_sample(h, n if M is None else M)
@@ -168,13 +166,13 @@ def sample_shape(h: ShapeCoeffs, M: Optional[int] = None) -> ShapeSample:
         points = boundary_sample(h, n) if M % n else rows[:, ::M // n]
     curve = sample_curve(rows)
     points_curve = curve if points is rows else sample_curve(points)
-    for arr in (rows, points, *curve, *points_curve):
+    for arr in (*curve, *points_curve):
         arr.setflags(write=False)
     hv, dhv, _ = points
     # a shape near the float maximum overflows to a margin of -inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
         margin = float(1.0 / np.sqrt(2.0) - np.max(np.abs(hv) + np.abs(dhv)))
-    return ShapeSample(h, rows, points, margin, curve, points_curve)
+    return ShapeSample(h, margin, curve, points_curve)
 
 
 @functools.lru_cache(maxsize=4)

@@ -18,7 +18,7 @@ def field_equation_residual(fieldv, h, profile) -> float:
     """Sup norm of Delta u - |f'|^2 G(u) at the interior collocation nodes
     of a residual.DiskField."""
     r = fieldv.grid.r
-    M = len(fieldv.phi)
+    M = fieldv.values.shape[1]
     w = conformal_factor_grid(h, len(r), M)
     vh = np.fft.rfft(fieldv.values, axis=1)
     n = np.arange(vh.shape[1])

@@ -567,11 +567,27 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 def test_degenerate_profile_exit(tmp_path, capsys):
+    # a table flat at G = 0 gives phi0 = 0, whose boundary slope vanishes
+    table = tmp_path / "zero.csv"
+    table.write_text("-1,0\n0,0\n1,0\n2,0\n")
     cfg = _write_cfg(tmp_path,
-                     "case = B\nprofile = zero\na0 = 2.0\nN = 16\n")
+                     f"case = B\nprofile = csv:{table}\na0 = 2.0\nN = 16\n")
     code = main(["base", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 1
-    assert "error" in capsys.readouterr().err
+    assert "vanishes" in capsys.readouterr().err
+    assert _read_json(tmp_path / "o" / "error.json")["error"] == (
+        "DegenerateBaseError")
+
+
+@pytest.mark.parametrize("command",
+                         ["base", "scan", "perturb", "solve", "verify"])
+def test_zero_profile_kind_refused(tmp_path, capsys, command):
+    # G = 0 has no rotating base state; the kind is not parsed at all
+    cfg = _write_cfg(tmp_path,
+                     "case = B\nprofile = zero\na0 = 2.0\nN = 16\n")
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "unknown profile kind 'zero'" in capsys.readouterr().err
 
 
 def test_write_csv_bytes(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from tidaldisk.kernel import (VorticityProfile, linear_preset,
                               profile_from_csv, profile_from_table,
-                              rigid_preset, zero_preset)
+                              rigid_preset)
 
 
 def test_rigid_preset_constant_value():
@@ -18,11 +18,6 @@ def test_rigid_preset_rejects_nonpositive():
         rigid_preset(0.0)
     with pytest.raises(ValueError):
         rigid_preset(-1.0)
-
-
-def test_zero_preset():
-    p = zero_preset()
-    assert np.all(p.eval(np.linspace(-3, 3, 7)) == 0.0)
 
 
 def test_linear_preset_rejects_negative_slope():

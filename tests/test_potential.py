@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gamma, hyp2f1
 
 from tidaldisk.errors import DegenerateBaseError
-from tidaldisk.kernel import rigid_preset, zero_preset
+from tidaldisk.kernel import VorticityProfile, rigid_preset
 from tidaldisk.potential import (InteractionCase, _u0_case_a, a0_from_omega,
                                  case_a, case_b, make_base_state,
                                  omega_from_a0, particle_potential_at, u0,
@@ -173,5 +173,7 @@ def test_base_state_rejects_close_particle():
 
 
 def test_base_state_degenerate_profile():
+    # G = 0 gives phi0 = 0, whose boundary slope vanishes
     with pytest.raises(DegenerateBaseError):
-        make_base_state(case_b(), 2.0, zero_preset())
+        make_base_state(case_b(), 2.0,
+                        VorticityProfile(np.zeros_like, np.zeros_like))

@@ -10,7 +10,7 @@ from tidaldisk.chebyshev import DEFAULT_RADIAL, _radial_basis
 from tidaldisk.coeffs import build_mode_table
 from tidaldisk.errors import TidaldiskError
 from tidaldisk.kernel import (VorticityProfile, linear_preset,
-                              profile_from_table, rigid_preset, zero_preset)
+                              profile_from_table, rigid_preset)
 from tidaldisk.linop import make_operator
 from tidaldisk import radial_ode
 from tidaldisk.potential import case_a, case_b, make_base_state
@@ -40,8 +40,12 @@ def test_phi0_rigid_closed_form():
     assert prof.values[-1] == 0.0
 
 
+# G identically zero
+_ZERO = VorticityProfile(np.zeros_like, np.zeros_like)
+
+
 def test_phi0_zero_profile():
-    prof = solve_phi0(zero_preset())
+    prof = solve_phi0(_ZERO)
     assert np.max(np.abs(prof(np.linspace(0, 1, 11)))) < 1e-12
 
 
@@ -149,7 +153,7 @@ def _no_shot(*args, **kwargs):
 
 
 @pytest.mark.parametrize("profile", [rigid_preset(1.3), rigid_preset(5e4),
-                                     zero_preset(), _FLAT_TABLE],
+                                     _ZERO, _FLAT_TABLE],
                          ids=["rigid", "strong rigid", "zero", "flat table"])
 def test_phi0_closed_form_for_constant_g(profile, monkeypatch):
     # phi0 = (G0/4)(r^2 - 1) on r = 0 and the grid radii, with no shot

@@ -25,7 +25,7 @@ from tidaldisk.errors import (ConfigError, DegenerateBaseError, DivergenceError,
                               ResonanceError, TidaldiskError)
 from tidaldisk.kernel import (VorticityProfile, linear_preset,
                               profile_from_csv, profile_from_table,
-                              rigid_preset, zero_preset)
+                              rigid_preset)
 from tidaldisk.linop import (apply_forward, first_order_response,
                              make_operator, nonresonance_scan)
 from tidaldisk import linop, radial_ode, residual, spectral
@@ -230,6 +230,19 @@ def test_stream_function_stop_rule_uniform_start(n):
     fld = solve_phi_h(sample_shape(h), profile)
     assert fld.picard_steps > 1
     assert field_equation_residual(fld, h, profile) < 1e-10
+
+
+def test_stream_function_step_cap(monkeypatch):
+    # a solve that has not stopped after _MAX_PICARD_STEPS steps is a
+    # divergence; on the 41-knot PCHIP table this shape takes several
+    base = _pchip_operator().base
+    args = (_small_shape(), base.a0, base.lambda0, 1e-5, base)
+    *_, fld = residual_F(*args, n_angular=64, return_field=True)
+    assert fld.picard_steps > 1
+    monkeypatch.setattr(residual, "_MAX_PICARD_STEPS", 1)
+    with pytest.raises(DivergenceError, match="stream-function iteration "
+                                              "did not converge"):
+        residual_F(*args, n_angular=64)
 
 
 def _table_profile():
@@ -571,8 +584,8 @@ def test_closed_form_field_solves_field_equation(base):
         P = np.fft.irfft(np.fft.rfft(np.abs(f) ** 2) * grid.r[:, None] ** p,
                          n=M, axis=1)
         u = -0.5 * (np.abs(z + eval_h_at(h, z)[0]) ** 2 - P)
-        fld = residual.DiskField(phi=phi, values=u,
-                                 spectrum=np.fft.rfft(u, axis=1), grid=grid)
+        fld = residual.DiskField(values=u, spectrum=np.fft.rfft(u, axis=1),
+                                 grid=grid)
         assert field_equation_residual(fld, h, base.profile) < 1e-10
         assert np.max(np.abs(u[0])) < 1e-15
         dn = closed_form_flux(f, yp, -2.0)
@@ -585,11 +598,12 @@ def test_constant_vorticity_selection(tmp_path):
     # interval, and for G = 0 with a zero flux
     shapes = [ShapeCoeffs.zero(8), _small_shape(),
               _decaying_shape(64, 3, 0.05, seed=3)]
+    zero = VorticityProfile(np.zeros_like, np.zeros_like)
     for h in shapes:
         for slope in (1.0, 1e-12, 300.0):
             assert constant_vorticity(h, linear_preset(slope, -2.0)) is None
         assert constant_vorticity(h, rigid_preset(3.0)) == -6.0
-        assert constant_vorticity(h, zero_preset()) == 0.0
+        assert constant_vorticity(h, zero) == 0.0
     # flat on [-0.5, 1.5]; R^2 = 3 would reach its end
     path = tmp_path / "flat.csv"
     path.write_text("-2,-4\n-1,-3\n-0.5,-2\n0,-2\n0.5,-2\n1.5,-2\n"
@@ -820,10 +834,10 @@ def test_boundary_potential_matches_offset_form(nu, M):
                          ids=["log", "nu0.5", "nu1"])
 def test_boundary_potential_rounding(case):
     # the separated products sum about each block's middle target: 5.2e-16
-    # (log), 2.0e-15 (nu = 0.5) and 3.6e-15 (nu = 1) on this shape, where
-    # sums about the origin measured 1.1e-15, 2.4e-15 and 6.5e-15 and the
-    # offset form 5.9e-16, 3.6e-15 and 4.5e-15; y'' from the shape's
-    # boundary sample
+    # (log), 2.0e-15 (nu = 0.5) and 4.5e-15 (nu = 1, 6.4e-16 of max|U|
+    # against the bound's 8e-16) on this shape, where sums about the origin
+    # measured 1.1e-15, 2.4e-15 and 6.5e-15 and the offset form 5.9e-16,
+    # 3.6e-15 and 4.5e-15; y'' from the shape's boundary sample
     f, yp, ypp = sample_curve(boundary_sample(_rough_shape(64, 0.1, 1), 256))
     ref = _offset_form_potential(f, yp, case, np.longdouble)
     err = float(np.max(np.abs(boundary_potential(f, yp, ypp, case) - ref)))
@@ -1397,10 +1411,12 @@ def test_overlap_keeps_callers_errstate(base_linear, monkeypatch):
 
 
 def _residual_in_child(base):
+    misses = residual._potential_pool.cache_info().misses
     residual_F(_small_shape(), base.a0, base.lambda0, 0.0, base,
                n_radial=16, n_angular=64)
-    # the child made a pool of its own
-    sys.exit(0 if residual._pool[0] == os.getpid() else 3)
+    # the child made a pool of its own: its process id missed the cache
+    sys.exit(0 if residual._potential_pool.cache_info().misses == misses + 1
+             else 3)
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -1409,9 +1425,10 @@ def test_overlap_in_forked_child(base_linear, monkeypatch):
     # a pool used before fork has no worker thread in the child, which
     # would wait for it forever
     monkeypatch.setattr(residual, "_overlaps", lambda n: True)
+    residual._potential_pool.cache_clear()
     residual_F(_small_shape(), base_linear.a0, base_linear.lambda0, 0.0,
                base_linear, n_radial=16, n_angular=64)
-    assert residual._pool[0] == os.getpid()
+    assert residual._potential_pool.cache_info().misses == 1
     child = multiprocessing.get_context("fork").Process(
         target=_residual_in_child, args=(base_linear,))
     with warnings.catch_warnings():  # fork of a threaded process
@@ -1502,7 +1519,7 @@ def test_overlap_concurrent_callers(base_linear, monkeypatch):
 
     inline = run(h)
     monkeypatch.setattr(residual, "_overlaps", lambda n: True)
-    monkeypatch.setattr(residual, "_pool", None)
+    residual._potential_pool.cache_clear()
     results = {}
     threads = [threading.Thread(target=lambda k=k: results.update(
         {k: run(h[k:] + h[:k])})) for k in range(len(h))]

@@ -128,8 +128,9 @@ def test_injectivity_margin():
 def test_sample_shape_nesting_rule(monkeypatch):
     # boundary_points(8) = 256: the points are all of a 256-point sample,
     # every 2nd or 3rd column of a 512- or 768-point one, and a sample of
-    # their own on 300 points; a fresh 256-point sample agrees to rounding
-    # (FFTs of other sizes round otherwise: 1.4e-15 measured, on h'')
+    # their own on 300 points; the strided points' curve agrees with a
+    # fresh 256-point sample's to rounding (FFTs of other sizes round
+    # otherwise: 1.4e-15 measured, on h'')
     rng = np.random.default_rng(4)
     h = ShapeCoeffs(0.01 * rng.standard_normal(), 0.01 * (
         rng.standard_normal(8) + 1j * rng.standard_normal(8)))
@@ -140,28 +141,28 @@ def test_sample_shape_nesting_rule(monkeypatch):
     for M, rows in refs.items():
         sizes.clear()
         shape = sample_shape(h, M)
-        assert shape.h is h and np.array_equal(shape.rows, rows)
+        assert shape.h is h
         if M % 256:
             assert sizes == [M, 256]
-            assert np.array_equal(shape.points, refs[256])
+            points = refs[256]
         else:
             assert sizes == [M]
-            assert np.array_equal(shape.points, rows[:, ::M // 256])
-            assert np.max(np.abs(shape.points - refs[256])) < 1e-14
+            points = rows[:, ::M // 256]
         # each grid's curve is formed once, and shared where the points
         # are the rows
-        assert (shape.points is shape.rows) == (M == 256)
         assert (shape.points_curve is shape.curve) == (M == 256)
         for arr, ref in zip(shape.curve + shape.points_curve,
-                            sample_curve(rows) + sample_curve(shape.points)):
+                            sample_curve(rows) + sample_curve(points)):
             assert np.array_equal(arr, ref) and not arr.flags.writeable
-        assert not (shape.rows.flags.writeable or shape.points.flags.writeable)
-        hv, dhv, _ = shape.points
+        for arr, ref in zip(shape.points_curve, sample_curve(refs[256])):
+            assert np.max(np.abs(arr - ref)) < 1e-14
+        hv, dhv, _ = points
         assert shape.margin == float(1.0 / np.sqrt(2.0)
                                      - np.max(np.abs(hv) + np.abs(dhv)))
     # by default the grid is boundary_points(N), and the points its rows
-    assert sample_shape(h).rows.shape == (3, 256)
-    assert sample_shape(h).margin == injectivity_margin(h)
+    shape = sample_shape(h)
+    assert len(shape.curve[0]) == 256 and shape.points_curve is shape.curve
+    assert shape.margin == injectivity_margin(h)
 
 
 def test_self_intersection_oracle():
